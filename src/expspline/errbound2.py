@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .expcore import fundamental_eval
 from .quadrature import integrate
@@ -120,8 +119,11 @@ def _m_unit(lam0_scaled, lam1_scaled):
 
     Scan plus golden-section refinement; results are cached keyed by the
     scale-invariant products lambda*(b-a), which makes repeated intervals of
-    a uniform partition free after the first.
+    a uniform partition free after the first.  scipy.optimize is imported
+    here, its only use, to keep it out of the package import.
     """
+    from scipy.optimize import minimize_scalar
+
     def neg_omega(u):
         return -omega_eval(lam0_scaled, lam1_scaled, 0.0, 1.0, u)
 

@@ -13,9 +13,10 @@ quadruples themselves when not supplied.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errbound2 import M_constant
 from .expcore import (
@@ -26,6 +27,10 @@ from .expcore import (
 from .hatbasis import Partition, build_hat_basis, hat_eval
 from .l2proj import operator_norm_bound
 from .quadrature import integrate
+
+_RESIDUAL_RTOL = 1e-10
+
+_COND_MAX = 1e12
 
 
 def _coerce_partition(knots):
@@ -201,17 +206,63 @@ def spline_from_coefficients(partition, quads, coeffs):
     coeffs = np.asarray(coeffs, dtype=float).reshape(m, 4)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
+    expoly = lru_cache(maxsize=None)(fundamental_expoly)
     polys = []
     for j in range(m):
         quad = quads.quads[j]
         poly = ExpPolynomial(terms={})
         for k in range(4):
             if coeffs[j, k] != 0.0:
-                poly = poly + fundamental_expoly(quad[:k + 1]) \
-                    .scaled(coeffs[j, k])
+                poly = poly + expoly(quad[:k + 1]).scaled(coeffs[j, k])
         polys.append(poly)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
                         polys=polys)
+
+
+def _endpoint_rows(qset, lengths):
+    """Local basis rows at both ends of every interval, orders 0..2.
+
+    Returns (at_zero, at_h), each of shape (m, 3, 4), with entry [j, r, k]
+    the r-th derivative of the fundamental function over quads[j][:k+1] at
+    tau = 0 and tau = h_j.  Intervals sharing a quadruple share one kernel
+    call per (k, r), batched over their distinct lengths, so the number of
+    calls grows with the number of distinct quadruples, not with the mesh.
+    """
+    m = len(lengths)
+    at_zero = np.empty((m, 3, 4))
+    at_h = np.empty((m, 3, 4))
+    groups = {}
+    for j, quad in enumerate(qset.quads):
+        groups.setdefault(quad, []).append(j)
+    for quad, members in groups.items():
+        members = np.array(members)
+        hs, back = np.unique(lengths[members], return_inverse=True)
+        for k in range(4):
+            for r in range(3):
+                at_zero[members, r, k] = fundamental_derivative(
+                    quad[:k + 1], 0.0, r)
+                at_h[members, r, k] = fundamental_derivative(
+                    quad[:k + 1], hs, r)[back]
+    return at_zero, at_h
+
+
+def _banded_lu_solve(rows, cols, vals, rhs):
+    """Solve the (4, 4)-banded system given by its nonzero triplets.
+
+    One LAPACK LU factorization (gbtrf) serves both the solve (gbtrs) and
+    the 1-norm condition estimate (gbcon).  Returns (x, cond); an exactly
+    singular factor gives x = NaN and cond = inf.
+    """
+    n = len(rhs)
+    ab = np.zeros((13, n))
+    ab[8 + rows - cols, cols] = vals
+    anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
+    lu, piv, info = dgbtrf(ab, 4, 4, overwrite_ab=True)
+    if info != 0:
+        return np.full(n, np.nan), math.inf
+    x, _ = dgbtrs(lu, 4, 4, rhs, piv)
+    rcond, _ = dgbcon(4, 4, lu, piv, anorm)
+    return x, (1.0 / rcond if rcond > 0.0 else math.inf)
 
 
 def build_interpolant4(partition, quads, values, d_left, d_right):
@@ -219,9 +270,13 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
 
     Sets up the 4(n-1) banded system: both endpoint values per interval,
     first and second derivative continuity at interior knots, and the two
-    clamp equations.  A condition estimate at or above 1e12 triggers a
-    warning and a re-solve in interval-scaled variables; the accepted
-    solution must pass a residual check at 1e-10 relative.
+    clamp equations.  The system is factored once by banded LU, which also
+    gives the LAPACK 1-norm condition estimate; at every size an estimate
+    at or above 1e12 triggers a warning and a re-solve in interval-scaled
+    variables.  The accepted solution must pass a residual check at 1e-10
+    relative to the system, and the interpolation and clamp rows must meet
+    the data to 1e-10 relative to max(1, |values|, |d_left|, |d_right|);
+    otherwise LinAlgError is raised.
     """
     part = _coerce_partition(partition)
     m = part.n - 1
@@ -238,60 +293,53 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
             or not math.isfinite(d_right):
         raise ValueError("data must be finite")
 
-    knots = np.array(part.knots)
     lengths = np.array(part.lengths)
     nuk = 4 * m
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nuk)
-
-    def basis_row(j, tau, order):
-        quad = quads.quads[j]
-        return [fundamental_derivative(quad[:k + 1], tau, order)
-                for k in range(4)]
-
-    def add_row(r, j, entries, sign=1.0):
-        for k, v in enumerate(entries):
-            if v != 0.0:
-                rows.append(r)
-                cols.append(4 * j + k)
-                vals.append(sign * v)
-
-    add_row(0, 0, [1.0, 0.0, 0.0, 0.0])
-    rhs[0] = values[0]
-    add_row(1, 0, basis_row(0, 0.0, 1))
-    rhs[1] = d_left
-    for i in range(1, m):
-        h = lengths[i - 1]
-        r = 4 * i - 2
-        add_row(r, i - 1, basis_row(i - 1, h, 0))
-        rhs[r] = values[i]
-        add_row(r + 1, i - 1, basis_row(i - 1, h, 1))
-        add_row(r + 1, i, basis_row(i, 0.0, 1), sign=-1.0)
-        add_row(r + 2, i - 1, basis_row(i - 1, h, 2))
-        add_row(r + 2, i, basis_row(i, 0.0, 2), sign=-1.0)
-        add_row(r + 3, i, [1.0, 0.0, 0.0, 0.0])
-        rhs[r + 3] = values[i]
-    add_row(nuk - 2, m - 1, basis_row(m - 1, lengths[m - 1], 0))
-    rhs[nuk - 2] = values[m]
-    add_row(nuk - 1, m - 1, basis_row(m - 1, lengths[m - 1], 1))
-    rhs[nuk - 1] = d_right
-
-    rows_a = np.array(rows)
-    cols_a = np.array(cols)
-    vals_a = np.array(vals)
+    at_zero, at_h = _endpoint_rows(quads, lengths)
+    inner = np.arange(1, m)
+    ends = np.arange(m)
+    # (row, interval, four entries) blocks: value and clamp at the left
+    # end; per interior knot i the value from the right interval and its
+    # side of the C^1, C^2 joins; value and slope at every right end (the
+    # last slope row is the right clamp); the left side of the C^2 joins.
+    blocks = [
+        ([0], [0], at_zero[:1, 0]),
+        ([1], [0], at_zero[:1, 1]),
+        (4 * inner + 1, inner, at_zero[1:, 0]),
+        (4 * inner - 1, inner, -at_zero[1:, 1]),
+        (4 * inner, inner, -at_zero[1:, 2]),
+        (4 * ends + 2, ends, at_h[:, 0]),
+        (4 * ends + 3, ends, at_h[:, 1]),
+        (4 * inner, inner - 1, at_h[:-1, 2]),
+    ]
+    rows_a = np.concatenate([np.repeat(r, 4) for r, _, _ in blocks])
+    cols_a = np.concatenate([(4 * np.asarray(j)[:, None] + np.arange(4))
+                             .ravel() for _, j, _ in blocks])
+    vals_a = np.concatenate([v.ravel() for _, _, v in blocks])
+    live = vals_a != 0.0
+    rows_a, cols_a, vals_a = rows_a[live], cols_a[live], vals_a[live]
     if not np.all(np.isfinite(vals_a)):
         raise np.linalg.LinAlgError(
             "system entries overflowed; frequencies too large for the mesh")
+    rhs = np.zeros(nuk)
+    rhs[0] = values[0]
+    rhs[1] = d_left
+    rhs[4 * inner + 1] = values[1:m]
+    rhs[4 * ends + 2] = values[1:]
+    rhs[nuk - 1] = d_right
+    data_rows = np.ones(nuk, dtype=bool)
+    data_rows[4 * inner - 1] = False
+    data_rows[4 * inner] = False
+    data_scale = max(1.0, float(np.max(np.abs(values))), abs(d_left),
+                     abs(d_right))
 
-    def solve_banded_from(triplet_vals, rhs_vec):
-        ab = np.zeros((9, nuk))
-        np.add.at(ab, (4 + rows_a - cols_a, cols_a), triplet_vals)
-        return scipy.linalg.solve_banded((4, 4), ab, rhs_vec)
+    def residual(x):
+        r = -rhs
+        np.add.at(r, rows_a, vals_a * x[cols_a])
+        return r
 
     def residual_inf(x):
-        r = -rhs.copy()
-        np.add.at(r, rows_a, vals_a * x[cols_a])
-        return float(np.max(np.abs(r)))
+        return float(np.max(np.abs(residual(x))))
 
     row_sums = np.zeros(nuk)
     np.add.at(row_sums, rows_a, np.abs(vals_a))
@@ -299,41 +347,34 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     def residual_tol(x):
         scale = float(np.max(row_sums)) * float(np.max(np.abs(x))) \
             + float(np.max(np.abs(rhs)))
-        return 1e-10 * max(scale, 1e-300)
+        return _RESIDUAL_RTOL * max(scale, 1e-300)
 
-    try:
-        x = solve_banded_from(vals_a, rhs)
-    except np.linalg.LinAlgError:
-        x = np.full(nuk, np.nan)
-    cond_est = None
-    if nuk <= 1024:
-        dense = np.zeros((nuk, nuk))
-        np.add.at(dense, (rows_a, cols_a), vals_a)
-        cond_est = float(np.linalg.cond(dense))
+    x, cond_est = _banded_lu_solve(rows_a, cols_a, vals_a, rhs)
     bad = not np.all(np.isfinite(x)) or residual_inf(x) > residual_tol(x)
-    if bad or (cond_est is not None and cond_est >= 1e12):
+    if bad or cond_est >= _COND_MAX:
         warnings.warn(
-            f"order-4 system is ill conditioned (estimate "
-            f"{cond_est if cond_est is not None else float('nan'):.3g}); "
+            f"order-4 system is ill conditioned (estimate {cond_est:.3g}); "
             "re-solving in interval-scaled variables", RuntimeWarning)
         col_scale = np.repeat(lengths, 4) ** np.tile(np.arange(4.0), m)
         scaled = vals_a * col_scale[cols_a]
         row_max = np.zeros(nuk)
         np.maximum.at(row_max, rows_a, np.abs(scaled))
         row_max[row_max == 0.0] = 1.0
-        try:
-            y = solve_banded_from(scaled / row_max[rows_a], rhs / row_max)
-            x2 = col_scale * y
-        except np.linalg.LinAlgError:
-            x2 = np.full(nuk, np.nan)
+        y, _ = _banded_lu_solve(rows_a, cols_a, scaled / row_max[rows_a],
+                                rhs / row_max)
+        x2 = col_scale * y
         if np.all(np.isfinite(x2)) and (not np.all(np.isfinite(x))
                                         or residual_inf(x2) < residual_inf(x)):
             x = x2
-    res = residual_inf(x) if np.all(np.isfinite(x)) else math.inf
-    if res > residual_tol(x if np.all(np.isfinite(x)) else rhs):
+    finite = np.all(np.isfinite(x))
+    r = np.abs(residual(x)) if finite else np.full(nuk, math.inf)
+    res, data_res = float(np.max(r)), float(np.max(r[data_rows]))
+    if not finite or res > residual_tol(x) \
+            or data_res > _RESIDUAL_RTOL * data_scale:
         raise np.linalg.LinAlgError(
-            f"order-4 interpolation system residual {res:.3e} exceeds "
-            f"tolerance; condition estimate {cond_est}")
+            f"order-4 interpolation system residual {res:.3e} (data rows "
+            f"{data_res:.3e} against data scale {data_scale:.3g}) exceeds "
+            f"tolerance; condition estimate {cond_est:.3g}")
     return spline_from_coefficients(part, quads, x.reshape(m, 4))
 
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import mp_interp4
 
+from expspline import expcore
 from expspline.errbound2 import M_constant
 from expspline.expcore import operator_apply
 from expspline.hatbasis import build_hat_basis
@@ -146,6 +148,53 @@ class TestBuildInterpolant4:
             s = build_interpolant4(kn, quad_frequency_set(2, quads=quad),
                                    f, 0.3, 0.3 * math.exp(0.3))
         assert np.max(np.abs(s(kn) - f)) <= 1e-9
+
+    def test_spline_missing_its_data_is_refused(self):
+        # the system-relative residual gate accepts this solution, whose
+        # knot values are off by about 1e163; the data residual does not
+        kn = 0.2 * np.arange(300)
+        qs = quad_frequency_set(299, quads=(0.0, 0.001, 50.0, 49.999))
+        with pytest.warns(RuntimeWarning, match="condition"):
+            with pytest.raises(np.linalg.LinAlgError, match="data rows"):
+                build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
+
+    def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(expcore, "expm", counting_expm)
+        counts = []
+        for n in (17, 513):
+            kn = np.linspace(0.0, math.pi, n)
+            calls.clear()
+            build_interpolant4(kn, quad_frequency_set(n - 1, quads=(1., 2., -1., -2.)),
+                               np.sin(kn), 1.0, -1.0)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_grouped_quadruples_against_oracle(self):
+        # intervals 0, 2, 4 share a quadruple over two distinct lengths;
+        # interval 1 has a length of that group but its own quadruple.  The
+        # near-confluent separation 1e-5 keeps the partial-fraction
+        # evaluation within the tolerance; at 1e-6 it alone loses 1.5e-10
+        kn = [0.0, 0.25, 0.5, 1.0, 1.125, 1.625, 2.0]
+        shared = (0.3, -1.1, -1.0, 0.4)
+        quads = [shared, (1.0, 2.0, -1.0, -2.0), shared,
+                 (1.0, 1.0 + 1e-5, -1.0, -1.0 - 1e-5), shared,
+                 (2.0, -2.0, 2.0, -2.0)]
+        vals = [math.sin(x) for x in kn]
+        s = build_interpolant4(np.array(kn), quad_frequency_set(6, quads=quads),
+                               np.array(vals), 1.0, math.cos(2.0))
+        oracle = mp_interp4(kn, quads, vals, 1.0, math.cos(2.0))
+        for t in np.linspace(0.0, 2.0, 81):
+            for order in range(3):
+                want = float(oracle(float(t), order))
+                got = s(float(t), order=order)
+                assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_validation(self):
         kn = np.linspace(0.0, 1.0, 4)
