@@ -3,7 +3,11 @@
 The error of interpolation with a two-frequency pair on [a, b] is governed by
 omega, the solution of L omega = -1 with omega(a) = omega(b) = 0 where
 L = (d/dt - lambda_0)(d/dt - lambda_1).  Its maximum M over the interval
-multiplies max|LF| in the pointwise bound.  omega is also minus the integral
+multiplies max|LF| in the pointwise bound.  omega scales with the interval,
+so M is found once per rescaled pair lambda*(b-a) on the unit interval,
+where omega is unimodal and a few batched bracket-shrinking rounds locate
+its maximum; a bound over a partition costs one search per distinct
+(pair, length) key, not one per interval.  omega is also minus the integral
 of the Green function of L with Dirichlet conditions, which supplies an
 independent quadrature route and the comparison inequalities used in the
 tests.
@@ -16,9 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from .expcore import fundamental_eval
+from .hatbasis import group_intervals
 from .quadrature import integrate
 
-_SCAN_POINTS = 512
+_BRACKET_POINTS = 17
+
+_BRACKET_WIDTH = 1e-10
 
 
 def mstar(x):
@@ -117,33 +124,30 @@ def omega_via_green(lam0, lam1, a, b, t):
 def _m_unit(lam0_scaled, lam1_scaled):
     """Maximum of omega on the unit interval for rescaled frequencies.
 
-    Scan plus golden-section refinement; results are cached keyed by the
-    scale-invariant products lambda*(b-a), which makes repeated intervals of
-    a uniform partition free after the first.  scipy.optimize is imported
-    here, its only use, to keep it out of the package import.
+    omega is strictly unimodal on (0, 1).  At a critical point omega' = 0,
+    so L omega = -1 reads omega'' = -1 - l0*l1*omega there.  A local minimum
+    has omega'' >= 0 and a local maximum omega'' <= 0, so a minimum between
+    two maxima needs l0*l1 < 0 and omega_min >= 1/|l0*l1| >= omega_max.
+    Then omega = -1/(l0*l1) and omega' = 0 at one point, and by uniqueness
+    omega is that constant, which contradicts omega(0) = 0.  Hence the
+    maximum lies between the neighbours of the largest of any set of
+    samples.  Each round samples _BRACKET_POINTS equispaced points of the
+    bracket in one batched omega_eval call and shrinks the bracket to the
+    neighbours of the best, until it is narrower than _BRACKET_WIDTH; the
+    largest sample is returned with its abscissa.  Results are cached keyed
+    by the scale-invariant products lambda*(b-a), which makes repeated
+    intervals of a uniform partition free after the first.
     """
-    from scipy.optimize import minimize_scalar
-
-    def neg_omega(u):
-        return -omega_eval(lam0_scaled, lam1_scaled, 0.0, 1.0, u)
-
-    xs = np.linspace(0.0, 1.0, _SCAN_POINTS + 2)
-    vals = omega_eval(lam0_scaled, lam1_scaled, 0.0, 1.0, xs)
-    i = int(np.argmax(vals))
-    i = min(max(i, 1), len(xs) - 2)
-    bracket = (xs[i - 1], xs[i], xs[i + 1])
-    try:
-        res = minimize_scalar(neg_omega, bracket=bracket, method="golden",
-                              options={"xtol": 1e-12})
-        t_best = float(res.x)
-    except ValueError:
-        res = minimize_scalar(neg_omega, bounds=(xs[i - 1], xs[i + 1]),
-                              method="bounded", options={"xatol": 1e-12})
-        t_best = float(res.x)
-    if not 0.0 < t_best < 1.0:
-        t_best = xs[i]
-    m_val = omega_eval(lam0_scaled, lam1_scaled, 0.0, 1.0, t_best)
-    return m_val, t_best
+    lo, hi = 0.0, 1.0
+    best = (-math.inf, 0.5)
+    while hi - lo > _BRACKET_WIDTH:
+        xs = np.linspace(lo, hi, _BRACKET_POINTS)
+        vals = omega_eval(lam0_scaled, lam1_scaled, 0.0, 1.0, xs)
+        i = int(np.argmax(vals))
+        best = max(best, (float(vals[i]), float(xs[i])))
+        i = min(max(i, 1), _BRACKET_POINTS - 2)
+        lo, hi = xs[i - 1], xs[i + 1]
+    return best
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,8 @@ def interp2_error_bound(basis, max_lf):
     """Certified sup bound for |F - I2 F| over the whole partition.
 
     max_lf is max|L_j F| per interval (or one scalar for all); the bound is
-    the largest per-interval product M_j * max_lf_j.
+    the largest per-interval product M_j * max_lf_j.  M_j is computed once
+    per distinct (pair, length) key.
     """
     knots = basis.knots
     m = len(knots) - 1
@@ -191,9 +196,8 @@ def interp2_error_bound(basis, max_lf):
         raise ValueError(f"need {m} interval values, got shape {ml.shape}")
     if np.any(ml < 0.0):
         raise ValueError("max|LF| values must be nonnegative")
-    best = 0.0
-    for j in range(m):
-        lam0, lam1 = basis.pairs[j]
-        data = M_constant(lam0, lam1, knots[j], knots[j + 1])
-        best = max(best, data.value * ml[j])
-    return best
+    reps, inverse = group_intervals(basis.pairs, basis.partition.lengths)
+    m_vals = np.array([
+        M_constant(*basis.pairs[j], knots[j], knots[j + 1]).value
+        for j in reps])
+    return max(0.0, *(m_vals[inverse] * ml))

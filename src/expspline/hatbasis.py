@@ -128,8 +128,9 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
             raise ValueError(f"pair {j} must be ordered, got {pair}")
         canon.append((lam0, lam1))
     if not allow_nonmonotone:
+        lengths = partition.lengths
         for j, (lam0, lam1) in enumerate(canon):
-            h = partition.lengths[j]
+            h = lengths[j]
             delta = monotone_radius(lam0, lam1)
             if h > delta * (1.0 + 1e-12):
                 raise ValueError(
@@ -137,6 +138,26 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
                     f"radius {delta:g} of pair ({lam0}, {lam1}); pass "
                     f"allow_nonmonotone=True to override")
     return HatBasis(partition, tuple(canon), allow_nonmonotone)
+
+
+def group_intervals(pairs, lengths):
+    """Group intervals by their (pair, length) key.
+
+    Returns (reps, inverse): reps[k] is the first interval, in mesh order,
+    carrying the k-th distinct key, and inverse[j] the key of interval j.
+    The Gram integrals, the T and S ratios, the hat flanks and the interval
+    constant of an interval depend on its key alone, so work per key
+    replaces work per interval.
+    """
+    index = {}
+    reps = []
+    inverse = np.empty(len(pairs), dtype=np.intp)
+    for j, key in enumerate(zip(pairs, lengths)):
+        k = index.setdefault(key, len(reps))
+        if k == len(reps):
+            reps.append(j)
+        inverse[j] = k
+    return reps, inverse
 
 
 def _flank_values(basis, ts):

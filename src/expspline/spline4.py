@@ -24,7 +24,7 @@ from .expcore import (
     fundamental_derivative,
     fundamental_expoly,
 )
-from .hatbasis import Partition, build_hat_basis, hat_eval
+from .hatbasis import Partition, build_hat_basis, group_intervals, hat_eval
 from .l2proj import operator_norm_bound
 from .quadrature import integrate
 
@@ -502,14 +502,20 @@ def _certificate_parts(part, quads, p):
         return p_res, 3.0, delta ** 2 / 8.0, delta ** 2 / 8.0
     if p_res == 0.0 and all(q[0] == -q[1] and q[:2] == q[2:] for q in canon):
         return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
-    knots = part.knots
     basis = build_hat_basis(part, [q[:2] for q in canon])
     norm = operator_norm_bound(basis, p_res)
-    m2 = max(M_constant(q[0], q[1], knots[j], knots[j + 1]).value
-             for j, q in enumerate(canon))
-    m0 = max(M_constant(q[2], q[3], knots[j], knots[j + 1]).value
-             for j, q in enumerate(canon))
+    m2 = _max_interval_constant(part, basis.pairs)
+    m0 = _max_interval_constant(part, [q[2:] for q in canon])
     return p_res, norm, m2, m0
+
+
+def _max_interval_constant(part, pairs):
+    """Largest M_constant over the intervals, one call per distinct
+    (pair, length) key."""
+    knots = part.knots
+    reps, _ = group_intervals(pairs, part.lengths)
+    return max(M_constant(*pairs[j], knots[j], knots[j + 1]).value
+               for j in reps)
 
 
 def error_bound4(partition, quads, p, max_lf):

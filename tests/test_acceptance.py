@@ -4,11 +4,11 @@ Each test runs one criterion from expspline.harness, prints its PASS/FAIL
 line with the measured values, and asserts the verdict.  The same checklist
 is runnable without pytest through `expspline acceptance`; the last test
 runs it end to end as `python -m expspline.cli acceptance` with the current
-interpreter, so it needs no installed console script.
+interpreter and the package under test, so it needs no installed console
+script and no PYTHONPATH.
 """
 
-import subprocess
-import sys
+from test_harness import _cli
 
 from expspline.harness import (
     _criterion_convolution,
@@ -108,9 +108,7 @@ def test_criterion_12_derivative_level_bound():
 
 
 def test_checklist_runs_through_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "expspline.cli", "acceptance"],
-        capture_output=True, text=True)
+    proc = _cli(["acceptance"])
     lines = proc.stdout.strip().splitlines()
     print(proc.stdout)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -156,6 +157,29 @@ class TestMstar:
         assert np.all(vals > 0.0)
 
 
+def _mp_omega_max(lam0, lam1):
+    """Maximum of the mp_omega oracle on [0, 1]: the best of 63 equispaced
+    samples, refined by golden-section search in 50-digit arithmetic between
+    its two neighbours, which bracket the maximum since omega is unimodal."""
+    f = lambda t: mp_omega(lam0, lam1, 0.0, 1.0, t)
+    xs = [mp.mpf(k) / 64 for k in range(1, 64)]
+    k = max(range(len(xs)), key=lambda i: f(xs[i]))
+    lo, hi = mp.mpf(k) / 64, mp.mpf(k + 2) / 64
+    g = (mp.sqrt(5) - 1) / 2
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(90):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return float(max(fc, fd))
+
+
 class TestMConstant:
     def test_symmetric_matches_closed_form(self):
         for xi_span in (0.01, 0.5, 2.0, 10.0):
@@ -193,6 +217,26 @@ class TestMConstant:
         brute = np.max(omega_eval(-1.0, 3.0, 0.0, 1.2, ts))
         assert_allclose(data.value, brute, rtol=1e-7)
         assert data.value >= brute - 1e-12
+
+    # same-sign, straddling, near-confluent, zero-frequency and plateau
+    # keys.  At (-60, 60) the three-frequency expm kernel itself errs by
+    # 3.2e-13 at t = 1/2, so only the value there gets a wider tolerance;
+    # the search is held to 1e-13 on every key.
+    ORACLE_KEYS = [(1.0, 2.0, 1e-13), (-3.0, -0.5, 1e-13),
+                   (-1.0, 3.0, 1e-13), (-2.0, 2.0, 1e-13),
+                   (1.0, 1.0 + 1e-9, 1e-13), (0.0, 2.5, 1e-13),
+                   (-60.0, 60.0, 4e-13), (-80.0, 3.0, 1e-13)]
+
+    @pytest.mark.parametrize("lam0, lam1, value_rtol", ORACLE_KEYS)
+    def test_matches_oracle_maximum(self, lam0, lam1, value_rtol):
+        data = M_constant(lam0, lam1, 0.0, 1.0)
+        best = _mp_omega_max(lam0, lam1)
+        found = float(mp_omega(lam0, lam1, 0.0, 1.0, data.t_max))
+        assert_allclose(found, best, rtol=1e-13)
+        assert_allclose(data.value, best, rtol=value_rtol)
+        ts = np.linspace(0.0, 1.0, 20001)[1:-1]
+        brute = np.max(omega_eval(lam0, lam1, 0.0, 1.0, ts))
+        assert data.value >= brute * (1.0 - 4.0 * np.finfo(float).eps)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import expspline
 from expspline.harness import (
     CATALOG,
     ConfigError,
@@ -310,12 +313,17 @@ class TestEmission:
 
 
 def _cli(args, config=None, tmp_path=None):
+    """Run `python -m expspline.cli` on the package under test: its source
+    directory leads PYTHONPATH, so no install and no environment is needed."""
     argv = [sys.executable, "-m", "expspline.cli"] + list(args)
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["-c", str(path)]
-    return subprocess.run(argv, capture_output=True, text=True)
+    src = str(Path(expspline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 class TestCli:

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expspline.expcore import (
+    fundamental_eval,
+    weighted_cross_integral,
+    weighted_square_integrals,
+)
 from expspline.hatbasis import build_hat_basis, hat_eval, interpolate2
 from expspline.l2proj import (
     DominanceError,
@@ -208,6 +213,37 @@ class TestGramAssemble:
             assert_allclose(g.diag, [f0, f1], rtol=1e-9)
             assert_allclose(g.sub, [cr], rtol=1e-9)
 
+    @pytest.mark.parametrize("knots", [
+        0.125 * np.arange(9),
+        np.linspace(-1.0, 2.0, 13),
+        np.array([0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.35, 1.65]),
+    ])
+    def test_grouped_entries_match_per_interval_formula(self, knots):
+        # repeated and distinct (pair, length) keys; the entries must be
+        # bitwise those of the interval-by-interval assembly
+        cycle = [(0.5, 2.0), (-1.0, 1.5), (0.5, 2.0), (0.0, 0.0)]
+        pairs = [cycle[j % 4] for j in range(len(knots) - 1)]
+        basis = build_hat_basis(knots, pairs)
+        for p in (0.0, 0.7, -1.3):
+            g = gram_assemble(basis, p)
+            kn = basis.knots
+            diag = np.zeros(basis.n)
+            sub = np.zeros(basis.n - 1)
+            for j, (lam0, lam1) in enumerate(basis.pairs):
+                h = kn[j + 1] - kn[j]
+                w0 = math.exp(p * kn[j])
+                phi_h = fundamental_eval((lam0, lam1), h)
+                phi_mh = fundamental_eval((lam0, lam1), -h)
+                i_left, i_right, _, _ = weighted_square_integrals(
+                    lam0, lam1, p, h)
+                sub[j] = w0 * weighted_cross_integral(lam0, lam1, p, h) \
+                    / (phi_h * phi_mh)
+                diag[j] += w0 * i_right / (phi_mh * phi_mh)
+                diag[j + 1] += w0 * i_left / (phi_h * phi_h)
+            assert np.array_equal(g.diag, diag)
+            assert np.array_equal(g.sub, sub)
+            assert np.array_equal(g.sup, sub)
+
     def test_entries_positive(self):
         basis = build_hat_basis((0.0, 0.4, 1.0, 1.3),
                                 [(0.0, 0.0), (-3.0, 3.0), (0.5, 2.0)])
@@ -372,6 +408,21 @@ class TestOperatorNormBound:
         assert exc.value.interval == 0
         assert_allclose(exc.value.t_value, 1.308652761824073, rtol=1e-10)
         assert "1.30865" in str(exc.value)
+
+    def test_dominance_failure_names_first_interval(self):
+        # |T| reaches 1 on intervals 2 and 4, higher on 4; interval 5 shares
+        # the pair of 0 and 4 at another length
+        lengths = [0.3, 0.4, 2.0, 0.6, 1.5, 0.3]
+        pairs = [(1.0, 2.0), (-1.0, 0.5), (0.5, 1.5), (0.2, 0.9),
+                 (1.0, 2.0), (1.0, 2.0)]
+        knots = np.concatenate([[0.0], np.cumsum(lengths)])
+        basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+        with pytest.raises(DominanceError) as exc:
+            operator_norm_bound(basis, 0.0)
+        assert exc.value.interval == 2
+        h = basis.partition.lengths[2]
+        assert exc.value.t_value == max(abs(tfunc(0.5, 1.5, 0.0, h)),
+                                        abs(tfunc(0.5, 1.5, 0.0, -h)))
 
 
 class TestLemmaConstant:

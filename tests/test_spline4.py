@@ -320,6 +320,28 @@ class TestOrthogonality:
 
 
 class TestErrorBound4:
+    def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
+        # a power-of-two step makes every span, hence every (pair, length)
+        # key, bitwise equal; the first call fills the interval-constant
+        # cache, the second is counted
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(expcore, "expm", counting_expm)
+        counts = []
+        for n in (17, 513):
+            kn = 0.125 * np.arange(n)
+            qs = quad_frequency_set(n - 1, quads=(1.0, 2.0, -1.0, -2.0))
+            error_bound4(kn, qs, None, 1.0)
+            calls.clear()
+            error_bound4(kn, qs, None, 1.0)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
     def test_symmetric_certificate(self):
         kn = np.linspace(0.0, math.pi, 9)
         cert = error_bound4(kn, quad_frequency_set(8, xi=1.0), 0.0, 1.0)
