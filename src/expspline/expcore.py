@@ -15,6 +15,15 @@ corner entries.  All entries are positive for t > 0, so the evaluation is free
 of subtractive cancellation, and repeated frequencies need no special casing.
 Frequencies are mean-centred first and the removed exp factor is restored at
 the end, which keeps the matrix norm small.
+
+One numpy kernel, _opitz_corner, computes that exponential for a whole batch
+of points at once, each point with its own frequency row: Taylor polynomial
+and scaling and squaring on the stacked matrices, with the diagonal reset to
+the exact exponentials after every squaring (Higham, SIMAX 2005; McCurdy, Ng
+and Parlett, Math. Comp. 1984).  Its relative error against the
+divided-difference oracle stays below about 3e-14 for spreads of lambda*t up
+to several hundred and for clusters down to 1e-12 relative separation.  Each
+point is computed independently of the others in its batch, to the bit.
 """
 
 import math
@@ -22,13 +31,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .quadrature import integrate
 
 _EXP_ARG_MAX = 705.0
 
 _CLUSTER_TOL = 1e-8
+
+# The Opitz kernel scales t*Z until max|t*mu| <= _TAYLOR_RADIUS and keeps
+# _TAYLOR_TERMS terms of the divided-difference series at the corner; the
+# first term dropped is below 0.5^15/15! = 2.3e-17 of the value.
+_TAYLOR_RADIUS = 0.5
+
+_TAYLOR_TERMS = 15
 
 
 def as_frequency_vector(freqs):
@@ -71,7 +86,10 @@ def _log_sinhc(u):
 
 
 def _phi_pair(lam0, lam1, t):
-    """Phi over two frequencies: t * exp(s*t) * sinhc(d*t) with 2s=l0+l1."""
+    """Phi over two frequencies: t * exp(s*t) * sinhc(d*t) with 2s=l0+l1.
+
+    lam0 and lam1 may be arrays of the shape of t, one pair per point.
+    """
     t = np.asarray(t, dtype=float)
     s = 0.5 * (lam0 + lam1)
     d = 0.5 * (lam1 - lam0)
@@ -85,73 +103,126 @@ def _phi_pair(lam0, lam1, t):
         tb = t[bad]
         logmag = np.log(np.abs(tb)) + a[bad] + _log_sinhc(u[bad])
         if np.any(logmag > _EXP_ARG_MAX):
+            i = int(np.argmax(logmag))
+            l0, l1 = (np.broadcast_to(x, t.shape)[bad][i]
+                      for x in (lam0, lam1))
             raise OverflowError(
-                f"fundamental function for ({lam0}, {lam1}) overflows at "
-                f"|t| up to {np.max(np.abs(tb)):g}")
+                f"fundamental function for ({l0}, {l1}) overflows at |t| "
+                f"up to {np.max(np.abs(tb)):g}")
         direct[bad] = np.sign(tb) * np.exp(logmag)
     return direct
 
 
-def _phi_corner_batch(fr, ts):
-    """Corner entries of exp(t*Z) for centred frequencies, t > 0 entrywise."""
-    k = len(fr)
-    lam = np.array(fr, dtype=float)
-    m = lam.mean()
-    mu = lam - m
+def _opitz_corner(x, sig):
+    """Corner entries exp(B)[0, k-1] of the bidiagonal B = diag(x) +
+    superdiag(sig), one matrix per row of x (N, k) and entry of sig (N,).
+
+    Each matrix is scaled by 2^-s so that max|x|/2^s <= _TAYLOR_RADIUS,
+    exponentiated by its Taylor polynomial and squared s times.  The
+    polynomial of degree m is m! * sum B^i/i!, built in Horner form with the
+    integer coefficients m!/i!, then divided by m!.  Every entry of exp(B) is
+    a divided difference of exp and hence positive, so the squarings add
+    positive products and never cancel; the diagonal is reset to exp(x/2^j)
+    after every step, which keeps the relative error growing linearly in s
+    rather than like 2^s.  All steps act matrix by matrix, so a row gives the
+    same bits alone or inside any batch.
+    """
+    n, k = x.shape
+    s = np.maximum(np.frexp(np.abs(x).max(axis=1) / _TAYLOR_RADIUS)[1], 0)
+    scaled = np.ldexp(x, -s[:, None])
+    diag = np.arange(k)
+    b = np.zeros((n, k, k))
+    b[:, diag, diag] = scaled
+    b[:, diag[:-1], diag[1:]] = np.ldexp(sig, -s)[:, None]
+    # Horner with c_i = m!/i!: e = c_m I, then e = c_(i-1) I + B e
+    degree = _TAYLOR_TERMS + k - 2
+    coeffs = np.cumprod(np.arange(degree, 0, -1.0))
+    coeff_eye = coeffs[:, None, None] * np.eye(k)
+    e = b + coeff_eye[0]
+    for c_eye in coeff_eye[1:]:
+        e = b @ e
+        e += c_eye
+    e /= coeffs[-1]
+    e[:, diag, diag] = np.exp(scaled)
+    for level in range(s.max(initial=0)):
+        sq = e @ e
+        live = s > level
+        e = sq if live.all() else np.where(live[:, None, None], sq, e)
+        e[:, diag, diag] = np.exp(
+            np.ldexp(x, (np.minimum(level + 1, s) - s)[:, None]))
+    return e[:, 0, -1]
+
+
+def _phi_corner_batch(rows, ts):
+    """Phi over each sorted frequency row of rows (N, k) at ts (N,) > 0,
+    through the corner of exp(t*Z) for the mean-centred row."""
+    k = rows.shape[1]
+    m = rows.sum(axis=1) / k
+    mu = rows - m[:, None]
     # positivity of the divided difference gives the Hermite-Genocchi bound
     # Phi_mu(t) <= t^(k-1)/(k-1)! * exp(mu_max * t)
-    logt = np.log(ts)
-    bound = (m + mu.max()) * ts + (k - 1) * np.maximum(logt, 0.0)
-    if np.any(bound > _EXP_ARG_MAX):
+    bound = (m + mu[:, -1]) * ts + (k - 1) * np.maximum(np.log(ts), 0.0)
+    if (bound > _EXP_ARG_MAX).any():
+        i = int(np.argmax(bound))
         raise OverflowError(
-            f"fundamental function for {fr} overflows at t up to "
-            f"{ts.max():g}")
-    batch = ts[:, None, None] * (np.diag(mu) + np.diag(np.ones(k - 1), 1))
-    corners = expm(batch)[:, 0, -1]
-    if not np.all(np.isfinite(corners)):
+            f"fundamental function for {tuple(rows[i].tolist())} overflows "
+            f"at t up to {ts[i]:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = _opitz_corner(mu * ts[:, None], ts)
+    finite = np.isfinite(corners)
+    if not finite.all():
         raise OverflowError(
-            f"matrix exponential overflowed for frequencies {fr}")
+            f"matrix exponential overflowed for frequencies "
+            f"{tuple(rows[int(np.argmin(finite))].tolist())}")
     shift = m * ts
-    out = np.empty_like(ts)
     direct = np.abs(shift) <= 690.0
+    if direct.all():
+        return np.exp(shift) * corners
+    out = np.empty_like(ts)
     out[direct] = np.exp(shift[direct]) * corners[direct]
     rest = ~direct
-    if np.any(rest):
-        with np.errstate(divide="ignore"):
-            logc = np.where(corners[rest] > 0.0,
-                            np.log(np.maximum(corners[rest], 1e-308)),
-                            -np.inf)
-        logv = shift[rest] + logc
-        vals = np.zeros(rest.sum())
-        ok = logv > -745.0
-        if np.any(logv > _EXP_ARG_MAX):
-            raise OverflowError(
-                f"fundamental function for {fr} overflows at t up to "
-                f"{ts.max():g}")
-        vals[ok] = np.exp(logv[ok])
-        out[rest] = vals
+    with np.errstate(divide="ignore"):
+        logc = np.where(corners[rest] > 0.0,
+                        np.log(np.maximum(corners[rest], 1e-308)), -np.inf)
+    logv = shift[rest] + logc
+    if (logv > _EXP_ARG_MAX).any():
+        i = np.flatnonzero(rest)[int(np.argmax(logv))]
+        raise OverflowError(
+            f"fundamental function for {tuple(rows[i].tolist())} overflows "
+            f"at t up to {ts[i]:g}")
+    vals = np.zeros(logv.size)
+    ok = logv > -745.0
+    vals[ok] = np.exp(logv[ok])
+    out[rest] = vals
     return out
 
 
-def _phi_many(fr, ts):
-    """Phi over the canonical frequency tuple fr at an array of times."""
-    k = len(fr)
+def _phi_rows(rows, ts):
+    """Phi at ts[i] over the sorted frequency row rows[i], for rows (N, k)
+    and finite ts (N,); Phi(0) is 1 for one frequency and 0 otherwise."""
+    k = rows.shape[1]
     if k == 1:
-        arg = fr[0] * ts
-        if np.any(arg > _EXP_ARG_MAX):
+        arg = rows[:, 0] * ts
+        if (arg > _EXP_ARG_MAX).any():
             raise OverflowError(
-                f"exp({fr[0]}*t) overflows at t up to {ts.max():g}")
+                f"exp({rows[int(np.argmax(arg)), 0]}*t) overflows at t up "
+                f"to {ts.max():g}")
         return np.exp(arg)
     if k == 2:
-        return _phi_pair(fr[0], fr[1], ts)
-    out = np.zeros_like(ts)
+        out = _phi_pair(rows[:, 0], rows[:, 1], ts)
+        out[ts == 0.0] = 0.0
+        return out
     pos = ts > 0.0
+    if pos.all():
+        return _phi_corner_batch(rows, ts)
+    out = np.zeros_like(ts)
     neg = ts < 0.0
-    if np.any(pos):
-        out[pos] = _phi_corner_batch(fr, ts[pos])
-    if np.any(neg):
-        reflected = tuple(sorted(-x for x in fr))
-        out[neg] = (-1.0) ** (k - 1) * _phi_corner_batch(reflected, -ts[neg])
+    if pos.any():
+        out[pos] = _phi_corner_batch(rows[pos], ts[pos])
+    if neg.any():
+        # Phi_L(t) = (-1)^(k-1) Phi_(-L)(-t), and -L reversed is sorted
+        out[neg] = (-1.0) ** (k - 1) * _phi_corner_batch(
+            -rows[neg, ::-1], -ts[neg])
     return out
 
 
@@ -162,18 +233,15 @@ def fundamental_eval(freqs, t):
     otherwise; Phi(t) > 0 for t > 0.  Raises OverflowError when the result
     exceeds the double range and ValueError on non-finite input.
     """
-    fr = tuple(sorted(as_frequency_vector(freqs)))
+    fr = sorted(as_frequency_vector(freqs))
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise ValueError("t must be finite")
-    scalar = t_arr.ndim == 0
-    flat = np.atleast_1d(t_arr).astype(float).ravel()
-    out = _phi_many(fr, flat.copy())
-    zero = flat == 0.0
-    if np.any(zero):
-        out[zero] = 1.0 if len(fr) == 1 else 0.0
-    out = out.reshape(np.atleast_1d(t_arr).shape)
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    flat = t_arr.ravel()
+    rows = np.empty((flat.size, len(fr)))
+    rows[:] = fr
+    out = _phi_rows(rows, flat)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def fundamental_derivative(freqs, t, order):

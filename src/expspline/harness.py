@@ -139,6 +139,7 @@ def max_abs_L(tf, partition, freq_sets):
 
     Dense per-interval scans double from 2048 points until the maximum is
     stable to 1e-6 relative, since the certificates need the true supremum.
+    A NaN sample raises ValueError naming the first such interval.
     """
     part = partition if isinstance(partition, Partition) \
         else Partition(tuple(np.asarray(partition, dtype=float)))
@@ -155,6 +156,10 @@ def max_abs_L(tf, partition, freq_sets):
             ts = np.linspace(knots[j], knots[j + 1], per)
             cur = float(np.max(np.abs(
                 operator_apply(freqs, tf.derivatives(ts, count)))))
+            if math.isnan(cur):
+                raise ValueError(
+                    f"L F is NaN on interval {j} "
+                    f"[{knots[j]:g}, {knots[j + 1]:g}]")
             if abs(cur - prev) <= 1e-6 * max(cur, 1e-300) or per >= 2 ** 16:
                 worst = max(worst, cur, prev)
                 break
@@ -641,16 +646,18 @@ def _criterion_dominance():
 
 def _criterion_st_bounds():
     rng = np.random.default_rng(55)
-    worst_s = 0.0
-    worst_t = 0.0
+    lam, ts, xis = [], [], []
     for _ in range(10 ** 4):
-        lam = np.sort(rng.uniform(-10.0, 10.0, size=2))
-        t = float(rng.uniform(-10.0, 10.0))
-        worst_s = max(worst_s, sfunc(float(lam[0]), float(lam[1]), 0.0, t))
-        xi = float(rng.uniform(0.0, 10.0))
-        worst_t = max(worst_t, tfunc(-xi, xi, 0.0, t))
-    exact = all(sfunc(0.0, 0.0, 0.0, h) == 1.5
-                for h in np.linspace(-20.0, 20.0, 401))
+        lam.append(np.sort(rng.uniform(-10.0, 10.0, size=2)))
+        ts.append(float(rng.uniform(-10.0, 10.0)))
+        xis.append(float(rng.uniform(0.0, 10.0)))
+    lam0, lam1 = np.array(lam).T
+    xi = np.array(xis)
+    # np.max keeps a NaN ratio, which then fails the comparisons below
+    worst_s = float(np.max(sfunc(lam0, lam1, 0.0, ts), initial=0.0))
+    worst_t = float(np.max(tfunc(-xi, xi, 0.0, ts), initial=0.0))
+    exact = bool(np.all(
+        sfunc(0.0, 0.0, 0.0, np.linspace(-20.0, 20.0, 401)) == 1.5))
     ok = worst_s <= 2.0 * (1.0 + 1e-11) and worst_t <= 0.5 * (1.0 + 1e-11) \
         and exact
     return ok, f"S max {worst_s:.13f} (limit 2, evaluation roundoff " \

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .expcore import (
+    _phi_rows,
     fundamental_eval,
     weighted_cross_integral,
     weighted_square_integrals,
@@ -100,18 +101,39 @@ def gram_assemble(basis, p):
                       rhs=np.zeros(n), p=p)
 
 
-def _at_lengths(name, lam0, lam1, p, h, limit, ratio):
-    """ratio(hs) at the lengths with |h| >= _TINY_H and the h -> 0 limit at
-    the rest; a float for scalar h, else an array of the shape of h."""
-    h = np.asarray(h, dtype=float)
-    if not (all(map(math.isfinite, (lam0, lam1, p)))
-            and np.all(np.isfinite(h))):
+def _flank_ratios(name, lam0, lam1, p, h, parts):
+    """T and/or S (parts is a subset of "TS") at the lengths h, elementwise
+    over the broadcast of lam0, lam1 and h, as floats for scalar input.
+
+    T and S share the denominator Phi_(l0-l1, l1-l0, 0, -p-l0-l1)(h), which
+    is evaluated once; each fundamental function is one batched kernel call
+    over every length with |h| >= _TINY_H, and the rest get the h -> 0
+    limits T = 1/2 and S = 3/2.
+    """
+    lam0, lam1, h = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (lam0, lam1, h)))
+    if not (math.isfinite(p) and np.all(np.isfinite(lam0))
+            and np.all(np.isfinite(lam1)) and np.all(np.isfinite(h))):
         raise ValueError(f"{name} arguments must be finite")
-    out = np.full(h.shape, limit)
+    out = {"T": np.full(h.shape, 0.5), "S": np.full(h.shape, 1.5)}
     live = np.abs(h) >= _TINY_H
-    if ratio is not None and np.any(live):
-        out[live] = ratio(h[live])
-    return float(out) if out.ndim == 0 else out
+    if np.any(live):
+        l0, l1, hs = lam0[live], lam1[live], h[live]
+        zero, minus_p = np.zeros_like(hs), np.full_like(hs, -p)
+
+        def phi(*freqs):
+            return _phi_rows(np.sort(np.stack(freqs, axis=1), axis=1), hs)
+
+        den = phi(l0 - l1, l1 - l0, zero, -p - l0 - l1)
+        if "T" in parts:
+            num = phi(l0, l1, -p - l0, -p - l1)
+            out["T"][live] = 0.5 * num / den
+        if "S" in parts:
+            num = phi(-l0, -l1) * phi(l0, l1, minus_p)
+            # the polynomial pair with p = 0 has S = 3/2 identically
+            poly = (l0 == 0.0) & (l1 == 0.0) & (p == 0.0)
+            out["S"][live] = np.where(poly, 1.5, 0.5 * num / den)
+    return tuple(float(out[c]) if h.ndim == 0 else out[c] for c in parts)
 
 
 def tfunc(lam0, lam1, p, h):
@@ -120,34 +142,18 @@ def tfunc(lam0, lam1, p, h):
     T(h) is the ratio of the weighted cross integral of the two hats to the
     squared rising flank, written entirely in fundamental functions.  T -> 1/2
     as h -> 0 for every pair, and |T| < 1 on both half-meshes is exactly
-    row dominance of the Gram matrix.  h may be an array of lengths.
+    row dominance of the Gram matrix.  lam0, lam1 and h may be arrays; they
+    broadcast against each other.
     """
-
-    def ratio(hs):
-        num = fundamental_eval((lam0, lam1, -p - lam0, -p - lam1), hs)
-        den = fundamental_eval(
-            (lam0 - lam1, lam1 - lam0, 0.0, -p - lam0 - lam1), hs)
-        return 0.5 * num / den
-
-    return _at_lengths("tfunc", lam0, lam1, p, h, 0.5, ratio)
+    return _flank_ratios("tfunc", lam0, lam1, float(p), h, "T")[0]
 
 
 def sfunc(lam0, lam1, p, h):
     """Companion ratio S of an interval: first moment of a flank against its
     square.  S -> 3/2 as h -> 0; for the polynomial pair with p = 0 it is 3/2
-    identically, which is returned as the exact constant.  h may be an array
-    of lengths."""
-
-    def ratio(hs):
-        num = fundamental_eval((-lam0, -lam1), hs) \
-            * fundamental_eval((lam0, lam1, -p), hs)
-        den = fundamental_eval(
-            (lam0 - lam1, lam1 - lam0, 0.0, -p - lam0 - lam1), hs)
-        return 0.5 * num / den
-
-    poly = lam0 == 0.0 and lam1 == 0.0 and p == 0.0
-    return _at_lengths("sfunc", lam0, lam1, p, h, 1.5,
-                       None if poly else ratio)
+    identically, which is returned as the exact constant.  lam0, lam1 and h
+    may be arrays; they broadcast against each other."""
+    return _flank_ratios("sfunc", lam0, lam1, float(p), h, "S")[0]
 
 
 def abcd_quadrature(lam0, lam1, p, h):
@@ -315,17 +321,17 @@ def operator_norm_bound(basis, p):
             return 2.0 * worst
     lengths = basis.partition.lengths
     reps, _ = group_intervals(pairs, lengths)
-    c_factor = 0.0
-    s_factor = 0.0
-    for j in reps:
-        lam0, lam1 = pairs[j]
-        both = np.array([lengths[j], -lengths[j]])
-        t_here = float(np.max(np.abs(tfunc(lam0, lam1, p, both))))
-        if not t_here < 1.0:
-            raise DominanceError(j, t_here)
-        c_factor = max(c_factor, t_here)
-        s_factor = max(s_factor,
-                       float(np.max(np.abs(sfunc(lam0, lam1, p, both)))))
+    lam0, lam1 = np.repeat([pairs[j] for j in reps], 2, axis=0).T
+    both = np.array([(lengths[j], -lengths[j]) for j in reps]).ravel()
+    t_val, s_val = _flank_ratios("operator_norm_bound", lam0, lam1, p, both,
+                                 "TS")
+    t_key = np.abs(t_val).reshape(-1, 2).max(axis=1)
+    failed = ~(t_key < 1.0)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        raise DominanceError(reps[k], float(t_key[k]))
+    c_factor = float(np.max(t_key))
+    s_factor = float(np.max(np.abs(s_val)))
     return _lebesgue_sup(basis) * s_factor / (1.0 - c_factor)
 
 

@@ -14,11 +14,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
-from .errbound2 import M_constant
+from .errbound2 import M_constants
 from .expcore import (
     ExpPolynomial,
     fundamental_derivative,
@@ -504,18 +505,22 @@ def _certificate_parts(part, quads, p):
         return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
     basis = build_hat_basis(part, [q[:2] for q in canon])
     norm = operator_norm_bound(basis, p_res)
-    m2 = _max_interval_constant(part, basis.pairs)
-    m0 = _max_interval_constant(part, [q[2:] for q in canon])
+    m2, m0 = _max_interval_constants(part, [basis.pairs,
+                                            [q[2:] for q in canon]])
     return p_res, norm, m2, m0
 
 
-def _max_interval_constant(part, pairs):
-    """Largest M_constant over the intervals, one call per distinct
-    (pair, length) key."""
+def _max_interval_constants(part, pairings):
+    """Largest M_constant over the intervals for each pairing, one value per
+    distinct (pair, length) key; the cold keys of all pairings share one
+    batched search."""
     knots = part.knots
-    reps, _ = group_intervals(pairs, part.lengths)
-    return max(M_constant(*pairs[j], knots[j], knots[j + 1]).value
-               for j in reps)
+    groups = [[(pairs[j], knots[j], knots[j + 1])
+               for j in group_intervals(pairs, part.lengths)[0]]
+              for pairs in pairings]
+    values = iter([c.value for c in M_constants(
+        *zip(*(item for group in groups for item in group)))])
+    return [max(islice(values, len(group))) for group in groups]
 
 
 def error_bound4(partition, quads, p, max_lf):

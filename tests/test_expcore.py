@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from expspline.expcore import (
     ExpPolynomial,
+    _phi_rows,
     as_frequency_vector,
     convolution_check,
     count_sign_changes,
@@ -120,6 +122,53 @@ class TestFundamentalEval:
             fundamental_eval((1.0,), np.inf)
         with pytest.raises(ValueError):
             as_frequency_vector(())
+
+
+def _kernel_oracle_cases():
+    """Clusters at relative separations 1e-7 to 1e-12 (alone and beside a
+    distinct node), spreads of +-60 and -80, t in (0, 2]."""
+    rng = np.random.default_rng(5)
+    cases = [((-60.0, 0.0, 60.0), 0.5)]
+    for k in (3, 4, 5):
+        for sep in (1e-7, 1e-9, 1e-12):
+            base = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0))
+            cluster = tuple(base * (1.0 + sep * np.arange(k)))
+            mixed = tuple(base * (1.0 + sep * np.arange(k - 1))) + (-2.5,)
+            cases += [(fr, t) for fr in (cluster, mixed)
+                      for t in (0.01, 0.7, 2.0)]
+        for lo, hi in ((-60.0, 60.0), (-80.0, 0.0)):
+            freqs = tuple(rng.uniform(lo, hi, k))
+            cases += [(freqs, t) for t in (0.05, 0.5, 2.0)]
+        freqs = tuple(rng.uniform(-3.0, 3.0, k))
+        cases += [(freqs, t) for t in (1e-3, 0.3)]
+    return cases
+
+
+class TestOpitzKernel:
+    @pytest.mark.parametrize("freqs, t", _kernel_oracle_cases())
+    def test_against_divided_difference_oracle(self, freqs, t):
+        # a cluster costs the oracle's divided-difference table about 12
+        # digits per node, hence the working precision
+        with mp.workdps(150):
+            ref = float(mp_phi(freqs, t))
+        assert_allclose(fundamental_eval(freqs, t), ref, rtol=1e-13)
+
+    def test_mixed_batch_equals_single_rows(self):
+        # rows with different frequency spreads, hence different numbers of
+        # squarings, at both signs of t and at zero, one row each and mixed
+        rng = np.random.default_rng(8)
+        for k in (3, 4, 5):
+            rows = np.sort(np.concatenate([
+                rng.uniform(-3.0, 3.0, (20, k)),
+                rng.uniform(-60.0, 60.0, (20, k)),
+                1.5 * (1.0 + 1e-9 * rng.standard_normal((20, k)))]), axis=1)
+            ts = rng.uniform(-2.0, 2.0, len(rows))
+            ts[::7] = 0.0
+            order = rng.permutation(len(rows))
+            batch = _phi_rows(rows[order], ts[order])
+            single = [_phi_rows(rows[i:i + 1], ts[i:i + 1])[0]
+                      for i in order]
+            assert np.array_equal(batch, single)
 
 
 class TestDerivative:

@@ -1,5 +1,6 @@
 """Tests for the verification harness and the command line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -103,6 +104,22 @@ class TestMaxAbsL:
     def test_wrong_count(self):
         with pytest.raises(ValueError, match="frequency sets"):
             max_abs_L(get_test_function("sin"), (0.0, 1.0, 2.0), [(0.0, 0.0)])
+
+    def test_nan_interval_is_named(self):
+        # the fourth derivative is NaN on intervals 3 and 4; the scan used
+        # to drop them and return the maximum over the others
+        sin = get_test_function("sin")
+        knots = np.linspace(0.0, math.pi, 9)
+
+        def fourth(ts):
+            out = np.array(sin.evaluators[4](ts), dtype=float)
+            out[(ts > knots[3]) & (ts < knots[5])] = np.nan
+            return out
+
+        tf = dataclasses.replace(
+            sin, name="sin-nan", evaluators=sin.evaluators[:4] + (fourth,))
+        with pytest.raises(ValueError, match="interval 3 "):
+            max_abs_L(tf, knots, [(1.0, 2.0, -1.0, -2.0)] * 8)
 
 
 class TestErrorGrid:

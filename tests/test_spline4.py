@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -160,12 +159,13 @@ class TestBuildInterpolant4:
 
     def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
         calls = []
+        kernel = expcore._opitz_corner
 
-        def counting_expm(a):
-            calls.append(a.shape)
-            return scipy.linalg.expm(a)
+        def counting_kernel(x, sig):
+            calls.append(x.shape)
+            return kernel(x, sig)
 
-        monkeypatch.setattr(expcore, "expm", counting_expm)
+        monkeypatch.setattr(expcore, "_opitz_corner", counting_kernel)
         counts = []
         for n in (17, 513):
             kn = np.linspace(0.0, math.pi, n)
@@ -325,12 +325,13 @@ class TestErrorBound4:
         # key, bitwise equal; the first call fills the interval-constant
         # cache, the second is counted
         calls = []
+        kernel = expcore._opitz_corner
 
-        def counting_expm(a):
-            calls.append(a.shape)
-            return scipy.linalg.expm(a)
+        def counting_kernel(x, sig):
+            calls.append(x.shape)
+            return kernel(x, sig)
 
-        monkeypatch.setattr(expcore, "expm", counting_expm)
+        monkeypatch.setattr(expcore, "_opitz_corner", counting_kernel)
         counts = []
         for n in (17, 513):
             kn = 0.125 * np.arange(n)
