@@ -10,14 +10,11 @@ from .errbound2 import (
     omega_via_green,
 )
 from .expcore import (
-    ExpPolynomial,
     TransformRule,
     as_frequency_vector,
     convolution_check,
-    count_sign_changes,
     fundamental_derivative,
     fundamental_eval,
-    fundamental_expoly,
     integrate_fundamental,
     operator_apply,
     transform,

@@ -11,23 +11,26 @@ Numerically Phi is evaluated through the bidiagonal (Opitz) matrix
     Z = diag(lambda_0..lambda_N) + superdiag(1, ..., 1),
 
 whose exponential exp(t*Z) carries the divided differences of exp(.*t) in its
-corner entries.  All entries are positive for t > 0, so the evaluation is free
-of subtractive cancellation, and repeated frequencies need no special casing.
+first row: entry j is Phi over the prefix lambda_0..lambda_j.  All entries are
+positive for t > 0, so the evaluation is free of subtractive cancellation, and
+repeated frequencies need no special casing.
 Frequencies are mean-centred first and the removed exp factor is restored at
 the end, which keeps the matrix norm small.
 
-One numpy kernel, _opitz_corner, computes that exponential for a whole batch
-of points at once, each point with its own frequency row: Taylor polynomial
-and scaling and squaring on the stacked matrices, with the diagonal reset to
-the exact exponentials after every squaring (Higham, SIMAX 2005; McCurdy, Ng
-and Parlett, Math. Comp. 1984).  Its relative error against the
-divided-difference oracle stays below about 3e-14 for spreads of lambda*t up
-to several hundred and for clusters down to 1e-12 relative separation.  Each
-point is computed independently of the others in its batch, to the bit.
+One numpy kernel, _opitz_corner, computes the first row of that exponential
+for a whole batch of points at once, each point with its own frequency row in
+any order: Taylor polynomial and scaling and squaring on the stacked matrices,
+with the diagonal reset to the exact exponentials after every squaring
+(Higham, SIMAX 2005; McCurdy, Ng and Parlett, Math. Comp. 1984).  Its
+relative error against the divided-difference oracle stays below about 3e-14
+for spreads of lambda*t up to several hundred and for clusters down to 1e-12
+relative separation.  Each point is computed independently of the others in
+its batch, to the bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -36,10 +39,8 @@ from .quadrature import integrate
 
 _EXP_ARG_MAX = 705.0
 
-_CLUSTER_TOL = 1e-8
-
 # The Opitz kernel scales t*Z until max|t*mu| <= _TAYLOR_RADIUS and keeps
-# _TAYLOR_TERMS terms of the divided-difference series at the corner; the
+# _TAYLOR_TERMS terms of the divided-difference series in the first row; the
 # first term dropped is below 0.5^15/15! = 2.3e-17 of the value.
 _TAYLOR_RADIUS = 0.5
 
@@ -114,18 +115,22 @@ def _phi_pair(lam0, lam1, t):
 
 
 def _opitz_corner(x, sig):
-    """Corner entries exp(B)[0, k-1] of the bidiagonal B = diag(x) +
-    superdiag(sig), one matrix per row of x (N, k) and entry of sig (N,).
+    """First rows exp(B)[0, :] of the bidiagonal B = diag(x) +
+    superdiag(sig), one matrix per row of x (N, k) and entry of sig (N,) >= 0.
 
     Each matrix is scaled by 2^-s so that max|x|/2^s <= _TAYLOR_RADIUS,
     exponentiated by its Taylor polynomial and squared s times.  The
     polynomial of degree m is m! * sum B^i/i!, built in Horner form with the
-    integer coefficients m!/i!, then divided by m!.  Every entry of exp(B) is
-    a divided difference of exp and hence positive, so the squarings add
-    positive products and never cancel; the diagonal is reset to exp(x/2^j)
-    after every step, which keeps the relative error growing linearly in s
-    rather than like 2^s.  All steps act matrix by matrix, so a row gives the
-    same bits alone or inside any batch.
+    integer coefficients m!/i!, then divided by m!.  Entry [i, j], j >= i, of
+    exp(B) is sig^(j-i) times the divided difference of exp over x_i..x_j,
+    an average of exp over their hull (Hermite-Genocchi), hence positive for
+    sig > 0 whatever the order of the x; the diagonal is exp(x_i) in any
+    order.  So the squarings add positive products and never cancel, and
+    the diagonal is reset to exp(x/2^j) after every step, which keeps the
+    relative error growing linearly in s rather than like 2^s.  Neither the
+    argument nor any step uses sorted rows, so rows are taken in the order
+    given.  All steps act matrix by matrix, so a row gives the same bits
+    alone or inside any batch.
     """
     n, k = x.shape
     s = np.maximum(np.frexp(np.abs(x).max(axis=1) / _TAYLOR_RADIUS)[1], 0)
@@ -150,47 +155,50 @@ def _opitz_corner(x, sig):
         e = sq if live.all() else np.where(live[:, None, None], sq, e)
         e[:, diag, diag] = np.exp(
             np.ldexp(x, (np.minimum(level + 1, s) - s)[:, None]))
-    return e[:, 0, -1]
+    return e[:, 0, :]
 
 
 def _phi_corner_batch(rows, ts):
-    """Phi over each sorted frequency row of rows (N, k) at ts (N,) > 0,
-    through the corner of exp(t*Z) for the mean-centred row."""
+    """First rows of exp(t*Z) for the frequency rows of rows (N, k), in the
+    order given, at ts (N,) >= 0: entry [i, j] is Phi over rows[i, :j+1] at
+    ts[i], and the row at t = 0 is the first unit row.  Computed for the
+    mean-centred row, the shift restored after."""
     k = rows.shape[1]
     m = rows.sum(axis=1) / k
     mu = rows - m[:, None]
     # positivity of the divided difference gives the Hermite-Genocchi bound
-    # Phi_mu(t) <= t^(k-1)/(k-1)! * exp(mu_max * t)
-    bound = (m + mu[:, -1]) * ts + (k - 1) * np.maximum(np.log(ts), 0.0)
+    # Phi_mu(t) <= t^j/j! * exp(max(mu) * t) for every prefix of j+1 entries
+    top = reduce(np.maximum, mu.T)
+    bound = (m + top) * ts + (k - 1) * np.log(np.maximum(ts, 1.0))
     if (bound > _EXP_ARG_MAX).any():
         i = int(np.argmax(bound))
         raise OverflowError(
             f"fundamental function for {tuple(rows[i].tolist())} overflows "
             f"at t up to {ts[i]:g}")
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = _opitz_corner(mu * ts[:, None], ts)
-    finite = np.isfinite(corners)
-    if not finite.all():
+        first = _opitz_corner(mu * ts[:, None], ts)
+    if not np.isfinite(first).all():
+        i = int(np.argmin(np.isfinite(first).all(axis=1)))
         raise OverflowError(
             f"matrix exponential overflowed for frequencies "
-            f"{tuple(rows[int(np.argmin(finite))].tolist())}")
+            f"{tuple(rows[i].tolist())}")
     shift = m * ts
     direct = np.abs(shift) <= 690.0
     if direct.all():
-        return np.exp(shift) * corners
-    out = np.empty_like(ts)
-    out[direct] = np.exp(shift[direct]) * corners[direct]
+        return np.exp(shift)[:, None] * first
+    out = np.empty_like(first)
+    out[direct] = np.exp(shift[direct])[:, None] * first[direct]
     rest = ~direct
     with np.errstate(divide="ignore"):
-        logc = np.where(corners[rest] > 0.0,
-                        np.log(np.maximum(corners[rest], 1e-308)), -np.inf)
-    logv = shift[rest] + logc
+        logc = np.where(first[rest] > 0.0,
+                        np.log(np.maximum(first[rest], 1e-308)), -np.inf)
+    logv = shift[rest, None] + logc
     if (logv > _EXP_ARG_MAX).any():
-        i = np.flatnonzero(rest)[int(np.argmax(logv))]
+        i = np.flatnonzero(rest)[int(np.argmax(logv)) // k]
         raise OverflowError(
             f"fundamental function for {tuple(rows[i].tolist())} overflows "
             f"at t up to {ts[i]:g}")
-    vals = np.zeros(logv.size)
+    vals = np.zeros(logv.shape)
     ok = logv > -745.0
     vals[ok] = np.exp(logv[ok])
     out[rest] = vals
@@ -214,15 +222,15 @@ def _phi_rows(rows, ts):
         return out
     pos = ts > 0.0
     if pos.all():
-        return _phi_corner_batch(rows, ts)
+        return _phi_corner_batch(rows, ts)[:, -1]
     out = np.zeros_like(ts)
     neg = ts < 0.0
     if pos.any():
-        out[pos] = _phi_corner_batch(rows[pos], ts[pos])
+        out[pos] = _phi_corner_batch(rows[pos], ts[pos])[:, -1]
     if neg.any():
         # Phi_L(t) = (-1)^(k-1) Phi_(-L)(-t), and -L reversed is sorted
         out[neg] = (-1.0) ** (k - 1) * _phi_corner_batch(
-            -rows[neg, ::-1], -ts[neg])
+            -rows[neg, ::-1], -ts[neg])[:, -1]
     return out
 
 
@@ -403,115 +411,3 @@ def convolution_check(freqs_a, freqs_b, y):
     lhs, _ = integrate(integrand, 0.0, y)
     rhs = fundamental_eval(fa + fb, y)
     return lhs, rhs
-
-
-@dataclass
-class ExpPolynomial:
-    """Finite combination sum c * t^s * exp(mu*t).
-
-    terms maps (mu, s) to the coefficient c.  The representation is closed
-    under differentiation and addition, which is all the spline pieces need.
-    """
-    terms: dict = field(default_factory=dict)
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        ts = np.atleast_1d(t_arr).astype(float)
-        acc = np.zeros_like(ts)
-        for (mu, s), c in self.terms.items():
-            term = c * np.exp(mu * ts)
-            if s:
-                term = term * ts ** s
-            acc += term
-        return float(acc[0]) if scalar else acc.reshape(t_arr.shape)
-
-    def derivative(self):
-        """Exact derivative as a new ExpPolynomial."""
-        out = {}
-        for (mu, s), c in self.terms.items():
-            if mu != 0.0:
-                out[(mu, s)] = out.get((mu, s), 0.0) + c * mu
-            if s >= 1:
-                out[(mu, s - 1)] = out.get((mu, s - 1), 0.0) + c * s
-        return ExpPolynomial(_prune(out))
-
-    def scaled(self, c):
-        return ExpPolynomial(_prune(
-            {key: c * val for key, val in self.terms.items()}))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, 0.0) + val
-        return ExpPolynomial(_prune(out))
-
-
-def _prune(terms):
-    return {key: val for key, val in terms.items() if val != 0.0}
-
-
-def fundamental_expoly(freqs, cluster_tol=_CLUSTER_TOL):
-    """Symbolic form of Phi_Lambda as an ExpPolynomial.
-
-    Frequencies closer than cluster_tol (scaled by the frequency magnitude)
-    are merged into a single node of higher multiplicity; the coefficients
-    then come from confluent partial fractions of 1/prod(z - mu_i)^(m_i),
-    expanded by truncated power series arithmetic.
-    """
-    fr = sorted(as_frequency_vector(freqs))
-    scale = max(1.0, max(abs(x) for x in fr))
-    tol = cluster_tol * scale
-    clusters = []
-    for x in fr:
-        if clusters and x - clusters[-1][-1] <= tol:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    centers = [sum(c) / len(c) for c in clusters]
-    mults = [len(c) for c in clusters]
-
-    terms = {}
-    for i, (mu_i, m_i) in enumerate(zip(centers, mults)):
-        series = np.zeros(m_i)
-        series[0] = 1.0
-        for j, (mu_j, m_j) in enumerate(zip(centers, mults)):
-            if j == i:
-                continue
-            d = mu_i - mu_j
-            # coefficients of (d + w)^(-m_j) around w = 0
-            fac = np.empty(m_i)
-            fac[0] = d ** (-m_j)
-            for l in range(1, m_i):
-                fac[l] = fac[l - 1] * (-(m_j + l - 1)) / (l * d)
-            series = np.convolve(series, fac)[:m_i]
-        for kk in range(m_i):
-            s_pow = m_i - 1 - kk
-            c = series[kk] / math.factorial(s_pow)
-            if c != 0.0:
-                key = (mu_i, s_pow)
-                terms[key] = terms.get(key, 0.0) + c
-    return ExpPolynomial(terms)
-
-
-def count_sign_changes(poly, a, b, samples=2048):
-    """Count strict sign alternations of an ExpPolynomial on a uniform grid.
-
-    Samples below 1e-12 of the grid maximum are treated as zero and skipped,
-    so tangencies do not register as double changes.
-    """
-    if not b > a:
-        raise ValueError("need a < b")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    ts = np.linspace(a, b, int(samples))
-    vals = poly(ts)
-    scale = np.max(np.abs(vals))
-    if scale == 0.0:
-        return 0
-    signs = np.sign(vals)
-    signs[np.abs(vals) <= 1e-12 * scale] = 0
-    live = signs[signs != 0]
-    if live.size < 2:
-        return 0
-    return int(np.count_nonzero(live[1:] != live[:-1]))

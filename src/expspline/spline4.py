@@ -4,27 +4,26 @@ Each interval carries four frequencies; the interpolant matches values at
 every knot, first derivatives at the two ends, and is C^2 across interior
 knots.  The coefficients live in a triangular local basis of fundamental
 functions (well scaled even when frequencies nearly coincide) and come from
-one banded solve.  The error certificate combines the second order interval
-constants with the projection operator norm: the weight exponent p that ties
-the two frequency pairs of each interval together is recovered from the
-quadruples themselves when not supplied.
+one banded solve.  The spline has one representation for evaluation: a table
+of Taylor coefficients per sub-piece, read off from the first row of the
+Opitz exponential exp(tau*Z) that also gives the build its endpoint rows, so
+a derivative is the same Horner pass on shifted coefficients.  The error
+certificate combines the second order interval constants with the projection
+operator norm: the weight exponent p that ties the two frequency pairs of each
+interval together is recovered from the quadruples themselves when not
+supplied.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errbound2 import M_constants
-from .expcore import (
-    ExpPolynomial,
-    fundamental_derivative,
-    fundamental_expoly,
-)
+from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
 from .hatbasis import Partition, build_hat_basis, group_intervals, hat_eval
 from .l2proj import operator_norm_bound
 from .quadrature import integrate
@@ -153,46 +152,107 @@ def resolve_weight(qset):
         + (f", requested p = {qset.p}" if qset.p is not None else ""))
 
 
+def _times_z_powers(rows, quads):
+    """(e, e Z, e Z^2) stacked on axis 1 for each row e of rows (m, 4), Z =
+    diag(quad) + superdiag(1) for the quadruple of that row."""
+    out = [rows]
+    for _ in range(2):
+        nxt = out[-1] * quads
+        nxt[:, 1:] += out[-1][:, :-1]
+        out.append(nxt)
+    return np.stack(out, axis=1)
+
+
+def _derivative_table(table, order):
+    """Taylor coefficients of the order-th derivative: row n becomes
+    (n+1)...(n+order) times row n+order."""
+    if order == 0:
+        return table
+    n = np.arange(table.shape[0] - order, dtype=float)
+    factor = np.prod([n + i for i in range(1, order + 1)], axis=0)
+    return table[order:] * factor[:, None]
+
+
+def _horner(table, idx, u):
+    """Polynomial with coefficient rows table (degree+1, pieces) of piece
+    idx at u, one gathered row per step."""
+    acc = table[-1][idx]
+    for row in table[-2::-1]:
+        acc *= u
+        acc += row[idx]
+    return acc
+
+
 @dataclass
 class SplineOrder4:
-    """Clamped fourth order interpolant as one ExpPolynomial per interval
-    in local coordinates t - t_j."""
+    """Clamped fourth order interpolant.
+
+    On interval j, in tau = t - t_j, the spline is sum_k coeffs[j, k] times
+    the fundamental function over quads[j][:k+1], that is e(tau) . coeffs[j]
+    with e(tau) the first row of exp(tau*Z_j), Z_j = diag(quads[j]) +
+    superdiag(1).  Evaluation reads the table spline_from_coefficients
+    builds from them: every interval is cut into equal sub-pieces of width
+    w with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
+    and taylor[n, p] the n-th Taylor coefficient of the spline at starts[p].
+    """
     partition: Partition
     quads: QuadFrequencySet
     coeffs: np.ndarray = field(repr=False)
-    polys: list = field(repr=False)
-    _dcache: dict = field(default_factory=dict, repr=False)
+    starts: np.ndarray = field(repr=False)
+    taylor: np.ndarray = field(repr=False)
 
     @property
     def knots(self):
         return self.partition.knots
 
-    def _poly(self, j, order):
-        if order == 0:
-            return self.polys[j]
-        key = (j, order)
-        if key not in self._dcache:
-            self._dcache[key] = self._poly(j, order - 1).derivative()
-        return self._dcache[key]
-
     def __call__(self, t, order=0):
         if order not in (0, 1, 2, 3):
             raise ValueError("order must be 0..3")
-        knots = np.array(self.knots)
+        a, b = self.knots[0], self.knots[-1]
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
         ts = np.atleast_1d(ts)
-        tol = 1e-12 * (knots[-1] - knots[0])
-        if np.any(ts < knots[0] - tol) or np.any(ts > knots[-1] + tol):
+        tol = 1e-12 * (b - a)
+        if np.any(ts < a - tol) or np.any(ts > b + tol):
             raise ValueError("evaluation point outside the knot range")
-        ts = np.clip(ts, knots[0], knots[-1])
-        idx = np.clip(np.searchsorted(knots, ts, side="right") - 1,
-                      0, len(knots) - 2)
-        out = np.empty_like(ts)
-        for j in np.unique(idx):
-            sel = idx == j
-            out[sel] = self._poly(int(j), order)(ts[sel] - knots[j])
+        ts = np.clip(ts, a, b)
+        idx = np.searchsorted(self.starts, ts, side="right") - 1
+        out = _horner(_derivative_table(self.taylor, order), idx,
+                      ts - self.starts[idx])
         return float(out[0]) if scalar else out
+
+
+def _taylor_table(part, quads, coeffs):
+    """Sub-piece starts (pieces,) and Taylor table (degree+1, pieces).
+
+    Interval j is cut into max(1, ceil(max|q_j| h_j / _TAYLOR_RADIUS)) equal
+    sub-pieces.  On the one starting at tau_s the spline is e(tau_s + u) c_j
+    = sum_n u^n e(tau_s) w_n with w_0 = c_j and w_(n+1) = Z_j w_n / (n+1),
+    kept to the kernel's degree _TAYLOR_TERMS + 2 for four frequencies, so
+    that, as in the kernel, the first term dropped is below 0.5^15/15!
+    relative.  e(0) is the first unit row;
+    the other e(tau_s) come from one kernel call.
+    """
+    knots = np.array(part.knots)
+    lengths = np.array(part.lengths)
+    q = np.array(quads.quads)
+    counts = np.maximum(1, np.ceil(np.abs(q).max(axis=1) * lengths
+                                   / _TAYLOR_RADIUS)).astype(int)
+    owner = np.repeat(np.arange(len(lengths)), counts)
+    sub = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    taus = sub * (lengths / counts)[owner]
+    e = np.zeros((owner.size, 4))
+    e[:, 0] = 1.0
+    inner = sub > 0
+    if inner.any():
+        e[inner] = _phi_corner_batch(q[owner[inner]], taus[inner])
+    w = np.empty((_TAYLOR_TERMS + 3,) + coeffs.shape)
+    w[0] = coeffs
+    for n in range(1, len(w)):
+        w[n] = q * w[n - 1]
+        w[n][:, :-1] += w[n - 1][:, 1:]
+        w[n] /= n
+    return knots[owner] + taus, np.einsum("pk,npk->np", e, w[:, owner])
 
 
 def spline_from_coefficients(partition, quads, coeffs):
@@ -207,17 +267,9 @@ def spline_from_coefficients(partition, quads, coeffs):
     coeffs = np.asarray(coeffs, dtype=float).reshape(m, 4)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
-    expoly = lru_cache(maxsize=None)(fundamental_expoly)
-    polys = []
-    for j in range(m):
-        quad = quads.quads[j]
-        poly = ExpPolynomial(terms={})
-        for k in range(4):
-            if coeffs[j, k] != 0.0:
-                poly = poly + expoly(quad[:k + 1]).scaled(coeffs[j, k])
-        polys.append(poly)
+    starts, taylor = _taylor_table(part, quads, coeffs)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
-                        polys=polys)
+                        starts=starts, taylor=taylor)
 
 
 def _endpoint_rows(qset, lengths):
@@ -225,26 +277,18 @@ def _endpoint_rows(qset, lengths):
 
     Returns (at_zero, at_h), each of shape (m, 3, 4), with entry [j, r, k]
     the r-th derivative of the fundamental function over quads[j][:k+1] at
-    tau = 0 and tau = h_j.  Intervals sharing a quadruple share one kernel
-    call per (k, r), batched over their distinct lengths, so the number of
-    calls grows with the number of distinct quadruples, not with the mesh.
+    tau = 0 and tau = h_j: the rows e(0) Z_j^r and e(h_j) Z_j^r, e(tau)
+    being the first row of exp(tau*Z_j).  e(h_j) comes from one kernel call
+    over the distinct (quadruple, length) keys, so neither the calls nor
+    their size grow with a mesh of repeated keys.
     """
-    m = len(lengths)
-    at_zero = np.empty((m, 3, 4))
-    at_h = np.empty((m, 3, 4))
-    groups = {}
-    for j, quad in enumerate(qset.quads):
-        groups.setdefault(quad, []).append(j)
-    for quad, members in groups.items():
-        members = np.array(members)
-        hs, back = np.unique(lengths[members], return_inverse=True)
-        for k in range(4):
-            for r in range(3):
-                at_zero[members, r, k] = fundamental_derivative(
-                    quad[:k + 1], 0.0, r)
-                at_h[members, r, k] = fundamental_derivative(
-                    quad[:k + 1], hs, r)[back]
-    return at_zero, at_h
+    q = np.array(qset.quads)
+    keys, back = np.unique(np.column_stack([q, lengths]), axis=0,
+                           return_inverse=True)
+    e_h = _phi_corner_batch(keys[:, :4], keys[:, 4])[back.ravel()]
+    e_0 = np.zeros_like(e_h)
+    e_0[:, 0] = 1.0
+    return _times_z_powers(e_0, q), _times_z_powers(e_h, q)
 
 
 def _banded_lu_solve(rows, cols, vals, rhs):
@@ -381,23 +425,19 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
 
 def spline4_eval(s, t, order=0):
     """Evaluate the spline or one of its first three derivatives."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
     return s(t, order=order)
 
 
 def smoothness_report(s):
     """Jump magnitudes |left - right| of value, first and second derivative
     at the interior knots, as an (n-2, 3) array; empty for one interval."""
-    knots = s.knots
-    m = len(knots) - 1
-    out = np.zeros((m - 1, 3))
-    for i in range(1, m):
-        h = knots[i] - knots[i - 1]
-        for r in range(3):
-            left = s._poly(i - 1, r)(h)
-            right = s._poly(i, r)(0.0)
-            out[i - 1, r] = abs(left - right)
+    inner = np.array(s.knots[1:-1])
+    first = np.searchsorted(s.starts, inner)
+    out = np.empty((inner.size, 3))
+    for r in range(3):
+        table = _derivative_table(s.taylor, r)
+        left = _horner(table, first - 1, inner - s.starts[first - 1])
+        out[:, r] = np.abs(left - table[0][first])
     return out
 
 

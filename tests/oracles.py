@@ -1,11 +1,13 @@
 """Independent high-precision oracles shared by the test modules.
 
 Everything here is deliberately implemented from first principles (divided
-difference tables, mpmath quadrature) rather than through the package under
-test, so agreement between the two routes is meaningful.
+difference tables, mpmath quadrature, sign counts of samples) rather than
+through the package under test, so agreement between the two routes is
+meaningful.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -146,3 +148,23 @@ def mp_interp4(knots, quads, values, d_left, d_right):
                        for k in range(4))
 
     return evaluate
+
+
+def count_sign_changes(f, a, b, samples=2048):
+    """Count strict sign alternations of f on a uniform grid of [a, b].
+
+    Samples below 1e-12 of the grid maximum are treated as zero and skipped,
+    so tangencies do not register as double changes.
+    """
+    if not b > a:
+        raise ValueError("need a < b")
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    vals = np.asarray(f(np.linspace(a, b, int(samples))), dtype=float)
+    scale = np.max(np.abs(vals))
+    if scale == 0.0:
+        return 0
+    signs = np.sign(vals)
+    signs[np.abs(vals) <= 1e-12 * scale] = 0
+    live = signs[signs != 0]
+    return int(np.count_nonzero(live[1:] != live[:-1]))

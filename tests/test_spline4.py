@@ -1,6 +1,7 @@
 """Tests for clamped fourth order interpolation: frequency set resolution,
-the banded construction against an extended-precision oracle, smoothness,
-orthogonality, and the assembled error certificates."""
+the banded construction against an extended-precision oracle, the Taylor
+table that evaluates it, smoothness, orthogonality, and the assembled error
+certificates."""
 
 import math
 import sys
@@ -12,11 +13,16 @@ from numpy.testing import assert_allclose
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import mp_interp4
+from oracles import mp_interp4, mp_phi
 
 from expspline import expcore
 from expspline.errbound2 import M_constant
-from expspline.expcore import operator_apply
+from expspline.expcore import (
+    fundamental_derivative,
+    fundamental_eval,
+    operator_apply,
+)
+from expspline.harness import get_test_function, max_abs_L, measure_error
 from expspline.hatbasis import build_hat_basis
 from expspline.l2proj import operator_norm_bound
 from expspline.spline4 import (
@@ -178,13 +184,13 @@ class TestBuildInterpolant4:
 
     def test_grouped_quadruples_against_oracle(self):
         # intervals 0, 2, 4 share a quadruple over two distinct lengths;
-        # interval 1 has a length of that group but its own quadruple.  The
-        # near-confluent separation 1e-5 keeps the partial-fraction
-        # evaluation within the tolerance; at 1e-6 it alone loses 1.5e-10
+        # interval 1 has a length of that group but its own quadruple;
+        # interval 3 is near-confluent at a separation inside the range the
+        # benchmark's confluent class draws from
         kn = [0.0, 0.25, 0.5, 1.0, 1.125, 1.625, 2.0]
         shared = (0.3, -1.1, -1.0, 0.4)
         quads = [shared, (1.0, 2.0, -1.0, -2.0), shared,
-                 (1.0, 1.0 + 1e-5, -1.0, -1.0 - 1e-5), shared,
+                 (1.0, 1.0 + 3e-8, -1.0, -1.0 - 3e-8), shared,
                  (2.0, -2.0, 2.0, -2.0)]
         vals = [math.sin(x) for x in kn]
         s = build_interpolant4(np.array(kn), quad_frequency_set(6, quads=quads),
@@ -208,6 +214,95 @@ class TestBuildInterpolant4:
         with pytest.raises(ValueError, match="quadruples"):
             build_interpolant4(kn, quad_frequency_set(2, quads=(0., 0., 0., 0.)),
                                np.zeros(4), 0.0, 0.0)
+
+
+class TestEvaluationRegressions:
+    # small frequencies and near-coincident pairs, where evaluating through
+    # partial fractions of the fundamental functions lost every digit
+    @pytest.mark.parametrize("n, func, quad, oracle", [
+        (9, "cos", (1e-6, 2e-6, -1e-6, -2e-6), True),
+        (513, "sin", (1.0, 1.0 + 3e-8, -1.0, -1.0 - 3e-8), False),
+    ], ids=["small-frequency", "near-confluent"])
+    def test_spline_keeps_its_promises(self, n, func, quad, oracle):
+        tf = get_test_function(func)
+        a, b = tf.default_domain
+        kn = np.linspace(a, b, n)
+        qs = quad_frequency_set(n - 1, quads=quad)
+        d1 = tf.evaluators[1]
+        s = build_interpolant4(kn, qs, tf(kn), float(d1(np.array(a))),
+                               float(d1(np.array(b))))
+        if oracle:
+            ref = mp_interp4(list(kn), [quad] * (n - 1), list(tf(kn)),
+                             float(d1(np.array(a))), float(d1(np.array(b))))
+            for t in np.linspace(a, b, 41):
+                for order in range(3):
+                    assert_allclose(s(float(t), order=order),
+                                    float(ref(float(t), order)),
+                                    rtol=1e-10, atol=1e-12)
+        scale = 1.0 + np.max(np.abs(s.coeffs))
+        assert np.max(smoothness_report(s)) <= 1e-10 * scale
+        cert = error_bound4(kn, qs, None, max_abs_L(tf, kn, qs.quads))
+        assert measure_error(tf, s, kn) <= cert.bound
+
+
+class TestTaylorTable:
+    # one interval long enough for several sub-pieces, one short; the
+    # quadruples are not sorted, so the prefixes are the ones as given
+    KNOTS = np.array([0.0, 1.3, 1.5])
+    QUADS = [(2.0, -2.0, 0.0, 0.7), (0.5, -1.5, 3.0, 0.0)]
+
+    @classmethod
+    def _unit_spline(cls, k):
+        coeffs = np.zeros((2, 4))
+        coeffs[:, k] = 1.0
+        return spline_from_coefficients(cls.KNOTS, cls.QUADS, coeffs)
+
+    def test_cubic_table_is_monomial(self):
+        s = spline_from_coefficients(np.array([0.0, 2.0]),
+                                     [(0.0, 0.0, 0.0, 0.0)], [[0, 0, 0, 1]])
+        want = np.zeros_like(s.taylor)
+        want[3] = 1.0 / 6.0
+        assert np.array_equal(s.taylor, want)
+
+    def test_unit_coefficients_give_prefix_functions(self):
+        for k in range(4):
+            s = self._unit_spline(k)
+            assert s.starts.size > 2
+            for j in range(2):
+                ts = np.linspace(self.KNOTS[j], self.KNOTS[j + 1], 17)[:-1]
+                assert_allclose(s(ts), fundamental_eval(
+                    self.QUADS[j][:k + 1], ts - self.KNOTS[j]),
+                    rtol=1e-13, atol=1e-15, err_msg=f"k={k} j={j}")
+
+    def test_near_confluent_prefixes_against_oracle(self):
+        quad = (1.0, -1.0 - 1e-12, 1.0 + 1e-12, -1.0)
+        ts = np.linspace(0.0, 1.0, 9)
+        for k in range(4):
+            coeffs = np.zeros((1, 4))
+            coeffs[0, k] = 1.0
+            s = spline_from_coefficients(np.array([0.0, 1.0]), [quad], coeffs)
+            want = [float(mp_phi(quad[:k + 1], t)) for t in ts]
+            assert_allclose(s(ts), want, rtol=1e-13, atol=1e-16)
+
+    def test_derivatives_match_fundamental_derivative(self):
+        for k in range(4):
+            s = self._unit_spline(k)
+            for j in range(2):
+                ts = np.linspace(self.KNOTS[j], self.KNOTS[j + 1], 17)[:-1]
+                for order in range(4):
+                    want = fundamental_derivative(self.QUADS[j][:k + 1],
+                                                  ts - self.KNOTS[j], order)
+                    assert_allclose(s(ts, order=order), want, rtol=1e-12,
+                                    atol=1e-13, err_msg=f"{k} {j} {order}")
+
+    def test_table_is_linear_in_coefficients(self):
+        rng = np.random.default_rng(3)
+        c1, c2 = rng.standard_normal((2, 2, 4))
+        s1, s2, s12 = (spline_from_coefficients(self.KNOTS, self.QUADS, c)
+                       for c in (c1, c2, c1 + 2.0 * c2))
+        ts = np.linspace(0.0, 1.5, 31)
+        assert_allclose(s12(ts), s1(ts) + 2.0 * s2(ts), rtol=1e-13,
+                        atol=1e-14)
 
 
 class TestEvalAndSmoothness:
@@ -234,6 +329,8 @@ class TestEvalAndSmoothness:
         s = self._example()
         with pytest.raises(ValueError, match="order"):
             spline4_eval(s, 0.5, order=4)
+        with pytest.raises(ValueError, match="order"):
+            s(0.5, order=4)
         with pytest.raises(ValueError, match="outside"):
             s(1.3)
         with pytest.raises(ValueError, match="outside"):
