@@ -133,7 +133,8 @@ def _opitz_corner(x, sig):
     alone or inside any batch.
     """
     n, k = x.shape
-    s = np.maximum(np.frexp(np.abs(x).max(axis=1) / _TAYLOR_RADIUS)[1], 0)
+    s = np.maximum(np.frexp(reduce(np.maximum, np.abs(x).T)
+                            / _TAYLOR_RADIUS)[1], 0)
     scaled = np.ldexp(x, -s[:, None])
     diag = np.arange(k)
     b = np.zeros((n, k, k))
@@ -341,6 +342,16 @@ def transform(freqs, kind, value=None):
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
+def _monic_coefficients(freqs):
+    """Coefficients c_0 = 1, ..., c_k of prod (D - lambda_i) = sum_i c_i
+    D^(k-i), one factor at a time as numpy.poly convolves them, so the bits
+    are the same, without its per-call overhead."""
+    coeffs = [1.0]
+    for lam in freqs:
+        coeffs = [a - lam * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return np.array(coeffs)
+
+
 def operator_apply(freqs, derivs):
     """Apply L = prod (d/dt - lambda_i) given tabulated derivatives.
 
@@ -354,7 +365,7 @@ def operator_apply(freqs, derivs):
         raise ValueError(
             f"need {k + 1} derivative slots for {k} frequencies, "
             f"got {len(derivs)}")
-    coeffs = np.poly(np.array(fr))
+    coeffs = _monic_coefficients(fr)
     acc = np.asarray(derivs[k], dtype=float).copy()
     for i in range(1, k + 1):
         acc = acc + coeffs[i] * np.asarray(derivs[k - i], dtype=float)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from expspline.expcore import (
+    _monic_coefficients,
     _phi_corner_batch,
     _phi_rows,
     as_frequency_vector,
@@ -291,6 +292,16 @@ class TestOperatorApply:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             operator_apply((1.0, 2.0), [1.0, 2.0])
+
+    def test_coefficients_match_numpy_poly_bitwise(self):
+        # np.poly is the reference expansion
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            k = int(rng.integers(1, 7))
+            freqs = rng.uniform(-50.0, 50.0, k) \
+                * 10.0 ** rng.uniform(-8.0, 2.0, k)
+            assert np.array_equal(_monic_coefficients(freqs.tolist()),
+                                  np.poly(freqs))
 
 
 class TestWeightedIntegrals:

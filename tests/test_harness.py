@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import expspline
+from expspline.errbound2 import M_constant, interp2_error_bound
+from expspline.expcore import operator_apply
 from expspline.harness import (
     CATALOG,
     ConfigError,
@@ -26,7 +29,7 @@ from expspline.harness import (
     render_json,
     run_verify,
 )
-from expspline.hatbasis import Partition
+from expspline.hatbasis import Partition, build_hat_basis
 
 
 SIN2_CONFIG = {"function": "sin", "domain": [0.0, math.pi],
@@ -120,6 +123,148 @@ class TestMaxAbsL:
             sin, name="sin-nan", evaluators=sin.evaluators[:4] + (fourth,))
         with pytest.raises(ValueError, match="interval 3 "):
             max_abs_L(tf, knots, [(1.0, 2.0, -1.0, -2.0)] * 8)
+
+
+# mpmath versions of the catalog functions, for the declared bounds
+MP_FUNCS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp,
+            "runge": lambda t: 1 / (1 + 25 * t ** 2),
+            "gauss": lambda t: mp.exp(-t ** 2)}
+MP_FUNCS.update({f"t{k}": (lambda t, k=k: t ** k) for k in range(7)})
+# Intervals for the bound check: runge and gauss also on ones that straddle
+# 0, monomials on one with a negative end.
+BOUND_INTERVALS = {"sin": [(0.0, 0.4), (1.2, 1.9), (2.5, math.pi)],
+                   "cos": [(0.0, 0.4), (1.2, 1.9), (2.5, math.pi)],
+                   "exp": [(0.0, 0.3), (0.6, 1.0), (-1.0, 2.0)],
+                   "runge": [(-1.0, -0.4), (-0.13, 0.07), (0.0, 0.2),
+                             (0.3, 1.0)],
+                   "gauss": [(-2.0, -1.1), (-0.3, 0.4), (0.0, 0.25),
+                             (0.5, 2.0)]}
+QUADS = {"symmetric": (1.7, -1.7, 1.7, -1.7),
+         "generic": (1.3, 2.1, -1.3, -2.1),
+         "near-confluent": (1.0, 1.0 + 3e-8, -1.0, -1.0 - 3e-8)}
+
+
+def _count_points(tf):
+    """tf wrapped so that the derivatives calls and the points passed to
+    them are counted (each call evaluates F itself once)."""
+    seen = [0, 0]
+    value = tf.evaluators[0]
+
+    def counted(ts):
+        seen[0] += np.size(ts)
+        seen[1] += 1
+        return value(ts)
+    return dataclasses.replace(
+        tf, evaluators=(counted,) + tf.evaluators[1:]), seen
+
+
+def _dense_scan(tf, knots, quad, per=2 ** 16):
+    """max |L F| over per equally spaced points of every interval.
+
+    Every interval is sampled at 1024 points first; an interval whose
+    sample falls short of the best by more than 1e-4 relative cannot hold
+    the dense maximum (the 1024-point sample is within (h/1023)^2/8
+    sup|(L F)''| of its interval's supremum, at most about 6e-6 relative
+    here), so only the others are scanned at per points.
+    """
+    lefts, rights = knots[:-1, None], knots[1:, None]
+
+    def scan(count, sel):
+        u = np.linspace(0.0, 1.0, count)
+        ts = ((1.0 - u) * lefts[sel] + u * rights[sel]).ravel()
+        vals = operator_apply(quad, tf.derivatives(ts, len(quad) + 1))
+        return np.abs(vals).reshape(-1, count).max(axis=1)
+
+    coarse = scan(1024, slice(None))
+    keep = np.flatnonzero(coarse >= (1.0 - 1e-4) * coarse.max())
+    return max(float(scan(per, [j]).max()) for j in keep)
+
+
+class TestDeclaredBounds:
+
+    @pytest.mark.parametrize("name", sorted(
+        k for k in CATALOG if "^" not in k))
+    def test_bounds_hold_against_mpmath(self, name):
+        tf = get_test_function(name)
+        f = MP_FUNCS[name]
+        for a, b in BOUND_INTERVALS.get(name, [(0.0, 0.5), (0.5, 1.0),
+                                               (-0.7, 0.3)]):
+            declared = tf.bounds(np.array([a]), np.array([b]))[:, 0]
+            assert declared.shape == (7,)
+            with mp.workdps(30):
+                for t in np.linspace(a, b, 25):
+                    exact = [abs(d) for d in mp.diffs(f, mp.mpf(t), 6)]
+                    for r in range(7):
+                        # equality is reached (runge and gauss at 0, sin,
+                        # monomials at the ends): allow the last bits
+                        assert declared[r] * (1 + 1e-12) + 1e-25 \
+                            >= exact[r], (name, a, b, t, r)
+
+    def test_function_without_bounds_raises(self):
+        bare = dataclasses.replace(get_test_function("sin"), name="bare",
+                                   bounds=None)
+        with pytest.raises(ValueError, match="no derivative bounds"):
+            max_abs_L(bare, (0.0, 1.0), [(1.0, -1.0, 1.0, -1.0)])
+
+    def test_non_finite_pad_raises(self):
+        exp = get_test_function("exp")
+        with pytest.raises(ValueError, match="no finite pad on interval 1 "):
+            max_abs_L(exp, (0.0, 700.0, 800.0), [(1.0, -1.0)] * 2)
+
+
+class TestRigorousMaxAbsL:
+
+    # odd n puts the maximum of sin, gauss and runge on a knot, even n
+    # between grid points, where only the pad covers it
+    @pytest.mark.parametrize("n", (16, 17, 256, 257))
+    @pytest.mark.parametrize("cls", sorted(QUADS))
+    @pytest.mark.parametrize("name", ("sin", "cos", "gauss", "runge"))
+    def test_between_dense_scan_and_pad(self, name, cls, n):
+        tf = get_test_function(name)
+        knots = np.linspace(*tf.default_domain, n)
+        quad = QUADS[cls]
+        got = max_abs_L(tf, knots, [quad] * (n - 1))
+        dense = _dense_scan(tf, knots, quad)
+        assert dense <= got <= (1.0 + 3e-7) * dense
+
+    @pytest.mark.parametrize("name", ("sin", "gauss", "runge"))
+    def test_points_do_not_grow_with_the_mesh(self, name):
+        tf = get_test_function(name)
+        seen = {}
+        for n in (17, 513):
+            counted, box = _count_points(tf)
+            knots = np.linspace(*tf.default_domain, n)
+            max_abs_L(counted, knots, [QUADS["generic"]] * (n - 1))
+            seen[n] = box[0]
+        assert seen[513] <= seen[17] + 4 * 512
+
+    def test_mixed_sets_take_one_grid_each(self):
+        tf = get_test_function("runge")
+        knots = np.linspace(-1.0, 1.0, 9)
+        sets = [QUADS["generic"], QUADS["symmetric"]] * 4
+        counted, seen = _count_points(tf)
+        got = max_abs_L(counted, knots, sets)
+        # a first pass and a grid for each of the two sets
+        assert seen[1] == 4
+        per = [max_abs_L(tf, knots[j:j + 2], [sets[j]]) for j in range(8)]
+        dense = max(_dense_scan(tf, knots[j:j + 2], sets[j])
+                    for j in range(8))
+        assert dense <= got <= (1.0 + 3e-7) * dense
+        assert got <= (1.0 + 3e-7) * max(per)
+
+    def test_order2_row_uses_one_grouped_scan(self):
+        cfg = {"function": "runge", "n": 9, "order": 2,
+               "frequencies": {"pairs": [[-1.0, 2.0], [-0.5, 0.5]] * 4}}
+        row = run_verify(cfg).rows[0]
+        knots = np.linspace(-1.0, 1.0, 9)
+        pairs = [(-1.0, 2.0), (-0.5, 0.5)] * 4
+        tf = get_test_function("runge")
+        ml = [max_abs_L(tf, knots[j:j + 2], [pairs[j]]) for j in range(8)]
+        want = interp2_error_bound(build_hat_basis(knots, pairs), ml)
+        assert_allclose(row["bound"], want, rtol=1e-15)
+        assert row["M0_max"] == max(
+            M_constant(l0, l1, knots[j], knots[j + 1]).value
+            for j, (l0, l1) in enumerate(pairs))
 
 
 class TestErrorGrid:
