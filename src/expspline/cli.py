@@ -27,9 +27,9 @@ from .harness import (
     render_json,
     run_verify,
 )
-from .hatbasis import Partition, build_hat_basis, hat_eval
-from .l2proj import DominanceError, gram_assemble
-from .quadrature import QuadratureError, integrate
+from .hatbasis import Partition, build_hat_basis
+from .l2proj import DominanceError, _load_vector, gram_assemble
+from .quadrature import QuadratureError
 from .spline4 import resolve_weight
 
 
@@ -157,30 +157,20 @@ def _cmd_gram(args):
     basis = build_hat_basis(part, pairs)
     gram = gram_assemble(basis, p)
     tf = norm["tf"]
-    rhs = np.full(part.n, np.nan)
-    if tf is not None:
-        for i in range(part.n):
-            total = 0.0
-            for j in (i - 1, i):
-                if 0 <= j < m:
-                    val, _ = integrate(
-                        lambda ts: tf(ts) * hat_eval(basis, i, ts)
-                        * np.exp(p * ts), knots[j], knots[j + 1])
-                    total += val
-            rhs[i] = total
+    rhs = None if tf is None else _load_vector(basis, tf, p)
     if args.format == "csv":
         lines = ["i,diag,sub,super,rhs"]
         for i in range(part.n):
             sub = gram.sub[i - 1] if i >= 1 else None
             sup = gram.sup[i] if i < part.n - 1 else None
-            r = None if tf is None else rhs[i]
+            r = None if rhs is None else rhs[i]
             lines.append(",".join([str(i), _fmt(gram.diag[i]), _fmt(sub),
                                    _fmt(sup), _fmt(r)]))
         text = "\n".join(lines) + "\n"
     else:
         doc = {"p": p, "diag": gram.diag.tolist(), "sub": gram.sub.tolist(),
                "super": gram.sup.tolist(),
-               "rhs": None if tf is None else rhs.tolist()}
+               "rhs": None if rhs is None else rhs.tolist()}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _write_or_print(text, args.out, "gram",
                     "csv" if args.format == "csv" else "json")

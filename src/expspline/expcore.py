@@ -372,42 +372,6 @@ def operator_apply(freqs, derivs):
     return float(acc) if acc.ndim == 0 else acc
 
 
-def weighted_cross_integral(lam0, lam1, p, h):
-    """Exact value of the cross product integral
-
-        int_0^h Phi(t-h) Phi(t) exp(p*t) dt
-
-    for the two-frequency Phi of (lam0, lam1).  The value is negative for
-    h > 0, since Phi(t-h) < 0 < Phi(t) inside the interval, and equals minus
-    the fundamental function over (p+lam0, p+lam1, -lam0, -lam1) at h.
-    """
-    if h == 0.0:
-        return 0.0
-    return -fundamental_eval((p + lam0, p + lam1, -lam0, -lam1), h)
-
-
-def weighted_square_integrals(lam0, lam1, p, h):
-    """Weighted squares and first moments of the two hat flanks on [0, h].
-
-    Returns (I_left, I_right, I_lin_left, I_lin_right) where, writing phi for
-    the two-frequency fundamental function,
-
-        I_left      = int_0^h phi(t)^2   exp(p*t) dt
-        I_right     = int_0^h phi(t-h)^2 exp(p*t) dt
-        I_lin_left  = int_0^h phi(t)     exp(p*t) dt
-        I_lin_right = int_0^h phi(t-h)   exp(p*t) dt
-    """
-    if h == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    i_left = 2.0 * math.exp(p * h) * fundamental_eval(
-        (2.0 * lam0, 2.0 * lam1, lam0 + lam1, -p), h)
-    i_right = 2.0 * fundamental_eval(
-        (-2.0 * lam0, -2.0 * lam1, -lam0 - lam1, p), h)
-    i_lin_left = fundamental_eval((p + lam0, p + lam1, 0.0), h)
-    i_lin_right = -fundamental_eval((-lam0, -lam1, p), h)
-    return i_left, i_right, i_lin_left, i_lin_right
-
-
 def convolution_check(freqs_a, freqs_b, y):
     """Compare int_0^y Phi_A(t) Phi_B(y-t) dt against Phi over the merged
     frequency vector, returning (quadrature_value, closed_form_value)."""

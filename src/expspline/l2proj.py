@@ -12,14 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
-from .expcore import (
-    _phi_rows,
-    fundamental_eval,
-    weighted_cross_integral,
-    weighted_square_integrals,
-)
+from .expcore import _phi_rows, fundamental_eval
 from .hatbasis import SplineOrder2, _phi_ratio, group_intervals
 from .quadrature import integrate
 
@@ -67,31 +62,46 @@ class GramSystem:
     p: float = 0.0
 
 
+def _phi(ts, *freqs):
+    """Phi at ts (N,) over the frequency rows given column by column, each
+    an array (N,) or a scalar, in one kernel call."""
+    rows = np.stack(np.broadcast_arrays(*freqs), axis=1)
+    return _phi_rows(np.sort(rows, axis=1), ts)
+
+
 def gram_assemble(basis, p):
     """Closed form Gram matrix of the hats in the exp(p t) weighted product.
 
-    Per interval the squared flanks land on the two adjacent diagonal
-    entries and the cross integral on the off-diagonals; all three come from
-    fundamental function identities evaluated at the interval length.  They
-    depend on the interval through its (pair, length) key and the weight
-    w0 = exp(p t_j) at its left end only, so the integrals are computed once
-    per distinct key and scaled by w0 per interval.
+    On an interval of length h with pair function phi and w = exp(p t), the
+    flank integrals over [0, h] are fundamental functions at h:
+
+        int phi(t)^2 w        = 2 exp(p h) Phi_(2 l0, 2 l1, l0 + l1, -p)(h)
+        int phi(t-h)^2 w      = 2 Phi_(-2 l0, -2 l1, -l0 - l1, p)(h)
+        int phi(t-h) phi(t) w = -Phi_(p + l0, p + l1, -l0, -l1)(h)
+
+    Divided by phi(h)^2, phi(-h)^2 and phi(h) phi(-h) they are the hat
+    entries: the squared flanks land on the two adjacent diagonal entries,
+    the cross integral on the off-diagonals.  They depend on the interval
+    through its (pair, length) key and the weight w0 = exp(p t_j) at its
+    left end only, so each fundamental function is one batched kernel call
+    over the distinct keys, and w0 scales them per interval.
     """
     p = float(p)
     knots = basis.knots
     n = basis.n
-    reps, inverse = group_intervals(basis.pairs, basis.partition.lengths)
-    per_key = []
-    for j in reps:
-        lam0, lam1 = basis.pairs[j]
-        h = knots[j + 1] - knots[j]
-        phi_h = fundamental_eval((lam0, lam1), h)
-        phi_mh = fundamental_eval((lam0, lam1), -h)
-        i_left, i_right, _, _ = weighted_square_integrals(lam0, lam1, p, h)
-        per_key.append((i_right, phi_mh * phi_mh, i_left, phi_h * phi_h,
-                        weighted_cross_integral(lam0, lam1, p, h),
-                        phi_h * phi_mh))
-    i_right, sq_mh, i_left, sq_h, cross, prod = np.array(per_key)[inverse].T
+    lengths = basis.partition.lengths
+    reps, inverse = group_intervals(basis.pairs, lengths)
+    l0, l1 = np.array([basis.pairs[j] for j in reps]).T
+    h = np.array([lengths[j] for j in reps])
+    phi_h = _phi(h, l0, l1)
+    phi_mh = _phi(-h, l0, l1)
+    i_left = 2.0 * np.array([math.exp(p * x) for x in h]) \
+        * _phi(h, 2.0 * l0, 2.0 * l1, l0 + l1, -p)
+    i_right = 2.0 * _phi(h, -2.0 * l0, -2.0 * l1, -l0 - l1, p)
+    cross = -_phi(h, p + l0, p + l1, -l0, -l1)
+    per_key = np.stack([i_right, phi_mh * phi_mh, i_left, phi_h * phi_h,
+                        cross, phi_h * phi_mh])
+    i_right, sq_mh, i_left, sq_h, cross, prod = per_key[:, inverse]
     w0 = np.array([math.exp(p * t) for t in knots[:-1]])
     diag = np.zeros(n)
     diag[:-1] += w0 * i_right / sq_mh
@@ -119,17 +129,12 @@ def _flank_ratios(name, lam0, lam1, p, h, parts):
     live = np.abs(h) >= _TINY_H
     if np.any(live):
         l0, l1, hs = lam0[live], lam1[live], h[live]
-        zero, minus_p = np.zeros_like(hs), np.full_like(hs, -p)
-
-        def phi(*freqs):
-            return _phi_rows(np.sort(np.stack(freqs, axis=1), axis=1), hs)
-
-        den = phi(l0 - l1, l1 - l0, zero, -p - l0 - l1)
+        den = _phi(hs, l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
         if "T" in parts:
-            num = phi(l0, l1, -p - l0, -p - l1)
+            num = _phi(hs, l0, l1, -p - l0, -p - l1)
             out["T"][live] = 0.5 * num / den
         if "S" in parts:
-            num = phi(-l0, -l1) * phi(l0, l1, minus_p)
+            num = _phi(hs, -l0, -l1) * _phi(hs, l0, l1, -p)
             # the polynomial pair with p = 0 has S = 3/2 identically
             poly = (l0 == 0.0) & (l1 == 0.0) & (p == 0.0)
             out["S"][live] = np.where(poly, 1.5, 0.5 * num / den)
@@ -197,72 +202,35 @@ def dominance_factor(gram):
 
 
 def tridiag_solve(gram):
-    """Solve the tridiagonal system, checking the residual.
+    """Solve the tridiagonal system by LAPACK gtsv (Gaussian elimination
+    with partial pivoting) and check the residual.
 
-    The plain Thomas sweep is used first; if a pivot degenerates or the
-    residual exceeds 1e-12 * ||rhs||, the LAPACK banded solver with partial
-    pivoting takes over.  Failure of both raises LinAlgError.
+    Non-finite entries raise ValueError.  A singular system, a non-finite
+    solution or a residual above 1e-12 * ||rhs|| raises LinAlgError.
     """
     n = gram.n
-    diag = np.asarray(gram.diag, dtype=float)
-    sub = np.asarray(gram.sub, dtype=float)
-    sup = np.asarray(gram.sup, dtype=float)
-    rhs = np.asarray(gram.rhs, dtype=float)
+    diag, sub, sup, rhs = (np.asarray(x, dtype=float) for x in
+                           (gram.diag, gram.sub, gram.sup, gram.rhs))
     if diag.shape != (n,) or rhs.shape != (n,) or sub.shape != (n - 1,) \
             or sup.shape != (n - 1,):
         raise ValueError("inconsistent system shapes")
-
-    def residual_ok(x):
-        r = diag * x
-        if n > 1:
-            r[:-1] += sup * x[1:]
-            r[1:] += sub * x[:-1]
-        r -= rhs
-        scale = np.max(np.abs(rhs))
-        return np.max(np.abs(r)) <= 1e-12 * max(scale, 1e-300)
-
-    x = _thomas(diag, sub, sup, rhs)
-    if x is not None and residual_ok(x):
-        return x
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    try:
-        x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError:
-        raise
-    except scipy.linalg.LinAlgError:
-        raise
-    if not np.all(np.isfinite(x)) or not residual_ok(x):
+    if not all(np.isfinite(x).all() for x in (diag, sub, sup, rhs)):
+        raise ValueError("tridiagonal system entries must be finite")
+    # the wrapper wants off-diagonals of length at least one; gtsv never
+    # reads them for a 1x1 system
+    pad = [0.0] if n == 1 else []
+    _, _, _, x, info = dgtsv(np.append(sub, pad), diag, np.append(sup, pad),
+                             rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"singular tridiagonal system (gtsv info {info})")
+    r = diag * x - rhs
+    r[:-1] += sup * x[1:]
+    r[1:] += sub * x[:-1]
+    if not np.all(np.isfinite(x)) or np.max(np.abs(r)) \
+            > 1e-12 * max(np.max(np.abs(rhs)), 1e-300):
         raise np.linalg.LinAlgError(
             "tridiagonal solve failed the residual check")
-    return x
-
-
-def _thomas(diag, sub, sup, rhs):
-    """Forward elimination and back substitution without pivoting; returns
-    None when a pivot collapses."""
-    n = diag.size
-    c = np.zeros(n - 1) if n > 1 else np.zeros(0)
-    d = np.zeros(n)
-    piv = diag[0]
-    if piv == 0.0 or not math.isfinite(piv):
-        return None
-    if n > 1:
-        c[0] = sup[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if piv == 0.0 or not math.isfinite(piv):
-            return None
-        if i < n - 1:
-            c[i] = sup[i] / piv
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
     return x
 
 
@@ -335,32 +303,6 @@ def operator_norm_bound(basis, p):
     return _lebesgue_sup(basis) * s_factor / (1.0 - c_factor)
 
 
-def operator_norm_bound_rowratio(basis, p):
-    """Sharper variant taking row ratios straight from the assembled Gram
-    matrix: sup sum|H| * max_i (int |H_i| w / int H_i^2 w) / (1 - c)."""
-    gram = gram_assemble(basis, p)
-    c_factor = dominance_factor(gram)
-    if c_factor >= 1.0:
-        worst = int(np.argmax(
-            np.abs(np.concatenate([gram.sub, [0.0]]))
-            + np.abs(np.concatenate([[0.0], gram.sup]))))
-        raise DominanceError(worst, c_factor)
-    knots = basis.knots
-    lin = np.zeros(basis.n)
-    for j in range(basis.n - 1):
-        lam0, lam1 = basis.pairs[j]
-        h = knots[j + 1] - knots[j]
-        w0 = math.exp(p * knots[j])
-        phi_h = fundamental_eval((lam0, lam1), h)
-        phi_mh = fundamental_eval((lam0, lam1), -h)
-        _, _, i_lin_left, i_lin_right = weighted_square_integrals(
-            lam0, lam1, p, h)
-        lin[j] += w0 * i_lin_right / phi_mh
-        lin[j + 1] += w0 * i_lin_left / phi_h
-    ratio = float(np.max(lin / gram.diag))
-    return _lebesgue_sup(basis) * ratio / (1.0 - c_factor)
-
-
 @dataclass
 class ProjectionResult:
     """Best approximation coefficients with the dominance and norm data."""
@@ -376,20 +318,19 @@ class ProjectionResult:
         return SplineOrder2(self.basis, self.coeffs)
 
 
-def project(basis, g, p):
-    """Weighted best approximation of g from the hat span.
+def _load_vector(basis, g, p):
+    """<g, H_i> in the exp(p t) weighted product for every hat, by adaptive
+    quadrature flank by flank: on interval j the falling flank of H_j and
+    the rising flank of H_(j+1).
 
-    g must accept arrays.  The load vector comes from adaptive quadrature
-    flank by flank, the solve from the closed-form Gram matrix.  When the
-    basis admits no dominance-based norm bound the projection is still
-    returned, with norm_bound set to inf.
+    g maps an array of points to values.  Each call holds points of one
+    interval only, and Gauss-Legendre nodes are interior, so a piecewise g
+    can find its piece from the knots without ambiguity.
     """
     p = float(p)
-    gram = gram_assemble(basis, p)
     knots = basis.knots
     rhs = np.zeros(basis.n)
-    for j in range(basis.n - 1):
-        lam0, lam1 = basis.pairs[j]
+    for j, (lam0, lam1) in enumerate(basis.pairs):
         a, b = knots[j], knots[j + 1]
         h = b - a
 
@@ -404,7 +345,20 @@ def project(basis, g, p):
             lambda ts: falling(ts) * g(ts) * weight(ts), a, b)[0]
         rhs[j + 1] += integrate(
             lambda ts: rising(ts) * g(ts) * weight(ts), a, b)[0]
-    gram.rhs = rhs
+    return rhs
+
+
+def project(basis, g, p):
+    """Weighted best approximation of g from the hat span.
+
+    g must accept arrays.  The load vector comes from adaptive quadrature
+    flank by flank, the solve from the closed-form Gram matrix.  When the
+    basis admits no dominance-based norm bound the projection is still
+    returned, with norm_bound set to inf.
+    """
+    p = float(p)
+    gram = gram_assemble(basis, p)
+    gram.rhs = _load_vector(basis, g, p)
     coeffs = tridiag_solve(gram)
     c_factor = dominance_factor(gram)
     try:

@@ -24,9 +24,8 @@ from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
-from .hatbasis import Partition, build_hat_basis, group_intervals, hat_eval
-from .l2proj import operator_norm_bound
-from .quadrature import integrate
+from .hatbasis import Partition, build_hat_basis, group_intervals
+from .l2proj import _load_vector, operator_norm_bound
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -145,7 +144,8 @@ def resolve_weight(qset):
             g, o, _ = hit
             canonical.append(tuple(sorted(g)) + tuple(sorted(o)))
         else:
-            return p, tuple(canonical)
+            # + 0.0 turns a -0.0 from the as-given split into +0.0
+            return p + 0.0, tuple(canonical)
     raise ValueError(
         "no weight exponent pairs the quadruples; candidate p values per "
         f"interval were {attempted if attempted else 'none'}"
@@ -481,35 +481,20 @@ def residual_orthogonality(F_derivs, s, basis, p):
             or not np.array_equal(basis.knots, s.knots):
         raise ValueError("basis and spline use different partitions")
     p = float(p)
-    op_pairs = _match_op_pairs(s.quads, basis, p)
-    knots = s.knots
-    n = len(knots)
+    l2, l3 = np.array(_match_op_pairs(s.quads, basis, p)).T
+    su, pr = l2 + l3, l2 * l3
+    knots = np.array(s.knots)
 
-    def interval_residual(j):
-        l2, l3 = op_pairs[j]
-        su, pr = l2 + l3, l2 * l3
+    def residual(ts):
+        # quadrature nodes are interior, so each lies in exactly one interval
+        j = np.searchsorted(knots, ts) - 1
+        f0, f1, f2 = F_derivs(ts)
+        return ((np.asarray(f2, dtype=float)
+                 - su[j] * np.asarray(f1, dtype=float)
+                 + pr[j] * np.asarray(f0, dtype=float))
+                - (s(ts, 2) - su[j] * s(ts, 1) + pr[j] * s(ts, 0)))
 
-        def f(ts):
-            f0, f1, f2 = F_derivs(ts)
-            return ((np.asarray(f2, dtype=float)
-                     - su * np.asarray(f1, dtype=float)
-                     + pr * np.asarray(f0, dtype=float))
-                    - (s(ts, 2) - su * s(ts, 1) + pr * s(ts, 0)))
-        return f
-
-    worst = 0.0
-    for i in range(n):
-        total = 0.0
-        for j in (i - 1, i):
-            if 0 <= j < n - 1:
-                res_j = interval_residual(j)
-                val, _ = integrate(
-                    lambda ts: res_j(ts) * hat_eval(basis, i, ts)
-                    * np.exp(p * ts),
-                    knots[j], knots[j + 1])
-                total += val
-        worst = max(worst, abs(total))
-    return worst
+    return float(np.max(np.abs(_load_vector(basis, residual, p))))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from expspline.expcore import (
     integrate_fundamental,
     operator_apply,
     transform,
-    weighted_cross_integral,
-    weighted_square_integrals,
 )
 from expspline.quadrature import integrate
 
@@ -302,60 +300,6 @@ class TestOperatorApply:
                 * 10.0 ** rng.uniform(-8.0, 2.0, k)
             assert np.array_equal(_monic_coefficients(freqs.tolist()),
                                   np.poly(freqs))
-
-
-class TestWeightedIntegrals:
-    def test_polynomial_values_exact(self):
-        i_left, i_right, i_lin_left, i_lin_right = \
-            weighted_square_integrals(0.0, 0.0, 0.0, 1.0)
-        assert_allclose(i_left, 1.0 / 3.0, rtol=1e-13)
-        assert_allclose(i_right, 1.0 / 3.0, rtol=1e-13)
-        assert_allclose(i_lin_left, 0.5, rtol=1e-13)
-        assert_allclose(i_lin_right, -0.5, rtol=1e-13)
-        assert_allclose(weighted_cross_integral(0.0, 0.0, 0.0, 1.0),
-                        -1.0 / 6.0, rtol=1e-13)
-
-    def test_frozen_high_precision_values(self):
-        got = weighted_square_integrals(0.5, 2.0, 1.0, 0.8)
-        ref = (1.7202816791997870047, 0.058070444991091012653,
-               1.1962094522596683777, -0.24151052320352100494)
-        assert_allclose(got, ref, rtol=1e-12)
-        assert_allclose(weighted_cross_integral(0.5, 2.0, 1.0, 0.8),
-                        -0.1598776255578924445, rtol=1e-12)
-
-    def test_against_quadrature(self):
-        rng = np.random.default_rng(11)
-        for _ in range(12):
-            lam0, lam1 = rng.uniform(-4.0, 4.0, 2)
-            p = rng.uniform(-2.0, 2.0)
-            h = rng.uniform(0.1, 2.0)
-            phi = lambda ts: fundamental_eval((lam0, lam1), ts)
-            w = lambda ts: np.exp(p * ts)
-            refs = (
-                integrate(lambda ts: phi(ts) ** 2 * w(ts), 0.0, h)[0],
-                integrate(lambda ts: phi(ts - h) ** 2 * w(ts), 0.0, h)[0],
-                integrate(lambda ts: phi(ts) * w(ts), 0.0, h)[0],
-                integrate(lambda ts: phi(ts - h) * w(ts), 0.0, h)[0],
-            )
-            got = weighted_square_integrals(lam0, lam1, p, h)
-            assert_allclose(got, refs, rtol=1e-9, atol=1e-13,
-                            err_msg=f"{lam0},{lam1},{p},{h}")
-            cross_ref = integrate(
-                lambda ts: phi(ts - h) * phi(ts) * w(ts), 0.0, h)[0]
-            assert_allclose(weighted_cross_integral(lam0, lam1, p, h),
-                            cross_ref, rtol=1e-9, atol=1e-13)
-
-    def test_signs_for_positive_interval(self):
-        i_left, i_right, _, i_lin_right = \
-            weighted_square_integrals(-1.0, 2.0, 0.5, 1.3)
-        assert i_left > 0.0 and i_right > 0.0
-        assert i_lin_right < 0.0
-        assert weighted_cross_integral(-1.0, 2.0, 0.5, 1.3) < 0.0
-
-    def test_zero_length(self):
-        assert weighted_square_integrals(1.0, 2.0, 0.0, 0.0) == \
-            (0.0, 0.0, 0.0, 0.0)
-        assert weighted_cross_integral(1.0, 2.0, 0.0, 0.0) == 0.0
 
 
 class TestConvolution:

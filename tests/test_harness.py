@@ -30,6 +30,8 @@ from expspline.harness import (
     run_verify,
 )
 from expspline.hatbasis import Partition, build_hat_basis
+from expspline.l2proj import project
+from expspline.spline4 import quad_frequency_set, resolve_weight
 
 
 SIN2_CONFIG = {"function": "sin", "domain": [0.0, math.pi],
@@ -562,6 +564,34 @@ class TestCli:
         first = lines[1].split(",")
         assert first[2] == ""
         assert float(first[1]) > 0.0
+
+    def test_gram_dump_order4_solves_to_projection(self, tmp_path):
+        config = dict(SIN4_CONFIG, frequencies={"quads": [[0.5, 2.0, -1.5,
+                                                           -3.0]]})
+        proc = _cli(["gram", "--format", "json"], config, tmp_path)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        knots = np.linspace(0.0, math.pi, 9)
+        p, canon = resolve_weight(quad_frequency_set(8, quads=config[
+            "frequencies"]["quads"][0]))
+        assert doc["p"] == p == 1.0
+        dense = np.diag(doc["diag"]) + np.diag(doc["sub"], -1) \
+            + np.diag(doc["super"], 1)
+        basis = build_hat_basis(knots, [q[:2] for q in canon])
+        want = project(basis, get_test_function("sin"), p).coeffs
+        assert_allclose(np.linalg.solve(dense, doc["rhs"]), want,
+                        rtol=1e-10)
+
+    @pytest.mark.parametrize("command", ["interp4", "gram"])
+    def test_as_given_split_prints_positive_zero_weight(self, tmp_path,
+                                                        command):
+        # the as-given split of (1.3, 2.1, -1.3, -2.1) yields p = -(x - x)
+        config = dict(SIN4_CONFIG, frequencies={"quads": [[1.3, 2.1, -1.3,
+                                                           -2.1]]})
+        proc = _cli([command, "--format", "json"], config, tmp_path)
+        assert proc.returncode == 0
+        assert '"p": 0.0' in proc.stdout
+        assert math.copysign(1.0, json.loads(proc.stdout)["p"]) == 1.0
 
     def test_converge_exit_codes(self, tmp_path):
         proc = _cli(["converge", "--format", "json"], SIN2_CONFIG, tmp_path)

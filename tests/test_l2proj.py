@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expspline.expcore import (
-    fundamental_eval,
-    weighted_cross_integral,
-    weighted_square_integrals,
-)
+from expspline import expcore, l2proj
 from expspline.hatbasis import build_hat_basis, hat_eval, interpolate2
 from expspline.l2proj import (
     DominanceError,
@@ -22,7 +18,6 @@ from expspline.l2proj import (
     inner_product_p,
     lemma_constant,
     operator_norm_bound,
-    operator_norm_bound_rowratio,
     project,
     tfunc,
     sfunc,
@@ -220,29 +215,49 @@ class TestGramAssemble:
     ])
     def test_grouped_entries_match_per_interval_formula(self, knots):
         # repeated and distinct (pair, length) keys; the entries must be
-        # bitwise those of the interval-by-interval assembly
+        # bitwise the sums of the one-interval assemblies
         cycle = [(0.5, 2.0), (-1.0, 1.5), (0.5, 2.0), (0.0, 0.0)]
         pairs = [cycle[j % 4] for j in range(len(knots) - 1)]
         basis = build_hat_basis(knots, pairs)
+        kn = basis.knots
         for p in (0.0, 0.7, -1.3):
             g = gram_assemble(basis, p)
-            kn = basis.knots
             diag = np.zeros(basis.n)
             sub = np.zeros(basis.n - 1)
-            for j, (lam0, lam1) in enumerate(basis.pairs):
-                h = kn[j + 1] - kn[j]
-                w0 = math.exp(p * kn[j])
-                phi_h = fundamental_eval((lam0, lam1), h)
-                phi_mh = fundamental_eval((lam0, lam1), -h)
-                i_left, i_right, _, _ = weighted_square_integrals(
-                    lam0, lam1, p, h)
-                sub[j] = w0 * weighted_cross_integral(lam0, lam1, p, h) \
-                    / (phi_h * phi_mh)
-                diag[j] += w0 * i_right / (phi_mh * phi_mh)
-                diag[j + 1] += w0 * i_left / (phi_h * phi_h)
+            for j, pair in enumerate(basis.pairs):
+                one = gram_assemble(
+                    build_hat_basis(kn[j:j + 2], [pair]), p)
+                diag[j:j + 2] += one.diag
+                sub[j] = one.sub[0]
             assert np.array_equal(g.diag, diag)
             assert np.array_equal(g.sub, sub)
             assert np.array_equal(g.sup, sub)
+
+    def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
+        # every (pair, length) key distinct; the fundamental functions of
+        # all keys come from a fixed number of batched kernel calls
+        calls = []
+
+        def counting(rows, ts):
+            calls.append(len(ts))
+            return real(rows, ts)
+
+        real = expcore._phi_rows
+        monkeypatch.setattr(expcore, "_phi_rows", counting)
+        monkeypatch.setattr(l2proj, "_phi_rows", counting)
+        counts = []
+        for n in (9, 65):
+            rng = np.random.default_rng(n)
+            knots = np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.05, 0.15, n - 1))])
+            pairs = [tuple(np.sort(rng.uniform(-2.0, 2.0, 2)))
+                     for _ in range(n - 1)]
+            basis = build_hat_basis(knots, pairs)
+            calls.clear()
+            gram_assemble(basis, 0.6)
+            counts.append(len(calls))
+            assert sum(calls) == 5 * (n - 1)
+        assert counts[0] == counts[1] > 0
 
     def test_entries_positive(self):
         basis = build_hat_basis((0.0, 0.4, 1.0, 1.3),
@@ -301,8 +316,8 @@ class TestDominanceAndSolve:
             tridiag_solve(g)
 
     def test_pivot_breakdown_falls_back_to_banded(self):
-        # leading pivot is zero, so the plain sweep bails out but the
-        # pivoting solver succeeds
+        # the leading pivot is zero, so elimination without pivoting would
+        # break down; the pivoting solver succeeds
         g = GramSystem(n=2, diag=np.array([0.0, 1.0]), sub=np.array([1.0]),
                        sup=np.array([1.0]), rhs=np.array([1.0, 1.0]))
         x = tridiag_solve(g)
@@ -385,20 +400,6 @@ class TestOperatorNormBound:
         val = operator_norm_bound(basis, 1.0)
         assert 1.0 <= val < 50.0
         assert math.isfinite(val)
-
-    def test_rowratio_not_above_generic(self):
-        rng = np.random.default_rng(1414)
-        for _ in range(12):
-            xi = float(rng.uniform(0.1, 3.0))
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            lo, hi = sorted((sign * xi * 0.5, sign * xi))
-            pairs = [(lo, hi)] * 3
-            h = float(rng.uniform(0.05, 0.5)) / xi
-            p = float(rng.uniform(-1.5, 1.5))
-            basis = build_hat_basis(np.arange(4) * h, pairs)
-            row = operator_norm_bound_rowratio(basis, p)
-            gen = operator_norm_bound(basis, p)
-            assert row <= gen * (1.0 + 1e-9)
 
     def test_dominance_failure_reported(self):
         basis = build_hat_basis((0.0, 1.2), [(1.0, 2.0)],

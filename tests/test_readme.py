@@ -1,0 +1,13 @@
+"""The README's library quick tour runs as written against the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
