@@ -5,15 +5,17 @@ omega, the solution of L omega = -1 with omega(a) = omega(b) = 0 where
 L = (d/dt - lambda_0)(d/dt - lambda_1).  Its maximum M over the interval
 multiplies max|LF| in the pointwise bound.  omega scales with the interval,
 so M is found once per rescaled pair lambda*(b-a) on the unit interval,
-where omega is unimodal and bracket-shrinking rounds locate its maximum.
-A bound over a partition needs one value per distinct (pair, length) key;
-the keys not yet cached are searched together, each round one batched
-omega evaluation over every open bracket.  omega comes from products of
-fundamental functions, or from its closed form on the flat plateau of a
-pair straddling zero, where the products lose ulps.  omega is also minus
-the integral of the Green function of L with Dirichlet conditions, which
-supplies an independent quadrature route and the comparison inequalities
-used in the tests.
+where omega is unimodal.  There one coarse round of samples brackets the
+maximum, a safeguarded Newton iteration on omega' refines it, with omega''
+taken from the equation, and a pad from a bound on |omega''| over the final
+bracket turns the value found into an upper bound of M.  A bound over a
+partition needs one value per distinct (pair, length) key; the keys not yet
+cached are searched together, each step one batched evaluation of omega and
+omega' over every open key.  Both come from products of fundamental
+functions, or from a closed form on the flat plateau of a pair straddling
+zero, where the products lose ulps.  omega is also minus the integral of the
+Green function of L with Dirichlet conditions, which supplies an independent
+quadrature route and the comparison inequalities used in the tests.
 """
 
 import math
@@ -27,11 +29,10 @@ from .quadrature import integrate
 
 _BRACKET_POINTS = 17
 
-_BRACKET_WIDTH = 1e-10
-
 _M_UNIT_CACHE_SIZE = 4096
 
-# (lam0*span, lam1*span) -> (max omega, argmax) on the unit interval
+# (lam0*span, lam1*span) -> (bound of max omega, abscissa of the best value)
+# on the unit interval
 _m_unit_cache = {}
 
 
@@ -76,49 +77,60 @@ def omega_eval(lam0, lam1, a, b, t):
     lam0, lam1 = (float(x) for x in (lam0, lam1))
     if not (math.isfinite(lam0) and math.isfinite(lam1)):
         raise ValueError(f"frequencies must be finite, got {(lam0, lam1)}")
-    out = _omega(np.full(ts.shape, lam0), np.full(ts.shape, lam1), b - a,
-                 ts - a, ts - b)
+    out, _ = _omega(np.full(ts.shape, lam0), np.full(ts.shape, lam1),
+                    b - a, ts - a, ts - b)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def _omega(lam0, lam1, span, tau_a, tau_b):
-    """omega at the points t with t - a = tau_a and t - b = tau_b, for the
-    pair (lam0[i], lam1[i]) of each point on an interval of length span;
-    elementwise, so a point gives the same bits in any batch.
+    """omega and omega' at the points t with t - a = tau_a and t - b = tau_b,
+    for the pair (lam0[i], lam1[i]) of each point on an interval of length
+    span; elementwise, so a point gives the same bits in any batch.
 
     Product form: omega = -Phi_(l0,l1)(tau_b) Phi_(-l0,-l1,0)(tau_a) /
     Phi_(-l0,-l1)(span) + Phi_(l0,l1)(tau_a) Phi_(-l0,-l1,0)(tau_b) /
-    Phi_(l0,l1)(span).  For lo < 0 < hi the same solution reads
-    omega = (1 - x) / |lo*hi| with
+    Phi_(l0,l1)(span).  Its slope follows from the lowering identity,
+    Phi'_(lo,hi) = hi*Phi_(lo,hi) + exp(lo*t) and Phi'_(-l0,-l1,0) =
+    Phi_(-l0,-l1), so it needs no further three-frequency kernel call.
+    For lo < 0 < hi the same solution reads omega = (1 - x) / |lo*hi| with
 
         x = ((1 - e^(-hi*span)) e^(lo*tau_a)
              + (1 - e^(lo*span)) e^(hi*tau_b)) / (1 - e^((lo-hi)*span)),
 
-    a sum of positive terms.  Where x <= 1/2 this form is accurate to a few
-    ulps, while the product form rounds near 15 ulps on the plateau of
-    large |lo*hi|; elsewhere 1 - x cancels and the product form is kept.
+    a sum of positive terms, and omega' = -x' / |lo*hi|.  Where x <= 1/2
+    this form is accurate to a few ulps, while the product form rounds near
+    15 ulps on the plateau of large |lo*hi|, and its slope is a difference
+    of terms far larger than the slope; elsewhere 1 - x cancels and the
+    product form is kept.
     """
     pair = np.sort(np.stack([lam0, lam1], axis=1), axis=1)
     neg0 = np.sort(np.stack([-lam0, -lam1, np.zeros_like(lam0)], axis=1),
                    axis=1)
     neg = -pair[:, ::-1]
     span = np.broadcast_to(span, tau_a.shape)
-    out = -_phi_rows(pair, tau_b) * _phi_rows(neg0, tau_a) \
-        / _phi_rows(neg, span) \
-        + _phi_rows(pair, tau_a) * _phi_rows(neg0, tau_b) \
-        / _phi_rows(pair, span)
+    p_a, p_b = _phi_rows(pair, tau_a), _phi_rows(pair, tau_b)
+    q_a, q_b = _phi_rows(neg0, tau_a), _phi_rows(neg0, tau_b)
+    c_neg, c_pair = _phi_rows(neg, span), _phi_rows(pair, span)
+    out = -p_b * q_a / c_neg + p_a * q_b / c_pair
     lo, hi = pair.T
+    slope = -((hi * p_b + np.exp(lo * tau_b)) * q_a
+              + p_b * _phi_rows(neg, tau_a)) / c_neg \
+        + ((hi * p_a + np.exp(lo * tau_a)) * q_b
+           + p_a * _phi_rows(neg, tau_b)) / c_pair
     strad = (lo < 0.0) & (hi > 0.0)
     if np.any(strad):
         lo, hi = lo[strad], hi[strad]
         h = span[strad]
-        x = (-np.expm1(-hi * h) * np.exp(lo * tau_a[strad])
-             - np.expm1(lo * h) * np.exp(hi * tau_b[strad])) \
-            / -np.expm1((lo - hi) * h)
+        e_a = -np.expm1(-hi * h) * np.exp(lo * tau_a[strad])
+        e_b = -np.expm1(lo * h) * np.exp(hi * tau_b[strad])
+        den = -np.expm1((lo - hi) * h)
+        x = (e_a + e_b) / den
         flat = x <= 0.5
         idx = np.flatnonzero(strad)[flat]
         out[idx] = (1.0 - x[flat]) / -(lo[flat] * hi[flat])
-    return out
+        slope[idx] = ((lo * e_a + hi * e_b) / den)[flat] \
+            / (lo[flat] * hi[flat])
+    return out, slope
 
 
 def green_eval(lam0, lam1, a, b, t, s):
@@ -168,7 +180,7 @@ def _m_units(scaled):
 
     Results are cached by that scale-invariant key, which makes repeated
     intervals of a uniform partition free after the first; the cold keys
-    share one batched bracket search.
+    share one batched search.
     """
     found = {key: _m_unit_cache.get(key) for key in scaled}
     cold = [key for key, val in found.items() if val is None]
@@ -186,8 +198,8 @@ def _m_units(scaled):
 
 
 def _bracket_search(lam0, lam1):
-    """Maximum of omega on [0, 1] and its abscissa for each pair
-    (lam0[i], lam1[i]), all pairs in the same rounds.
+    """Upper bound of the maximum of omega on [0, 1], and the abscissa of
+    the largest value found, for each pair (lam0[i], lam1[i]).
 
     omega is strictly unimodal on (0, 1).  At a critical point omega' = 0,
     so L omega = -1 reads omega'' = -1 - l0*l1*omega there.  A local minimum
@@ -195,44 +207,91 @@ def _bracket_search(lam0, lam1):
     two maxima needs l0*l1 < 0 and omega_min >= 1/|l0*l1| >= omega_max.
     Then omega = -1/(l0*l1) and omega' = 0 at one point, and by uniqueness
     omega is that constant, which contradicts omega(0) = 0.  Hence the
-    maximum lies between the neighbours of the largest of any set of
-    samples.  Each round samples _BRACKET_POINTS equispaced points of every
-    open bracket in one batched omega call and shrinks each bracket to the
-    neighbours of its best sample, until it is narrower than _BRACKET_WIDTH;
-    the largest sample is returned with its abscissa.  Every step is
-    elementwise per pair, so a pair gives the same bits alone or in a batch.
+    maximum t* lies between the neighbours of the largest of any set of
+    samples, omega' > 0 left of t* and omega' < 0 right of it.
+
+    Search: one round of _BRACKET_POINTS equispaced samples gives the best
+    sample and the bracket [lo, hi] of its neighbours.  Newton's method on
+    omega' starts from that sample, with omega'' = -1 + (l0+l1)*omega' -
+    l0*l1*omega from the equation.  Each evaluated point moves lo where
+    omega' > 0 and hi where omega' <= 0, and a step falls back to bisection
+    when omega'' >= 0, when it is not finite or when it leaves the closed
+    bracket.  The iteration stops when the step or the bracket is below
+    1e-9, which bisection alone reaches in 27 steps; 64 steps end it in any
+    case.  The last iterate t_N is then flanked by two points at twice the
+    last step plus 1e-11, and each flank where omega' has the expected sign
+    closes that side of the bracket.
+
+    Pad: t_N and t* lie in the bracket, of width w.  Let S bound |omega''|
+    there.  Then |omega'| <= |omega'(t_N)| + S*w and |omega - omega(t_N)|
+    <= |omega'(t_N)|*w + S*w^2 on the bracket, and the equation gives
+
+        S <= |1 + l0*l1*omega(t_N)| + (|l0+l1| + |l0*l1|*w) |omega'(t_N)|
+             + (|l0+l1|*w + |l0*l1|*w^2) S,
+
+    solved for S below.  As omega'(t*) = 0, omega(t*) - omega(t_N) <=
+    S*w^2/2.  So the larger of omega(t_N) and the best sample, plus
+    S*w^2/2, bounds the maximum in exact arithmetic.  Four ulps more cover
+    the rounding of omega, which stays within about three ulps of the mpmath
+    oracle on the keys the tests draw; a computed sign of omega' can only be
+    wrong where omega is flat to rounding.  Every step is elementwise per
+    pair, so a pair gives the same bits alone or in a batch.
     """
     count = lam0.size
-    lo = np.zeros(count)
-    hi = np.ones(count)
-    best = np.full(count, -np.inf)
-    best_t = np.full(count, 0.5)
+    grid = np.arange(_BRACKET_POINTS) / (_BRACKET_POINTS - 1)
+    flat = np.tile(grid, count)
+    vals, slopes = _omega(np.repeat(lam0, _BRACKET_POINTS),
+                          np.repeat(lam1, _BRACKET_POINTS), 1.0,
+                          flat, flat - 1.0)
+    i = np.argmax(vals.reshape(count, _BRACKET_POINTS), axis=1)
+    pick = np.arange(count) * _BRACKET_POINTS + i
+    best, best_t = vals[pick], grid[i]
+    t, v, d = best_t.copy(), best.copy(), slopes[pick]
+    i = np.clip(i, 1, _BRACKET_POINTS - 2)
+    lo, hi = grid[i - 1], grid[i + 1]
+    sigma, prod = lam0 + lam1, lam0 * lam1
+    step = np.zeros(count)
     live = np.arange(count)
-    grid = np.arange(_BRACKET_POINTS, dtype=float)
-    while live.size:
-        step = (hi[live] - lo[live]) / (_BRACKET_POINTS - 1)
-        xs = grid * step[:, None] + lo[live, None]
-        xs[:, -1] = hi[live]
-        flat = xs.ravel()
-        vals = _omega(np.repeat(lam0[live], _BRACKET_POINTS),
-                      np.repeat(lam1[live], _BRACKET_POINTS), 1.0,
-                      flat, flat - 1.0).reshape(xs.shape)
-        rows = np.arange(live.size)
-        i = np.argmax(vals, axis=1)
-        v, x = vals[rows, i], xs[rows, i]
-        up = (v > best[live]) | ((v == best[live]) & (x > best_t[live]))
-        best[live[up]] = v[up]
-        best_t[live[up]] = x[up]
-        i = np.clip(i, 1, _BRACKET_POINTS - 2)
-        lo[live] = xs[rows, i - 1]
-        hi[live] = xs[rows, i + 1]
-        live = live[hi[live] - lo[live] > _BRACKET_WIDTH]
-    return best, best_t
+    for _ in range(64):
+        rising = d[live] > 0.0
+        lo[live] = np.where(rising, t[live], lo[live])
+        hi[live] = np.where(rising, hi[live], t[live])
+        curv = -1.0 + sigma[live] * d[live] - prod[live] * v[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = t[live] - d[live] / curv
+        newton = (curv < 0.0) & (new >= lo[live]) & (new <= hi[live])
+        new = np.where(newton, new, 0.5 * (lo[live] + hi[live]))
+        step[live] = new - t[live]
+        go = (np.abs(step[live]) >= 1e-9) & (hi[live] - lo[live] >= 1e-9)
+        live = live[go]
+        if not live.size:
+            break
+        t[live] = new[go]
+        v[live], d[live] = _omega(lam0[live], lam1[live], 1.0, t[live],
+                                  t[live] - 1.0)
+    reach = 2.0 * np.abs(step) + 1e-11
+    flank = np.concatenate([np.maximum(t - reach, lo),
+                            np.minimum(t + reach, hi)])
+    _, flank_d = _omega(np.tile(lam0, 2), np.tile(lam1, 2), 1.0, flank,
+                        flank - 1.0)
+    lo = np.where(flank_d[:count] > 0.0, flank[:count], lo)
+    hi = np.where(flank_d[count:] <= 0.0, flank[count:], hi)
+    w = hi - lo
+    a_sigma, a_prod = np.abs(sigma), np.abs(prod)
+    room = 1.0 - (a_sigma + a_prod * w) * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.abs(1.0 + prod * v) + (a_sigma + a_prod * w) * np.abs(d)) \
+            / room
+    bound[~(room > 0.0)] = np.inf
+    top = v >= best
+    value = np.where(top, v, best) + 0.5 * bound * w * w
+    return value * (1.0 + 4.0 * np.finfo(float).eps), np.where(top, t, best_t)
 
 
 @dataclass(frozen=True)
 class IntervalBoundData:
-    """Interval constant M = max omega and where it is attained."""
+    """Interval constant M, an upper bound of max omega within a few ulps,
+    and t_max, where the largest value of omega found lies."""
     a: float
     b: float
     lam0: float
@@ -245,15 +304,15 @@ def M_constant(lam0, lam1, a, b):
     """Interval constant for the pointwise bound |F - I2 F| <= M max|LF|.
 
     Reduced to the unit interval through omega's scaling law
-    M(lambda; a, b) = (b-a)^2 M(lambda*(b-a); 0, 1) and maximised
-    numerically there.
+    M(lambda; a, b) = (b-a)^2 M(lambda*(b-a); 0, 1) and bounded there by
+    _bracket_search.
     """
     return M_constants([(lam0, lam1)], [a], [b])[0]
 
 
 def M_constants(pairs, lefts, rights):
     """M_constant of each interval [lefts[i], rights[i]] with pair pairs[i];
-    the keys not yet cached share one batched bracket search."""
+    the keys not yet cached share one batched search."""
     for a, b in zip(lefts, rights):
         _check_interval(a, b)
     spans = [b - a for a, b in zip(lefts, rights)]

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errbound2 import (
-    M_constant,
     M_constants,
     green_eval,
     interp2_error_bound,
@@ -759,20 +758,19 @@ def _criterion_gram():
 
 
 def _criterion_symmetric_m():
-    worst = 0.0
     span = 0.7
-    for x in (0.01, 0.5, 2.0, 10.0):
-        xi = x / span
-        got = M_constant(-xi, xi, 0.0, span).value
-        want = span ** 2 * mstar(x)
-        worst = max(worst, abs(got - want) / want)
+    xs = (0.01, 0.5, 2.0, 10.0)
+    got = M_constants([(-x / span, x / span) for x in xs], [0.0] * len(xs),
+                      [span] * len(xs))
+    worst = max(abs(c.value - span ** 2 * mstar(x)) / (span ** 2 * mstar(x))
+                for c, x in zip(got, xs))
     rng = np.random.default_rng(314)
-    cap_ok = True
-    for _ in range(100):
-        xi = float(rng.uniform(0.0, 12.0))
-        length = float(rng.uniform(0.05, 3.0))
-        val = M_constant(-xi, xi, 0.0, length).value
-        cap_ok = cap_ok and val <= length ** 2 / 8.0 * (1.0 + 1e-12)
+    draws = [(float(rng.uniform(0.0, 12.0)), float(rng.uniform(0.05, 3.0)))
+             for _ in range(100)]
+    got = M_constants([(-xi, xi) for xi, _ in draws], [0.0] * len(draws),
+                      [length for _, length in draws])
+    cap_ok = all(c.value <= length ** 2 / 8.0 * (1.0 + 1e-12)
+                 for c, (_, length) in zip(got, draws))
     ok = worst <= 1e-10 and cap_ok
     return ok, f"max relative gap {worst:.3e} (limit 1e-10), " \
                f"eighth-of-square cap {'held' if cap_ok else 'VIOLATED'}"

@@ -1,11 +1,15 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expspline import errbound2
 from expspline.errbound2 import (
     IntervalBoundData,
     M_constant,
+    M_constants,
     _bracket_search,
     green_eval,
     interp2_error_bound,
@@ -181,6 +185,44 @@ def _mp_omega_max(lam0, lam1):
     return float(max(fc, fd))
 
 
+@pytest.fixture
+def omega_calls(monkeypatch):
+    """Number of points of each _omega call made during the test."""
+    calls = []
+    real = errbound2._omega
+
+    def counting(*args):
+        calls.append(args[3].size)
+        return real(*args)
+
+    monkeypatch.setattr(errbound2, "_omega", counting)
+    return calls
+
+
+def _verify4_intervals(seed, n=513):
+    """Pairs and intervals of a verify4-style order-4 certificate: both
+    pairings of a generic quadruple (a, b, -a, -b) on every interval of a
+    uniform mesh of [0, pi], whose spans differ in their last bits."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0)
+    b = a + rng.uniform(0.5, 2.0)
+    knots = np.linspace(0.0, math.pi, n)
+    pairs = [(a, b)] * (n - 1) + [(-a, -b)] * (n - 1)
+    return pairs, np.tile(knots[:-1], 2), np.tile(knots[1:], 2)
+
+
+def _certify2_intervals(seed, n=33):
+    """Pairs and intervals of a certify2-style order-2 certificate: lengths
+    varying by up to a factor three over [-1, 1] and a pair l0 < l1 drawn
+    from [-3, 3] for every interval."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(1.0, 3.0, n - 1)
+    knots = -1.0 + 2.0 * np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+    knots[-1] = 1.0
+    pairs = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2))) for _ in range(n - 1)]
+    return pairs, knots[:-1], knots[1:]
+
+
 class TestMConstant:
     def test_symmetric_matches_closed_form(self):
         for xi_span in (0.01, 0.5, 2.0, 10.0):
@@ -193,8 +235,9 @@ class TestMConstant:
 
     def test_polynomial_value(self):
         data = M_constant(0.0, 0.0, 0.0, 1.0)
-        assert_allclose(data.value, 0.125, rtol=1e-12)
-        assert_allclose(data.t_max, 0.5, atol=1e-7)
+        assert_allclose(data.value, 0.125, rtol=1e-15)
+        assert data.value >= 0.125
+        assert data.t_max == 0.5
 
     def test_translation_invariance(self):
         base = M_constant(1.0, 2.0, 0.0, 0.3)
@@ -237,6 +280,7 @@ class TestMConstant:
         found = float(mp_omega(lam0, lam1, 0.0, 1.0, data.t_max))
         assert_allclose(found, best, rtol=1e-13)
         assert_allclose(data.value, best, rtol=value_rtol)
+        assert data.value >= best
         ts = np.linspace(0.0, 1.0, 20001)[1:-1]
         brute = np.max(omega_eval(lam0, lam1, 0.0, 1.0, ts))
         assert data.value >= brute * (1.0 - 4.0 * np.finfo(float).eps)
@@ -251,6 +295,42 @@ class TestMConstant:
         for (l0, l1), value, arg in zip(keys, values, args):
             one = _bracket_search(np.array([l0]), np.array([l1]))
             assert (one[0][0], one[1][0]) == (value, arg)
+
+    @pytest.mark.parametrize("make", [_verify4_intervals,
+                                      _certify2_intervals])
+    def test_search_points_per_cold_key(self, make, omega_calls,
+                                        monkeypatch):
+        # the coarse round, a few Newton steps and the two closing points;
+        # shrinking rounds of 17 points took about 200 per key
+        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
+        M_constants(*make(3))
+        cold = len(errbound2._m_unit_cache)
+        assert cold >= 8
+        assert sum(omega_calls) <= 40 * cold
+
+    @pytest.mark.parametrize("make", [_verify4_intervals,
+                                      _certify2_intervals])
+    def test_bounds_oracle_maximum_on_generator_keys(self, make):
+        pairs, lefts, rights = make(8)
+        keys = sorted({(l0 * (b - a), l1 * (b - a))
+                       for (l0, l1), a, b in zip(pairs, lefts, rights)})
+        for lam0, lam1 in keys[::max(1, len(keys) // 12)]:
+            value = M_constant(lam0, lam1, 0.0, 1.0).value
+            best = _mp_omega_max(lam0, lam1)
+            assert best <= value <= best * (1.0 + 1e-13)
+
+    # a plateau flat to rounding over most of the interval, the symmetric
+    # plateau, the parabola, a double pair and a near-confluent pair
+    DEGENERATE_KEYS = [(-300.0, 250.0), (-60.0, 60.0), (0.0, 0.0),
+                       (4.0, 4.0), (1.0, 1.0 + 1e-9)]
+
+    @pytest.mark.parametrize("lam0, lam1", DEGENERATE_KEYS)
+    def test_degenerate_keys_terminate(self, lam0, lam1, omega_calls):
+        # one coarse call, one call per step and one for the closing
+        # points; bisection alone needs 27 steps from the coarse bracket
+        value, arg = _bracket_search(np.array([lam0]), np.array([lam1]))
+        assert len(omega_calls) <= 30
+        assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
