@@ -4,8 +4,11 @@ The Gram matrix of a hat basis in the inner product <f, g> = int f g exp(pt)
 is tridiagonal, and every entry has a closed form in fundamental functions,
 so assembly needs no quadrature at all.  Row-sum dominance of that matrix is
 controlled by the T function of each interval; together with the S function
-it yields a certified upper bound for the projection operator norm in the sup
-norm, which is the quantity the fourth order error certificate consumes.
+and the Lebesgue sup of the hats it yields a certified upper bound for the
+projection operator norm in the sup norm, which is the quantity the fourth
+order error certificate consumes.  The sup is not sampled: on interval j the
+hats are >= 0 and sum to 1 + l0*l1*omega_j, omega_j solving L omega = -1
+with zero ends, so it comes from errbound2's interval constants M_j.
 """
 
 import math
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+from .errbound2 import M_constants
 from .expcore import _phi_rows, fundamental_eval
 from .hatbasis import SplineOrder2, _phi_ratio, group_intervals
 from .quadrature import integrate
@@ -234,34 +238,17 @@ def tridiag_solve(gram):
     return x
 
 
-def _lebesgue_sup(basis):
-    """sup over the domain of sum |H_j|, by doubling scans until stable.
-
-    The knots give exactly 1.  Inside interval i only the falling flank of
-    H_i and the rising flank of H_(i+1) are nonzero, and both depend on the
-    interval's (pair, length) key alone, so each level scans one
-    representative interval per distinct key: the first in mesh order, at
-    512, 1024, ... points, until two levels agree to 1e-6 or the grid has
-    8192 points.
-    """
-    knots = basis.knots
-    reps, _ = group_intervals(basis.pairs, basis.partition.lengths)
-    per = 512
-    prev = -math.inf
-    while True:
-        cur = 1.0
-        for i in reps:
-            lam0, lam1 = basis.pairs[i]
-            a, b = knots[i], knots[i + 1]
-            h = b - a
-            tau = np.linspace(a, b, per, endpoint=False)[1:] - a
-            total = np.abs(_phi_ratio(lam0, lam1, tau - h, -h)) \
-                + np.abs(_phi_ratio(lam0, lam1, tau, h))
-            cur = max(cur, float(np.max(total)))
-        if abs(cur - prev) <= 1e-6 * max(1.0, abs(cur)) or per >= 8192:
-            return max(cur, prev)
-        prev = cur
-        per *= 2
+def _lebesgue_sup(basis, reps):
+    """Upper bound of sup sum |H_j| from the interval constants of the keys
+    whose first intervals are reps; see operator_norm_bound."""
+    pairs, knots = basis.pairs, basis.knots
+    same = [j for j in reps if pairs[j][0] * pairs[j][1] > 0.0]
+    constants = M_constants([pairs[j] for j in same],
+                            [knots[j] for j in same],
+                            [knots[j + 1] for j in same])
+    excess = max((pairs[j][0] * pairs[j][1] * c.value
+                  for j, c in zip(same, constants)), default=0.0)
+    return (1.0 + excess) * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 def operator_norm_bound(basis, p):
@@ -269,10 +256,20 @@ def operator_norm_bound(basis, p):
 
     Three closed-form tiers cover the classical cases with p = 0: all
     polynomial pairs give 3, all symmetric pairs give 4, and pairs straddling
-    zero give an explicit rational expression.  Everything else goes through
-    the T and S ratios at +h and -h, evaluated once per distinct (pair,
-    length) key in mesh order; if some |T| reaches 1 the Gram matrix has no
-    dominance margin and DominanceError reports the first such interval.
+    zero give an explicit rational expression.  Everything else is the
+    Lebesgue sup of the hats times S / (1 - T), with T and S the ratios at +h
+    and -h, evaluated once per distinct (pair, length) key in mesh order; if
+    some |T| reaches 1 the Gram matrix has no dominance margin and
+    DominanceError reports the first such interval before any interval
+    constant is asked for.
+
+    On interval j, with pair (l0, l1) and length h, the live flanks sum to
+    u = phi(t - t_(j+1))/phi(-h) + phi(t - t_j)/phi(h), both >= 0, monotone
+    or not, as phi(t) = t e^(s t) sinhc(d t) has the sign of t.  u is in the
+    kernel of L = (D - l0)(D - l1) and 1 at both knots, and L 1 = l0*l1, so
+    sum |H| = u = 1 + l0*l1*omega_j.  The Lebesgue sup is thus 1 + max
+    l0*l1*M_j over the keys with l0*l1 > 0, M_j the interval constant, an
+    upper bound of max omega_j, rounded up by four ulps.
     """
     p = float(p)
     pairs = basis.pairs
@@ -300,7 +297,7 @@ def operator_norm_bound(basis, p):
         raise DominanceError(reps[k], float(t_key[k]))
     c_factor = float(np.max(t_key))
     s_factor = float(np.max(np.abs(s_val)))
-    return _lebesgue_sup(basis) * s_factor / (1.0 - c_factor)
+    return _lebesgue_sup(basis, reps) * s_factor / (1.0 - c_factor)
 
 
 @dataclass

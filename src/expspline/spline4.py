@@ -529,9 +529,11 @@ def _certificate_parts(part, quads, p):
     if p_res == 0.0 and all(q[0] == -q[1] and q[:2] == q[2:] for q in canon):
         return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
     basis = build_hat_basis(part, [q[:2] for q in canon])
-    norm = operator_norm_bound(basis, p_res)
+    # the interval constants first: the hats' Lebesgue sup reads the keys
+    # of the first pairing from the cache
     m2, m0 = _max_interval_constants(part, [basis.pairs,
                                             [q[2:] for q in canon]])
+    norm = operator_norm_bound(basis, p_res)
     return p_res, norm, m2, m0
 
 

@@ -6,6 +6,8 @@ through the package under test, so agreement between the two routes is
 meaningful.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -50,22 +52,26 @@ def mp_omega(lam0, lam1, a, b, t):
     Solves the two-point boundary problem directly: a particular solution of
     (D - lam0)(D - lam1) u = -1 plus the kernel span of exp(lam0 .) and the
     fundamental pair, with coefficients from a 2x2 solve in mpmath precision.
+    The kernel terms reach exp((|lam0| + |lam1|) |b - a|) and cancel down to
+    omega, so the work runs with that many more decimal digits than 50.
     """
-    lam0, lam1 = mp.mpf(lam0), mp.mpf(lam1)
-    a, b, t = mp.mpf(a), mp.mpf(b), mp.mpf(t)
-    if lam0 != 0 and lam1 != 0:
-        u = lambda x: mp.mpf(-1) / (lam0 * lam1)
-    elif lam0 == 0 and lam1 == 0:
-        u = lambda x: -(x - a) ** 2 / 2
-    else:
-        lam = lam0 if lam0 != 0 else lam1
-        u = lambda x: (x - a) / lam
-    k1 = lambda x: mp.e ** (lam0 * (x - a))
-    k2 = lambda x: mp_phi((lam0, lam1), x - a)
-    m = mp.matrix([[k1(a), k2(a)], [k1(b), k2(b)]])
-    rhs = mp.matrix([-u(a), -u(b)])
-    sol = mp.lu_solve(m, rhs)
-    return u(t) + sol[0] * k1(t) + sol[1] * k2(t)
+    load = (abs(lam0) + abs(lam1)) * abs(b - a)
+    with mp.workdps(50 + math.ceil(float(load) / math.log(10))):
+        lam0, lam1 = mp.mpf(lam0), mp.mpf(lam1)
+        a, b, t = mp.mpf(a), mp.mpf(b), mp.mpf(t)
+        if lam0 != 0 and lam1 != 0:
+            u = lambda x: mp.mpf(-1) / (lam0 * lam1)
+        elif lam0 == 0 and lam1 == 0:
+            u = lambda x: -(x - a) ** 2 / 2
+        else:
+            lam = lam0 if lam0 != 0 else lam1
+            u = lambda x: (x - a) / lam
+        k1 = lambda x: mp.e ** (lam0 * (x - a))
+        k2 = lambda x: mp_phi((lam0, lam1), x - a)
+        m = mp.matrix([[k1(a), k2(a)], [k1(b), k2(b)]])
+        rhs = mp.matrix([-u(a), -u(b)])
+        sol = mp.lu_solve(m, rhs)
+        return u(t) + sol[0] * k1(t) + sol[1] * k2(t)
 
 
 def _mp_interval_terms(quad):

@@ -267,11 +267,15 @@ class TestMConstant:
     # rounding over about a hundred of the scan points, so the last clause
     # compares rounding noise there; it holds because omega_eval uses its
     # closed form on that plateau, with rounding below an ulp, where the
-    # product of fundamental functions spreads about 15 ulps.
+    # product of fundamental functions spreads about 15 ulps.  The last
+    # three keys have |lambda*span| of several hundred: the oracle raises its
+    # precision with that load, and (-300, 250) is a wide plateau.
     ORACLE_KEYS = [(1.0, 2.0, 1e-13), (-3.0, -0.5, 1e-13),
                    (-1.0, 3.0, 1e-13), (-2.0, 2.0, 1e-13),
                    (1.0, 1.0 + 1e-9, 1e-13), (0.0, 2.5, 1e-13),
-                   (-60.0, 60.0, 1e-13), (-80.0, 3.0, 1e-13)]
+                   (-60.0, 60.0, 1e-13), (-80.0, 3.0, 1e-13),
+                   (-300.0, 250.0, 1e-13), (300.0, 300.0, 1e-13),
+                   (-300.0, -300.0, 1e-13)]
 
     @pytest.mark.parametrize("lam0, lam1, value_rtol", ORACLE_KEYS)
     def test_matches_oracle_maximum(self, lam0, lam1, value_rtol):
@@ -290,7 +294,7 @@ class TestMConstant:
         # different number of rounds, searched together and one by one
         keys = np.array([(l0, l1) for l0, l1, _ in self.ORACLE_KEYS]
                         + [(-0.3, 7.0), (4.0, 4.0), (-12.0, -0.1),
-                           (-300.0, 250.0), (0.0, 0.0), (2.5, -2.5)])
+                           (0.0, 0.0), (2.5, -2.5)])
         values, args = _bracket_search(keys[:, 0], keys[:, 1])
         for (l0, l1), value, arg in zip(keys, values, args):
             one = _bracket_search(np.array([l0]), np.array([l1]))

@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings, strategies as st
+
 from expspline import expcore, l2proj
-from expspline.hatbasis import build_hat_basis, hat_eval, interpolate2
+from expspline.errbound2 import omega_eval
+from expspline.hatbasis import (
+    build_hat_basis,
+    group_intervals,
+    hat_eval,
+    interpolate2,
+    monotone_radius,
+    sum_hats,
+)
 from expspline.l2proj import (
     DominanceError,
     GramSystem,
@@ -424,6 +434,119 @@ class TestOperatorNormBound:
         h = basis.partition.lengths[2]
         assert exc.value.t_value == max(abs(tfunc(0.5, 1.5, 0.0, h)),
                                         abs(tfunc(0.5, 1.5, 0.0, -h)))
+
+
+def _random_bases(seed, count):
+    """Non-uniform bases of three to six intervals, one pair per interval:
+    mixed-sign, same-sign of either sign, polynomial and double pairs,
+    monotone or, for every third basis, stretched past the monotone radius
+    with allow_nonmonotone=True."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        m = int(rng.integers(3, 7))
+        pairs, lengths = [], []
+        for _ in range(m):
+            kind = int(rng.integers(5))
+            if kind == 0:
+                pair = (-rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
+            elif kind == 1:
+                pair = tuple(np.sort(rng.uniform(0.1, 5.0, 2)))
+            elif kind == 2:
+                pair = tuple(np.sort(-rng.uniform(0.1, 5.0, 2)))
+            elif kind == 3:
+                pair = (0.0, 0.0)
+            else:
+                pair = (rng.uniform(-5.0, 5.0),) * 2
+            pair = tuple(float(x) for x in pair)
+            reach = min(monotone_radius(*pair), 2.0)
+            stretch = rng.uniform(1.0, 3.0) if k % 3 == 2 else 1.0
+            pairs.append(pair)
+            lengths.append(rng.uniform(0.1, 1.0) * reach * stretch)
+        knots = rng.uniform(-2.0, 2.0) + np.concatenate([[0.0],
+                                                         np.cumsum(lengths)])
+        out.append(build_hat_basis(knots, pairs,
+                                   allow_nonmonotone=k % 3 == 2))
+    return out
+
+
+_EPS = np.finfo(float).eps
+
+
+def _stiff_basis(pair):
+    """Three intervals of one pair, the longest at its monotone radius."""
+    h = min(monotone_radius(*pair), 1.0)
+    return build_hat_basis((0.0, 0.4 * h, 1.1 * h, 2.1 * h), [pair] * 3)
+
+
+def _lebesgue_factor(basis):
+    return l2proj._lebesgue_sup(
+        basis, group_intervals(basis.pairs, basis.partition.lengths)[0])
+
+
+def _dense_sum_max(basis):
+    knots = basis.knots
+    return float(np.max(sum_hats(basis,
+                                 np.linspace(knots[0], knots[-1], 20001))))
+
+
+class TestLebesgueSup:
+    @pytest.mark.parametrize("basis", _random_bases(404, 24))
+    def test_flank_sum_identity(self, basis):
+        # sum |H| = 1 + l0*l1*omega on every interval, monotone or not
+        knots = basis.knots
+        for j, (l0, l1) in enumerate(basis.pairs):
+            ts = np.linspace(knots[j], knots[j + 1], 101)[1:-1]
+            want = 1.0 + l0 * l1 * omega_eval(l0, l1, knots[j],
+                                              knots[j + 1], ts)
+            assert_allclose(sum_hats(basis, ts), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("basis", _random_bases(505, 24) + [
+        _stiff_basis(pair) for pair in
+        [(0.001, 1e5), (1e-8, 10.0), (5.0, 600.0), (-1e5, -0.001)]])
+    def test_bounds_dense_scan(self, basis):
+        scan = _dense_sum_max(basis)
+        value = _lebesgue_factor(basis)
+        assert math.isfinite(value)
+        assert value >= scan * (1.0 - 4.0 * _EPS)
+        assert value <= scan * (1.0 + 1e-6)
+
+    def test_no_same_sign_pair_gives_one(self):
+        # (0, 0) with p != 0 goes through T and S; sum |H| is 1 there
+        basis = build_hat_basis((0.0, 0.3, 1.0, 1.2),
+                                [(0.0, 0.0), (-2.0, 1.0), (0.0, 3.0)])
+        value = _lebesgue_factor(basis)
+        assert value == 1.0 + 4.0 * _EPS
+        assert value >= _dense_sum_max(basis) * (1.0 - 4.0 * _EPS)
+        assert math.isfinite(operator_norm_bound(basis, 0.5))
+
+
+_PAIRS = st.one_of(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).map(sorted),
+    st.just([0.0, 0.0]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(cells=st.lists(st.tuples(_PAIRS, st.floats(0.05, 1.0)), min_size=1,
+                      max_size=5),
+       p=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)))
+def test_norm_bound_holds_the_dense_lebesgue_sup(cells, p):
+    # random non-uniform partitions of monotone pairs: the norm bound either
+    # refuses or carries a Lebesgue factor at or above the sampled sum
+    pairs = [tuple(pair) for pair, _ in cells]
+    lengths = [f * min(monotone_radius(*pair), 2.0) for pair, f in cells]
+    basis = build_hat_basis(np.concatenate([[0.0], np.cumsum(lengths)]),
+                            pairs)
+    try:
+        norm = operator_norm_bound(basis, p)
+    except DominanceError:
+        return
+    l0, l1 = np.array(pairs).T
+    h = np.array(basis.partition.lengths)
+    c = max(np.max(np.abs(tfunc(l0, l1, p, s * h))) for s in (1.0, -1.0))
+    s_max = max(np.max(np.abs(sfunc(l0, l1, p, s * h))) for s in (1.0, -1.0))
+    assert norm * (1.0 - c) / s_max \
+        >= _dense_sum_max(basis) * (1.0 - 8.0 * _EPS)
 
 
 class TestLemmaConstant:

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import mp_interp4, mp_phi
 
-from expspline import expcore
+from expspline import errbound2, expcore
 from expspline.errbound2 import M_constant
 from expspline.expcore import (
     fundamental_derivative,
@@ -439,6 +439,23 @@ class TestErrorBound4:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_one_cold_search_per_certificate(self, monkeypatch):
+        # both pairings' interval constants are searched together, and the
+        # hats' Lebesgue sup reads the same-sign pair (1, 2) from the cache
+        searches = []
+        search = errbound2._bracket_search
+
+        def counting_search(lam0, lam1):
+            searches.append(lam0.size)
+            return search(lam0, lam1)
+
+        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
+        monkeypatch.setattr(errbound2, "_bracket_search", counting_search)
+        kn = np.array([0.0, 0.3, 0.7, 1.2])
+        error_bound4(kn, quad_frequency_set(3, quads=(1.0, 2.0, -1.0, -2.0)),
+                     None, 1.0)
+        assert searches == [6]
 
     def test_symmetric_certificate(self):
         kn = np.linspace(0.0, math.pi, 9)
