@@ -29,9 +29,7 @@ its batch, to the bit.
 """
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -279,67 +277,6 @@ def fundamental_derivative(freqs, t, order):
         if coeff[j] != 0.0:
             acc += coeff[j] * np.atleast_1d(fundamental_eval(fr[:j + 1], t_arr))
     return float(acc[0]) if scalar else acc.reshape(t_arr.shape)
-
-
-def integrate_fundamental(freqs, h):
-    """Integral of Phi_Lambda from 0 to h, equal to Phi over Lambda with an
-    appended zero frequency evaluated at h."""
-    fr = as_frequency_vector(freqs)
-    return fundamental_eval(fr + (0.0,), h)
-
-
-@dataclass(frozen=True)
-class TransformRule:
-    """Frequency transform together with its exact pointwise consequence.
-
-    The rule states fundamental_eval(freqs, t) equals
-    factor(t) * fundamental_eval(original, arg_scale * t).
-    """
-    freqs: tuple
-    arg_scale: float
-    factor: Callable
-    description: str
-
-
-def transform(freqs, kind, value=None):
-    """Return the transformed frequency vector and its scalar rule.
-
-    kind "shift" adds value to every frequency and multiplies Phi by
-    exp(value*t); "reflect" negates the frequencies, flips the argument and
-    scales by (-1)^N; "scale" multiplies frequencies by value, scales the
-    argument by value and divides by value^N.
-    """
-    fr = as_frequency_vector(freqs)
-    n_deg = len(fr) - 1
-    if kind == "shift":
-        if value is None:
-            raise ValueError("shift requires a value")
-        p = float(value)
-        return TransformRule(
-            freqs=tuple(x + p for x in fr),
-            arg_scale=1.0,
-            factor=lambda t, p=p: np.exp(p * np.asarray(t, dtype=float)),
-            description=f"shift by {p}")
-    if kind == "reflect":
-        sign = (-1.0) ** n_deg
-        return TransformRule(
-            freqs=tuple(-x for x in fr),
-            arg_scale=-1.0,
-            factor=lambda t, s=sign: np.full_like(
-                np.asarray(t, dtype=float), s, dtype=float),
-            description="reflect")
-    if kind == "scale":
-        if value is None or value == 0.0:
-            raise ValueError("scale requires a nonzero value")
-        c = float(value)
-        fac = c ** (-n_deg)
-        return TransformRule(
-            freqs=tuple(c * x for x in fr),
-            arg_scale=c,
-            factor=lambda t, f=fac: np.full_like(
-                np.asarray(t, dtype=float), f, dtype=float),
-            description=f"scale by {c}")
-    raise ValueError(f"unknown transform kind {kind!r}")
 
 
 def _monic_coefficients(freqs):

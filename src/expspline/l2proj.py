@@ -39,17 +39,6 @@ class DominanceError(RuntimeError):
             f"{t_value:.6g} >= 1")
 
 
-def inner_product_p(f, g, p, a, b, breakpoints=()):
-    """Weighted inner product int_a^b f(t) g(t) exp(p t) dt by adaptive
-    quadrature; f and g must accept arrays."""
-
-    def integrand(ts):
-        return f(ts) * g(ts) * np.exp(p * ts)
-
-    val, _ = integrate(integrand, a, b, breakpoints=breakpoints)
-    return val
-
-
 @dataclass
 class GramSystem:
     """Tridiagonal normal equations of a hat basis.

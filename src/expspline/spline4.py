@@ -1,26 +1,20 @@
 """Fourth order piecewise exponential interpolation with clamped ends.
 
-Each interval carries four frequencies; the interpolant matches values at
-every knot, first derivatives at the two ends, and is C^2 across interior
-knots.  The coefficients live in a triangular local basis of fundamental
-functions (well scaled even when frequencies nearly coincide) and come from
-one banded solve.  The spline has one representation for evaluation: a table
-of Taylor coefficients per sub-piece, read off from the first row of the
-Opitz exponential exp(tau*Z) that also gives the build its endpoint rows, so
-a derivative is the same Horner pass on shifted coefficients.  The error
-certificate combines the second order interval constants with the projection
-operator norm: the weight exponent p that ties the two frequency pairs of each
-interval together is recovered from the quadruples themselves when not
-supplied.
+The interpolant of four frequencies per interval matches the knot values
+and the two end slopes and is C^2.  Per interval, the data and G = M s at
+both ends (M from the middle pair of the sorted quadruple) weigh four local
+solutions; the knot slopes solve one tridiagonal system, refused by its
+condition estimate.  Evaluation reads a Taylor table per sub-piece.  The
+certificate combines the second order interval constants, the projection
+norm and the weight exponent p tying each interval's two pairs.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
 from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
@@ -152,17 +146,6 @@ def resolve_weight(qset):
         + (f", requested p = {qset.p}" if qset.p is not None else ""))
 
 
-def _times_z_powers(rows, quads):
-    """(e, e Z, e Z^2) stacked on axis 1 for each row e of rows (m, 4), Z =
-    diag(quad) + superdiag(1) for the quadruple of that row."""
-    out = [rows]
-    for _ in range(2):
-        nxt = out[-1] * quads
-        nxt[:, 1:] += out[-1][:, :-1]
-        out.append(nxt)
-    return np.stack(out, axis=1)
-
-
 def _derivative_table(table, order):
     """Taylor coefficients of the order-th derivative: row n becomes
     (n+1)...(n+order) times row n+order."""
@@ -187,12 +170,10 @@ def _horner(table, idx, u):
 class SplineOrder4:
     """Clamped fourth order interpolant.
 
-    On interval j, in tau = t - t_j, the spline is sum_k coeffs[j, k] times
-    the fundamental function over quads[j][:k+1], that is e(tau) . coeffs[j]
-    with e(tau) the first row of exp(tau*Z_j), Z_j = diag(quads[j]) +
-    superdiag(1).  Evaluation reads the table spline_from_coefficients
-    builds from them: every interval is cut into equal sub-pieces of width
-    w with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
+    coeffs[j] = (y_j, y_(j+1), a_j, b_j) weigh the local functions (F, R,
+    W_F, W_R) of _local_ends on interval j.  Evaluation reads the table
+    built from them: each interval is cut into equal sub-pieces of width w
+    with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
     and taylor[n, p] the n-th Taylor coefficient of the spline at starts[p].
     """
     partition: Partition
@@ -222,205 +203,214 @@ class SplineOrder4:
         return float(out[0]) if scalar else out
 
 
-def _taylor_table(part, quads, coeffs):
-    """Sub-piece starts (pieces,) and Taylor table (degree+1, pieces).
+def _local_ends(quads, lengths):
+    """Local functions of every interval, from one kernel call at h.
 
-    Interval j is cut into max(1, ceil(max|q_j| h_j / _TAYLOR_RADIUS)) equal
-    sub-pieces.  On the one starting at tau_s the spline is e(tau_s + u) c_j
-    = sum_n u^n e(tau_s) w_n with w_0 = c_j and w_(n+1) = Z_j w_n / (n+1),
-    kept to the kernel's degree _TAYLOR_TERMS + 2 for four frequencies, so
-    that, as in the kernel, the first term dropped is below 0.5^15/15!
-    relative.  e(0) is the first unit row;
-    the other e(tau_s) come from one kernel call.
+    x is the sorted quadruple, middle pair (x0, x1) first, M = (D - x0)(D -
+    x1).  On [0, h], R = phi_m(tau)/phi_m(h) is the right flank of M, W_R =
+    (Phi_x(tau) - Phi_x(h) R)/phi_o(h) solves M W = phi_o(tau)/phi_o(h)
+    with zero ends (phi_o over (x2, x3)), and F, W_F are those of -x at h -
+    tau, as Phi_x(-t) = (-1)^k Phi_(-x)(t) over k+1 frequencies.  Returns
+    orders (2, m, 4), x and -x; weights (2, m, 2, 4), (R, W_R) and (F, W_F)
+    in their prefix functions; derivs (4, 2, 4, m), orders 0..3 of (F, R,
+    W_F, W_R) at tau = 0 and h, W_R' from Phi' = x1 Phi + Phi_(x0, x2, x3)
+    and phi_m' = x1 phi_m + exp(x0 tau) so that no large terms cancel.
     """
-    knots = np.array(part.knots)
-    lengths = np.array(part.lengths)
-    q = np.array(quads.quads)
-    counts = np.maximum(1, np.ceil(np.abs(q).max(axis=1) * lengths
+    keys, back = np.unique(np.column_stack([np.sort(quads, axis=1),
+                                            lengths]), axis=0,
+                           return_inverse=True)
+    fwd = keys[:, [1, 2, 0, 3]]
+    orders = np.stack([fwd, -fwd[:, [1, 0, 3, 2]]])
+    e = _phi_corner_batch(np.concatenate([*orders,
+                                          *orders[..., [2, 3, 0, 1]]]),
+                          np.tile(keys[:, 4], 4))
+    e_h, e_o = e.reshape(2, 2, -1, 4)[:, :, back.ravel()]
+    orders = orders[:, back.ravel()]
+    x0, x1, _, x3 = np.moveaxis(orders, 2, 0)
+    inv_m, inv_o = 1.0 / e_h[..., 1], 1.0 / e_o[..., 1]
+    ratio = e_h[..., 3] * inv_m
+    weights = np.zeros(orders.shape[:2] + (2, 4))
+    weights[..., 0, 1], weights[..., 1, 3] = inv_m, inv_o
+    weights[..., 1, 1] = -ratio * inv_o
+    # d[order, end, (R, W_R), side, j]; load = M (R, W_R)
+    d = np.zeros((4, 2, 2) + inv_m.shape)
+    load = np.zeros(d.shape)
+    d[0, 1, 0] = load[0, 1, 1] = 1.0
+    d[1, :, 0] = inv_m, x1 + e_h[..., 0] * inv_m
+    d[1, :, 1] = -ratio * inv_o, (e_o[..., 2] - ratio * e_h[..., 0]) * inv_o
+    load[1, :, 1] = inv_o, x3 + e_o[..., 0] * inv_o
+    for r in (2, 3):
+        d[r] = load[r - 2] + (x0 + x1) * d[r - 1] - x0 * x1 * d[r - 2]
+    # in tau the reflected side swaps its ends and D changes sign
+    d[..., 1, :] = d[:, ::-1, :, 1] * np.array([1.0, -1.0, 1.0, -1.0])[
+        :, None, None, None]
+    return orders, weights, np.stack([d[:, :, 0, 1], d[:, :, 0, 0],
+                                      d[:, :, 1, 1], d[:, :, 1, 0]], axis=2)
+
+
+def _taylor_rows(x, state):
+    """Taylor coefficients (_TAYLOR_TERMS + 3, N) at 0 of the kernel
+    functions of x (N, 4) with derivatives state (N, 4) of orders 0..3 there:
+    (w_n)_0 with w_(n+1) = Z w_n / (n+1), w_0 the weights on the prefix
+    functions, (D - x_(k-1))...(D - x_0) of the function at 0 (D - x_0
+    takes x_0 out of every prefix).  The first term dropped is below
+    0.5^15/15! relative for max|x| u <= _TAYLOR_RADIUS, as in the kernel."""
+    v, w = state.T, []
+    for xk in x.T:
+        w.append(v[0])
+        v = v[1:] - xk * v[:-1]
+    w = np.stack(w, axis=1)
+    taylor = np.empty((_TAYLOR_TERMS + 3, x.shape[0]))
+    for n in range(len(taylor)):
+        taylor[n] = w[:, 0]
+        nxt = x * w
+        nxt[:, :-1] += w[:, 1:]
+        w = nxt / (n + 1)
+    return taylor
+
+
+def _assemble(part, quads, coeffs, ends):
+    """SplineOrder4 whose sub-pieces get _taylor_rows of the spline's
+    derivatives at their starts: on the first of an interval from derivs
+    at tau = 0, on the last from the series at tau = h run back, so the
+    knots read the end values the build solved with, and elsewhere from
+    each side, e(tau) Z^r (weights . (y_(j+1), b_j)) and the same in h -
+    tau with -Z for (y_j, a_j), e from one kernel call."""
+    orders, weights, derivs = ends
+    knots, lengths = np.array(part.knots), np.array(part.lengths)
+    counts = np.maximum(1, np.ceil(np.abs(orders[0]).max(axis=1) * lengths
                                    / _TAYLOR_RADIUS)).astype(int)
-    owner = np.repeat(np.arange(len(lengths)), counts)
+    owner = np.repeat(np.arange(lengths.size), counts)
     sub = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    taus = sub * (lengths / counts)[owner]
-    e = np.zeros((owner.size, 4))
-    e[:, 0] = 1.0
-    inner = sub > 0
-    if inner.any():
-        e[inner] = _phi_corner_batch(q[owner[inner]], taus[inner])
-    w = np.empty((_TAYLOR_TERMS + 3,) + coeffs.shape)
-    w[0] = coeffs
-    for n in range(1, len(w)):
-        w[n] = q * w[n - 1]
-        w[n][:, :-1] += w[n - 1][:, 1:]
-        w[n] /= n
-    return knots[owner] + taus, np.einsum("pk,npk->np", e, w[:, owner])
+    starts = knots[owner] + sub * (lengths / counts)[owner]
+    # offsets from the stored starts: evaluation meets each series there
+    tau, rest = starts - knots[owner], knots[owner + 1] - starts
+    state = np.empty((owner.size, 4))
+    state[sub == 0] = np.einsum("jk,rkj->jr", coeffs, derivs[:, 0])
+    last = np.flatnonzero(sub == counts[owner] - 1)[counts > 1]
+    if last.size:
+        j = owner[last]
+        at_h = _taylor_rows(orders[0, j], np.einsum("jk,rkj->jr", coeffs[j],
+                                                    derivs[:, 1][..., j]))
+        state[last] = np.stack([_horner(_derivative_table(at_h, r),
+                                        np.arange(j.size), -rest[last])
+                                for r in range(4)], axis=1)
+    inner = np.flatnonzero((sub > 0) & (sub < counts[owner] - 1))
+    if inner.size:
+        j = owner[inner]
+        e = _phi_corner_batch(np.concatenate([orders[0, j], orders[1, j]]),
+                              np.concatenate([tau[inner], rest[inner]]))
+        c = np.einsum("jfs,sjfk->sjk", coeffs[j].reshape(-1, 2, 2)[..., ::-1],
+                      weights[:, j])
+        for r in range(4):
+            state[inner, r] = np.einsum("spk,spk->p", e.reshape(c.shape), c)
+            nxt = orders[:, j] * c
+            nxt[..., :-1] += c[..., 1:]
+            c = nxt * np.array([1.0, -1.0])[:, None, None]
+    return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
+                        starts=starts,
+                        taylor=_taylor_rows(orders[0, owner], state))
 
 
-def spline_from_coefficients(partition, quads, coeffs):
-    """Assemble a SplineOrder4 from raw local-basis coefficients, one row of
-    four per interval; this is the reload path for serialized splines."""
+def _checked(partition, quads):
+    """(Partition, QuadFrequencySet) with one quadruple per interval."""
     part = _coerce_partition(partition)
     m = part.n - 1
     if not isinstance(quads, QuadFrequencySet):
         quads = quad_frequency_set(m, quads=quads)
     if len(quads.quads) != m:
         raise ValueError(f"need {m} quadruples, got {len(quads.quads)}")
-    coeffs = np.asarray(coeffs, dtype=float).reshape(m, 4)
+    return part, quads
+
+
+def spline_from_coefficients(partition, quads, coeffs):
+    """Assemble a SplineOrder4 from its coefficients (y_j, y_(j+1), a_j,
+    b_j), one row per interval; the reload path for serialized splines."""
+    part, quads = _checked(partition, quads)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(part.n - 1, 4)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
-    starts, taylor = _taylor_table(part, quads, coeffs)
-    return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
-                        starts=starts, taylor=taylor)
-
-
-def _endpoint_rows(qset, lengths):
-    """Local basis rows at both ends of every interval, orders 0..2.
-
-    Returns (at_zero, at_h), each of shape (m, 3, 4), with entry [j, r, k]
-    the r-th derivative of the fundamental function over quads[j][:k+1] at
-    tau = 0 and tau = h_j: the rows e(0) Z_j^r and e(h_j) Z_j^r, e(tau)
-    being the first row of exp(tau*Z_j).  e(h_j) comes from one kernel call
-    over the distinct (quadruple, length) keys, so neither the calls nor
-    their size grow with a mesh of repeated keys.
-    """
-    q = np.array(qset.quads)
-    keys, back = np.unique(np.column_stack([q, lengths]), axis=0,
-                           return_inverse=True)
-    e_h = _phi_corner_batch(keys[:, :4], keys[:, 4])[back.ravel()]
-    e_0 = np.zeros_like(e_h)
-    e_0[:, 0] = 1.0
-    return _times_z_powers(e_0, q), _times_z_powers(e_h, q)
-
-
-def _banded_lu_solve(rows, cols, vals, rhs):
-    """Solve the (4, 4)-banded system given by its nonzero triplets.
-
-    One LAPACK LU factorization (gbtrf) serves both the solve (gbtrs) and
-    the 1-norm condition estimate (gbcon).  Returns (x, cond); an exactly
-    singular factor gives x = NaN and cond = inf.
-    """
-    n = len(rhs)
-    ab = np.zeros((13, n))
-    ab[8 + rows - cols, cols] = vals
-    anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
-    lu, piv, info = dgbtrf(ab, 4, 4, overwrite_ab=True)
-    if info != 0:
-        return np.full(n, np.nan), math.inf
-    x, _ = dgbtrs(lu, 4, 4, rhs, piv)
-    rcond, _ = dgbcon(4, 4, lu, piv, anorm)
-    return x, (1.0 / rcond if rcond > 0.0 else math.inf)
+    ends = _local_ends(np.array(quads.quads), np.array(part.lengths))
+    return _assemble(part, quads, coeffs, ends)
 
 
 def build_interpolant4(partition, quads, values, d_left, d_right):
     """Interpolate values at the knots with clamped end slopes.
 
-    Sets up the 4(n-1) banded system: both endpoint values per interval,
-    first and second derivative continuity at interior knots, and the two
-    clamp equations.  The system is factored once by banded LU, which also
-    gives the LAPACK 1-norm condition estimate; at every size an estimate
-    at or above 1e12 triggers a warning and a re-solve in interval-scaled
-    variables.  The accepted solution must pass a residual check at 1e-10
-    relative to the system, and the interpolation and clamp rows must meet
-    the data to 1e-10 relative to max(1, |values|, |d_left|, |d_right|);
-    otherwise LinAlgError is raised.
+    On interval j the spline is y_j F + y_(j+1) R + a_j W_F + b_j W_R
+    (_local_ends), and a 2x2 solve turns its end slopes into (a_j, b_j) =
+    (G(t_j+), G(t_(j+1)-)), G = M s.  The unknowns are the knot slopes m_k,
+    m_0 and m_(n-1) the clamps; C^2 at t_k reads b_(k-1) + sigma_(k-1) m_k
+    - pi_(k-1) y_k = a_k + sigma_k m_k - pi_k y_k, sigma and pi the sum and
+    product of M's pair.  LinAlgError refuses the system when its gtcon
+    condition estimate reaches 1e12, and the spline when its table is not
+    finite, misses the knot values and clamps by 1e-12 of max(1, |data|)
+    or its C^2 joins by 1e-10 of 1 + max|coeffs|.
     """
-    part = _coerce_partition(partition)
-    m = part.n - 1
-    if not isinstance(quads, QuadFrequencySet):
-        quads = quad_frequency_set(m, quads=quads)
-    if len(quads.quads) != m:
-        raise ValueError(f"need {m} quadruples, got {len(quads.quads)}")
+    part, quads = _checked(partition, quads)
     values = np.asarray(values, dtype=float)
     if values.shape != (part.n,):
         raise ValueError(f"need {part.n} values, got shape {values.shape}")
-    d_left = float(d_left)
-    d_right = float(d_right)
-    if not np.all(np.isfinite(values)) or not math.isfinite(d_left) \
-            or not math.isfinite(d_right):
+    d_left, d_right = float(d_left), float(d_right)
+    if not np.all(np.isfinite([*values, d_left, d_right])):
         raise ValueError("data must be finite")
 
-    lengths = np.array(part.lengths)
-    nuk = 4 * m
-    at_zero, at_h = _endpoint_rows(quads, lengths)
-    inner = np.arange(1, m)
-    ends = np.arange(m)
-    # (row, interval, four entries) blocks: value and clamp at the left
-    # end; per interior knot i the value from the right interval and its
-    # side of the C^1, C^2 joins; value and slope at every right end (the
-    # last slope row is the right clamp); the left side of the C^2 joins.
-    blocks = [
-        ([0], [0], at_zero[:1, 0]),
-        ([1], [0], at_zero[:1, 1]),
-        (4 * inner + 1, inner, at_zero[1:, 0]),
-        (4 * inner - 1, inner, -at_zero[1:, 1]),
-        (4 * inner, inner, -at_zero[1:, 2]),
-        (4 * ends + 2, ends, at_h[:, 0]),
-        (4 * ends + 3, ends, at_h[:, 1]),
-        (4 * inner, inner - 1, at_h[:-1, 2]),
-    ]
-    rows_a = np.concatenate([np.repeat(r, 4) for r, _, _ in blocks])
-    cols_a = np.concatenate([(4 * np.asarray(j)[:, None] + np.arange(4))
-                             .ravel() for _, j, _ in blocks])
-    vals_a = np.concatenate([v.ravel() for _, _, v in blocks])
-    live = vals_a != 0.0
-    rows_a, cols_a, vals_a = rows_a[live], cols_a[live], vals_a[live]
-    if not np.all(np.isfinite(vals_a)):
+    ends = _local_ends(np.array(quads.quads), np.array(part.lengths))
+    (d0, dh), y0, y1 = ends[2][1], values[:-1], values[1:]
+    # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
+    inv = np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]]) \
+        / (d0[2] * dh[3] - d0[3] * dh[2])
+    known = np.array([y0 * d0[0] + y1 * d0[1], y0 * dh[0] + y1 * dh[1]])
+    x0, x1 = ends[0][0, :, :2].T
+    sigma, pi = x0 + x1, x0 * x1
+    # row k couples (m_(k-1), m_k, m_(k+1)): the clamps, C^2 at the others
+    rows = np.zeros((3, part.n))
+    rows[:, 1:-1] = (inv[1, 0, :-1], inv[1, 1, :-1] - inv[0, 0, 1:]
+                     + sigma[:-1] - sigma[1:], -inv[0, 1, 1:])
+    rows[1, [0, -1]] = 1.0
+    slopes, cond = _tridiagonal_solve(rows, np.concatenate([
+        [d_left], (pi[:-1] - pi[1:]) * y1[:-1]
+        + np.sum(inv[1, :, :-1] * known[:, :-1], axis=0)
+        - np.sum(inv[0, :, 1:] * known[:, 1:], axis=0), [d_right]]))
+    a, b = np.einsum("ikj,kj->ij", inv, np.array([slopes[:-1], slopes[1:]])
+                     - known)
+    spline = _assemble(part, quads, np.column_stack([y0, y1, a, b]), ends)
+    # rounding at the right ends and joins grows with the local functions
+    # (like exp(min|l| h) for a same-sign pair) and with the coefficients
+    left, right = _knot_readback(spline)
+    miss = max(np.max(np.abs(right[:, 0] - y0)), abs(left[-1, 0] - y1[-1]),
+               abs(right[0, 1] - d_left), abs(left[-1, 1] - d_right))
+    scale = max(1.0, np.max(np.abs(values)), abs(d_left), abs(d_right))
+    jump = np.max(np.abs(left[:-1] - right[1:]), initial=0.0)
+    if not (np.all(np.isfinite(spline.taylor)) and miss * _COND_MAX <= scale
+            and jump <= _RESIDUAL_RTOL * (1 + np.max(np.abs(spline.coeffs)))):
         raise np.linalg.LinAlgError(
-            "system entries overflowed; frequencies too large for the mesh")
-    rhs = np.zeros(nuk)
-    rhs[0] = values[0]
-    rhs[1] = d_left
-    rhs[4 * inner + 1] = values[1:m]
-    rhs[4 * ends + 2] = values[1:]
-    rhs[nuk - 1] = d_right
-    data_rows = np.ones(nuk, dtype=bool)
-    data_rows[4 * inner - 1] = False
-    data_rows[4 * inner] = False
-    data_scale = max(1.0, float(np.max(np.abs(values))), abs(d_left),
-                     abs(d_right))
+            f"order-4 interpolant is not finite or misses its data by "
+            f"{miss:.3e} (data scale {scale:.3g}) or its C^2 joins by "
+            f"{jump:.3e}; condition estimate {cond:.3g}")
+    return spline
 
-    def residual(x):
-        r = -rhs
-        np.add.at(r, rows_a, vals_a * x[cols_a])
-        return r
 
-    def residual_inf(x):
-        return float(np.max(np.abs(residual(x))))
-
-    row_sums = np.zeros(nuk)
-    np.add.at(row_sums, rows_a, np.abs(vals_a))
-
-    def residual_tol(x):
-        scale = float(np.max(row_sums)) * float(np.max(np.abs(x))) \
-            + float(np.max(np.abs(rhs)))
-        return _RESIDUAL_RTOL * max(scale, 1e-300)
-
-    x, cond_est = _banded_lu_solve(rows_a, cols_a, vals_a, rhs)
-    bad = not np.all(np.isfinite(x)) or residual_inf(x) > residual_tol(x)
-    if bad or cond_est >= _COND_MAX:
-        warnings.warn(
-            f"order-4 system is ill conditioned (estimate {cond_est:.3g}); "
-            "re-solving in interval-scaled variables", RuntimeWarning)
-        col_scale = np.repeat(lengths, 4) ** np.tile(np.arange(4.0), m)
-        scaled = vals_a * col_scale[cols_a]
-        row_max = np.zeros(nuk)
-        np.maximum.at(row_max, rows_a, np.abs(scaled))
-        row_max[row_max == 0.0] = 1.0
-        y, _ = _banded_lu_solve(rows_a, cols_a, scaled / row_max[rows_a],
-                                rhs / row_max)
-        x2 = col_scale * y
-        if np.all(np.isfinite(x2)) and (not np.all(np.isfinite(x))
-                                        or residual_inf(x2) < residual_inf(x)):
-            x = x2
-    finite = np.all(np.isfinite(x))
-    r = np.abs(residual(x)) if finite else np.full(nuk, math.inf)
-    res, data_res = float(np.max(r)), float(np.max(r[data_rows]))
-    if not finite or res > residual_tol(x) \
-            or data_res > _RESIDUAL_RTOL * data_scale:
+def _tridiagonal_solve(rows, rhs):
+    """(x, cond) for the tridiagonal system with rows[:, i] = (a_(i,i-1),
+    a_ii, a_(i,i+1)) scaled to largest entries 1, by one LAPACK LU (gttrf)
+    that also gives the infinity-norm condition estimate (gtcon)."""
+    n = rhs.size
+    # the gttrf wrapper needs three unknowns: pad with identity rows
+    pad = max(0, 3 - n)
+    rows = np.hstack([rows, np.tile([[0.0], [1.0], [0.0]], (1, pad))])
+    scale = np.abs(rows).max(axis=0)
+    rows /= scale
+    lu = dgttrf(rows[0, 1:], rows[1], rows[2, :-1])
+    rcond = dgtcon(*lu[:-1], np.abs(rows).sum(axis=0).max(), norm="I")[0] \
+        if lu[-1] == 0 else 0.0
+    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    if not cond < _COND_MAX:
         raise np.linalg.LinAlgError(
-            f"order-4 interpolation system residual {res:.3e} (data rows "
-            f"{data_res:.3e} against data scale {data_scale:.3g}) exceeds "
-            f"tolerance; condition estimate {cond_est:.3g}")
-    return spline_from_coefficients(part, quads, x.reshape(m, 4))
+            f"order-4 slope system is ill conditioned: condition estimate "
+            f"{cond:.3g} reaches {_COND_MAX:.0e}")
+    b = np.append(rhs, np.zeros(pad)) / scale
+    return dgttrs(*lu[:-1], b)[0][:n], cond
 
 
 def spline4_eval(s, t, order=0):
@@ -428,17 +418,25 @@ def spline4_eval(s, t, order=0):
     return s(t, order=order)
 
 
+def _knot_readback(s):
+    """Derivatives of orders 0..2 at the knots, each (n-1, 3): from the
+    left, the last sub-piece of each interval run to its right end; from
+    the right, the first sub-piece of each interval."""
+    knots = np.array(s.knots)
+    first = np.searchsorted(s.starts, knots[:-1])
+    last = np.append(first[1:], s.starts.size) - 1
+    table, every = s.taylor[:, last], np.arange(last.size)
+    left = np.stack([_horner(_derivative_table(table, r), every,
+                             knots[1:] - s.starts[last]) for r in range(3)],
+                    axis=1)
+    return left, s.taylor[:3, first].T * np.array([1.0, 1.0, 2.0])
+
+
 def smoothness_report(s):
     """Jump magnitudes |left - right| of value, first and second derivative
     at the interior knots, as an (n-2, 3) array; empty for one interval."""
-    inner = np.array(s.knots[1:-1])
-    first = np.searchsorted(s.starts, inner)
-    out = np.empty((inner.size, 3))
-    for r in range(3):
-        table = _derivative_table(s.taylor, r)
-        left = _horner(table, first - 1, inner - s.starts[first - 1])
-        out[:, r] = np.abs(left - table[0][first])
-    return out
+    left, right = _knot_readback(s)
+    return np.abs(left[:-1] - right[1:])
 
 
 def _match_op_pairs(qset, basis, p):
@@ -510,13 +508,9 @@ class BoundCertificate:
 
 
 def _certificate_parts(part, quads, p):
-    """Resolve the pairing and return (norm_bound, m2_max, m0_max) with the
+    """Resolve the pairing and return (p, norm_bound, m2_max, m0_max), the
     closed-form tiers short-circuiting the generic machinery."""
-    if not isinstance(quads, QuadFrequencySet):
-        quads = quad_frequency_set(part.n - 1, quads=quads)
-    if len(quads.quads) != part.n - 1:
-        raise ValueError(
-            f"need {part.n - 1} quadruples, got {len(quads.quads)}")
+    _, quads = _checked(part, quads)
     if p is not None and quads.p is not None \
             and float(p) != float(quads.p):
         raise ValueError("conflicting weight exponents")

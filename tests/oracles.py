@@ -1,15 +1,16 @@
 """Independent high-precision oracles shared by the test modules.
 
 Everything here is deliberately implemented from first principles (divided
-difference tables, mpmath quadrature, sign counts of samples) rather than
-through the package under test, so agreement between the two routes is
-meaningful.
+difference tables, mpmath and QUADPACK quadrature, sign counts of samples)
+rather than through the package under test, so agreement between the two
+routes is meaningful.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
 
 mp.mp.dps = 50
 
@@ -44,6 +45,21 @@ def mp_phi_pair(lam0, lam1, t):
 def mp_weighted_integral(f, a, b):
     """mpmath quadrature over [a, b] of a callable built from mpf arithmetic."""
     return mp.quad(f, [mp.mpf(a), mp.mpf(b)])
+
+
+def inner_product_p(f, g, p, a, b, breakpoints=()):
+    """Weighted inner product int_a^b f(t) g(t) exp(p t) dt by QUADPACK's
+    adaptive quadrature, split at the breakpoints inside (a, b); f and g
+    must accept arrays."""
+
+    def integrand(t):
+        ts = np.array([t])
+        return float(f(ts)[0] * g(ts)[0]) * math.exp(p * t)
+
+    points = [x for x in breakpoints if a < x < b]
+    val, _ = quad(integrand, a, b, points=points or None, epsabs=1e-13,
+                  epsrel=1e-12, limit=200)
+    return val
 
 
 def mp_omega(lam0, lam1, a, b, t):
@@ -104,54 +120,65 @@ def _mp_terms_eval(terms, tau):
 
 def mp_interp4(knots, quads, values, d_left, d_right):
     """Clamped order-4 interpolant via a dense extended-precision solve in
-    the raw exponential basis; returns eval(t, order)."""
-    knots = [mp.mpf(x) for x in knots]
-    m = len(knots) - 1
-    basis = []
-    for j in range(m):
-        d0 = _mp_interval_terms(quads[j])
-        d1 = [_mp_terms_diff(f) for f in d0]
-        d2 = [_mp_terms_diff(f) for f in d1]
-        basis.append((d0, d1, d2))
-    nuk = 4 * m
-    a = mp.zeros(nuk, nuk)
-    rhs = mp.zeros(nuk, 1)
+    the raw exponential basis; returns eval(t, order).
 
-    def put(r, j, deriv, tau, sign=1):
-        for k in range(4):
-            a[r, 4 * j + k] += sign * _mp_terms_eval(basis[j][deriv][k], tau)
+    The basis reaches exp(max|lambda| h) on an interval of length h and the
+    solution cancels it twice over, so the solve and every evaluation run
+    with that many more decimal digits than 50, twice.
+    """
+    load = max(abs(x) for q in quads for x in q) \
+        * max(b - a for a, b in zip(knots[:-1], knots[1:]))
+    digits = 50 + math.ceil(2.0 * float(load) / math.log(10))
+    with mp.workdps(digits):
+        knots = [mp.mpf(x) for x in knots]
+        m = len(knots) - 1
+        basis = []
+        for j in range(m):
+            d0 = _mp_interval_terms(quads[j])
+            d1 = [_mp_terms_diff(f) for f in d0]
+            d2 = [_mp_terms_diff(f) for f in d1]
+            basis.append((d0, d1, d2))
+        nuk = 4 * m
+        a = mp.zeros(nuk, nuk)
+        rhs = mp.zeros(nuk, 1)
 
-    put(0, 0, 0, 0)
-    rhs[0] = mp.mpf(values[0])
-    put(1, 0, 1, 0)
-    rhs[1] = mp.mpf(d_left)
-    for i in range(1, m):
-        h = knots[i] - knots[i - 1]
-        r = 4 * i - 2
-        put(r, i - 1, 0, h)
-        rhs[r] = mp.mpf(values[i])
-        put(r + 1, i - 1, 1, h)
-        put(r + 1, i, 1, 0, sign=-1)
-        put(r + 2, i - 1, 2, h)
-        put(r + 2, i, 2, 0, sign=-1)
-        put(r + 3, i, 0, 0)
-        rhs[r + 3] = mp.mpf(values[i])
-    h = knots[m] - knots[m - 1]
-    put(nuk - 2, m - 1, 0, h)
-    rhs[nuk - 2] = mp.mpf(values[m])
-    put(nuk - 1, m - 1, 1, h)
-    rhs[nuk - 1] = mp.mpf(d_right)
-    coef = mp.lu_solve(a, rhs)
+        def put(r, j, deriv, tau, sign=1):
+            for k in range(4):
+                a[r, 4 * j + k] += sign * _mp_terms_eval(basis[j][deriv][k],
+                                                         tau)
+
+        put(0, 0, 0, 0)
+        rhs[0] = mp.mpf(values[0])
+        put(1, 0, 1, 0)
+        rhs[1] = mp.mpf(d_left)
+        for i in range(1, m):
+            h = knots[i] - knots[i - 1]
+            r = 4 * i - 2
+            put(r, i - 1, 0, h)
+            rhs[r] = mp.mpf(values[i])
+            put(r + 1, i - 1, 1, h)
+            put(r + 1, i, 1, 0, sign=-1)
+            put(r + 2, i - 1, 2, h)
+            put(r + 2, i, 2, 0, sign=-1)
+            put(r + 3, i, 0, 0)
+            rhs[r + 3] = mp.mpf(values[i])
+        h = knots[m] - knots[m - 1]
+        put(nuk - 2, m - 1, 0, h)
+        rhs[nuk - 2] = mp.mpf(values[m])
+        put(nuk - 1, m - 1, 1, h)
+        rhs[nuk - 1] = mp.mpf(d_right)
+        coef = mp.lu_solve(a, rhs)
 
     def evaluate(t, order=0):
-        t = mp.mpf(t)
-        j = 0
-        while j < m - 1 and t >= knots[j + 1]:
-            j += 1
-        tau = t - knots[j]
-        terms = basis[j][order]
-        return mp.fsum(coef[4 * j + k] * _mp_terms_eval(terms[k], tau)
-                       for k in range(4))
+        with mp.workdps(digits):
+            t = mp.mpf(t)
+            j = 0
+            while j < m - 1 and t >= knots[j + 1]:
+                j += 1
+            tau = t - knots[j]
+            terms = basis[j][order]
+            return +mp.fsum(coef[4 * j + k] * _mp_terms_eval(terms[k], tau)
+                            for k in range(4))
 
     return evaluate
 

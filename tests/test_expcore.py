@@ -13,11 +13,8 @@ from expspline.expcore import (
     convolution_check,
     fundamental_derivative,
     fundamental_eval,
-    integrate_fundamental,
     operator_apply,
-    transform,
 )
-from expspline.quadrature import integrate
 
 from oracles import count_sign_changes, mp_phi
 
@@ -228,38 +225,24 @@ class TestDerivative:
             fundamental_derivative((1.0,), 0.5, -1)
 
 
-class TestIntegralAndTransforms:
-    def test_polynomial_integral(self):
-        assert_allclose(integrate_fundamental((0.0, 0.0), 1.0), 0.5,
-                        rtol=1e-14)
-
-    def test_integral_matches_quadrature(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            freqs = tuple(rng.uniform(-3.0, 3.0, 2))
-            h = rng.uniform(0.1, 2.0)
-            ref, _ = integrate(lambda ts: fundamental_eval(freqs, ts), 0.0, h)
-            assert_allclose(integrate_fundamental(freqs, h), ref, rtol=1e-9)
-
-    def test_transform_identities_pointwise(self):
-        freqs = (0.5, -1.5, 2.0)
-        ts = np.linspace(-1.5, 1.5, 11)
-        for kind, value in (("shift", 0.7), ("reflect", None), ("scale", 1.3),
-                            ("scale", -0.6)):
-            rule = transform(freqs, kind, value)
-            lhs = fundamental_eval(rule.freqs, ts)
-            rhs = rule.factor(ts) * fundamental_eval(
-                freqs, rule.arg_scale * ts)
-            assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15,
-                            err_msg=f"kind={kind}")
-
-    def test_transform_validation(self):
-        with pytest.raises(ValueError):
-            transform((1.0,), "scale", 0.0)
-        with pytest.raises(ValueError):
-            transform((1.0,), "shear", 1.0)
-        with pytest.raises(ValueError):
-            transform((1.0,), "shift")
+class TestReflection:
+    # Phi_(q[:k+1])(-t) = (-1)^k Phi_(-q[:k+1])(t): the order-4 build reads
+    # its left-end local functions from the negated quadruple this way
+    @pytest.mark.parametrize("quad", [
+        (0.3, -1.1, -1.0, 0.4),
+        (2.0, -2.0, 2.0, -2.0),
+        (1.0, 1.0 + 3e-8, -1.0, -1.0 - 3e-8),
+        (300.0, 301.0, -300.0, -301.0),
+        (-120.0, -100.0, 100.0, 120.0),
+    ])
+    def test_reflected_kernel_at_negative_t(self, quad):
+        ts = np.array([0.01, 0.1, 0.39, 1.0])
+        ts = ts[max(map(abs, quad)) * ts <= 150.0]
+        rows = np.tile(-np.array(quad), (ts.size, 1))
+        got = _phi_corner_batch(rows, ts) * (-1.0) ** np.arange(4)
+        for i, t in enumerate(ts):
+            want = [float(mp_phi(quad[:k + 1], -t)) for k in range(4)]
+            assert_allclose(got[i], want, rtol=1e-13, err_msg=f"t={t}")
 
 
 class TestOperatorApply:

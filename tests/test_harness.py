@@ -31,7 +31,11 @@ from expspline.harness import (
 )
 from expspline.hatbasis import Partition, build_hat_basis
 from expspline.l2proj import project
-from expspline.spline4 import quad_frequency_set, resolve_weight
+from expspline.spline4 import (
+    quad_frequency_set,
+    resolve_weight,
+    spline_from_coefficients,
+)
 
 
 SIN2_CONFIG = {"function": "sin", "domain": [0.0, math.pi],
@@ -549,6 +553,14 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert len(doc["coefficients"]) == 8
         assert doc["p"] == 0.0
+        # the rows (y_j, y_(j+1), G(t_j+), G(t_(j+1)-)) reload into the
+        # spline the grid was printed from
+        spline = spline_from_coefficients(doc["knots"], doc["quads"],
+                                          doc["coefficients"])
+        grid = np.linspace(doc["knots"][0], doc["knots"][-1], 5)
+        for t, line in zip(grid, lines[1:]):
+            assert line.split(",") == ["%.12g" % v for v in (
+                t, *(spline(t, order=r) for r in range(3)))]
 
     def test_interp2_requires_order2_config(self, tmp_path):
         proc = _cli(["interp2"], SIN4_CONFIG, tmp_path)

@@ -25,7 +25,6 @@ from expspline.l2proj import (
     abcd_quadrature,
     dominance_factor,
     gram_assemble,
-    inner_product_p,
     lemma_constant,
     operator_norm_bound,
     project,
@@ -33,6 +32,8 @@ from expspline.l2proj import (
     sfunc,
     tridiag_solve,
 )
+
+from oracles import inner_product_p
 
 
 class TestTSFunctions:

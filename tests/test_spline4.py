@@ -1,14 +1,16 @@
 """Tests for clamped fourth order interpolation: frequency set resolution,
-the banded construction against an extended-precision oracle, the Taylor
-table that evaluates it, smoothness, orthogonality, and the assembled error
-certificates."""
+the slope-system construction against an extended-precision oracle, the
+Taylor table that evaluates it, smoothness, orthogonality, and the assembled
+error certificates."""
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -17,11 +19,7 @@ from oracles import mp_interp4, mp_phi
 
 from expspline import errbound2, expcore
 from expspline.errbound2 import M_constant
-from expspline.expcore import (
-    fundamental_derivative,
-    fundamental_eval,
-    operator_apply,
-)
+from expspline.expcore import fundamental_derivative, operator_apply
 from expspline.harness import get_test_function, max_abs_L, measure_error
 from expspline.hatbasis import build_hat_basis
 from expspline.l2proj import operator_norm_bound
@@ -38,6 +36,21 @@ from expspline.spline4 import (
     spline4_eval,
     spline_from_coefficients,
 )
+
+
+def _assert_matches_oracle(s, ref, count, rtol, dtol):
+    """Values within rtol of max(1, |ref|), first and second derivatives
+    within dtol of max(1, max|ref_r|), at count points of the knot range;
+    returns max(1, max|ref_r|) for r = 0, 1, 2."""
+    ts = np.linspace(s.knots[0], s.knots[-1], count)
+    scales = []
+    for order, tol in ((0, rtol), (1, dtol), (2, dtol)):
+        want = np.array([float(ref(float(t), order)) for t in ts])
+        scales.append(max(1.0, float(np.max(np.abs(want)))))
+        scale = np.maximum(1.0, np.abs(want)) if order == 0 else scales[-1]
+        assert np.all(np.abs(s(ts, order=order) - want) <= tol * scale), \
+            order
+    return np.array(scales)
 
 
 class TestQuadFrequencySet:
@@ -146,22 +159,27 @@ class TestBuildInterpolant4:
         assert_allclose(s(1.2, order=1), 3.5, atol=1e-10)
 
     def test_ill_conditioned_warns_and_recovers(self):
+        # ill conditioned in a left-anchored local basis; the slope system
+        # needs no rescaled re-solve and no warning
         kn = np.array([0.0, 0.5, 1.0])
         quad = (0.0, 0.001, 50.0, 49.999)
         f = np.exp(0.3 * kn)
-        with pytest.warns(RuntimeWarning, match="condition"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = build_interpolant4(kn, quad_frequency_set(2, quads=quad),
                                    f, 0.3, 0.3 * math.exp(0.3))
-        assert np.max(np.abs(s(kn) - f)) <= 1e-9
+        ref = mp_interp4(list(kn), [quad] * 2, list(f), 0.3,
+                         0.3 * math.exp(0.3))
+        _assert_matches_oracle(s, ref, 41, rtol=1e-12, dtol=1e-12)
 
     def test_spline_missing_its_data_is_refused(self):
-        # the system-relative residual gate accepts this solution, whose
-        # knot values are off by about 1e163; the data residual does not
+        # the exact interpolant of sin on this mesh reaches 2.8e12 by n =
+        # 30; the slope system's condition gate refuses it
         kn = 0.2 * np.arange(300)
         qs = quad_frequency_set(299, quads=(0.0, 0.001, 50.0, 49.999))
-        with pytest.warns(RuntimeWarning, match="condition"):
-            with pytest.raises(np.linalg.LinAlgError, match="data rows"):
-                build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="condition estimate"):
+            build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
 
     def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
         calls = []
@@ -216,6 +234,130 @@ class TestBuildInterpolant4:
                                np.zeros(4), 0.0, 0.0)
 
 
+class TestStiffRegressions:
+    # the 4(n-1) banded system in a left-anchored basis grew like
+    # exp(|lambda| h): it raised LinAlgError on each of these, and at
+    # xi = 300 returned a spline that is NaN at the last knot
+    @pytest.mark.parametrize("n, quad", [
+        *[(9, (xi, -xi, xi, -xi)) for xi in (30, 50, 100, 200, 300, 500)],
+        (9, (-40.0, 2.0, 40.0, -2.0)),
+        (9, (100.0, 120.0, -100.0, -120.0)),
+        (17, (300.0, 301.0, -300.0, -301.0)),
+    ], ids=[*[f"xi{xi}" for xi in (30, 50, 100, 200, 300, 500)],
+            "-40,2,40,-2", "100,120,-100,-120", "n17-300,301,-300,-301"])
+    def test_builds_and_matches_oracle(self, n, quad):
+        kn = np.linspace(0.0, math.pi, n)
+        s = build_interpolant4(kn, quad_frequency_set(n - 1, quads=quad),
+                               np.sin(kn), 1.0, -1.0)
+        assert np.all(np.isfinite(s.taylor))
+        ref = mp_interp4(list(kn), [quad] * (n - 1), list(np.sin(kn)),
+                         1.0, -1.0)
+        scales = _assert_matches_oracle(s, ref, 41, rtol=1e-12, dtol=1e-10)
+        assert np.all(smoothness_report(s) <= 1e-10 * scales)
+
+
+def _keeps_data_or_refuses(knots, quads, values, d_left, d_right):
+    """Build, and unless a typed error refuses the input, check the finite
+    table, the knot values and clamps to 1e-12 of the data scale and the
+    C^2 joins to 1e-10 of the coefficient scale."""
+    n = len(knots)
+    try:
+        s = build_interpolant4(knots, quad_frequency_set(n - 1, quads=quads),
+                               values, d_left, d_right)
+    except (ValueError, OverflowError, np.linalg.LinAlgError):
+        return
+    assert np.all(np.isfinite(s.taylor))
+    scale = max(1.0, np.max(np.abs(values)), abs(d_left), abs(d_right))
+    assert np.max(np.abs(s(knots) - values)) <= 1e-12 * scale
+    assert abs(s(knots[0], 1) - d_left) <= 1e-12 * scale
+    assert abs(s(knots[-1], 1) - d_right) <= 1e-12 * scale
+    assert np.all(smoothness_report(s)
+                  <= 1e-10 * (1.0 + np.max(np.abs(s.coeffs))))
+
+
+def _quads_of(kind, draw):
+    """One quadruple of the class kind in units of the longest interval:
+    stiff classes reach |lambda| h = 150, near-confluent pairs are 1e-9 to
+    1e-7 apart."""
+    top = 150.0 if kind.startswith("stiff") else 5.0
+    freq = st.floats(0.0, top)
+    if kind == "symmetric":
+        xi = draw(freq)
+        return (xi, -xi, xi, -xi)
+    if kind == "confluent":
+        x, y = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
+        e = 10.0 ** draw(st.floats(-9.0, -7.0))
+        return (x, x + e, -y, -y - e)
+    if kind.endswith("mixed"):
+        return (draw(freq), draw(freq), -draw(freq), -draw(freq))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return tuple(sign * draw(freq) for _ in range(4))
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(2, 40))
+    lengths = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                            max_size=n - 1))
+    knots = np.concatenate([[0.0], np.cumsum(lengths)])
+    kind = draw(st.sampled_from(["symmetric", "mixed", "confluent",
+                                 "stiff-mixed", "same-sign",
+                                 "stiff-same-sign"]))
+    h = max(lengths)
+    count = n - 1 if draw(st.booleans()) else 1
+    quads = [tuple(x / h for x in _quads_of(kind, draw))
+             for _ in range(count)]
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                    max_size=n)))
+    return (knots, quads * (n - 1) if count == 1 else quads, values,
+            draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(problem=_problems())
+def test_build_keeps_its_data_or_refuses(problem):
+    # random non-uniform partitions, one quadruple or one per interval
+    _keeps_data_or_refuses(*problem)
+
+
+class TestBuildPropertyRegressions:
+    # falsifying examples of the property above, each pinned as found
+
+    def test_same_sign_growth_misses_the_right_clamp(self):
+        # the exact interpolant's knot slopes grow by -1.7 per knot, and
+        # the table read the right clamp back 1.3e-12 off
+        values = np.zeros(9)
+        values[1] = 1.0
+        _keeps_data_or_refuses(np.arange(9.0), [(3.0, 11.0, 0.0, 0.0)] * 8,
+                               values, 0.0, 0.0)
+
+    def test_same_sign_growth_to_the_left(self):
+        values = np.zeros(11)
+        values[[1, 10]] = 1.0
+        _keeps_data_or_refuses(np.arange(11.0),
+                               [(-0.0, -0.0, -6.0, -29.0)] * 10,
+                               values, 0.0, 0.0)
+
+    def test_same_sign_flank_misses_the_second_derivative_join(self):
+        # the left flank of the pair (14, 16) reaches exp(14 h), and the C^2
+        # join at the middle knot missed by 2.3e-8
+        _keeps_data_or_refuses(np.array([0.0, 1.0, 2.0]),
+                               [(0.0, 14.0, 16.0, 30.0), (0.0, 0.0, 1.0, 1.0)],
+                               np.array([1.0, 1.0, 0.0]), 0.0, 0.0)
+
+    def test_stiff_right_clamp_is_read_where_it_was_expanded(self):
+        # the last sub-piece's stored start was one ulp off the point its
+        # series was expanded about, and s'' = 2.3e4 turned that into a
+        # right clamp 1.3e-12 off
+        _keeps_data_or_refuses(
+            np.array([0.0, 0.44914477357393856, 0.5091118807826596]),
+            [(167.32509390806192, 333.9680406529474, -223.45276229449948,
+              -307.04120200656797)] * 2,
+            np.array([0.749942787448262, 3.3288156715806385e-211,
+                      -0.41906374187745576]),
+            0.1, -1.0271703691148407e-269)
+
+
 class TestEvaluationRegressions:
     # small frequencies and near-coincident pairs, where evaluating through
     # partial fractions of the fundamental functions lost every digit
@@ -245,9 +387,30 @@ class TestEvaluationRegressions:
         assert measure_error(tf, s, kn) <= cert.bound
 
 
+def _local(k, quad, h, tau, order=0, phi=fundamental_derivative):
+    """Order-th derivative at tau of the k-th local function (F, R, W_F,
+    W_R) of an interval of length h, from phi(freqs, t, order): R is the
+    right flank of the middle pair of the sorted quadruple, W_R = (Phi(tau)
+    - Phi(h) R(tau))/phi_outer(h), and F, W_F are the same for the negated
+    quadruple at h - tau."""
+    srt = sorted(quad)
+    sign = 1.0
+    if k in (0, 2):
+        srt = [-x for x in reversed(srt)]
+        tau = h - tau
+        sign = (-1.0) ** order
+    mid, outer = srt[1:3], srt[::3]
+    flank = phi(mid, tau, order) / phi(mid, h, 0)
+    if k < 2:
+        return sign * flank
+    return sign * (phi(srt, tau, order)
+                   - phi(srt, h, 0) * flank) / phi(outer, h, 0)
+
+
 class TestTaylorTable:
     # one interval long enough for several sub-pieces, one short; the
-    # quadruples are not sorted, so the prefixes are the ones as given
+    # quadruples are not sorted, and the local functions take the middle
+    # pair of the sorted quadruple
     KNOTS = np.array([0.0, 1.3, 1.5])
     QUADS = [(2.0, -2.0, 0.0, 0.7), (0.5, -1.5, 3.0, 0.0)]
 
@@ -258,10 +421,12 @@ class TestTaylorTable:
         return spline_from_coefficients(cls.KNOTS, cls.QUADS, coeffs)
 
     def test_cubic_table_is_monomial(self):
+        # W_R of the cubic case on [0, 2] is (tau^3 - 4 tau) / 12
         s = spline_from_coefficients(np.array([0.0, 2.0]),
                                      [(0.0, 0.0, 0.0, 0.0)], [[0, 0, 0, 1]])
         want = np.zeros_like(s.taylor)
-        want[3] = 1.0 / 6.0
+        want[1] = -1.0 / 3.0
+        want[3] = 1.0 / 12.0
         assert np.array_equal(s.taylor, want)
 
     def test_unit_coefficients_give_prefix_functions(self):
@@ -269,29 +434,33 @@ class TestTaylorTable:
             s = self._unit_spline(k)
             assert s.starts.size > 2
             for j in range(2):
+                h = self.KNOTS[j + 1] - self.KNOTS[j]
                 ts = np.linspace(self.KNOTS[j], self.KNOTS[j + 1], 17)[:-1]
-                assert_allclose(s(ts), fundamental_eval(
-                    self.QUADS[j][:k + 1], ts - self.KNOTS[j]),
-                    rtol=1e-13, atol=1e-15, err_msg=f"k={k} j={j}")
+                assert_allclose(s(ts), _local(k, self.QUADS[j], h,
+                                              ts - self.KNOTS[j]),
+                                rtol=1e-13, atol=1e-15, err_msg=f"k={k} j={j}")
 
     def test_near_confluent_prefixes_against_oracle(self):
         quad = (1.0, -1.0 - 1e-12, 1.0 + 1e-12, -1.0)
         ts = np.linspace(0.0, 1.0, 9)
+        mp_order0 = lambda freqs, t, order: mp_phi(freqs, t)
         for k in range(4):
             coeffs = np.zeros((1, 4))
             coeffs[0, k] = 1.0
             s = spline_from_coefficients(np.array([0.0, 1.0]), [quad], coeffs)
-            want = [float(mp_phi(quad[:k + 1], t)) for t in ts]
+            want = [float(_local(k, quad, 1.0, t, phi=mp_order0))
+                    for t in ts]
             assert_allclose(s(ts), want, rtol=1e-13, atol=1e-16)
 
     def test_derivatives_match_fundamental_derivative(self):
         for k in range(4):
             s = self._unit_spline(k)
             for j in range(2):
+                h = self.KNOTS[j + 1] - self.KNOTS[j]
                 ts = np.linspace(self.KNOTS[j], self.KNOTS[j + 1], 17)[:-1]
                 for order in range(4):
-                    want = fundamental_derivative(self.QUADS[j][:k + 1],
-                                                  ts - self.KNOTS[j], order)
+                    want = _local(k, self.QUADS[j], h, ts - self.KNOTS[j],
+                                  order)
                     assert_allclose(s(ts, order=order), want, rtol=1e-12,
                                     atol=1e-13, err_msg=f"{k} {j} {order}")
 
