@@ -216,9 +216,8 @@ def _local_ends(quads, lengths):
     W_F, W_R) at tau = 0 and h, W_R' from Phi' = x1 Phi + Phi_(x0, x2, x3)
     and phi_m' = x1 phi_m + exp(x0 tau) so that no large terms cancel.
     """
-    keys, back = np.unique(np.column_stack([np.sort(quads, axis=1),
-                                            lengths]), axis=0,
-                           return_inverse=True)
+    keys, back = np.unique(np.column_stack([np.sort(quads, axis=1), lengths]),
+                           axis=0, return_inverse=True)
     fwd = keys[:, [1, 2, 0, 3]]
     orders = np.stack([fwd, -fwd[:, [1, 0, 3, 2]]])
     e = _phi_corner_batch(np.concatenate([*orders,
@@ -334,6 +333,8 @@ def spline_from_coefficients(partition, quads, coeffs):
     return _assemble(part, quads, coeffs, ends)
 
 
+# overflow in an ill-posed system ends in the LinAlgError, not in warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_interpolant4(partition, quads, values, d_left, d_right):
     """Interpolate values at the knots with clamped end slopes.
 
@@ -361,8 +362,7 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     inv = np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]]) \
         / (d0[2] * dh[3] - d0[3] * dh[2])
     known = np.array([y0 * d0[0] + y1 * d0[1], y0 * dh[0] + y1 * dh[1]])
-    x0, x1 = ends[0][0, :, :2].T
-    sigma, pi = x0 + x1, x0 * x1
+    sigma, pi = ends[0][0, :, :2].sum(axis=1), ends[0][0, :, :2].prod(axis=1)
     # row k couples (m_(k-1), m_k, m_(k+1)): the clamps, C^2 at the others
     rows = np.zeros((3, part.n))
     rows[:, 1:-1] = (inv[1, 0, :-1], inv[1, 1, :-1] - inv[0, 0, 1:]
