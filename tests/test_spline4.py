@@ -327,14 +327,16 @@ class TestBuildPropertyRegressions:
     # falsifying examples of the property above, each pinned as found
 
     def test_same_sign_growth_misses_the_right_clamp(self):
-        # the exact interpolant's knot slopes grow by -1.7 per knot, and
-        # the table read the right clamp back 1.3e-12 off
+        # the exact interpolant's knot slopes grow by a factor of -1.7 per
+        # knot, and the table read the right clamp back 1.3e-12 off
         values = np.zeros(9)
         values[1] = 1.0
         _keeps_data_or_refuses(np.arange(9.0), [(3.0, 11.0, 0.0, 0.0)] * 8,
                                values, 0.0, 0.0)
 
     def test_same_sign_growth_to_the_left(self):
+        # the mirror of the case above: the value join at the first knot
+        # missed by 1.8e-10 of the data scale
         values = np.zeros(11)
         values[[1, 10]] = 1.0
         _keeps_data_or_refuses(np.arange(11.0),
