@@ -334,15 +334,13 @@ def error_grid(partition, uniform=10 ** 4, cheb_per_interval=64):
     part = partition if isinstance(partition, Partition) \
         else Partition(tuple(np.asarray(partition, dtype=float)))
     knots = np.array(part.knots)
-    pieces = [np.linspace(knots[0], knots[-1], uniform), knots]
     angles = (2.0 * np.arange(cheb_per_interval) + 1.0) \
         * math.pi / (2.0 * cheb_per_interval)
-    offsets = np.cos(angles)
-    for j in range(len(knots) - 1):
-        mid = 0.5 * (knots[j] + knots[j + 1])
-        half = 0.5 * (knots[j + 1] - knots[j])
-        pieces.append(mid + half * offsets)
-    return np.unique(np.concatenate(pieces))
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    half = 0.5 * (knots[1:] - knots[:-1])
+    cheb = mid[:, None] + half[:, None] * np.cos(angles)
+    return np.unique(np.concatenate([
+        np.linspace(knots[0], knots[-1], uniform), knots, cheb.ravel()]))
 
 
 def measure_error(reference, candidate, partition):

@@ -4,9 +4,10 @@ The interpolant of four frequencies per interval matches the knot values
 and the two end slopes and is C^2.  Per interval, the data and G = M s at
 both ends (M from the middle pair of the sorted quadruple) weigh four local
 solutions; the knot slopes solve one tridiagonal system, refused by its
-condition estimate.  Evaluation reads a Taylor table per sub-piece.  The
-certificate combines the second order interval constants, the projection
-norm and the weight exponent p tying each interval's two pairs.
+condition estimate.  Evaluation reads a Taylor table per sub-piece, found
+by a bucket lookup.  The certificate combines the second order interval
+constants, the projection norm and the weight exponent p tying each
+interval's two pairs.
 """
 
 import math
@@ -24,6 +25,10 @@ from .l2proj import _load_vector, operator_norm_bound
 _RESIDUAL_RTOL = 1e-10
 
 _COND_MAX = 1e12
+
+# points per block of SplineOrder4.__call__: the lookup's and Horner's
+# temporaries (128 KiB each) stay in L2
+_EVAL_BLOCK = 16384
 
 
 def _coerce_partition(knots):
@@ -175,32 +180,79 @@ class SplineOrder4:
     built from them: each interval is cut into equal sub-pieces of width w
     with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
     and taylor[n, p] the n-th Taylor coefficient of the spline at starts[p].
+
+    A point's sub-piece is found without a search.  [a, b] is cut into one
+    equal bucket per sub-piece; buckets[k] is the lowest sub-piece a point
+    of bucket k can lie in, and steps branchless halving steps over probe
+    (starts padded with 2**steps - 1 infinities) reach the highest, steps
+    = ceil(log2(spread + 1)) for the largest spread of a bucket (one on a
+    uniform mesh, more where a graded mesh crowds sub-pieces into a
+    bucket).  Points are evaluated in blocks of _EVAL_BLOCK.
     """
     partition: Partition
     quads: QuadFrequencySet
     coeffs: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
     taylor: np.ndarray = field(repr=False)
+    buckets: np.ndarray = field(repr=False)
+    probe: np.ndarray = field(repr=False)
+    steps: int
 
     @property
     def knots(self):
         return self.partition.knots
+
+    def _piece(self, ts):
+        """searchsorted(starts, ts, "right") - 1 for ts in [a, b]."""
+        idx = self.buckets[_bucket(ts, self.knots[0], self.knots[-1],
+                                   self.buckets.size)]
+        for shift in 1 << np.arange(self.steps - 1, -1, -1):
+            up = idx + shift
+            idx = np.where(self.probe[up] <= ts, up, idx)
+        return idx
 
     def __call__(self, t, order=0):
         if order not in (0, 1, 2, 3):
             raise ValueError("order must be 0..3")
         a, b = self.knots[0], self.knots[-1]
         ts = np.asarray(t, dtype=float)
-        scalar = ts.ndim == 0
-        ts = np.atleast_1d(ts)
-        tol = 1e-12 * (b - a)
-        if np.any(ts < a - tol) or np.any(ts > b + tol):
-            raise ValueError("evaluation point outside the knot range")
-        ts = np.clip(ts, a, b)
-        idx = np.searchsorted(self.starts, ts, side="right") - 1
-        out = _horner(_derivative_table(self.taylor, order), idx,
-                      ts - self.starts[idx])
-        return float(out[0]) if scalar else out
+        flat, tol = ts.ravel(), 1e-12 * (b - a)
+        table = _derivative_table(self.taylor, order)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _EVAL_BLOCK):
+            block = flat[lo:lo + _EVAL_BLOCK]
+            # a NaN fails both comparisons
+            if not (block.min() >= a - tol and block.max() <= b + tol):
+                if not np.all(np.isfinite(block)):
+                    raise ValueError("evaluation points must be finite")
+                raise ValueError("evaluation point outside the knot range")
+            block = np.clip(block, a, b)
+            idx = self._piece(block)
+            out[lo:lo + _EVAL_BLOCK] = _horner(table, idx,
+                                               block - self.starts[idx])
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+
+def _bucket(ts, a, b, count):
+    """Bucket of each point of ts in [a, b] among count equal ones; rounding
+    is monotone, so the bucket never decreases with ts."""
+    k = ((ts - a) * (count / (b - a))).astype(np.intp)
+    return np.minimum(k, count - 1, out=k)
+
+
+def _lookup(knots, starts):
+    """(buckets, probe, steps) of SplineOrder4's sub-piece lookup.  A point
+    t of bucket k lies in sub-piece i with bucket(starts[i]) <= k <=
+    bucket(starts[i + 1]), so i runs from one below the first start in
+    bucket k to the last start in it."""
+    count = starts.size
+    k = _bucket(starts, knots[0], knots[-1], count)
+    every = np.arange(count)
+    buckets = np.maximum(np.searchsorted(k, every) - 1, 0)
+    spread = np.max(np.searchsorted(k, every, side="right") - 1 - buckets)
+    steps = int(spread).bit_length()
+    probe = np.concatenate([starts, np.full((1 << steps) - 1, np.inf)])
+    return buckets, probe, steps
 
 
 def _local_ends(quads, lengths):
@@ -306,9 +358,11 @@ def _assemble(part, quads, coeffs, ends):
             nxt = orders[:, j] * c
             nxt[..., :-1] += c[..., 1:]
             c = nxt * np.array([1.0, -1.0])[:, None, None]
+    buckets, probe, steps = _lookup(knots, starts)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
                         starts=starts,
-                        taylor=_taylor_rows(orders[0, owner], state))
+                        taylor=_taylor_rows(orders[0, owner], state),
+                        buckets=buckets, probe=probe, steps=steps)
 
 
 def _checked(partition, quads):

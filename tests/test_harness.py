@@ -284,6 +284,16 @@ class TestErrorGrid:
         assert np.all(np.diff(grid) > 0.0)
         assert grid.size >= 10 ** 4
 
+    def test_matches_per_interval_construction(self):
+        knots = np.concatenate([[0.0], np.cumsum(1.3 ** np.arange(12))])
+        offsets = np.cos((2.0 * np.arange(64) + 1.0) * math.pi / 128.0)
+        pieces = [np.linspace(knots[0], knots[-1], 10 ** 4), knots]
+        for j in range(knots.size - 1):
+            pieces.append(0.5 * (knots[j] + knots[j + 1])
+                          + 0.5 * (knots[j + 1] - knots[j]) * offsets)
+        assert np.array_equal(error_grid(Partition(tuple(knots))),
+                              np.unique(np.concatenate(pieces)))
+
     def test_measure_error_known_gap(self):
         part = Partition((0.0, math.pi))
         got = measure_error(np.sin, lambda ts: np.zeros_like(ts), part)

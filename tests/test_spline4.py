@@ -35,6 +35,9 @@ from expspline.spline4 import (
     smoothness_report,
     spline4_eval,
     spline_from_coefficients,
+    _EVAL_BLOCK,
+    _derivative_table,
+    _horner,
 )
 
 
@@ -509,6 +512,9 @@ class TestEvalAndSmoothness:
             s(1.3)
         with pytest.raises(ValueError, match="outside"):
             s(-0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                s(np.array([0.5, bad]))
 
     def test_smoothness_of_built_spline(self):
         s = self._example()
@@ -535,6 +541,85 @@ class TestEvalAndSmoothness:
         clone = spline_from_coefficients(s.partition, s.quads, s.coeffs)
         grid = np.linspace(0.0, 1.2, 101)
         assert np.array_equal(s(grid), clone(grid))
+
+
+def _random_spline(knots, quad, seed=0):
+    coeffs = np.random.default_rng(seed).standard_normal((knots.size - 1, 4))
+    return spline_from_coefficients(knots, [quad] * (knots.size - 1), coeffs)
+
+
+def _assert_lookup_exact(s, ts):
+    """The bucket lookup is searchsorted(starts, t, "right") - 1, and s(t, r)
+    is bitwise Horner on that sub-piece, for r = 0..3."""
+    a, b = s.knots[0], s.knots[-1]
+    inside = np.clip(ts, a, b)
+    want = np.searchsorted(s.starts, inside, side="right") - 1
+    assert np.array_equal(s._piece(inside), want)
+    for r in range(4):
+        assert np.array_equal(
+            s(ts, r), _horner(_derivative_table(s.taylor, r), want,
+                              inside - s.starts[want])), r
+
+
+def _probe_points(s, rng, count):
+    """Random points, every start and knot, the neighbouring floats of each
+    start, both ends and points within the range tolerance outside."""
+    a, b = s.knots[0], s.knots[-1]
+    tol = 1e-12 * (b - a)
+    inner = s.starts[1:]
+    return np.concatenate([
+        rng.uniform(a, b, count), s.starts, s.knots,
+        np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+        [a, b, a - tol, b + tol, a - 0.5 * tol, b + 0.5 * tol,
+         np.nextafter(b, -np.inf)]])
+
+
+class TestPieceLookup:
+    GRADED = np.concatenate([[0.0], np.cumsum(1.3 ** np.arange(40))])
+
+    @pytest.mark.parametrize("knots, quad, steps", [
+        (np.linspace(0.0, np.pi, 65), (2.0, -2.0, 2.0, -2.0), 1),
+        (GRADED / GRADED[-1] * np.pi, (0.3, -1.1, -1.0, 0.4), None),
+        (np.array([0.0, 1.0]), (0.0, 0.0, 0.0, 0.0), 0),
+        (np.linspace(0.0, np.pi, 6), (40.0, -40.0, 39.0, -39.0), 2),
+    ], ids=["uniform", "graded", "one-piece", "stiff"])
+    def test_lookup_is_searchsorted(self, knots, quad, steps):
+        # at most steps halving steps; the graded mesh crowds sub-pieces
+        # into its first buckets, the stiff one cuts each interval in 51
+        s = _random_spline(knots, quad)
+        assert s.steps > 2 if steps is None else s.steps <= steps
+        rng = np.random.default_rng(7)
+        _assert_lookup_exact(s, _probe_points(s, rng, 2 * _EVAL_BLOCK + 5))
+
+    def test_shapes_are_kept(self):
+        s = _random_spline(np.linspace(0.0, 1.0, 5), (1.0, -1.0, 2.0, -2.0))
+        ts = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert np.array_equal(s(ts), s(ts.ravel()).reshape(3, 4))
+        assert s(np.empty(0)).shape == (0,)
+        assert isinstance(s(0.25), float)
+
+
+@st.composite
+def _lookup_cases(draw):
+    n = draw(st.integers(1, 40))
+    ratio = draw(st.floats(1.0, 1.6))
+    knots = np.concatenate([[0.0], np.cumsum(ratio ** np.arange(n))])
+    knots *= draw(st.floats(0.1, 10.0)) / knots[-1]
+    kind = draw(st.sampled_from(["polynomial", "symmetric", "mixed",
+                                 "stiff-mixed"]))
+    h = np.max(np.diff(knots))
+    quad = (0.0,) * 4 if kind == "polynomial" \
+        else tuple(x / h for x in _quads_of(kind, draw))
+    return knots, quad, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=_lookup_cases())
+def test_lookup_is_searchsorted_on_graded_meshes(case):
+    knots, quad, seed = case
+    s = _random_spline(knots, quad, seed)
+    _assert_lookup_exact(s, _probe_points(s, np.random.default_rng(seed),
+                                          200))
 
 
 class TestOrthogonality:
