@@ -16,6 +16,9 @@ import numpy as np
 
 from .expcore import _log_sinhc, _sinhc
 
+# points per pass of the hat evaluation, so its temporaries stay small
+_EVAL_BLOCK = 2048
+
 
 def monotone_radius(lam0, lam1):
     """Largest delta such that the pair function increases on [-delta, delta].
@@ -71,18 +74,21 @@ def _phi_ratio(lam0, lam1, x, y):
     """phi(x)/phi(y) for the pair function, stable for large frequency loads.
 
     Uses phi(t) = t exp(s t) sinhc(d t) with 2s = lam0+lam1, 2d = lam1-lam0,
-    so the exponential factor enters only through exp(s (x - y)).
+    so the exponential factor enters only through exp(s (x - y)).  All four
+    arguments broadcast against each other, one pair per point; points with
+    |d x| or |d y| >= 350 take the ratio of sinhc in log space.
     """
-    x = np.asarray(x, dtype=float)
+    lam0, lam1, x, y = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (lam0, lam1, x, y)))
     s = 0.5 * (lam0 + lam1)
     d = 0.5 * (lam1 - lam0)
     ux = d * x
     uy = d * y
-    if max(abs(d * np.max(np.abs(x), initial=0.0)), abs(uy)) < 350.0:
-        ratio = _sinhc(ux) / _sinhc(uy)
-    else:
-        sign = np.where(x == 0.0, 0.0, 1.0)
-        ratio = sign * np.exp(_log_sinhc(ux) - _log_sinhc(np.asarray(uy)))
+    big = np.maximum(np.abs(ux), np.abs(uy)) >= 350.0
+    ratio = _sinhc(np.where(big, 0.0, ux)) / _sinhc(np.where(big, 0.0, uy))
+    if np.any(big):
+        sign = np.where(x[big] == 0.0, 0.0, 1.0)
+        ratio[big] = sign * np.exp(_log_sinhc(ux[big]) - _log_sinhc(uy[big]))
     return (x / y) * np.exp(s * (x - y)) * ratio
 
 
@@ -161,26 +167,28 @@ def group_intervals(pairs, lengths):
 
 
 def _flank_values(basis, ts):
-    """Falling and rising hat factors at each t, with the interval index.
+    """Falling and rising hat factors at each t of the 1-d array ts, with
+    the interval index, computed in blocks of _EVAL_BLOCK points.
 
     For t in interval i the active hats are H_i (falling flank) and H_(i+1)
     (rising flank); everything else vanishes there.
     """
     knots = np.array(basis.knots)
-    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("evaluation points must be finite")
     if np.any(ts < knots[0]) or np.any(ts > knots[-1]):
         raise ValueError("evaluation points must lie inside the partition")
     idx = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0,
                   len(knots) - 2)
+    pairs, lengths = np.array(basis.pairs), np.diff(knots)
     fall = np.empty_like(ts)
     rise = np.empty_like(ts)
-    for i in np.unique(idx):
-        lam0, lam1 = basis.pairs[i]
-        h = knots[i + 1] - knots[i]
-        sel = idx == i
-        tau = ts[sel] - knots[i]
-        fall[sel] = _phi_ratio(lam0, lam1, tau - h, -h)
-        rise[sel] = _phi_ratio(lam0, lam1, tau, h)
+    for lo in range(0, ts.size, _EVAL_BLOCK):
+        sl, i = slice(lo, lo + _EVAL_BLOCK), idx[lo:lo + _EVAL_BLOCK]
+        (lam0, lam1), h = pairs[i].T, lengths[i]
+        tau = ts[sl] - knots[i]
+        fall[sl] = _phi_ratio(lam0, lam1, tau - h, -h)
+        rise[sl] = _phi_ratio(lam0, lam1, tau, h)
     return idx, fall, rise
 
 
@@ -190,8 +198,7 @@ def hat_eval(basis, j, t):
     if not 0 <= j <= n - 1:
         raise ValueError(f"knot index {j} outside 0..{n - 1}")
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    ts = np.atleast_1d(t_arr).astype(float)
+    ts = t_arr.ravel()
     idx, fall, rise = _flank_values(basis, ts)
     out = np.zeros_like(ts)
     out[idx == j] = fall[idx == j]
@@ -199,20 +206,17 @@ def hat_eval(basis, j, t):
     # the shared knot itself belongs to the right interval after searchsorted,
     # except t_(n-1) which folds into the last one; both give exactly 1 there
     out[ts == basis.knots[j]] = 1.0
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def sum_hats(basis, t):
     """Pointwise sum of the absolute values of all hats at t."""
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    ts = np.atleast_1d(t_arr).astype(float)
+    ts = t_arr.ravel()
     _, fall, rise = _flank_values(basis, ts)
     out = np.abs(fall) + np.abs(rise)
-    knots = np.array(basis.knots)
-    interior = np.isin(ts, knots)
-    out[interior] = 1.0
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    out[np.isin(ts, basis.knots)] = 1.0
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 @dataclass
@@ -223,17 +227,14 @@ class SplineOrder2:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        ts = np.atleast_1d(t_arr).astype(float)
+        ts = t_arr.ravel()
         idx, fall, rise = _flank_values(self.basis, ts)
         c = np.asarray(self.coeffs)
         out = c[idx] * fall + c[idx + 1] * rise
         knots = np.array(self.basis.knots)
         at_knot = np.isin(ts, knots)
-        if np.any(at_knot):
-            pos = np.searchsorted(knots, ts[at_knot])
-            out[at_knot] = c[pos]
-        return float(out[0]) if scalar else out.reshape(t_arr.shape)
+        out[at_knot] = c[np.searchsorted(knots, ts[at_knot])]
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def interpolate2(basis, values):

@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dgtsv
 from .errbound2 import M_constants
 from .expcore import _phi_rows, fundamental_eval
 from .hatbasis import SplineOrder2, _phi_ratio, group_intervals
-from .quadrature import integrate
+from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 _TINY_H = 1e-100
 
@@ -305,42 +305,56 @@ class ProjectionResult:
 
 
 def _load_vector(basis, g, p):
-    """<g, H_i> in the exp(p t) weighted product for every hat, by adaptive
-    quadrature flank by flank: on interval j the falling flank of H_j and
-    the rising flank of H_(j+1).
+    """<g, H_i> in the exp(p t) weighted product for every hat: on interval j
+    the falling flank of H_j and the rising flank of H_(j+1).
 
-    g maps an array of points to values.  Each call holds points of one
-    interval only, and Gauss-Legendre nodes are interior, so a piecewise g
-    can find its piece from the knots without ambiguity.
+    integrate's first panel over an interval uses the 15-point rule over
+    the interval and over its two halves.  Those 45 nodes of every interval
+    go into one array, on which g and the weight are evaluated once for both
+    flanks.  A flank whose two estimates pass integrate's test is done;
+    only the others go through integrate.  g maps an array of points to
+    values; the points span many intervals, but Gauss-Legendre nodes are
+    interior, so a piecewise g can find its piece from the knots.
     """
     p = float(p)
-    knots = basis.knots
+    knots = np.array(basis.knots)
+    a, b = knots[:-1], knots[1:]
+    mid = 0.5 * (a + b)
+    centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
+    half = np.stack([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)], axis=1)
+    ts = (centre[..., None] + half[..., None] * _GL_NODES).reshape(len(a), -1)
+    # row 0 holds the falling flanks, anchored at b, row 1 the rising ones
+    anchor = np.stack([b, a])
+    y = np.stack([a - b, b - a])
+    lam0, lam1 = np.array(basis.pairs).T
+    flanks = _phi_ratio(lam0[:, None], lam1[:, None], ts - anchor[..., None],
+                        y[..., None]).reshape(2, -1)
+    ts = ts.ravel()
+    vals = flanks * g(ts) * np.exp(p * ts)
+    panel = half * (vals.reshape(2, *half.shape, -1) @ _GL_WEIGHTS)
+    coarse, fine = panel[..., 0], panel[..., 1] + panel[..., 2]
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(coarse) & np.isfinite(fine) & (
+            np.abs(fine - coarse) <= np.maximum(1e-11, 1e-10 * np.abs(fine)))
+    for k, j in zip(*np.nonzero(~ok)):
+        lam0, lam1 = basis.pairs[j]
+        fine[k, j] = integrate(
+            lambda t: _phi_ratio(lam0, lam1, t - anchor[k, j], y[k, j])
+            * g(t) * np.exp(p * t), a[j], b[j])[0]
     rhs = np.zeros(basis.n)
-    for j, (lam0, lam1) in enumerate(basis.pairs):
-        a, b = knots[j], knots[j + 1]
-        h = b - a
-
-        def falling(ts):
-            return _phi_ratio(lam0, lam1, ts - b, -h)
-
-        def rising(ts):
-            return _phi_ratio(lam0, lam1, ts - a, h)
-
-        weight = lambda ts: np.exp(p * ts)
-        rhs[j] += integrate(
-            lambda ts: falling(ts) * g(ts) * weight(ts), a, b)[0]
-        rhs[j + 1] += integrate(
-            lambda ts: rising(ts) * g(ts) * weight(ts), a, b)[0]
+    rhs[:-1] += fine[0]
+    rhs[1:] += fine[1]
     return rhs
 
 
 def project(basis, g, p):
     """Weighted best approximation of g from the hat span.
 
-    g must accept arrays.  The load vector comes from adaptive quadrature
-    flank by flank, the solve from the closed-form Gram matrix.  When the
-    basis admits no dominance-based norm bound the projection is still
-    returned, with norm_bound set to inf.
+    g must accept arrays.  The load vector comes from one Gauss-Legendre
+    pass over every flank, adaptive only where that fails, the solve from
+    the closed-form Gram matrix.  When the basis admits no dominance-based
+    norm bound the projection is still returned, with norm_bound set to
+    inf.
     """
     p = float(p)
     gram = gram_assemble(basis, p)

@@ -62,6 +62,29 @@ def inner_product_p(f, g, p, a, b, breakpoints=()):
     return val
 
 
+def mp_load_vector(knots, pairs, g, p, splits=()):
+    """Weighted load vector <g, H_i> = int H_i g exp(p t) of the hats, one
+    mp.quad per flank: on interval j the falling flank
+    phi_j(t - t_(j+1))/phi_j(-h) of H_j and the rising flank
+    phi_j(t - t_j)/phi_j(h) of H_(j+1), with phi_j the pair function of
+    interval j.  g maps an mpf to an mpf; each interval is split at the
+    points of splits inside it, so a g with a kink there stays smooth on
+    every piece.  Returns a float array of length len(knots).
+    """
+    kn = [mp.mpf(x) for x in knots]
+    out = [mp.mpf(0)] * len(kn)
+    for j, (lam0, lam1) in enumerate(pairs):
+        a, b = kn[j], kn[j + 1]
+        h = b - a
+        cuts = [a] + sorted(mp.mpf(x) for x in splits if a < x < b) + [b]
+        for i, anchor, y in ((j, b, -h), (j + 1, a, h)):
+            den = mp_phi_pair(lam0, lam1, y)
+            f = lambda t: (mp_phi_pair(lam0, lam1, t - anchor) / den * g(t)
+                           * mp.e ** (p * t))
+            out[i] += mp.quad(f, cuts)
+    return np.array([float(v) for v in out])
+
+
 def mp_omega(lam0, lam1, a, b, t):
     """Reference solution of L omega = -1 with omega(a) = omega(b) = 0.
 

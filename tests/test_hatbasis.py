@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from expspline.expcore import _log_sinhc, _sinhc
 from expspline.hatbasis import (
     Partition,
+    _flank_values,
     build_hat_basis,
     hat_eval,
     interpolate2,
@@ -189,6 +192,16 @@ class TestInterpolate2:
         with pytest.raises(ValueError):
             interpolate2(basis, [1.0, 2.0])
 
+    def test_nonfinite_points_rejected(self):
+        basis = uniform_basis(0.0, 1.0, 3, (-1.0, 2.0))
+        spline = interpolate2(basis, [1.0, 2.0, 0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            ts = np.array([0.25, bad])
+            for evaluate in (spline, lambda x: hat_eval(basis, 1, x),
+                             lambda x: sum_hats(basis, x)):
+                with pytest.raises(ValueError, match="finite"):
+                    evaluate(ts)
+
     def test_nonfinite_values_rejected(self):
         basis = uniform_basis(0.0, 1.0, 3, (0.0, 0.0))
         with pytest.raises(ValueError):
@@ -199,3 +212,64 @@ class TestInterpolate2:
         spline = interpolate2(basis, [0.0, 1.0, 0.0])
         assert_allclose(spline(0.25), 0.5, rtol=1e-14)
         assert_allclose(spline(0.75), 0.5, rtol=1e-14)
+
+
+def _ratio_one_pair(lam0, lam1, x, y):
+    """phi(x)/phi(y) for one pair, choosing the direct or the log-space
+    sinhc ratio once for all of x."""
+    s = 0.5 * (lam0 + lam1)
+    d = 0.5 * (lam1 - lam0)
+    if max(abs(d * np.max(np.abs(x), initial=0.0)), abs(d * y)) < 350.0:
+        ratio = _sinhc(d * x) / _sinhc(d * y)
+    else:
+        sign = np.where(x == 0.0, 0.0, 1.0)
+        ratio = sign * np.exp(_log_sinhc(d * x)
+                              - _log_sinhc(np.asarray(d * y)))
+    return (x / y) * np.exp(s * (x - y)) * ratio
+
+
+def _flanks_by_interval(basis, ts):
+    """Falling and rising flanks at ts, one interval at a time."""
+    knots = np.array(basis.knots)
+    idx = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0,
+                  len(knots) - 2)
+    fall = np.empty_like(ts)
+    rise = np.empty_like(ts)
+    for i in np.unique(idx):
+        lam0, lam1 = basis.pairs[i]
+        h = knots[i + 1] - knots[i]
+        sel = idx == i
+        tau = ts[sel] - knots[i]
+        fall[sel] = _ratio_one_pair(lam0, lam1, tau - h, -h)
+        rise[sel] = _ratio_one_pair(lam0, lam1, tau, h)
+    return idx, fall, rise
+
+
+_MILD = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(sorted)
+# straddling pairs keep the hats in [0, 1]; |d h| reaches 350 for h >~ 1
+_STIFF = st.tuples(st.floats(-900.0, -200.0), st.floats(200.0, 900.0))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(cells=st.lists(st.tuples(st.one_of(_MILD, _STIFF),
+                                st.floats(0.05, 2.0)), min_size=1,
+                      max_size=6),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@example(cells=[((-400.0, 400.0), 1.0), ((0.0, 0.0), 0.5)],
+         fractions=[0.0, 0.25, 0.5, 0.75, 1.0])
+def test_flanks_match_the_per_interval_loop(cells, fractions):
+    # mixed stiff and mild intervals on one partition: bitwise equal where
+    # the pair is mild, within 1e-13 where the log-space branch is taken
+    pairs = [tuple(pair) for pair, _ in cells]
+    knots = np.concatenate([[0.0], np.cumsum([h for _, h in cells])])
+    basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+    ts = np.concatenate([knots, knots[-1] * np.array(fractions)])
+    idx, fall, rise = _flank_values(basis, ts)
+    want_idx, want_fall, want_rise = _flanks_by_interval(basis, ts)
+    assert np.array_equal(idx, want_idx)
+    l0, l1 = np.array(basis.pairs)[idx].T
+    stiff = 0.5 * (l1 - l0) * np.diff(knots)[idx] >= 350.0
+    for got, want in ((fall, want_fall), (rise, want_rise)):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got[~stiff], want[~stiff])
+        assert_allclose(got[stiff], want[stiff], rtol=1e-13, atol=0.0)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
-from expspline import expcore, l2proj
+from expspline import expcore, hatbasis, l2proj
 from expspline.errbound2 import omega_eval
 from expspline.hatbasis import (
     build_hat_basis,
@@ -32,8 +33,9 @@ from expspline.l2proj import (
     sfunc,
     tridiag_solve,
 )
+from expspline.quadrature import QuadratureError
 
-from oracles import inner_product_p
+from oracles import inner_product_p, mp_load_vector
 
 
 class TestTSFunctions:
@@ -383,6 +385,94 @@ class TestProjection:
         res = project(basis, lambda ts: np.exp(ts), 0.0)
         assert math.isinf(res.norm_bound)
         assert np.all(np.isfinite(res.coeffs))
+
+
+class TestLoadVector:
+    @staticmethod
+    def _counting_integrate(monkeypatch):
+        calls = []
+
+        def counting(f, a, b, **kw):
+            calls.append((a, b))
+            return real(f, a, b, **kw)
+
+        real = l2proj.integrate
+        monkeypatch.setattr(l2proj, "integrate", counting)
+        return calls
+
+    def test_matches_mpmath_on_random_bases(self, monkeypatch):
+        # non-uniform meshes, one pair per interval, p away from zero; every
+        # flank passes the first panel's test, so integrate is never called
+        calls = self._counting_integrate(monkeypatch)
+        rng = np.random.default_rng(1313)
+        for n in (2, 5, 9):
+            knots = np.concatenate(
+                [[-0.4], -0.4 + np.cumsum(rng.uniform(0.1, 0.5, n - 1))])
+            pairs = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2)))
+                     for _ in range(n - 1)]
+            basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+            p = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.5))
+            seen = []
+
+            def g(ts):
+                seen.append(ts.size)
+                return np.cos(2.0 * ts) + ts * ts
+
+            got = l2proj._load_vector(basis, g, p)
+            # one call of g on the 45 nodes of every interval
+            assert seen == [45 * (n - 1)]
+            want = mp_load_vector(
+                basis.knots, basis.pairs,
+                lambda t: mp.cos(2 * t) + t * t, p)
+            assert_allclose(got, want, rtol=1e-12)
+        assert calls == []
+
+    def test_stiff_pair_takes_the_log_branch(self, monkeypatch):
+        # d h = 435 on interval 1: sinh would overflow, so its flanks go
+        # through log space
+        logged = []
+
+        def spy(u):
+            logged.append(np.size(u))
+            return real(u)
+
+        real = hatbasis._log_sinhc
+        monkeypatch.setattr(hatbasis, "_log_sinhc", spy)
+        knots = (0.0, 1.0, 2.0, 2.5)
+        pairs = [(-1.0, 2.0), (-450.0, 420.0), (-0.5, 0.5)]
+        basis = build_hat_basis(knots, pairs)
+        got = l2proj._load_vector(basis, np.cos, 0.4)
+        assert logged and all(logged)
+        want = mp_load_vector(knots, pairs, mp.cos, 0.4)
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, want, rtol=1e-12)
+
+    def test_kink_falls_back_to_adaptive_quadrature(self, monkeypatch):
+        # |t - c| has a kink inside interval 1: only its two flanks fail
+        # the first panel and go through integrate
+        calls = self._counting_integrate(monkeypatch)
+        c = 0.53
+        knots = (0.0, 0.4, 0.8, 1.3)
+        pairs = [(-1.0, 2.0), (-2.0, 0.5), (0.0, 1.0)]
+        basis = build_hat_basis(knots, pairs)
+        got = l2proj._load_vector(basis, lambda ts: np.abs(ts - c), -0.7)
+        want = mp_load_vector(knots, pairs, lambda t: abs(t - c), -0.7,
+                              splits=(c,))
+        assert calls == [(0.4, 0.8)] * 2
+        # hats 1 and 2 take one flank each from integrate, whose error
+        # estimate understates the true error of a kinked panel: 2e-10 of
+        # these entries against its tolerance of 1e-10
+        assert_allclose(got[[0, 3]], want[[0, 3]], rtol=1e-12)
+        assert_allclose(got[1:3], want[1:3], rtol=1e-9)
+
+    def test_nan_integrand_raises(self):
+        basis = build_hat_basis((0.0, 0.5, 1.0), [(-1.0, 1.0)] * 2)
+
+        def g(ts):
+            return np.where(ts > 0.7, np.nan, ts)
+
+        with pytest.raises(QuadratureError):
+            l2proj._load_vector(basis, g, 0.3)
 
 
 class TestOperatorNormBound:
