@@ -17,20 +17,18 @@ import numpy as np
 from .harness import (
     ConfigError,
     _fmt,
-    _normalize_config,
-    _pairs_for,
     acceptance_criteria,
     build_configured_spline,
+    configured_gram,
     convergence_study,
     emit,
     render_csv,
     render_json,
+    run_bounds,
     run_verify,
 )
-from .hatbasis import Partition, build_hat_basis
-from .l2proj import DominanceError, _load_vector, gram_assemble
+from .l2proj import DominanceError
 from .quadrature import QuadratureError
-from .spline4 import resolve_weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,30 +60,23 @@ def _write_or_print(text, outdir, stem, ext):
     print(path)
 
 
-def _cmd_verify(args):
-    report = run_verify(_load_config(args.config))
+def _print_report(report, args, stem):
     if args.out is not None:
-        print(emit(report, args.format, args.out))
+        print(emit(report, args.format, args.out, stem=stem))
     elif args.format == "csv":
         sys.stdout.write(render_csv(report.rows))
     else:
         sys.stdout.write(render_json(report))
+
+
+def _cmd_verify(args):
+    report = run_verify(_load_config(args.config))
+    _print_report(report, args, "verify")
     return 0 if report.passed else 2
 
 
 def _cmd_bounds(args):
-    report = run_verify(_load_config(args.config))
-    for row in report.rows:
-        row["empirical_error"] = None
-        row["ratio"] = None
-        row["passed"] = True
-    report.passed = True
-    if args.out is not None:
-        print(emit(report, args.format, args.out, stem="bounds"))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report.rows))
-    else:
-        sys.stdout.write(render_json(report))
+    _print_report(run_bounds(_load_config(args.config)), args, "bounds")
     return 0
 
 
@@ -98,10 +89,10 @@ def _interp(args, want_order):
     m = args.eval_grid
     if m < 2:
         raise ConfigError("--eval-grid must be at least 2")
-    spline, part, order = build_configured_spline(cfg)
+    spline, part, p = build_configured_spline(cfg)
     grid = np.linspace(part.knots[0], part.knots[-1], m)
     if args.format == "csv":
-        if order == 2:
+        if want_order == 2:
             header = "t,s"
             cols = [grid, spline(grid)]
         else:
@@ -113,16 +104,15 @@ def _interp(args, want_order):
             lines.append(",".join(_fmt(c[i]) for c in cols))
         text = "\n".join(lines) + "\n"
     else:
-        if order == 2:
+        if want_order == 2:
             doc = {"knots": list(spline.basis.knots),
                    "pairs": [list(pr) for pr in spline.basis.pairs],
                    "p": cfg.get("p", 0.0),
                    "coefficients": spline.coeffs.tolist()}
         else:
-            p_res, _ = resolve_weight(spline.quads)
             doc = {"knots": list(spline.knots),
                    "quads": [list(q) for q in spline.quads.quads],
-                   "p": p_res,
+                   "p": p,
                    "coefficients": spline.coeffs.tolist()}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _write_or_print(text, args.out, f"interp{want_order}",
@@ -139,30 +129,12 @@ def _cmd_interp4(args):
 
 
 def _cmd_gram(args):
-    cfg = _load_config(args.config)
-    norm = _normalize_config(cfg)
-    if len(norm["levels"]) != 1:
-        raise ConfigError("the gram dump needs a single grid level")
-    knots = norm["levels"][0]
-    part = Partition(tuple(knots))
-    m = part.n - 1
-    if norm["order"] == 2:
-        pairs = _pairs_for(norm["fkind"], norm["fval"], m)
-        p = norm["p"]
-    else:
-        from .harness import _quads_for
-        qset = _quads_for(norm["fkind"], norm["fval"], m, norm["p"])
-        p, canon = resolve_weight(qset)
-        pairs = [q[:2] for q in canon]
-    basis = build_hat_basis(part, pairs)
-    gram = gram_assemble(basis, p)
-    tf = norm["tf"]
-    rhs = None if tf is None else _load_vector(basis, tf, p)
+    gram, rhs, p = configured_gram(_load_config(args.config))
     if args.format == "csv":
         lines = ["i,diag,sub,super,rhs"]
-        for i in range(part.n):
+        for i in range(gram.n):
             sub = gram.sub[i - 1] if i >= 1 else None
-            sup = gram.sup[i] if i < part.n - 1 else None
+            sup = gram.sup[i] if i < gram.n - 1 else None
             r = None if rhs is None else rhs[i]
             lines.append(",".join([str(i), _fmt(gram.diag[i]), _fmt(sub),
                                    _fmt(sup), _fmt(r)]))

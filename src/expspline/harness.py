@@ -45,6 +45,7 @@ from .hatbasis import (
     sum_hats,
 )
 from .l2proj import (
+    _load_vector,
     dominance_factor,
     gram_assemble,
     operator_norm_bound,
@@ -52,6 +53,7 @@ from .l2proj import (
     sfunc,
 )
 from .spline4 import (
+    QuadFrequencySet,
     build_interpolant4,
     error_bound4,
     quad_frequency_set,
@@ -460,139 +462,149 @@ def _normalize_config(cfg):
             "echo": dict(cfg)}
 
 
-def _pairs_for(fkind, fval, m):
-    if fkind == "xi":
-        xs = np.atleast_1d(np.asarray(fval, dtype=float))
-        if xs.size == 1:
-            xs = np.repeat(xs, m)
-        if xs.size != m:
-            raise ConfigError(f"need {m} xi values, got {xs.size}")
-        return [(-abs(float(x)), abs(float(x))) for x in xs]
-    pairs = list(fval)
-    if len(pairs) == 2 and np.isscalar(pairs[0]):
-        pairs = [pairs] * m
-    if len(pairs) == 1:
-        pairs = pairs * m
-    if len(pairs) != m:
-        raise ConfigError(f"need {m} pairs, got {len(pairs)}")
-    return [tuple(float(x) for x in pr) for pr in pairs]
-
-
-def _quads_for(fkind, fval, m, p):
+def _level(norm, knots):
+    """(partition, frequencies, p) of one grid level, the only reader of
+    the config's frequencies: order 2 makes them a hat basis, order 4 a
+    QuadFrequencySet with its resolved weight exponent p."""
+    part = Partition(tuple(knots))
+    m = part.n - 1
+    fkind, fval = norm["fkind"], norm["fval"]
+    if norm["order"] == 2:
+        if fkind == "xi":
+            xs = np.abs(np.atleast_1d(np.asarray(fval, dtype=float)))
+            pairs, what = np.column_stack([-xs, xs]).tolist(), "xi values"
+        else:
+            pairs, what = list(fval), "pairs"
+            if len(pairs) == 2 and np.isscalar(pairs[0]):
+                pairs = [pairs]
+        if len(pairs) == 1:
+            pairs = pairs * m
+        if len(pairs) != m:
+            raise ConfigError(f"need {m} {what}, got {len(pairs)}")
+        return part, build_hat_basis(part, pairs), norm["p"]
     try:
         if fkind == "xi":
-            qset = quad_frequency_set(m, xi=fval, p=p)
+            qset = quad_frequency_set(m, xi=fval, p=norm["p"])
         else:
             quads = list(fval)
             if len(quads) == 1:
                 quads = quads * m
-            qset = quad_frequency_set(m, quads=quads, p=p)
-        resolve_weight(qset)
-        return qset
+            qset = quad_frequency_set(m, quads=quads, p=norm["p"])
+        return part, qset, resolve_weight(qset)[0]
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _verify_row_order2(norm, knots):
-    part = Partition(tuple(knots))
-    m = part.n - 1
-    pairs = _pairs_for(norm["fkind"], norm["fval"], m)
-    basis = build_hat_basis(part, pairs)
-    p = norm["p"]
-    tf = norm["tf"]
-    values = tf(np.array(knots)) if tf is not None else norm["samples"]
-    spline = interpolate2(basis, values)
-    gram = gram_assemble(basis, p)
-    row = {"n": part.n, "delta": part.mesh,
-           "c_factor": dominance_factor(gram),
-           "norm_bound": operator_norm_bound(basis, p),
-           "M2_max": None, "M0_max": None,
-           "bound": None, "ratio": None, "passed": True}
-    if tf is None:
-        row["empirical_error"] = None
-        return row, spline
-    empirical = measure_error(tf, spline, part)
-    ml = _lf_bounds(tf, part, pairs, True)
-    bound = interp2_error_bound(basis, ml)
-    row["empirical_error"] = empirical
-    row["bound"] = bound
-    row["M0_max"] = max(c.value
-                        for c in M_constants(pairs, knots[:-1], knots[1:]))
-    row["ratio"] = empirical / bound if bound > 0.0 else None
-    row["passed"] = bool(empirical <= bound)
-    return row, spline
+def _hats(level):
+    """Hat basis and weight exponent of a level; order 4 takes the hat
+    pair of each resolved quadruple."""
+    part, freqs, p = level
+    if isinstance(freqs, QuadFrequencySet):
+        freqs = build_hat_basis(part, [q[:2] for q in
+                                       resolve_weight(freqs)[1]])
+    return freqs, p
 
 
-def _verify_row_order4(norm, knots):
-    part = Partition(tuple(knots))
-    m = part.n - 1
-    qset = _quads_for(norm["fkind"], norm["fval"], m, norm["p"])
+def _spline(norm, level):
+    """The level's interpolant of the catalog function or the samples."""
+    part, freqs, _ = level
     tf = norm["tf"]
-    if tf is not None:
-        values = tf(np.array(knots))
-        if norm["clamp"] == "exact":
-            dl = float(tf.evaluators[1](np.array(knots[0])))
-            dr = float(tf.evaluators[1](np.array(knots[-1])))
-        else:
-            dl, dr = norm["clamp"]
+    knots = np.array(part.knots)
+    values = tf(knots) if tf is not None else norm["samples"]
+    if norm["order"] == 2:
+        return interpolate2(freqs, values)
+    if norm["clamp"] == "exact":
+        dl, dr = (float(tf.evaluators[1](knots[i])) for i in (0, -1))
     else:
-        values = norm["samples"]
-        if norm["clamp"] == "exact":
-            raise ConfigError('clamp "exact" needs a catalog function')
         dl, dr = norm["clamp"]
-    spline = build_interpolant4(part, qset, values, dl, dr)
-    p_res, canon = resolve_weight(qset)
-    hat_pairs = [q[:2] for q in canon]
-    basis = build_hat_basis(part, hat_pairs)
-    gram = gram_assemble(basis, p_res)
+    return build_interpolant4(part, freqs, values, dl, dr)
+
+
+def _certificate(norm, level):
+    """A level's row with its certificate columns and the measured ones
+    blank; a catalog function adds max|LF| and the bound."""
+    part, freqs, _ = level
+    basis, p = _hats(level)
+    tf = norm["tf"]
     row = {"n": part.n, "delta": part.mesh,
-           "c_factor": dominance_factor(gram),
-           "empirical_error": None, "bound": None, "ratio": None,
-           "passed": True}
-    if tf is None:
-        cert = error_bound4(part, qset, norm["p"], 0.0)
-        row["norm_bound"] = cert.norm_bound
-        row["M2_max"] = cert.m2_max
-        row["M0_max"] = cert.m0_max
-        return row, spline
-    empirical = measure_error(tf, spline, part)
-    ml = max_abs_L(tf, part, list(qset.quads))
-    cert = error_bound4(part, qset, norm["p"], ml)
-    row.update({"empirical_error": empirical, "bound": cert.bound,
-                "norm_bound": cert.norm_bound, "M2_max": cert.m2_max,
-                "M0_max": cert.m0_max,
-                "ratio": empirical / cert.bound if cert.bound > 0.0 else None,
-                "passed": bool(empirical <= cert.bound)})
-    return row, spline
+           "c_factor": dominance_factor(gram_assemble(basis, p)),
+           "M2_max": None, "M0_max": None, "bound": None,
+           "empirical_error": None, "ratio": None, "passed": True}
+    if norm["order"] == 4:
+        ml = 0.0 if tf is None else max_abs_L(tf, part, list(freqs.quads))
+        cert = error_bound4(part, freqs, None, ml)
+        row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
+                   M0_max=cert.m0_max,
+                   bound=None if tf is None else cert.bound)
+        return row
+    row["norm_bound"] = operator_norm_bound(basis, p)
+    if tf is not None:
+        knots = np.array(part.knots)
+        row["bound"] = interp2_error_bound(
+            basis, _lf_bounds(tf, part, basis.pairs, True))
+        row["M0_max"] = max(c.value for c in
+                            M_constants(basis.pairs, knots[:-1], knots[1:]))
+    return row
+
+
+def _verify_row(norm, level):
+    """Build, certify, then measure: a level that fails more than one step
+    fails at the first."""
+    spline = _spline(norm, level)
+    row = _certificate(norm, level)
+    if norm["tf"] is not None:
+        empirical = measure_error(norm["tf"], spline, level[0])
+        bound = row["bound"]
+        row.update(empirical_error=empirical,
+                   ratio=empirical / bound if bound > 0.0 else None,
+                   passed=bool(empirical <= bound))
+    return row
+
+
+def _report(config, row_of):
+    norm = _normalize_config(config)
+    rows = [row_of(norm, _level(norm, knots)) for knots in norm["levels"]]
+    return VerifyReport(config=norm["echo"], rows=rows,
+                        passed=all(r["passed"] for r in rows))
 
 
 def run_verify(config):
     """Build the configured interpolants, measure dense-grid errors, and
     compare them with their certificates level by level."""
+    return _report(config, _verify_row)
+
+
+def run_bounds(config):
+    """The certificate columns of run_verify's rows, level by level, with
+    no interpolant built and no error measured."""
+    return _report(config, _certificate)
+
+
+def _single_level(config, refusal):
     norm = _normalize_config(config)
-    rows = []
-    for knots in norm["levels"]:
-        if norm["order"] == 2:
-            row, _ = _verify_row_order2(norm, knots)
-        else:
-            row, _ = _verify_row_order4(norm, knots)
-        rows.append(row)
-    return VerifyReport(config=norm["echo"], rows=rows,
-                        passed=all(r["passed"] for r in rows))
+    if len(norm["levels"]) != 1:
+        raise ConfigError(refusal)
+    return norm, _level(norm, norm["levels"][0])
 
 
 def build_configured_spline(config):
     """The interpolant of the single-level configuration, for evaluation
-    exports; returns (spline, partition, order)."""
-    norm = _normalize_config(config)
-    if len(norm["levels"]) != 1:
-        raise ConfigError("evaluation exports need a single grid level")
-    knots = norm["levels"][0]
-    if norm["order"] == 2:
-        _, spline = _verify_row_order2(norm, knots)
-    else:
-        _, spline = _verify_row_order4(norm, knots)
-    return spline, Partition(tuple(knots)), norm["order"]
+    exports; returns (spline, partition, p), p the level's weight
+    exponent."""
+    norm, level = _single_level(
+        config, "evaluation exports need a single grid level")
+    return _spline(norm, level), level[0], level[2]
+
+
+def configured_gram(config):
+    """The weighted Gram system of the single-level configuration's hats:
+    (gram, load vector of the catalog function or None, p)."""
+    norm, level = _single_level(config,
+                                 "the gram dump needs a single grid level")
+    basis, p = _hats(level)
+    tf = norm["tf"]
+    return gram_assemble(basis, p), \
+        None if tf is None else _load_vector(basis, tf, p), p
 
 
 @dataclass

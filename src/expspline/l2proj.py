@@ -368,24 +368,3 @@ def project(basis, g, p):
     return ProjectionResult(coeffs=coeffs, c=c_factor, norm_bound=norm_bound,
                             basis=basis, p=p)
 
-
-def lemma_constant(a, b):
-    """Constant of the two-parameter comparison inequality used by the
-    fourth order analysis; requires a < 0.
-
-    The value is the largest of four rational expressions in (a, b); it is
-    1/2 whenever the other three stay below 1/2, and grows once b drops far
-    below zero.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("arguments must be finite")
-    if a >= 0.0:
-        raise ValueError(f"need a < 0, got a = {a}")
-    e1 = 0.5
-    e2 = (2.0 - a - b) / (2.0 * (2.0 - a))
-    e3 = (2.0 * a * a + (2.0 * a - 1.0) * b + 2.0 - 3.0 * a) \
-        / (2.0 * (1.0 - 2.0 * a) * (2.0 - a))
-    e4 = (1.0 - b) / (2.0 * (1.0 - 2.0 * a))
-    return max(e1, e2, e3, e4)

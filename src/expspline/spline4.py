@@ -91,18 +91,12 @@ def quad_frequency_set(m, quads=None, xi=None, p=None):
                             p=None if p is None else float(p))
 
 
-def _splits(quad):
-    a, b, c, d = quad
-    yield (a, b), (c, d)
-    yield (a, c), (b, d)
-    yield (a, d), (b, c)
-
-
 def _interval_candidates(quad, tol):
     """All (hat_pair, op_pair, p) decompositions of one quadruple, the
     as-given split first."""
+    a, b, c, d = quad
     out = []
-    for g, o in _splits(quad):
+    for g, o in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
         for oo in (o, o[::-1]):
             p1 = -(g[0] + oo[0])
             p2 = -(g[1] + oo[1])
@@ -111,44 +105,51 @@ def _interval_candidates(quad, tol):
     return out
 
 
+def _candidate_table(quads, p=None):
+    """(tol, table) of the pairing searches: tol is 1e-9 of the largest of
+    1, every |frequency| and |p| when given, and table maps each distinct
+    quadruple, in interval order, to its _interval_candidates.  Both cross
+    sums of a split equal -p, so the candidates of one quadruple share p =
+    -(l0 + l1 + l2 + l3)/2 up to rounding."""
+    distinct = dict.fromkeys(quads)
+    scale = max([1.0] + [abs(x) for q in distinct for x in q])
+    if p is not None:
+        scale = max(scale, abs(p))
+    tol = 1e-9 * scale
+    return tol, {q: _interval_candidates(q, tol) for q in distinct}
+
+
 def resolve_weight(qset):
     """Find the weight exponent p and the per-interval pair decomposition.
 
     Returns (p, canonical) where canonical holds one quadruple per interval
-    with both halves sorted and the pairing condition satisfied.  The split
-    as given is preferred; when it fails, the other regroupings of the four
-    frequencies are tried.  Raises ValueError listing every candidate p when
-    no single exponent works across all intervals.
+    with both halves sorted and the pairing condition satisfied.  p is the
+    requested one or that of interval 0; per distinct quadruple the split
+    as given is preferred, and when it fails the other regroupings of the
+    four frequencies are tried.  Raises ValueError listing every candidate
+    p, in interval order, when no single exponent works across all
+    intervals.
     """
-    quads = qset.quads
-    scale = max([1.0] + [abs(x) for q in quads for x in q])
+    tol, table = _candidate_table(qset.quads, qset.p)
     if qset.p is not None:
-        scale = max(scale, abs(qset.p))
-    tol = 1e-9 * scale
-    per_interval = [_interval_candidates(q, tol) for q in quads]
-    attempted = sorted({p for cands in per_interval for _, _, p in cands})
-    if qset.p is not None:
-        ps = [float(qset.p)]
+        p = float(qset.p)
     else:
-        ps = []
-        for _, _, p in per_interval[0]:
-            if not any(abs(p - q) <= tol for q in ps):
-                ps.append(p)
-    for p in ps:
-        canonical = []
-        for cands in per_interval:
-            hit = next((c for c in cands if abs(c[2] - p) <= tol), None)
-            if hit is None:
-                break
-            g, o, _ = hit
-            canonical.append(tuple(sorted(g)) + tuple(sorted(o)))
-        else:
-            # + 0.0 turns a -0.0 from the as-given split into +0.0
-            return p + 0.0, tuple(canonical)
-    raise ValueError(
-        "no weight exponent pairs the quadruples; candidate p values per "
-        f"interval were {attempted if attempted else 'none'}"
-        + (f", requested p = {qset.p}" if qset.p is not None else ""))
+        # a NaN matches no candidate
+        first = next(iter(table.values()))
+        p = first[0][2] if first else math.nan
+    canonical = {}
+    for quad, cands in table.items():
+        hit = next((c for c in cands if abs(c[2] - p) <= tol), None)
+        if hit is None:
+            attempted = sorted({c[2] for cs in table.values() for c in cs})
+            raise ValueError(
+                "no weight exponent pairs the quadruples; candidate p values "
+                f"per interval were {attempted if attempted else 'none'}"
+                + (f", requested p = {qset.p}" if qset.p is not None else ""))
+        g, o, _ = hit
+        canonical[quad] = tuple(sorted(g)) + tuple(sorted(o))
+    # + 0.0 turns a -0.0 from the as-given split into +0.0
+    return p + 0.0, tuple(canonical[q] for q in qset.quads)
 
 
 def _derivative_table(table, order):
@@ -498,19 +499,14 @@ def _match_op_pairs(qset, basis, p):
     orthogonal to the given hats; errors if the quadruples cannot be paired
     with the basis pairs under the exponent p."""
     p = float(p)
-    scale = max([1.0, abs(p)] + [abs(x) for q in qset.quads for x in q])
-    tol = 1e-9 * scale
+    tol, table = _candidate_table(qset.quads, p)
     out = []
     for j, quad in enumerate(qset.quads):
-        want = tuple(sorted(basis.pairs[j]))
-        hit = None
-        for g, o, pc in _interval_candidates(quad, tol):
-            implied = tuple(sorted((-p - o[0], -p - o[1])))
-            if abs(pc - p) <= tol \
-                    and abs(implied[0] - want[0]) <= tol \
-                    and abs(implied[1] - want[1]) <= tol:
-                hit = o
-                break
+        want = sorted(basis.pairs[j])
+        hit = next((o for _, o, pc in table[quad] if abs(pc - p) <= tol
+                    and all(abs(x - w) <= tol for x, w in
+                            zip(sorted((-p - o[0], -p - o[1])), want))),
+                   None)
         if hit is None:
             raise ValueError(
                 f"interval {j}: quadruple {quad} does not match hat pair "

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expspline
+from expspline import cli, harness
 from expspline.errbound2 import M_constant, interp2_error_bound
 from expspline.expcore import operator_apply
 from expspline.harness import (
@@ -27,6 +28,7 @@ from expspline.harness import (
     measure_error,
     render_csv,
     render_json,
+    run_bounds,
     run_verify,
 )
 from expspline.hatbasis import Partition, build_hat_basis
@@ -42,6 +44,13 @@ SIN2_CONFIG = {"function": "sin", "domain": [0.0, math.pi],
                "frequencies": {"xi": 1.0}, "n": [5, 9, 17], "order": 2}
 SIN4_CONFIG = {"function": "sin", "domain": [0.0, math.pi],
                "frequencies": {"xi": 2.0}, "n": 9, "order": 4}
+WEIGHTED_CONFIG = dict(SIN4_CONFIG, frequencies={"quads": [[0.5, 2.0, -1.5,
+                                                            -3.0]]})
+SAMPLES2_CONFIG = {"function": {"samples": [0.0, 0.7, 0.9, 1.0]},
+                   "knots": [0.0, 0.5, 1.0, 1.5],
+                   "frequencies": {"pairs": [[-1.0, 1.0]]}, "order": 2}
+SAMPLES4_CONFIG = dict(SAMPLES2_CONFIG, order=4, clamp=[1.0, 0.0],
+                       frequencies={"quads": [[0.5, 2.0, -1.5, -3.0]]})
 
 
 class TestCatalog:
@@ -334,10 +343,7 @@ class TestRunVerify:
         assert report.rows[0]["n"] == 4
 
     def test_samples_mode_has_no_certificate(self):
-        config = {"function": {"samples": [0.0, 0.7, 0.9, 1.0]},
-                  "knots": [0.0, 0.5, 1.0, 1.5],
-                  "frequencies": {"pairs": [[-1.0, 1.0]]}, "order": 2}
-        report = run_verify(config)
+        report = run_verify(SAMPLES2_CONFIG)
         assert report.passed
         row = report.rows[0]
         assert row["bound"] is None and row["empirical_error"] is None
@@ -357,6 +363,22 @@ class TestRunVerify:
                   "frequencies": {"xi": [0.5, 1.0, 2.0]}, "order": 2}
         report = run_verify(config)
         assert report.passed
+
+
+class TestRunBounds:
+
+    @pytest.mark.parametrize("config", [SIN2_CONFIG, SIN4_CONFIG,
+                                        WEIGHTED_CONFIG, SAMPLES2_CONFIG,
+                                        SAMPLES4_CONFIG],
+                             ids=["sin2", "sin4", "weighted", "samples2",
+                                  "samples4"])
+    def test_rows_are_verify_rows_without_measurement(self, config):
+        want = run_verify(config)
+        for row in want.rows:
+            row.update(empirical_error=None, ratio=None, passed=True)
+        got = run_bounds(config)
+        assert got.rows == want.rows
+        assert got.passed and got.config == want.config
 
 
 class TestConfigValidation:
@@ -504,6 +526,75 @@ def _cli(args, config=None, tmp_path=None):
     return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
+def _main(args, config, tmp_path, capsys):
+    """cli.main in-process on config: (exit code, stdout, stderr)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(list(args) + ["-c", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestCommandsComputeWhatTheyPrint:
+
+    @pytest.mark.parametrize("command, config, refusal", [
+        # h = pi/4 is past the monotone radius of the hats (3, 4)
+        ("interp4", dict(SIN4_CONFIG, n=5, frequencies={
+            "quads": [[3.0, 4.0, -3.0, -4.0]]}), (1, "monotone radius")),
+        # the Gram matrices of these hats overflow
+        ("interp2", {"function": "sin", "domain": [0.0, 1.0], "n": 3,
+                     "frequencies": {"pairs": [[-900.0, 3.0]]}, "order": 2},
+         (3, "overflows")),
+        ("interp2", {"function": "sin", "domain": [0.0, math.pi], "n": 3,
+                     "frequencies": {"xi": 400.0}, "order": 2},
+         (3, "overflows")),
+    ], ids=["quads-past-monotone-radius", "pairs-gram-overflow",
+            "xi-gram-overflow"])
+    def test_interp_builds_what_verify_cannot_certify(self, command, config,
+                                                      refusal, tmp_path,
+                                                      capsys):
+        code, _, err = _main(["verify"], config, tmp_path, capsys)
+        assert code == refusal[0] and refusal[1] in err
+        code, out, _ = _main([command, "--eval-grid", "5"], config, tmp_path,
+                             capsys)
+        assert code == 0
+        table = np.array([[float(x) for x in line.split(",")]
+                          for line in out.splitlines()[1:]])
+        assert table.shape[0] == 5 and np.all(np.isfinite(table))
+        # every knot is a grid point, and the spline keeps its data there
+        knots = np.linspace(*config["domain"], config["n"])
+        at = np.isclose(table[:, :1], knots, rtol=0.0, atol=1e-11).any(axis=1)
+        assert at.sum() == knots.size
+        assert_allclose(table[at, 1], np.sin(table[at, 0]), atol=1e-11)
+
+    def test_bounds_certifies_what_the_build_refuses(self, tmp_path, capsys):
+        # 40 intervals graded by 1.5: the build misses its C^2 joins
+        lengths = 1.5 ** np.arange(40)
+        knots = np.append(np.cumsum(lengths) - lengths, lengths.sum()) \
+            * (math.pi / lengths.sum())
+        config = {"function": "sin", "knots": knots.tolist(), "order": 4,
+                  "frequencies": {"xi": 1.3}, "clamp": [1.0, -1.0]}
+        code, _, err = _main(["verify"], config, tmp_path, capsys)
+        assert code != 0 and "C^2 joins" in err
+        code, out, _ = _main(["bounds"], config, tmp_path, capsys)
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
+        assert cells[2] == "" and float(cells[3]) > 0.0
+
+    def test_bounds_neither_builds_nor_measures(self, monkeypatch, tmp_path,
+                                                capsys):
+        want = _main(["bounds"], SIN4_CONFIG, tmp_path, capsys)
+
+        def refuse(*args, **kwargs):
+            raise OverflowError("refused")
+        for name in ("build_interpolant4", "interpolate2", "measure_error"):
+            monkeypatch.setattr(harness, name, refuse)
+        assert _main(["verify"], SIN4_CONFIG, tmp_path, capsys)[0] == 3
+        for config in (SIN2_CONFIG, WEIGHTED_CONFIG, SAMPLES4_CONFIG):
+            assert _main(["bounds"], config, tmp_path, capsys)[0] == 0
+        assert _main(["bounds"], SIN4_CONFIG, tmp_path, capsys) == want
+
+
 class TestCli:
 
     def test_verify_csv_stdout(self, tmp_path):
@@ -588,13 +679,11 @@ class TestCli:
         assert float(first[1]) > 0.0
 
     def test_gram_dump_order4_solves_to_projection(self, tmp_path):
-        config = dict(SIN4_CONFIG, frequencies={"quads": [[0.5, 2.0, -1.5,
-                                                           -3.0]]})
-        proc = _cli(["gram", "--format", "json"], config, tmp_path)
+        proc = _cli(["gram", "--format", "json"], WEIGHTED_CONFIG, tmp_path)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         knots = np.linspace(0.0, math.pi, 9)
-        p, canon = resolve_weight(quad_frequency_set(8, quads=config[
+        p, canon = resolve_weight(quad_frequency_set(8, quads=WEIGHTED_CONFIG[
             "frequencies"]["quads"][0]))
         assert doc["p"] == p == 1.0
         dense = np.diag(doc["diag"]) + np.diag(doc["sub"], -1) \

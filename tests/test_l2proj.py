@@ -26,7 +26,6 @@ from expspline.l2proj import (
     abcd_quadrature,
     dominance_factor,
     gram_assemble,
-    lemma_constant,
     operator_norm_bound,
     project,
     tfunc,
@@ -638,44 +637,3 @@ def test_norm_bound_holds_the_dense_lebesgue_sup(cells, p):
     s_max = max(np.max(np.abs(sfunc(l0, l1, p, s * h))) for s in (1.0, -1.0))
     assert norm * (1.0 - c) / s_max \
         >= _dense_sum_max(basis) * (1.0 - 8.0 * _EPS)
-
-
-class TestLemmaConstant:
-    def test_frozen_values(self):
-        assert lemma_constant(-1.0, 0.0) == 0.5
-        assert_allclose(lemma_constant(-1.0, -10.0), 13.0 / 6.0, rtol=1e-15)
-        assert lemma_constant(-2.0, 1.0) == 0.5
-        assert lemma_constant(-0.5, 2.0) == 0.5
-
-    def test_limit_toward_zero(self):
-        # with b = -1 - a the fourth expression tends to 1
-        assert_allclose(lemma_constant(-1e-9, -1.0 + 1e-9), 1.0, rtol=1e-8)
-
-    def test_at_least_half(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            a = float(rng.uniform(-10.0, -0.01))
-            b = float(rng.uniform(-10.0, 10.0))
-            assert lemma_constant(a, b) >= 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lemma_constant(0.0, 1.0)
-        with pytest.raises(ValueError):
-            lemma_constant(1.0, 1.0)
-        with pytest.raises(ValueError):
-            lemma_constant(math.nan, 1.0)
-
-    def test_comparison_function_positive(self):
-        # 2 C Phi_{(a-1,1-a,0,b)} - Phi_{(a,1,-a,-1)} > 0 on (0, 10] with
-        # b = -a - 1
-        from expspline.expcore import fundamental_eval
-        rng = np.random.default_rng(606)
-        ts = np.linspace(1e-3, 10.0, 400)
-        for _ in range(12):
-            a = float(rng.uniform(-5.0, -0.05))
-            b = -a - 1.0
-            c = lemma_constant(a, b)
-            vals = (2.0 * c * fundamental_eval((a - 1.0, 1.0 - a, 0.0, b), ts)
-                    - fundamental_eval((a, 1.0, -a, -1.0), ts))
-            assert np.all(vals > 0.0)

@@ -7,10 +7,11 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -622,6 +623,94 @@ def test_lookup_is_searchsorted_on_graded_meshes(case):
                                           200))
 
 
+def _resolve_weight_per_interval(qset):
+    """The pairing search interval by interval, every candidate p of
+    interval 0 in turn: the reference for resolve_weight."""
+    quads = qset.quads
+    scale = max([1.0] + [abs(x) for q in quads for x in q])
+    if qset.p is not None:
+        scale = max(scale, abs(qset.p))
+    tol = 1e-9 * scale
+    per_interval = []
+    for a, b, c, d in quads:
+        cands = []
+        for g, o in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            for oo in (o, o[::-1]):
+                p1, p2 = -(g[0] + oo[0]), -(g[1] + oo[1])
+                if abs(p1 - p2) <= 2.0 * tol:
+                    cands.append((g, oo, 0.5 * (p1 + p2)))
+        per_interval.append(cands)
+    attempted = sorted({p for cands in per_interval for _, _, p in cands})
+    if qset.p is not None:
+        ps = [float(qset.p)]
+    else:
+        ps = []
+        for _, _, p in per_interval[0]:
+            if not any(abs(p - q) <= tol for q in ps):
+                ps.append(p)
+    for p in ps:
+        canonical = []
+        for cands in per_interval:
+            hit = next((c for c in cands if abs(c[2] - p) <= tol), None)
+            if hit is None:
+                break
+            canonical.append(tuple(sorted(hit[0])) + tuple(sorted(hit[1])))
+        else:
+            return p + 0.0, tuple(canonical)
+    raise ValueError(
+        "no weight exponent pairs the quadruples; candidate p values per "
+        f"interval were {attempted if attempted else 'none'}"
+        + (f", requested p = {qset.p}" if qset.p is not None else ""))
+
+
+# exact values make the cancellations that give p = +-0.0
+_FREQS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.3,
+                                    -2.1, 3.0]),
+                   st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _weight_problems(draw):
+    """Quadruples drawn from a pool of one to three, paired ones under any
+    of the three splits or free ones, and a requested p or none."""
+    pool, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            a, b, p = draw(_FREQS), draw(_FREQS), draw(_FREQS)
+            quad = (a, b, -p - a, -p - b)
+            pool.append(tuple(quad[i] for i in draw(st.permutations(range(4)))))
+            weights.append(p)
+        else:
+            pool.append(tuple(draw(_FREQS) for _ in range(4)))
+    quads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    p = draw(st.one_of(st.none(), st.none(), _FREQS,
+                       st.sampled_from(weights or [None])))
+    return quads, p
+
+
+def _weight_outcome(resolve, quads, p):
+    try:
+        p_res, canonical = resolve(SimpleNamespace(quads=tuple(quads), p=p))
+    except ValueError as exc:
+        return "refused", str(exc)
+    return np.float64(p_res).tobytes(), canonical
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(problem=_weight_problems())
+# interval 0 offers p = -0.0, interval 1 p = +0.0 = -(-0.0 + -0.0) and
+# interval 2 p = 1.0: the refusal lists [-0.0, 1.0], in interval order
+@example(problem=([(1.3, 2.1, -1.3, -2.1), (-0.0, 1.0, -0.0, -1.0),
+                   (0.5, 2.0, -1.5, -3.0)], None))
+@example(problem=([(1.0, -1.0, 1.0, -1.0)] * 4, 0.0))
+@example(problem=([(0.0, 0.0, 1.0, -1.0), (-0.0, 0.0, 1.0, -1.0)], None))
+@example(problem=([(0.0, 0.0, 1.0, 2.0)], None))
+def test_resolve_weight_matches_the_per_interval_search(problem):
+    quads, p = problem
+    assert _weight_outcome(resolve_weight, quads, p) \
+        == _weight_outcome(_resolve_weight_per_interval, quads, p)
+
+
 class TestOrthogonality:
     def test_symmetric_sin(self):
         kn = np.linspace(0.0, math.pi, 5)
@@ -638,6 +727,16 @@ class TestOrthogonality:
         basis = build_hat_basis(kn, [(0.0, 0.0)] * 3)
         fd = lambda ts: (ts ** 4 / 24.0, ts ** 3 / 6.0, ts ** 2 / 2.0)
         assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-7
+
+    def test_alternate_split_hats(self):
+        # (1, -1, 1, -1) also splits into the hats (1, 1) and the operator
+        # pair (-1, -1) under p = 0, and the residual is orthogonal to those
+        kn = np.linspace(0.0, math.pi, 5)
+        s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
+                               np.sin(kn), 1.0, -1.0)
+        basis = build_hat_basis(kn, [(1.0, 1.0)] * 4)
+        fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
+        assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-12
 
     def test_kernel_function_gives_zero(self):
         kn = np.linspace(0.0, 1.5, 4)
