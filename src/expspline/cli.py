@@ -80,19 +80,19 @@ def _cmd_bounds(args):
     return 0
 
 
-def _interp(args, want_order):
+def _interp(args):
     cfg = _load_config(args.config)
-    if cfg.get("order") != want_order:
+    if cfg.get("order") != args.order:
         raise ConfigError(
             f"config order {cfg.get('order')!r} does not match the "
-            f"interp{want_order} subcommand")
+            f"interp{args.order} subcommand")
     m = args.eval_grid
     if m < 2:
         raise ConfigError("--eval-grid must be at least 2")
     spline, part, p = build_configured_spline(cfg)
     grid = np.linspace(part.knots[0], part.knots[-1], m)
     if args.format == "csv":
-        if want_order == 2:
+        if args.order == 2:
             header = "t,s"
             cols = [grid, spline(grid)]
         else:
@@ -104,28 +104,20 @@ def _interp(args, want_order):
             lines.append(",".join(_fmt(c[i]) for c in cols))
         text = "\n".join(lines) + "\n"
     else:
-        if want_order == 2:
-            doc = {"knots": list(spline.basis.knots),
-                   "pairs": [list(pr) for pr in spline.basis.pairs],
+        if args.order == 2:
+            doc = {"knots": spline.basis.knots.tolist(),
+                   "pairs": spline.basis.pairs.tolist(),
                    "p": cfg.get("p", 0.0),
                    "coefficients": spline.coeffs.tolist()}
         else:
-            doc = {"knots": list(spline.knots),
+            doc = {"knots": spline.knots.tolist(),
                    "quads": [list(q) for q in spline.quads.quads],
                    "p": p,
                    "coefficients": spline.coeffs.tolist()}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args.out, f"interp{want_order}",
+    _write_or_print(text, args.out, f"interp{args.order}",
                     "csv" if args.format == "csv" else "json")
     return 0
-
-
-def _cmd_interp2(args):
-    return _interp(args, 2)
-
-
-def _cmd_interp4(args):
-    return _interp(args, 4)
 
 
 def _cmd_gram(args):
@@ -213,12 +205,12 @@ def build_parser():
     sp = subs.add_parser("interp2", help="piecewise exponential interpolant "
                          "of order 2: evaluation grid or coefficient dump")
     _add_common(sp, with_eval_grid=True)
-    sp.set_defaults(func=_cmd_interp2)
+    sp.set_defaults(func=_interp, order=2)
 
     sp = subs.add_parser("interp4", help="clamped interpolant of order 4: "
                          "evaluation grid or coefficient dump")
     _add_common(sp, with_eval_grid=True)
-    sp.set_defaults(func=_cmd_interp4)
+    sp.set_defaults(func=_interp, order=4)
 
     sp = subs.add_parser("bounds", help="certificates only, no error "
                          "measurement")
@@ -246,16 +238,14 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # numpy's LinAlgError is a ValueError, so the numerical types go first
     except (DominanceError, QuadratureError, OverflowError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

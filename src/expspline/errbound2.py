@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expcore import _phi_rows, fundamental_eval
-from .hatbasis import group_intervals
 from .quadrature import integrate
 
 _BRACKET_POINTS = 17
@@ -311,8 +310,10 @@ def M_constant(lam0, lam1, a, b):
 
 
 def M_constants(pairs, lefts, rights):
-    """M_constant of each interval [lefts[i], rights[i]] with pair pairs[i];
-    the keys not yet cached share one batched search."""
+    """M_constant of each interval [lefts[i], rights[i]] with pair pairs[i],
+    sequences or arrays; the keys not cached share one batched search."""
+    pairs, lefts, rights = (np.asarray(x, dtype=float).tolist()
+                            for x in (pairs, lefts, rights))
     for a, b in zip(lefts, rights):
         _check_interval(a, b)
     spans = [b - a for a, b in zip(lefts, rights)]
@@ -340,7 +341,7 @@ def interp2_error_bound(basis, max_lf):
     per distinct (pair, length) key.
     """
     knots = basis.knots
-    m = len(knots) - 1
+    m = knots.size - 1
     ml = np.asarray(max_lf, dtype=float)
     if ml.ndim == 0:
         ml = np.full(m, float(ml))
@@ -348,8 +349,7 @@ def interp2_error_bound(basis, max_lf):
         raise ValueError(f"need {m} interval values, got shape {ml.shape}")
     if not np.all(ml >= 0.0):
         raise ValueError("max|LF| values must be nonnegative numbers")
-    reps, inverse = group_intervals(basis.pairs, basis.partition.lengths)
+    reps, inverse = basis.groups
     m_vals = np.array([c.value for c in M_constants(
-        [basis.pairs[j] for j in reps], [knots[j] for j in reps],
-        [knots[j + 1] for j in reps])])
-    return max(0.0, *(m_vals[inverse] * ml))
+        basis.pairs[reps], knots[reps], knots[reps + 1])])
+    return max(0.0, float(np.max(m_vals[inverse] * ml)))

@@ -39,6 +39,7 @@ from .expcore import (
 )
 from .hatbasis import (
     Partition,
+    as_partition,
     build_hat_basis,
     hat_eval,
     interpolate2,
@@ -54,6 +55,7 @@ from .l2proj import (
 )
 from .spline4 import (
     QuadFrequencySet,
+    _max_interval_constants,
     build_interpolant4,
     error_bound4,
     quad_frequency_set,
@@ -255,7 +257,7 @@ def _lf_bounds(tf, part, freq_sets, per_interval):
     per_interval, the interval's own, and at least _PAD_FLOOR * A_j.
     Intervals are grouped by frequency set, one grid per group.
     """
-    knots = np.array(part.knots)
+    knots = part.knots
     lefts, rights = knots[:-1], knots[1:]
     if tf.bounds is None:
         raise ValueError(f"test function {tf.name!r} declares no derivative "
@@ -322,8 +324,7 @@ def max_abs_L(tf, partition, freq_sets):
     without declared bounds, or bounds that give no finite pad, raise
     ValueError too.
     """
-    part = partition if isinstance(partition, Partition) \
-        else Partition(tuple(np.asarray(partition, dtype=float)))
+    part = as_partition(partition)
     freq_sets = list(freq_sets)
     if len(freq_sets) != part.n - 1:
         raise ValueError(f"need {part.n - 1} frequency sets")
@@ -333,9 +334,7 @@ def max_abs_L(tf, partition, freq_sets):
 def error_grid(partition, uniform=10 ** 4, cheb_per_interval=64):
     """Measurement grid: uniform points, every knot, and Chebyshev points in
     each interval so boundary-layer maxima at stiff frequencies are seen."""
-    part = partition if isinstance(partition, Partition) \
-        else Partition(tuple(np.asarray(partition, dtype=float)))
-    knots = np.array(part.knots)
+    knots = as_partition(partition).knots
     angles = (2.0 * np.arange(cheb_per_interval) + 1.0) \
         * math.pi / (2.0 * cheb_per_interval)
     mid = 0.5 * (knots[:-1] + knots[1:])
@@ -361,6 +360,20 @@ class VerifyReport:
     passed: bool
 
 
+def _floats(value, shape, message, rows=False):
+    """value as a float array of the given shape or, with rows, of shape
+    (k, *shape), one alone making k = 1; else ConfigError(message)."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(message) from None
+    if rows and arr.shape == shape:
+        arr = arr[None]
+    if arr.shape[int(rows):] != shape or arr.ndim != len(shape) + rows:
+        raise ConfigError(message)
+    return arr
+
+
 def _normalize_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -380,10 +393,10 @@ def _normalize_config(cfg):
     if isinstance(func, str):
         tf = get_test_function(func)
     elif isinstance(func, dict) and set(func) == {"samples"}:
-        samples = np.asarray(func["samples"], dtype=float)
-        if samples.ndim != 1 or samples.size < 2 \
-                or not np.all(np.isfinite(samples)):
-            raise ConfigError("samples must be a flat list of finite values")
+        message = "samples must be a flat list of finite values"
+        samples = _floats(func["samples"], (), message, rows=True)
+        if samples.size < 2 or not np.all(np.isfinite(samples)):
+            raise ConfigError(message)
     else:
         raise ConfigError('function must be a catalog name or {"samples": '
                           '[...]}')
@@ -393,40 +406,40 @@ def _normalize_config(cfg):
     domain = cfg.get("domain")
     if domain is None and tf is not None:
         domain = tf.default_domain
+    if domain is not None:
+        domain = _floats(domain, (2,), "domain must be [a, b]")
     if "knots" in cfg:
-        knots = np.asarray(cfg["knots"], dtype=float)
-        if knots.ndim != 1 or knots.size < 2:
-            raise ConfigError("knots must be a list of at least two reals")
+        knots = _floats(cfg["knots"], (), "knots must be a list of reals",
+                        rows=True)
         try:
-            Partition(tuple(knots))
+            levels = [Partition(knots)]
         except ValueError as exc:
             raise ConfigError(str(exc))
         if "domain" in cfg and (abs(domain[0] - knots[0]) > 1e-12
                                 or abs(domain[1] - knots[-1]) > 1e-12):
             raise ConfigError("domain does not match the explicit knots")
-        levels = [knots]
     else:
         if domain is None:
             raise ConfigError("domain is required when n is given without a "
                               "catalog function")
-        a, b = float(domain[0]), float(domain[1])
+        a, b = domain.tolist()
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ConfigError("domain must be [a, b] with a < b")
         ns = cfg.get("n")
         if ns is None:
             raise ConfigError("give knots or n")
-        ns = [ns] if np.isscalar(ns) else list(ns)
+        ns = _floats(ns, (), "n must be integers", rows=True).tolist()
         for n in ns:
-            if n != int(n) or int(n) < 2:
-                raise ConfigError(f"grid size must be an integer >= 2: {n}")
-        levels = [np.linspace(a, b, int(n)) for n in ns]
+            if not (n >= 2 and n % 1 == 0):
+                raise ConfigError(f"grid size must be an integer >= 2: {n:g}")
+        levels = [Partition(np.linspace(a, b, int(n))) for n in ns]
 
     if samples is not None:
         if len(levels) != 1:
             raise ConfigError("samples require a single grid level")
-        if samples.size != levels[0].size:
+        if samples.size != levels[0].n:
             raise ConfigError(
-                f"got {samples.size} samples for {levels[0].size} knots")
+                f"got {samples.size} samples for {levels[0].n} knots")
 
     freq = cfg.get("frequencies")
     if not isinstance(freq, dict) or len(freq) != 1 \
@@ -434,6 +447,10 @@ def _normalize_config(cfg):
         raise ConfigError('frequencies must be {"xi": ...} or {"pairs": ...}'
                           ' or {"quads": ...}')
     fkind, fval = next(iter(freq.items()))
+    shape, what = {"xi": ((), "a number"), "pairs": ((2,), "a pair"),
+                   "quads": ((4,), "a quadruple")}[fkind]
+    fval = _floats(fval, shape, f"{fkind} must be {what} or a list of one "
+                   "per interval", rows=True)
     if fkind == "quads" and order != 4:
         raise ConfigError("quads require order 4")
     if fkind == "pairs" and order != 2:
@@ -441,7 +458,7 @@ def _normalize_config(cfg):
 
     p = cfg.get("p")
     if p is not None:
-        p = float(p)
+        p = float(_floats(p, (), "p must be a number"))
         if not math.isfinite(p):
             raise ConfigError("p must be finite")
     elif order == 2:
@@ -453,7 +470,8 @@ def _normalize_config(cfg):
             if tf is None:
                 raise ConfigError('clamp "exact" needs a catalog function')
         else:
-            clamp = [float(clamp[0]), float(clamp[1])]
+            clamp = _floats(clamp, (2,), 'clamp must be [d_left, d_right] '
+                            'or "exact"').tolist()
             if not all(map(math.isfinite, clamp)):
                 raise ConfigError("clamp derivatives must be finite")
 
@@ -462,34 +480,26 @@ def _normalize_config(cfg):
             "echo": dict(cfg)}
 
 
-def _level(norm, knots):
+def _level(norm, part):
     """(partition, frequencies, p) of one grid level, the only reader of
     the config's frequencies: order 2 makes them a hat basis, order 4 a
     QuadFrequencySet with its resolved weight exponent p."""
-    part = Partition(tuple(knots))
     m = part.n - 1
+    # fval has one row per interval, or one row for all of them
     fkind, fval = norm["fkind"], norm["fval"]
     if norm["order"] == 2:
-        if fkind == "xi":
-            xs = np.abs(np.atleast_1d(np.asarray(fval, dtype=float)))
-            pairs, what = np.column_stack([-xs, xs]).tolist(), "xi values"
-        else:
-            pairs, what = list(fval), "pairs"
-            if len(pairs) == 2 and np.isscalar(pairs[0]):
-                pairs = [pairs]
-        if len(pairs) == 1:
-            pairs = pairs * m
-        if len(pairs) != m:
+        pairs, what = (fval, "pairs") if fkind == "pairs" else \
+            (np.column_stack([-np.abs(fval), np.abs(fval)]), "xi values")
+        if len(pairs) not in (1, m):
             raise ConfigError(f"need {m} {what}, got {len(pairs)}")
-        return part, build_hat_basis(part, pairs), norm["p"]
+        return part, build_hat_basis(part, np.broadcast_to(pairs, (m, 2))), \
+            norm["p"]
     try:
         if fkind == "xi":
             qset = quad_frequency_set(m, xi=fval, p=norm["p"])
         else:
-            quads = list(fval)
-            if len(quads) == 1:
-                quads = quads * m
-            qset = quad_frequency_set(m, quads=quads, p=norm["p"])
+            qset = quad_frequency_set(
+                m, quads=fval[0] if len(fval) == 1 else fval, p=norm["p"])
         return part, qset, resolve_weight(qset)[0]
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -509,7 +519,7 @@ def _spline(norm, level):
     """The level's interpolant of the catalog function or the samples."""
     part, freqs, _ = level
     tf = norm["tf"]
-    knots = np.array(part.knots)
+    knots = part.knots
     values = tf(knots) if tf is not None else norm["samples"]
     if norm["order"] == 2:
         return interpolate2(freqs, values)
@@ -539,11 +549,9 @@ def _certificate(norm, level):
         return row
     row["norm_bound"] = operator_norm_bound(basis, p)
     if tf is not None:
-        knots = np.array(part.knots)
         row["bound"] = interp2_error_bound(
-            basis, _lf_bounds(tf, part, basis.pairs, True))
-        row["M0_max"] = max(c.value for c in
-                            M_constants(basis.pairs, knots[:-1], knots[1:]))
+            basis, _lf_bounds(tf, part, basis.pairs.tolist(), True))
+        row["M0_max"] = _max_interval_constants(part, [basis.pairs])[0]
     return row
 
 
@@ -563,7 +571,7 @@ def _verify_row(norm, level):
 
 def _report(config, row_of):
     norm = _normalize_config(config)
-    rows = [row_of(norm, _level(norm, knots)) for knots in norm["levels"]]
+    rows = [row_of(norm, _level(norm, part)) for part in norm["levels"]]
     return VerifyReport(config=norm["echo"], rows=rows,
                         passed=all(r["passed"] for r in rows))
 
@@ -637,7 +645,7 @@ def convergence_study(config):
     report = run_verify(config)
     errs = np.array([r["empirical_error"] for r in report.rows])
     deltas = np.array([r["delta"] for r in report.rows])
-    grid = error_grid(Partition(tuple(norm["levels"][0])))
+    grid = error_grid(norm["levels"][0])
     scale = float(np.max(np.abs(norm["tf"](grid))))
     expected = (3.7, 4.3) if norm["order"] == 4 else (1.8, 2.2)
     if np.all(errs < 1e-12 * max(scale, 1e-300)):
@@ -775,12 +783,10 @@ def _criterion_symmetric_m():
     worst = max(abs(c.value - span ** 2 * mstar(x)) / (span ** 2 * mstar(x))
                 for c, x in zip(got, xs))
     rng = np.random.default_rng(314)
-    draws = [(float(rng.uniform(0.0, 12.0)), float(rng.uniform(0.05, 3.0)))
-             for _ in range(100)]
-    got = M_constants([(-xi, xi) for xi, _ in draws], [0.0] * len(draws),
-                      [length for _, length in draws])
-    cap_ok = all(c.value <= length ** 2 / 8.0 * (1.0 + 1e-12)
-                 for c, (_, length) in zip(got, draws))
+    xi, length = rng.uniform([0.0, 0.05], [12.0, 3.0], size=(100, 2)).T
+    got = M_constants(np.column_stack([-xi, xi]), np.zeros(100), length)
+    cap_ok = bool(np.all(np.array([c.value for c in got])
+                         <= length ** 2 / 8.0 * (1.0 + 1e-12)))
     ok = worst <= 1e-10 and cap_ok
     return ok, f"max relative gap {worst:.3e} (limit 1e-10), " \
                f"eighth-of-square cap {'held' if cap_ok else 'VIOLATED'}"
@@ -814,13 +820,10 @@ def _criterion_dominance():
 
 def _criterion_st_bounds():
     rng = np.random.default_rng(55)
-    lam, ts, xis = [], [], []
-    for _ in range(10 ** 4):
-        lam.append(np.sort(rng.uniform(-10.0, 10.0, size=2)))
-        ts.append(float(rng.uniform(-10.0, 10.0)))
-        xis.append(float(rng.uniform(0.0, 10.0)))
-    lam0, lam1 = np.array(lam).T
-    xi = np.array(xis)
+    # per row: a pair, then t and xi
+    draws = rng.uniform([-10.0, -10.0, -10.0, 0.0], 10.0, size=(10 ** 4, 4))
+    lam0, lam1 = np.sort(draws[:, :2], axis=1).T
+    ts, xi = draws[:, 2], draws[:, 3]
     # np.max keeps a NaN ratio, which then fails the comparisons below
     worst_s = float(np.max(sfunc(lam0, lam1, 0.0, ts), initial=0.0))
     worst_t = float(np.max(tfunc(-xi, xi, 0.0, ts), initial=0.0))
@@ -952,18 +955,13 @@ def _criterion_hat_sums():
         n = int(rng.integers(3, 8))
         knots = np.cumsum(np.concatenate([[0.0],
                                           rng.uniform(0.2, 1.0, size=n - 1)]))
-        mixed = []
-        for _ in range(n - 1):
-            l0 = float(rng.uniform(-3.0, -0.1))
-            l1 = float(rng.uniform(0.1, 3.0))
-            mixed.append((l0, l1))
+        mixed = rng.uniform([-3.0, 0.1], [-0.1, 3.0], size=(n - 1, 2))
         basis = build_hat_basis(knots, mixed)
         ts = np.linspace(knots[0], knots[-1], 801)
         worst_mixed = max(worst_mixed, float(np.max(sum_hats(basis, ts))))
         shift = float(rng.uniform(0.5, 3.0))
-        shifted = [(l0 + shift, l1 + shift) for l0, l1 in mixed]
         try:
-            basis2 = build_hat_basis(knots, shifted)
+            basis2 = build_hat_basis(knots, mixed + shift)
         except ValueError:
             continue
         worst_all = max(worst_all, float(np.max(sum_hats(basis2, ts))))
@@ -985,7 +983,7 @@ def _criterion_derivative_bound():
         kn = np.linspace(0.0, math.pi, 9)
         s = build_interpolant4(kn, quad_frequency_set(8, xi=xi),
                                np.sin(kn), 1.0, -1.0)
-        grid = error_grid(Partition(tuple(kn)))
+        grid = error_grid(kn)
         measured = float(np.max(np.abs(
             (-np.sin(grid) - xi ** 2 * np.sin(grid))
             - (s(grid, order=2) - xi ** 2 * s(grid)))))

@@ -11,6 +11,7 @@ pair guarantees 0 <= H_j <= 1.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ _EVAL_BLOCK = 2048
 
 
 def monotone_radius(lam0, lam1):
-    """Largest delta such that the pair function increases on [-delta, delta].
+    """Largest delta such that the pair function increases on [-delta, delta],
+    elementwise over arrays of pairs, a float for scalars.
 
     Pairs straddling zero (lambda_0 <= 0 <= lambda_1) are monotone on the
     whole line.  For 0 < lambda_0 the derivative vanishes at
@@ -29,45 +31,57 @@ def monotone_radius(lam0, lam1):
     the mirrored statement covers pairs below zero; a double frequency gives
     1/|lambda|.
     """
-    if not (math.isfinite(lam0) and math.isfinite(lam1)):
-        raise ValueError("frequencies must be finite")
-    if lam0 > lam1:
-        raise ValueError(f"pair must be ordered, got ({lam0}, {lam1})")
-    if lam0 <= 0.0 <= lam1:
-        return math.inf
-    if lam0 == lam1:
-        return 1.0 / abs(lam0)
-    if lam0 > 0.0:
-        return (math.log(lam1) - math.log(lam0)) / (lam1 - lam0)
-    return (math.log(-lam0) - math.log(-lam1)) / (lam1 - lam0)
+    lam0, lam1 = np.asarray(lam0, dtype=float), np.asarray(lam1, dtype=float)
+    if not (np.isfinite(lam0).all() and np.isfinite(lam1).all()
+            and (lam0 <= lam1).all()):
+        raise ValueError("pairs must be finite and ordered, lam0 <= lam1")
+    radius = _radius(lam0, lam1)
+    return float(radius) if radius.ndim == 0 else radius
 
 
-@dataclass(frozen=True)
+def _radius(lam0, lam1):
+    """monotone_radius of finite ordered pairs, arrays lam0 and lam1."""
+    a0, a1 = np.abs(lam0), np.abs(lam1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(a0 == a1, 1.0 / a0,
+                          (np.log(a1) - np.log(a0)) / (a1 - a0))
+    return np.where((lam0 <= 0.0) & (lam1 >= 0.0), np.inf, radius)
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Strictly increasing knot sequence t_0 < ... < t_(n-1), n >= 2."""
-    knots: tuple
+    """Strictly increasing knot sequence t_0 < ... < t_(n-1), n >= 2, held
+    with its interval lengths as read-only float arrays."""
+    knots: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kn = tuple(float(x) for x in self.knots)
-        if len(kn) < 2:
-            raise ValueError("a partition needs at least two knots")
-        if not all(math.isfinite(x) for x in kn):
-            raise ValueError("knots must be finite")
-        if any(b <= a for a, b in zip(kn[:-1], kn[1:])):
+        kn = np.array(self.knots, dtype=float)
+        if kn.ndim != 1 or kn.size < 2:
+            raise ValueError("a partition needs a flat list of 2+ knots")
+        lengths = kn[1:] - kn[:-1]
+        # NaNs fail the test; increasing knots with finite ends are finite
+        if not (lengths.min() > 0.0 and math.isfinite(kn[0])
+                and math.isfinite(kn[-1])):
+            if not np.isfinite(kn).all():
+                raise ValueError("knots must be finite")
             raise ValueError("knots must be strictly increasing")
-        object.__setattr__(self, "knots", kn)
+        for name, array in (("knots", kn), ("lengths", lengths)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self):
-        return len(self.knots)
-
-    @property
-    def lengths(self):
-        return tuple(b - a for a, b in zip(self.knots[:-1], self.knots[1:]))
+        return self.knots.size
 
     @property
     def mesh(self):
-        return max(self.lengths)
+        return float(self.lengths.max())
+
+
+def as_partition(knots):
+    """knots as a Partition; a Partition is returned as it is."""
+    return knots if isinstance(knots, Partition) else Partition(knots)
 
 
 def _phi_ratio(lam0, lam1, x, y):
@@ -92,13 +106,18 @@ def _phi_ratio(lam0, lam1, x, y):
     return (x / y) * np.exp(s * (x - y)) * ratio
 
 
+@dataclass(eq=False)
 class HatBasis:
-    """Hat functions over a partition with one frequency pair per interval."""
+    """Hat functions over a partition with one frequency pair per interval,
+    pairs a read-only (m, 2) array."""
+    partition: Partition
+    pairs: np.ndarray = field(repr=False)
+    allow_nonmonotone: bool = False
 
-    def __init__(self, partition, pairs, allow_nonmonotone=False):
-        self.partition = partition
-        self.pairs = pairs
-        self.allow_nonmonotone = allow_nonmonotone
+    @cached_property
+    def groups(self):
+        """group_intervals of the (pair, length) keys, computed once."""
+        return group_intervals(self.pairs, self.partition.lengths)
 
     @property
     def n(self):
@@ -115,55 +134,59 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
     pairs is one (lambda_0, lambda_1) per interval, each ordered, or a single
     pair applied everywhere.  Intervals longer than the monotone radius of
     their pair are rejected unless allow_nonmonotone is set, because the hats
-    would leave [0, 1] and every bound downstream assumes they do not.
+    would leave [0, 1] and every bound downstream assumes they do not.  The
+    first offending interval is named.
     """
-    if not isinstance(partition, Partition):
-        partition = Partition(tuple(partition))
+    partition = as_partition(partition)
     m = partition.n - 1
-    pairs = list(pairs)
-    if len(pairs) == 2 and np.isscalar(pairs[0]):
-        pairs = [tuple(pairs)] * m
-    if len(pairs) != m:
-        raise ValueError(f"need {m} frequency pairs, got {len(pairs)}")
-    canon = []
-    for j, pair in enumerate(pairs):
-        lam0, lam1 = (float(pair[0]), float(pair[1]))
-        if not (math.isfinite(lam0) and math.isfinite(lam1)):
+    pairs = np.array(pairs, dtype=float)
+    if pairs.shape == (2,):
+        pairs = np.tile(pairs, (m, 1))
+    if pairs.shape != (m, 2):
+        raise ValueError(f"need {m} frequency pairs, got shape {pairs.shape}")
+    lam0, lam1 = pairs.T
+    bad = ~(np.isfinite(pairs).all(axis=1) & (lam0 <= lam1))
+    if bad.any():
+        j = int(np.argmax(bad))
+        pair = tuple(pairs[j].tolist())
+        if not np.isfinite(pairs[j]).all():
             raise ValueError(f"pair {j} is not finite: {pair}")
-        if lam0 > lam1:
-            raise ValueError(f"pair {j} must be ordered, got {pair}")
-        canon.append((lam0, lam1))
+        raise ValueError(f"pair {j} must be ordered, got {pair}")
     if not allow_nonmonotone:
-        lengths = partition.lengths
-        for j, (lam0, lam1) in enumerate(canon):
-            h = lengths[j]
-            delta = monotone_radius(lam0, lam1)
-            if h > delta * (1.0 + 1e-12):
-                raise ValueError(
-                    f"interval {j} has length {h:g} beyond the monotone "
-                    f"radius {delta:g} of pair ({lam0}, {lam1}); pass "
-                    f"allow_nonmonotone=True to override")
-    return HatBasis(partition, tuple(canon), allow_nonmonotone)
+        delta = _radius(lam0, lam1)
+        far = partition.lengths > delta * (1.0 + 1e-12)
+        if far.any():
+            j = int(np.argmax(far))
+            raise ValueError(
+                f"interval {j} has length {partition.lengths[j]:g} beyond "
+                f"the monotone radius {delta[j]:g} of pair "
+                f"{tuple(pairs[j].tolist())}; pass allow_nonmonotone=True "
+                f"to override")
+    pairs.setflags(write=False)
+    return HatBasis(partition, pairs, allow_nonmonotone)
 
 
 def group_intervals(pairs, lengths):
     """Group intervals by their (pair, length) key.
 
+    pairs is an (m, k) array of frequencies, lengths the m interval lengths.
     Returns (reps, inverse): reps[k] is the first interval, in mesh order,
     carrying the k-th distinct key, and inverse[j] the key of interval j.
-    The Gram integrals, the T and S ratios, the hat flanks and the interval
-    constant of an interval depend on its key alone, so work per key
+    Keys are compared as floats, so +0.0 and -0.0 are one key.  The Gram
+    integrals, the T and S ratios, the hat flanks and the interval
+    constants of an interval depend on its key alone, so work per key
     replaces work per interval.
     """
-    index = {}
-    reps = []
-    inverse = np.empty(len(pairs), dtype=np.intp)
-    for j, key in enumerate(zip(pairs, lengths)):
-        k = index.setdefault(key, len(reps))
-        if k == len(reps):
-            reps.append(j)
-        inverse[j] = k
-    return reps, inverse
+    keys = np.column_stack([pairs, lengths])
+    # lexsort is stable, so each run of equal keys starts at its first
+    # interval, which then labels every interval of the run
+    order = np.lexsort(keys.T)
+    run = keys[order]
+    starts = np.concatenate([[True], (run[1:] != run[:-1]).any(axis=1)])
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    own = first == np.arange(first.size)
+    return np.flatnonzero(own), (np.cumsum(own) - 1)[first]
 
 
 def _flank_values(basis, ts):
@@ -173,14 +196,14 @@ def _flank_values(basis, ts):
     For t in interval i the active hats are H_i (falling flank) and H_(i+1)
     (rising flank); everything else vanishes there.
     """
-    knots = np.array(basis.knots)
+    knots = basis.knots
     if not np.all(np.isfinite(ts)):
         raise ValueError("evaluation points must be finite")
     if np.any(ts < knots[0]) or np.any(ts > knots[-1]):
         raise ValueError("evaluation points must lie inside the partition")
     idx = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0,
                   len(knots) - 2)
-    pairs, lengths = np.array(basis.pairs), np.diff(knots)
+    pairs, lengths = basis.pairs, basis.partition.lengths
     fall = np.empty_like(ts)
     rise = np.empty_like(ts)
     for lo in range(0, ts.size, _EVAL_BLOCK):
@@ -231,9 +254,8 @@ class SplineOrder2:
         idx, fall, rise = _flank_values(self.basis, ts)
         c = np.asarray(self.coeffs)
         out = c[idx] * fall + c[idx + 1] * rise
-        knots = np.array(self.basis.knots)
-        at_knot = np.isin(ts, knots)
-        out[at_knot] = c[np.searchsorted(knots, ts[at_knot])]
+        at_knot = np.isin(ts, self.basis.knots)
+        out[at_knot] = c[np.searchsorted(self.basis.knots, ts[at_knot])]
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 

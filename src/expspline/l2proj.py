@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errbound2 import M_constants
 from .expcore import _phi_rows, fundamental_eval
-from .hatbasis import SplineOrder2, _phi_ratio, group_intervals
+from .hatbasis import SplineOrder2, _phi_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 _TINY_H = 1e-100
@@ -82,20 +82,19 @@ def gram_assemble(basis, p):
     p = float(p)
     knots = basis.knots
     n = basis.n
-    lengths = basis.partition.lengths
-    reps, inverse = group_intervals(basis.pairs, lengths)
-    l0, l1 = np.array([basis.pairs[j] for j in reps]).T
-    h = np.array([lengths[j] for j in reps])
+    reps, inverse = basis.groups
+    l0, l1 = basis.pairs[reps].T
+    h = basis.partition.lengths[reps]
     phi_h = _phi(h, l0, l1)
     phi_mh = _phi(-h, l0, l1)
-    i_left = 2.0 * np.array([math.exp(p * x) for x in h]) \
+    i_left = 2.0 * np.array([math.exp(p * x) for x in h.tolist()]) \
         * _phi(h, 2.0 * l0, 2.0 * l1, l0 + l1, -p)
     i_right = 2.0 * _phi(h, -2.0 * l0, -2.0 * l1, -l0 - l1, p)
     cross = -_phi(h, p + l0, p + l1, -l0, -l1)
     per_key = np.stack([i_right, phi_mh * phi_mh, i_left, phi_h * phi_h,
                         cross, phi_h * phi_mh])
     i_right, sq_mh, i_left, sq_h, cross, prod = per_key[:, inverse]
-    w0 = np.array([math.exp(p * t) for t in knots[:-1]])
+    w0 = np.array([math.exp(p * t) for t in knots[:-1].tolist()])
     diag = np.zeros(n)
     diag[:-1] += w0 * i_right / sq_mh
     diag[1:] += w0 * i_left / sq_h
@@ -230,13 +229,11 @@ def tridiag_solve(gram):
 def _lebesgue_sup(basis, reps):
     """Upper bound of sup sum |H_j| from the interval constants of the keys
     whose first intervals are reps; see operator_norm_bound."""
-    pairs, knots = basis.pairs, basis.knots
-    same = [j for j in reps if pairs[j][0] * pairs[j][1] > 0.0]
-    constants = M_constants([pairs[j] for j in same],
-                            [knots[j] for j in same],
-                            [knots[j + 1] for j in same])
-    excess = max((pairs[j][0] * pairs[j][1] * c.value
-                  for j, c in zip(same, constants)), default=0.0)
+    same = reps[basis.pairs[reps].prod(axis=1) > 0.0]
+    constants = M_constants(basis.pairs[same], basis.knots[same],
+                            basis.knots[same + 1])
+    excess = float(np.max(basis.pairs[same].prod(axis=1)
+                          * [c.value for c in constants], initial=0.0))
     return (1.0 + excess) * (1.0 + 4.0 * np.finfo(float).eps)
 
 
@@ -261,29 +258,27 @@ def operator_norm_bound(basis, p):
     upper bound of max omega_j, rounded up by four ulps.
     """
     p = float(p)
-    pairs = basis.pairs
+    l0, l1 = basis.pairs.T
     if p == 0.0:
-        if all(l0 == 0.0 and l1 == 0.0 for l0, l1 in pairs):
+        if np.all((l0 == 0.0) & (l1 == 0.0)):
             return 3.0
-        if all(l1 == -l0 for l0, l1 in pairs):
+        if np.all(l1 == -l0):
             return 4.0
-        if all(l0 < 0.0 < l1 for l0, l1 in pairs):
-            worst = max(
-                max((2.0 * l1 - 4.0 * l0) / (-3.0 * l0),
-                    (4.0 * l1 - 2.0 * l0) / (3.0 * l1))
-                for l0, l1 in pairs)
-            return 2.0 * worst
+        if np.all((l0 < 0.0) & (0.0 < l1)):
+            return 2.0 * float(np.max(np.maximum(
+                (2.0 * l1 - 4.0 * l0) / (-3.0 * l0),
+                (4.0 * l1 - 2.0 * l0) / (3.0 * l1))))
     lengths = basis.partition.lengths
-    reps, _ = group_intervals(pairs, lengths)
-    lam0, lam1 = np.repeat([pairs[j] for j in reps], 2, axis=0).T
-    both = np.array([(lengths[j], -lengths[j]) for j in reps]).ravel()
+    reps, _ = basis.groups
+    lam0, lam1 = np.repeat(basis.pairs[reps], 2, axis=0).T
+    both = np.column_stack([lengths[reps], -lengths[reps]]).ravel()
     t_val, s_val = _flank_ratios("operator_norm_bound", lam0, lam1, p, both,
                                  "TS")
     t_key = np.abs(t_val).reshape(-1, 2).max(axis=1)
     failed = ~(t_key < 1.0)
     if np.any(failed):
         k = int(np.argmax(failed))
-        raise DominanceError(reps[k], float(t_key[k]))
+        raise DominanceError(int(reps[k]), float(t_key[k]))
     c_factor = float(np.max(t_key))
     s_factor = float(np.max(np.abs(s_val)))
     return _lebesgue_sup(basis, reps) * s_factor / (1.0 - c_factor)
@@ -317,7 +312,7 @@ def _load_vector(basis, g, p):
     interior, so a piecewise g can find its piece from the knots.
     """
     p = float(p)
-    knots = np.array(basis.knots)
+    knots = basis.knots
     a, b = knots[:-1], knots[1:]
     mid = 0.5 * (a + b)
     centre = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
@@ -326,7 +321,7 @@ def _load_vector(basis, g, p):
     # row 0 holds the falling flanks, anchored at b, row 1 the rising ones
     anchor = np.stack([b, a])
     y = np.stack([a - b, b - a])
-    lam0, lam1 = np.array(basis.pairs).T
+    lam0, lam1 = basis.pairs.T
     flanks = _phi_ratio(lam0[:, None], lam1[:, None], ts - anchor[..., None],
                         y[..., None]).reshape(2, -1)
     ts = ts.ravel()

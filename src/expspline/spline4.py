@@ -19,7 +19,8 @@ from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
 from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
-from .hatbasis import Partition, build_hat_basis, group_intervals
+from .hatbasis import (Partition, as_partition, build_hat_basis,
+                       group_intervals)
 from .l2proj import _load_vector, operator_norm_bound
 
 _RESIDUAL_RTOL = 1e-10
@@ -29,12 +30,6 @@ _COND_MAX = 1e12
 # points per block of SplineOrder4.__call__: the lookup's and Horner's
 # temporaries (128 KiB each) stay in L2
 _EVAL_BLOCK = 16384
-
-
-def _coerce_partition(knots):
-    if isinstance(knots, Partition):
-        return knots
-    return Partition(tuple(np.asarray(knots, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -74,21 +69,21 @@ def quad_frequency_set(m, quads=None, xi=None, p=None):
             raise ValueError(f"need {m} xi values, got {xs.size}")
         out = tuple((float(x), -float(x), float(x), -float(x)) for x in xs)
         return QuadFrequencySet(quads=out, p=0.0)
-    quads = list(quads)
-    if len(quads) == 4 and np.isscalar(quads[0]):
-        quads = [tuple(quads)] * m
-    if len(quads) != m:
-        raise ValueError(f"need {m} quadruples, got {len(quads)}")
-    out = []
-    for j, q in enumerate(quads):
-        q = tuple(float(x) for x in q)
-        if len(q) != 4:
-            raise ValueError(f"quadruple {j} has {len(q)} entries")
-        if not all(map(math.isfinite, q)):
-            raise ValueError(f"quadruple {j} is not finite: {q}")
-        out.append(q)
-    return QuadFrequencySet(quads=tuple(out),
-                            p=None if p is None else float(p))
+    qs = np.array(quads, dtype=float)
+    if qs.shape == (4,):
+        qs = np.tile(qs, (m, 1))
+    if qs.ndim != 2:
+        raise ValueError(f"need {m} quadruples, got shape {qs.shape}")
+    if len(qs) != m:
+        raise ValueError(f"need {m} quadruples, got {len(qs)}")
+    if qs.shape[1] != 4:
+        raise ValueError(f"quadruple 0 has {qs.shape[1]} entries")
+    out = tuple(map(tuple, qs.tolist()))
+    bad = ~np.isfinite(qs).all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"quadruple {j} is not finite: {out[j]}")
+    return QuadFrequencySet(quads=out, p=None if p is None else float(p))
 
 
 def _interval_candidates(quad, tol):
@@ -269,8 +264,9 @@ def _local_ends(quads, lengths):
     W_F, W_R) at tau = 0 and h, W_R' from Phi' = x1 Phi + Phi_(x0, x2, x3)
     and phi_m' = x1 phi_m + exp(x0 tau) so that no large terms cancel.
     """
-    keys, back = np.unique(np.column_stack([np.sort(quads, axis=1), lengths]),
-                           axis=0, return_inverse=True)
+    sorted_quads = np.sort(quads, axis=1)
+    reps, back = group_intervals(sorted_quads, lengths)
+    keys = np.column_stack([sorted_quads[reps], lengths[reps]])
     fwd = keys[:, [1, 2, 0, 3]]
     orders = np.stack([fwd, -fwd[:, [1, 0, 3, 2]]])
     e = _phi_corner_batch(np.concatenate([*orders,
@@ -329,7 +325,7 @@ def _assemble(part, quads, coeffs, ends):
     each side, e(tau) Z^r (weights . (y_(j+1), b_j)) and the same in h -
     tau with -Z for (y_j, a_j), e from one kernel call."""
     orders, weights, derivs = ends
-    knots, lengths = np.array(part.knots), np.array(part.lengths)
+    knots, lengths = part.knots, part.lengths
     counts = np.maximum(1, np.ceil(np.abs(orders[0]).max(axis=1) * lengths
                                    / _TAYLOR_RADIUS)).astype(int)
     owner = np.repeat(np.arange(lengths.size), counts)
@@ -368,7 +364,7 @@ def _assemble(part, quads, coeffs, ends):
 
 def _checked(partition, quads):
     """(Partition, QuadFrequencySet) with one quadruple per interval."""
-    part = _coerce_partition(partition)
+    part = as_partition(partition)
     m = part.n - 1
     if not isinstance(quads, QuadFrequencySet):
         quads = quad_frequency_set(m, quads=quads)
@@ -384,7 +380,7 @@ def spline_from_coefficients(partition, quads, coeffs):
     coeffs = np.asarray(coeffs, dtype=float).reshape(part.n - 1, 4)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
-    ends = _local_ends(np.array(quads.quads), np.array(part.lengths))
+    ends = _local_ends(np.array(quads.quads), part.lengths)
     return _assemble(part, quads, coeffs, ends)
 
 
@@ -411,7 +407,7 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     if not np.all(np.isfinite([*values, d_left, d_right])):
         raise ValueError("data must be finite")
 
-    ends = _local_ends(np.array(quads.quads), np.array(part.lengths))
+    ends = _local_ends(np.array(quads.quads), part.lengths)
     (d0, dh), y0, y1 = ends[2][1], values[:-1], values[1:]
     # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
     inv = np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]]) \
@@ -477,7 +473,7 @@ def _knot_readback(s):
     """Derivatives of orders 0..2 at the knots, each (n-1, 3): from the
     left, the last sub-piece of each interval run to its right end; from
     the right, the first sub-piece of each interval."""
-    knots = np.array(s.knots)
+    knots = s.knots
     first = np.searchsorted(s.starts, knots[:-1])
     last = np.append(first[1:], s.starts.size) - 1
     table, every = s.taylor[:, last], np.arange(last.size)
@@ -501,8 +497,9 @@ def _match_op_pairs(qset, basis, p):
     p = float(p)
     tol, table = _candidate_table(qset.quads, p)
     out = []
-    for j, quad in enumerate(qset.quads):
-        want = sorted(basis.pairs[j])
+    for j, (quad, pair) in enumerate(zip(qset.quads,
+                                         basis.pairs.tolist())):
+        want = sorted(pair)
         hit = next((o for _, o, pc in table[quad] if abs(pc - p) <= tol
                     and all(abs(x - w) <= tol for x, w in
                             zip(sorted((-p - o[0], -p - o[1])), want))),
@@ -510,7 +507,7 @@ def _match_op_pairs(qset, basis, p):
         if hit is None:
             raise ValueError(
                 f"interval {j}: quadruple {quad} does not match hat pair "
-                f"{basis.pairs[j]} under p = {p}")
+                f"{tuple(pair)} under p = {p}")
         out.append(hit)
     return out
 
@@ -525,13 +522,12 @@ def residual_orthogonality(F_derivs, s, basis, p):
     exp(p t) product, so the returned maximum should sit at quadrature noise
     level.
     """
-    if len(basis.knots) != len(s.knots) \
-            or not np.array_equal(basis.knots, s.knots):
+    if not np.array_equal(basis.knots, s.knots):
         raise ValueError("basis and spline use different partitions")
     p = float(p)
     l2, l3 = np.array(_match_op_pairs(s.quads, basis, p)).T
     su, pr = l2 + l3, l2 * l3
-    knots = np.array(s.knots)
+    knots = s.knots
 
     def residual(ts):
         # quadrature nodes are interior, so each lies in exactly one interval
@@ -575,23 +571,22 @@ def _certificate_parts(part, quads, p):
     basis = build_hat_basis(part, [q[:2] for q in canon])
     # the interval constants first: the hats' Lebesgue sup reads the keys
     # of the first pairing from the cache
-    m2, m0 = _max_interval_constants(part, [basis.pairs,
-                                            [q[2:] for q in canon]])
+    m2, m0 = _max_interval_constants(part, [basis.pairs, np.array(
+        [q[2:] for q in canon])])
     norm = operator_norm_bound(basis, p_res)
     return p_res, norm, m2, m0
 
 
 def _max_interval_constants(part, pairings):
-    """Largest M_constant over the intervals for each pairing, one value per
-    distinct (pair, length) key; the cold keys of all pairings share one
-    batched search."""
-    knots = part.knots
-    groups = [[(pairs[j], knots[j], knots[j + 1])
-               for j in group_intervals(pairs, part.lengths)[0]]
-              for pairs in pairings]
+    """Largest M_constant over the intervals for each pairing, an (m, 2)
+    array, one value per distinct (pair, length) key; the cold keys of all
+    pairings share one batched search."""
+    reps = [group_intervals(pairs, part.lengths)[0] for pairs in pairings]
     values = iter([c.value for c in M_constants(
-        *zip(*(item for group in groups for item in group)))])
-    return [max(islice(values, len(group))) for group in groups]
+        np.concatenate([pairs[r] for pairs, r in zip(pairings, reps)]),
+        part.knots[np.concatenate(reps)],
+        part.knots[np.concatenate(reps) + 1])])
+    return [max(islice(values, r.size)) for r in reps]
 
 
 def error_bound4(partition, quads, p, max_lf):
@@ -603,7 +598,7 @@ def error_bound4(partition, quads, p, max_lf):
     pieces are assembled from the numeric interval constants and the
     projection norm bound.
     """
-    part = _coerce_partition(partition)
+    part = as_partition(partition)
     max_lf = float(max_lf)
     if not max_lf >= 0.0:
         raise ValueError("max_lf must be nonnegative")
@@ -613,13 +608,3 @@ def error_bound4(partition, quads, p, max_lf):
                             norm_bound=norm, m2_max=m2, m0_max=m0,
                             bound=constant * max_lf)
 
-
-def second_order_error_bound(partition, quads, p, max_lf):
-    """Bound for the derivative-level residual max |(D-lam2)(D-lam3)
-    (F - I4 F)|, equal to (1 + norm_bound) * max|LF|."""
-    part = _coerce_partition(partition)
-    max_lf = float(max_lf)
-    if not max_lf >= 0.0:
-        raise ValueError("max_lf must be nonnegative")
-    _, norm, _, _ = _certificate_parts(part, quads, p)
-    return (1.0 + norm) * max_lf

@@ -527,10 +527,14 @@ def _cli(args, config=None, tmp_path=None):
 
 
 def _main(args, config, tmp_path, capsys):
-    """cli.main in-process on config: (exit code, stdout, stderr)."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code = cli.main(list(args) + ["-c", str(path)])
+    """cli.main in-process, on config unless it is None: (exit code,
+    stdout, stderr)."""
+    args = list(args)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["-c", str(path)]
+    code = cli.main(args)
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -597,10 +601,11 @@ class TestCommandsComputeWhatTheyPrint:
 
 class TestCli:
 
-    def test_verify_csv_stdout(self, tmp_path):
-        proc = _cli(["verify"], dict(SIN2_CONFIG, n=5), tmp_path)
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_verify_csv_stdout(self, tmp_path, capsys):
+        code, out, _ = _main(["verify"], dict(SIN2_CONFIG, n=5), tmp_path,
+                             capsys)
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0].startswith("n,delta,empirical_error")
         assert len(lines) == 2
 
@@ -610,48 +615,49 @@ class TestCli:
         assert first.returncode == second.returncode == 0
         assert first.stdout.encode() == second.stdout.encode()
 
-    def test_verify_writes_file(self, tmp_path):
+    def test_verify_writes_file(self, tmp_path, capsys):
         out = tmp_path / "results"
-        proc = _cli(["verify", "-o", str(out), "--format", "json"],
-                    dict(SIN2_CONFIG, n=5), tmp_path)
-        assert proc.returncode == 0
+        code, _, _ = _main(["verify", "-o", str(out), "--format", "json"],
+                           dict(SIN2_CONFIG, n=5), tmp_path, capsys)
+        assert code == 0
         doc = json.loads((out / "verify.json").read_text())
         assert doc["passed"] is True
 
-    def test_usage_error_is_exit_1(self, tmp_path):
-        proc = _cli(["verify"], {"function": "sin", "n": 5,
-                                 "frequencies": {"xi": 1.0}}, tmp_path)
-        assert proc.returncode == 1
-        assert "order" in proc.stderr
+    def test_usage_error_is_exit_1(self, tmp_path, capsys):
+        code, _, err = _main(["verify"], {"function": "sin", "n": 5,
+                                          "frequencies": {"xi": 1.0}},
+                             tmp_path, capsys)
+        assert code == 1
+        assert "order" in err
 
-    def test_unknown_subcommand_is_exit_1(self):
-        proc = _cli(["frobnicate"])
-        assert proc.returncode == 1
+    def test_unknown_subcommand_is_exit_1(self, capsys):
+        assert _main(["frobnicate"], None, None, capsys)[0] == 1
 
-    def test_bound_violation_is_exit_2(self, tmp_path):
+    def test_bound_violation_is_exit_2(self, tmp_path, capsys):
         config = dict(SIN4_CONFIG, n=5, clamp=[0.0, 0.0],
                       frequencies={"xi": 0.0})
-        proc = _cli(["verify"], config, tmp_path)
-        assert proc.returncode == 2
+        assert _main(["verify"], config, tmp_path, capsys)[0] == 2
 
-    def test_numerical_failure_is_exit_3(self, tmp_path):
+    def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         config = {"function": "sin", "domain": [0.0, math.pi],
                   "frequencies": {"xi": 400.0}, "n": 3, "order": 2}
-        proc = _cli(["verify"], config, tmp_path)
-        assert proc.returncode == 3
-        assert "overflow" in proc.stderr
+        code, _, err = _main(["verify"], config, tmp_path, capsys)
+        assert code == 3
+        assert "overflow" in err
 
-    def test_interp4_grid_and_json(self, tmp_path):
-        proc = _cli(["interp4", "--eval-grid", "5"], SIN4_CONFIG, tmp_path)
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_interp4_grid_and_json(self, tmp_path, capsys):
+        code, out, _ = _main(["interp4", "--eval-grid", "5"], SIN4_CONFIG,
+                             tmp_path, capsys)
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0] == "t,s,ds,d2s"
         assert len(lines) == 6
         mid = lines[3].split(",")
         assert float(mid[1]) == pytest.approx(math.sin(float(mid[0])),
                                               abs=1e-6)
-        proc = _cli(["interp4", "--format", "json"], SIN4_CONFIG, tmp_path)
-        doc = json.loads(proc.stdout)
+        _, out, _ = _main(["interp4", "--format", "json"], SIN4_CONFIG,
+                          tmp_path, capsys)
+        doc = json.loads(out)
         assert len(doc["coefficients"]) == 8
         assert doc["p"] == 0.0
         # the rows (y_j, y_(j+1), G(t_j+), G(t_(j+1)-)) reload into the
@@ -663,25 +669,27 @@ class TestCli:
             assert line.split(",") == ["%.12g" % v for v in (
                 t, *(spline(t, order=r) for r in range(3)))]
 
-    def test_interp2_requires_order2_config(self, tmp_path):
-        proc = _cli(["interp2"], SIN4_CONFIG, tmp_path)
-        assert proc.returncode == 1
-        assert "interp2" in proc.stderr
+    def test_interp2_requires_order2_config(self, tmp_path, capsys):
+        code, _, err = _main(["interp2"], SIN4_CONFIG, tmp_path, capsys)
+        assert code == 1
+        assert "interp2" in err
 
-    def test_gram_dump(self, tmp_path):
-        proc = _cli(["gram"], dict(SIN2_CONFIG, n=4), tmp_path)
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_gram_dump(self, tmp_path, capsys):
+        code, out, _ = _main(["gram"], dict(SIN2_CONFIG, n=4), tmp_path,
+                             capsys)
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0] == "i,diag,sub,super,rhs"
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[2] == ""
         assert float(first[1]) > 0.0
 
-    def test_gram_dump_order4_solves_to_projection(self, tmp_path):
-        proc = _cli(["gram", "--format", "json"], WEIGHTED_CONFIG, tmp_path)
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_gram_dump_order4_solves_to_projection(self, tmp_path, capsys):
+        code, out, _ = _main(["gram", "--format", "json"], WEIGHTED_CONFIG,
+                             tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
         knots = np.linspace(0.0, math.pi, 9)
         p, canon = resolve_weight(quad_frequency_set(8, quads=WEIGHTED_CONFIG[
             "frequencies"]["quads"][0]))
@@ -695,27 +703,60 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["interp4", "gram"])
     def test_as_given_split_prints_positive_zero_weight(self, tmp_path,
-                                                        command):
+                                                        capsys, command):
         # the as-given split of (1.3, 2.1, -1.3, -2.1) yields p = -(x - x)
         config = dict(SIN4_CONFIG, frequencies={"quads": [[1.3, 2.1, -1.3,
                                                            -2.1]]})
-        proc = _cli([command, "--format", "json"], config, tmp_path)
-        assert proc.returncode == 0
-        assert '"p": 0.0' in proc.stdout
-        assert math.copysign(1.0, json.loads(proc.stdout)["p"]) == 1.0
+        code, out, _ = _main([command, "--format", "json"], config, tmp_path,
+                             capsys)
+        assert code == 0
+        assert '"p": 0.0' in out
+        assert math.copysign(1.0, json.loads(out)["p"]) == 1.0
 
-    def test_converge_exit_codes(self, tmp_path):
-        proc = _cli(["converge", "--format", "json"], SIN2_CONFIG, tmp_path)
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_converge_exit_codes(self, tmp_path, capsys):
+        code, out, _ = _main(["converge", "--format", "json"], SIN2_CONFIG,
+                             tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
         assert 1.8 <= doc["slope"] <= 2.2
         config = {"function": "runge", "domain": [-1.0, 1.0],
                   "frequencies": {"xi": 0.0}, "n": [3, 4, 5], "order": 4}
-        proc = _cli(["converge"], config, tmp_path)
-        assert proc.returncode in (0, 2)
+        assert _main(["converge"], config, tmp_path, capsys)[0] in (0, 2)
 
-    def test_bounds_subcommand(self, tmp_path):
-        proc = _cli(["bounds"], dict(SIN2_CONFIG, n=5), tmp_path)
-        assert proc.returncode == 0
-        cells = proc.stdout.splitlines()[1].split(",")
+    def test_bounds_subcommand(self, tmp_path, capsys):
+        code, out, _ = _main(["bounds"], dict(SIN2_CONFIG, n=5), tmp_path,
+                             capsys)
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
         assert cells[2] == "" and cells[3] != ""
+
+    @pytest.mark.parametrize("config", [
+        dict(SIN2_CONFIG, frequencies={"pairs": 5}),
+        dict(SIN4_CONFIG, frequencies={"quads": 5}),
+        dict(SIN2_CONFIG, n=3, frequencies={"pairs": [[1.0, 2.0], 3.0]}),
+        dict(SIN4_CONFIG, n=3,
+             frequencies={"quads": [[1.0, 2.0, -1.0, -2.0], 3.0]}),
+        dict(SIN4_CONFIG, clamp=5),
+        dict(SIN4_CONFIG, domain=5),
+        dict(SIN4_CONFIG, n=[None]),
+        dict(SIN4_CONFIG, n=1e400),
+    ], ids=["pairs-scalar", "quads-scalar", "pairs-ragged", "quads-ragged",
+            "clamp-scalar", "domain-scalar", "n-null", "n-infinite"])
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_malformed_config_is_exit_1(self, tmp_path, capsys, command,
+                                        config):
+        code, out, err = _main([command], config, tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_refused_build_is_exit_3(self, tmp_path, capsys):
+        # 40 intervals graded by 1.5: the build's C^2 join gate refuses it
+        # with a LinAlgError, a numerical failure
+        lengths = 1.5 ** np.arange(40)
+        knots = np.append(np.cumsum(lengths) - lengths, lengths.sum()) \
+            * (math.pi / lengths.sum())
+        config = {"function": "sin", "knots": knots.tolist(), "order": 4,
+                  "frequencies": {"xi": 1.3}, "clamp": [1.0, -1.0]}
+        code, _, err = _main(["verify"], config, tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: order-4 interpolant")

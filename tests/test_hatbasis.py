@@ -10,6 +10,7 @@ from expspline.hatbasis import (
     Partition,
     _flank_values,
     build_hat_basis,
+    group_intervals,
     hat_eval,
     interpolate2,
     monotone_radius,
@@ -48,8 +49,19 @@ class TestPartition:
     def test_mesh_and_lengths(self):
         part = Partition((0.0, 0.25, 1.0))
         assert part.n == 3
-        assert part.lengths == (0.25, 0.75)
+        assert np.array_equal(part.lengths, (0.25, 0.75))
         assert part.mesh == 0.75
+
+    def test_arrays_are_read_only(self):
+        knots = np.array([0.0, 0.25, 1.0])
+        part = Partition(knots)
+        basis = build_hat_basis(part, (-1.0, 1.0))
+        for array in (part.knots, part.lengths, basis.pairs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        # the partition holds a copy: its input stays writable
+        knots[0] = -1.0
+        assert part.knots[0] == 0.0
 
     def test_rejects_bad_knots(self):
         with pytest.raises(ValueError):
@@ -76,7 +88,7 @@ class TestBuildValidation:
 
     def test_single_pair_broadcasts(self):
         basis = build_hat_basis(Partition((0.0, 0.5, 1.0)), (-1.0, 1.0))
-        assert basis.pairs == ((-1.0, 1.0), (-1.0, 1.0))
+        assert np.array_equal(basis.pairs, ((-1.0, 1.0), (-1.0, 1.0)))
 
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -273,3 +285,41 @@ def test_flanks_match_the_per_interval_loop(cells, fractions):
         assert np.all(np.isfinite(got))
         assert np.array_equal(got[~stiff], want[~stiff])
         assert_allclose(got[stiff], want[stiff], rtol=1e-13, atol=0.0)
+
+
+def _grouped_by_dict(pairs, lengths):
+    """group_intervals as a loop over a dict of (pair, length) keys."""
+    index = {}
+    reps = []
+    inverse = np.empty(len(pairs), dtype=np.intp)
+    for j, key in enumerate(zip(map(tuple, pairs), lengths)):
+        k = index.setdefault(key, len(reps))
+        if k == len(reps):
+            reps.append(j)
+        inverse[j] = k
+    return reps, inverse
+
+
+# few distinct values, so keys repeat and interleave; +-0.0 and values one
+# ulp apart among them
+_ULP_ABOVE = float(np.nextafter(0.25, 1.0))
+_KEY_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.25, _ULP_ABOVE])
+_KEY_LENGTHS = st.sampled_from([0.25, _ULP_ABOVE, 1.0, 1e-300])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(keys=st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(st.tuples(*[_KEY_VALUES] * k), _KEY_LENGTHS), min_size=1,
+    max_size=40)))
+@example(keys=[((0.0, 1.0), 0.25)])
+@example(keys=[((0.0, 1.0), 0.25), ((-0.0, 1.0), 0.25), ((0.0, -0.0), 0.25),
+               ((-0.0, 0.0), 0.25)])
+@example(keys=[((1.0, 1.0), 0.25), ((1.0, 1.0), _ULP_ABOVE),
+               ((1.0, 1.0), 0.25), ((0.25, 1.0), 1.0), ((1.0, 1.0), 0.25)])
+def test_group_intervals_matches_the_dict_loop(keys):
+    pairs = [pair for pair, _ in keys]
+    lengths = [h for _, h in keys]
+    reps, inverse = group_intervals(np.array(pairs), np.array(lengths))
+    want_reps, want_inverse = _grouped_by_dict(pairs, lengths)
+    assert reps.tolist() == want_reps
+    assert np.array_equal(inverse, want_inverse)

@@ -32,7 +32,6 @@ from expspline.spline4 import (
     quad_frequency_set,
     resolve_weight,
     residual_orthogonality,
-    second_order_error_bound,
     smoothness_report,
     spline4_eval,
     spline_from_coefficients,
@@ -912,25 +911,3 @@ class TestConvergenceAndDerivativeBound:
                                    np.sin(kn), 1.0, -1.0)
             err = np.max(np.abs(s(grid) - np.sin(grid)))
             assert err <= 5.0 / 64.0 * (math.pi / 8.0) ** 4 * (1 + xi ** 2) ** 2
-
-    def test_derivative_level_bound(self):
-        kn = np.linspace(0.0, math.pi, 9)
-        s = build_interpolant4(kn, quad_frequency_set(8, xi=1.0),
-                               np.sin(kn), 1.0, -1.0)
-        cap = second_order_error_bound(kn, quad_frequency_set(8, xi=1.0),
-                                       0.0, 4.0)
-        assert cap == 20.0
-        grid = np.linspace(0.0, math.pi, 2001)
-        measured = np.max(np.abs(
-            (-np.sin(grid) - np.sin(grid)) - (s(grid, order=2) - s(grid))))
-        assert measured <= cap
-
-    def test_derivative_bound_polynomial(self):
-        kn = np.linspace(0.0, 1.0, 5)
-        qs = quad_frequency_set(4, quads=(0., 0., 0., 0.))
-        s = build_interpolant4(kn, qs, kn ** 4 / 24.0, 0.0, 1.0 / 6.0)
-        cap = second_order_error_bound(kn, qs, 0.0, 1.0)
-        assert cap == 4.0
-        grid = np.linspace(0.0, 1.0, 2001)
-        measured = np.max(np.abs(grid ** 2 / 2.0 - s(grid, order=2)))
-        assert measured <= cap
