@@ -282,11 +282,23 @@ def fundamental_derivative(freqs, t, order):
 def _monic_coefficients(freqs):
     """Coefficients c_0 = 1, ..., c_k of prod (D - lambda_i) = sum_i c_i
     D^(k-i), one factor at a time as numpy.poly convolves them, so the bits
-    are the same, without its per-call overhead."""
-    coeffs = [1.0]
-    for lam in freqs:
-        coeffs = [a - lam * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
-    return np.array(coeffs)
+    are the same, without its per-call overhead.  freqs is k frequencies or
+    a (k, m) array of m columns, one operator each, giving (k + 1, m)."""
+    coeffs = np.zeros((len(freqs) + 1,) + np.shape(freqs)[1:])
+    coeffs[0] = 1.0
+    for i, lam in enumerate(freqs):
+        coeffs[1:i + 2] -= lam * coeffs[:i + 1]
+    return coeffs
+
+
+def _apply_monic(coeffs, derivs):
+    """derivs[k] + sum_(i >= 1) coeffs[i] derivs[k - i], the terms added in
+    that order; coeffs[i] may be a scalar or one value per point."""
+    k = len(coeffs) - 1
+    acc = np.array(derivs[k], dtype=float)
+    for i in range(1, k + 1):
+        acc = acc + coeffs[i] * np.asarray(derivs[k - i], dtype=float)
+    return acc
 
 
 def operator_apply(freqs, derivs):
@@ -302,10 +314,7 @@ def operator_apply(freqs, derivs):
         raise ValueError(
             f"need {k + 1} derivative slots for {k} frequencies, "
             f"got {len(derivs)}")
-    coeffs = _monic_coefficients(fr)
-    acc = np.asarray(derivs[k], dtype=float).copy()
-    for i in range(1, k + 1):
-        acc = acc + coeffs[i] * np.asarray(derivs[k - i], dtype=float)
+    acc = _apply_monic(_monic_coefficients(fr), derivs)
     return float(acc) if acc.ndim == 0 else acc
 
 

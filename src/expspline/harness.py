@@ -33,12 +33,13 @@ from .errbound2 import (
     omega_eval,
 )
 from .expcore import (
+    _apply_monic,
     _monic_coefficients,
     convolution_check,
-    operator_apply,
 )
 from .hatbasis import (
     Partition,
+    _frequency_rows,
     as_partition,
     build_hat_basis,
     hat_eval,
@@ -219,20 +220,6 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 _MAX_SEGMENTS = 2 ** 20
 
 
-def _interval_maxima(tf, freqs, lefts, rights, segments):
-    """max |L F| over segments[i] + 1 equally spaced points of each
-    interval, endpoints included: one derivatives and one operator call
-    on the flat grid, then a segmented reduce."""
-    counts = segments + 1
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(lefts)), counts)
-    frac = (np.arange(counts.sum()) - starts[owner]) / segments[owner]
-    # exact at both ends: (1 - 0) a + 0 b = a and 0 a + 1 b = b
-    ts = (1.0 - frac) * lefts[owner] + frac * rights[owner]
-    vals = operator_apply(freqs, tf.derivatives(ts, len(freqs) + 1))
-    return np.maximum.reduceat(np.abs(vals), starts)
-
-
 def _check_interval_values(bad, knots, what):
     """Raise ValueError naming the first interval flagged in bad."""
     if bad.any():
@@ -241,8 +228,9 @@ def _check_interval_values(bad, knots, what):
                          f"[{knots[j]:g}, {knots[j + 1]:g}]")
 
 
-def _lf_bounds(tf, part, freq_sets, per_interval):
-    """Upper bound of sup |L_j F| on each interval j of the partition.
+def _lf_bounds(tf, part, sets, per_interval):
+    """Upper bound of sup |L_j F| on each interval j of the partition, L_j
+    the operator of row j of sets, an (m, k) frequency array.
 
     Interval j returns max_grid |g| + d_j^2/8 * B_j + 64 eps A_j, g = L_j F,
     on a grid of spacing d_j, endpoints included: between two grid points
@@ -255,45 +243,33 @@ def _lf_bounds(tf, part, freq_sets, per_interval):
     from a first pass at the left ends and midpoints, so that the pad is at
     most _PAD_REL of the sampled maximum, the partition's or, with
     per_interval, the interval's own, and at least _PAD_FLOOR * A_j.
-    Intervals are grouped by frequency set, one grid per group.
+    The first pass and the grid each take one derivatives call over all
+    intervals, every point combining its own interval's coefficients.
     """
     knots = part.knots
     lefts, rights = knots[:-1], knots[1:]
     if tf.bounds is None:
         raise ValueError(f"test function {tf.name!r} declares no derivative "
                          "bounds, so max|LF| has no certified value")
-    groups = {}
-    for j, freqs in enumerate(freq_sets):
-        groups.setdefault(tuple(freqs), []).append(j)
-    if len(groups) == 1:
-        # one frequency set: basic slices instead of index arrays
-        groups = {key: slice(None) for key in groups}
-    curve = np.empty(len(lefts))
-    apriori = np.empty(len(lefts))
+    m, k = sets.shape
+    if not 1 <= k <= 4:
+        raise ValueError("max|LF| takes one to four frequencies per "
+                         f"interval, got {k}")
+    # columns: c of each L_j, then e of prod (D + |lambda_i|), e_i >= |c_i|
+    both = _monic_coefficients(np.concatenate([sets, -np.abs(sets)]).T)
+    coeffs = both[:, :m]
     with np.errstate(over="ignore", invalid="ignore"):
         dbound = np.asarray(tf.bounds(lefts, rights), dtype=float)
-        for freqs, idx in groups.items():
-            k = len(freqs)
-            if not 1 <= k <= 4:
-                raise ValueError("max|LF| takes one to four frequencies per "
-                                 f"interval, got {k}")
-            curve[idx] = np.abs(_monic_coefficients(freqs)) \
-                @ dbound[k + 2:1:-1, idx]
-            # prod (D + |lambda_i|) has coefficients e_i >= |c_i|
-            apriori[idx] = _monic_coefficients([-abs(x) for x in freqs]) \
-                @ dbound[k::-1, idx]
+        curve = _apply_monic(np.abs(coeffs), dbound[2:k + 3])
+        apriori = _apply_monic(both[:, m:], dbound[:k + 1])
     _check_interval_values(~np.isfinite(curve + apriori), knots,
                            f"derivative bounds of {tf.name!r} give no "
                            "finite pad")
 
-    # first pass: the left end and the midpoint of each interval
-    coarse = np.empty(len(lefts))
-    for freqs, idx in groups.items():
-        left = lefts[idx]
-        ts = np.concatenate([left, 0.5 * (left + rights[idx])])
-        vals = np.abs(operator_apply(freqs,
-                                     tf.derivatives(ts, len(freqs) + 1)))
-        coarse[idx] = np.maximum(vals[:left.size], vals[left.size:])
+    # first pass: a row of left ends and a row of midpoints
+    ends = np.concatenate([lefts, 0.5 * (lefts + rights)]).reshape(2, m)
+    vals = np.abs(_apply_monic(coeffs, tf.derivatives(ends, k + 1)))
+    coarse = np.maximum(vals[0], vals[1])
     _check_interval_values(np.isnan(coarse), knots, "L F is NaN")
     scale = coarse if per_interval else np.max(coarse)
     target = np.maximum(_PAD_REL * scale, _PAD_FLOOR * apriori)
@@ -301,10 +277,17 @@ def _lf_bounds(tf, part, freq_sets, per_interval):
         segments = np.ceil((rights - lefts) * np.sqrt(curve / (8.0 * target)))
     # fmax sends the NaN of 0/0 (g'' and the target both zero) to one segment
     segments = np.fmin(np.fmax(segments, 1.0), _MAX_SEGMENTS).astype(np.intp)
-    grid = np.empty(len(lefts))
-    for freqs, idx in groups.items():
-        grid[idx] = _interval_maxima(tf, freqs, lefts[idx], rights[idx],
-                                     segments[idx])
+
+    # the grid: segments[j] + 1 equally spaced points of interval j
+    counts = segments + 1
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(m), counts)
+    frac = (np.arange(counts.sum()) - starts[owner]) / segments[owner]
+    # exact at both ends: (1 - 0) a + 0 b = a and 0 a + 1 b = b
+    ts = (1.0 - frac) * lefts[owner] + frac * rights[owner]
+    vals = _apply_monic(np.repeat(coeffs, counts, axis=1),
+                        tf.derivatives(ts, k + 1))
+    grid = np.maximum.reduceat(np.abs(vals), starts)
     _check_interval_values(np.isnan(grid), knots, "L F is NaN")
     spacing = (rights - lefts) / segments
     return grid + spacing ** 2 / 8.0 * curve + _ROUNDING * apriori
@@ -314,21 +297,20 @@ def max_abs_L(tf, partition, freq_sets):
     """Certified upper bound of sup |L F| over the domain, L being the
     per-interval operator prod (D - lambda_i) of freq_sets[j] on interval j.
 
+    freq_sets is an (m, k) array or m sequences of k frequencies each.
     Each interval's maximum over an equally spaced grid is padded by the
     linear-interpolation error d^2/8 * sup|(L F)''|, the latter bounded
     from the catalog function's declared derivative bounds (see
     _lf_bounds); the result is never below the true supremum as long as
-    those bounds hold, and at most about 2.5e-7 relative above it.  The
-    grid is built once per distinct frequency set.  A NaN value raises
-    ValueError naming the first such interval in mesh order; a function
+    those bounds hold, and at most about 2.5e-7 relative above it.  One
+    grid covers all intervals.  A NaN value raises ValueError naming the
+    first such interval in mesh order; ragged frequency sets, a function
     without declared bounds, or bounds that give no finite pad, raise
     ValueError too.
     """
     part = as_partition(partition)
-    freq_sets = list(freq_sets)
-    if len(freq_sets) != part.n - 1:
-        raise ValueError(f"need {part.n - 1} frequency sets")
-    return float(np.max(_lf_bounds(tf, part, freq_sets, False)))
+    sets = _frequency_rows(freq_sets, "frequency set", part.n - 1)
+    return float(np.max(_lf_bounds(tf, part, sets, False)))
 
 
 def error_grid(partition, uniform=10 ** 4, cheb_per_interval=64):
@@ -541,7 +523,7 @@ def _certificate(norm, level):
            "M2_max": None, "M0_max": None, "bound": None,
            "empirical_error": None, "ratio": None, "passed": True}
     if norm["order"] == 4:
-        ml = 0.0 if tf is None else max_abs_L(tf, part, list(freqs.quads))
+        ml = 0.0 if tf is None else max_abs_L(tf, part, freqs.quads)
         cert = error_bound4(part, freqs, None, ml)
         row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
                    M0_max=cert.m0_max,
@@ -550,8 +532,9 @@ def _certificate(norm, level):
     row["norm_bound"] = operator_norm_bound(basis, p)
     if tf is not None:
         row["bound"] = interp2_error_bound(
-            basis, _lf_bounds(tf, part, basis.pairs.tolist(), True))
-        row["M0_max"] = _max_interval_constants(part, [basis.pairs])[0]
+            basis, _lf_bounds(tf, part, basis.pairs, True))
+        row["M0_max"] = _max_interval_constants(
+            part, [(basis.pairs, basis.groups[0])])[0]
     return row
 
 

@@ -84,6 +84,26 @@ def as_partition(knots):
     return knots if isinstance(knots, Partition) else Partition(knots)
 
 
+def _frequency_rows(rows, what, m, width=None):
+    """rows as an (m, width) float array, one row of width alone standing
+    for all m; ragged rows raise ValueError naming the first whose length
+    differs from row 0's, and any other shape raises it too."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except ValueError:
+        sizes = np.array([np.size(row) for row in rows])
+        j = int(np.argmax(sizes != sizes[0]))
+        if j == 0:
+            raise
+        raise ValueError(f"{what} {j} has {sizes[j]} entries, "
+                         f"{what} 0 has {sizes[0]}") from None
+    if width is not None and arr.shape == (width,):
+        arr = np.tile(arr, (m, 1))
+    if arr.ndim != 2 or len(arr) != m or width not in (None, arr.shape[1]):
+        raise ValueError(f"need {m} {what}s, got shape {arr.shape}")
+    return arr
+
+
 def _phi_ratio(lam0, lam1, x, y):
     """phi(x)/phi(y) for the pair function, stable for large frequency loads.
 
@@ -112,7 +132,6 @@ class HatBasis:
     pairs a read-only (m, 2) array."""
     partition: Partition
     pairs: np.ndarray = field(repr=False)
-    allow_nonmonotone: bool = False
 
     @cached_property
     def groups(self):
@@ -138,12 +157,7 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
     first offending interval is named.
     """
     partition = as_partition(partition)
-    m = partition.n - 1
-    pairs = np.array(pairs, dtype=float)
-    if pairs.shape == (2,):
-        pairs = np.tile(pairs, (m, 1))
-    if pairs.shape != (m, 2):
-        raise ValueError(f"need {m} frequency pairs, got shape {pairs.shape}")
+    pairs = _frequency_rows(pairs, "frequency pair", partition.n - 1, 2)
     lam0, lam1 = pairs.T
     bad = ~(np.isfinite(pairs).all(axis=1) & (lam0 <= lam1))
     if bad.any():
@@ -163,7 +177,7 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
                 f"{tuple(pairs[j].tolist())}; pass allow_nonmonotone=True "
                 f"to override")
     pairs.setflags(write=False)
-    return HatBasis(partition, pairs, allow_nonmonotone)
+    return HatBasis(partition, pairs)
 
 
 def group_intervals(pairs, lengths):

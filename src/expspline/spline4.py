@@ -19,8 +19,8 @@ from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
 from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
-from .hatbasis import (Partition, as_partition, build_hat_basis,
-                       group_intervals)
+from .hatbasis import (Partition, _frequency_rows, as_partition,
+                       build_hat_basis, group_intervals)
 from .l2proj import _load_vector, operator_norm_bound
 
 _RESIDUAL_RTOL = 1e-10
@@ -69,15 +69,7 @@ def quad_frequency_set(m, quads=None, xi=None, p=None):
             raise ValueError(f"need {m} xi values, got {xs.size}")
         out = tuple((float(x), -float(x), float(x), -float(x)) for x in xs)
         return QuadFrequencySet(quads=out, p=0.0)
-    qs = np.array(quads, dtype=float)
-    if qs.shape == (4,):
-        qs = np.tile(qs, (m, 1))
-    if qs.ndim != 2:
-        raise ValueError(f"need {m} quadruples, got shape {qs.shape}")
-    if len(qs) != m:
-        raise ValueError(f"need {m} quadruples, got {len(qs)}")
-    if qs.shape[1] != 4:
-        raise ValueError(f"quadruple 0 has {qs.shape[1]} entries")
+    qs = _frequency_rows(quads, "quadruple", m, 4)
     out = tuple(map(tuple, qs.tolist()))
     bad = ~np.isfinite(qs).all(axis=1)
     if bad.any():
@@ -569,24 +561,25 @@ def _certificate_parts(part, quads, p):
     if p_res == 0.0 and all(q[0] == -q[1] and q[:2] == q[2:] for q in canon):
         return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
     basis = build_hat_basis(part, [q[:2] for q in canon])
+    ops = np.array([q[2:] for q in canon])
     # the interval constants first: the hats' Lebesgue sup reads the keys
     # of the first pairing from the cache
-    m2, m0 = _max_interval_constants(part, [basis.pairs, np.array(
-        [q[2:] for q in canon])])
+    m2, m0 = _max_interval_constants(part, [
+        (basis.pairs, basis.groups[0]),
+        (ops, group_intervals(ops, part.lengths)[0])])
     norm = operator_norm_bound(basis, p_res)
     return p_res, norm, m2, m0
 
 
-def _max_interval_constants(part, pairings):
-    """Largest M_constant over the intervals for each pairing, an (m, 2)
-    array, one value per distinct (pair, length) key; the cold keys of all
-    pairings share one batched search."""
-    reps = [group_intervals(pairs, part.lengths)[0] for pairs in pairings]
+def _max_interval_constants(part, keyed):
+    """Largest M_constant over the intervals for each (pairs, reps) of
+    keyed, reps the first interval of each distinct (pair, length) key of
+    the (m, 2) array pairs; all cold keys share one batched search."""
+    reps = np.concatenate([r for _, r in keyed])
     values = iter([c.value for c in M_constants(
-        np.concatenate([pairs[r] for pairs, r in zip(pairings, reps)]),
-        part.knots[np.concatenate(reps)],
-        part.knots[np.concatenate(reps) + 1])])
-    return [max(islice(values, r.size)) for r in reps]
+        np.concatenate([pairs[r] for pairs, r in keyed]),
+        part.knots[reps], part.knots[reps + 1])])
+    return [max(islice(values, r.size)) for _, r in keyed]
 
 
 def error_bound4(partition, quads, p, max_lf):

@@ -274,6 +274,11 @@ class TestOperatorApply:
         with pytest.raises(ValueError):
             operator_apply((1.0, 2.0), [1.0, 2.0])
 
+    def test_tabulated_lists_accepted(self):
+        # F'' - 3 F' + 2 F with the derivatives given as plain lists
+        got = operator_apply((1.0, 2.0), [[1.0, 2.0], [3.0, 4.0], [5, 6]])
+        assert np.array_equal(got, [-2.0, -2.0])
+
     def test_coefficients_match_numpy_poly_bitwise(self):
         # np.poly is the reference expansion
         rng = np.random.default_rng(11)
@@ -283,6 +288,15 @@ class TestOperatorApply:
                 * 10.0 ** rng.uniform(-8.0, 2.0, k)
             assert np.array_equal(_monic_coefficients(freqs.tolist()),
                                   np.poly(freqs))
+        # a (k, m) array gives one column per operator
+        for _ in range(200):
+            k, m = (int(x) for x in rng.integers(1, 7, 2))
+            cols = rng.uniform(-50.0, 50.0, (k, m)) \
+                * 10.0 ** rng.uniform(-8.0, 2.0, (k, m))
+            got = _monic_coefficients(cols)
+            assert got.shape == (k + 1, m)
+            for j in range(m):
+                assert np.array_equal(got[:, j], np.poly(cols[:, j]))
 
 
 class TestConvolution:

@@ -123,6 +123,12 @@ class TestMaxAbsL:
         with pytest.raises(ValueError, match="frequency sets"):
             max_abs_L(get_test_function("sin"), (0.0, 1.0, 2.0), [(0.0, 0.0)])
 
+    def test_ragged_sets_are_named(self):
+        with pytest.raises(ValueError,
+                           match="frequency set 1 has 1 entries"):
+            max_abs_L(get_test_function("sin"), (0.0, 1.0, 2.0),
+                      [(1.0, 2.0), (1.0,)])
+
     def test_nan_interval_is_named(self):
         # the fourth derivative is NaN on intervals 3 and 4; the scan used
         # to drop them and return the maximum over the others
@@ -259,13 +265,25 @@ class TestRigorousMaxAbsL:
         sets = [QUADS["generic"], QUADS["symmetric"]] * 4
         counted, seen = _count_points(tf)
         got = max_abs_L(counted, knots, sets)
-        # a first pass and a grid for each of the two sets
-        assert seen[1] == 4
+        # one first pass and one grid over both sets
+        assert seen[1] == 2
         per = [max_abs_L(tf, knots[j:j + 2], [sets[j]]) for j in range(8)]
         dense = max(_dense_scan(tf, knots[j:j + 2], sets[j])
                     for j in range(8))
         assert dense <= got <= (1.0 + 3e-7) * dense
         assert got <= (1.0 + 3e-7) * max(per)
+
+    def test_order2_per_interval_bound_takes_two_passes(self):
+        tf = get_test_function("runge")
+        knots = np.linspace(-1.0, 1.0, 9)
+        pairs = np.array([(-1.0 - 0.25 * j, 0.5 + 0.125 * j)
+                          for j in range(8)])
+        counted, seen = _count_points(tf)
+        got = harness._lf_bounds(counted, Partition(knots), pairs, True)
+        # one first pass and one grid for eight distinct pairs
+        assert seen[1] == 2
+        per = [max_abs_L(tf, knots[j:j + 2], [pairs[j]]) for j in range(8)]
+        assert_allclose(got, per, rtol=1e-15)
 
     def test_order2_row_uses_one_grouped_scan(self):
         cfg = {"function": "runge", "n": 9, "order": 2,

@@ -78,9 +78,15 @@ class TestBuildValidation:
             build_hat_basis(Partition((0.0, 1.0)), [(1.0, 2.0)])
 
     def test_override_flag(self):
+        # (1, 2) is not monotone on [0, 1]: overridden, it builds, and the
+        # hats' absolute sum leaves [0, 1]
         basis = build_hat_basis(Partition((0.0, 1.0)), [(1.0, 2.0)],
                                 allow_nonmonotone=True)
-        assert basis.allow_nonmonotone
+        assert np.max(sum_hats(basis, np.linspace(0.0, 1.0, 101))) > 1.27
+
+    def test_ragged_pairs_are_named(self):
+        with pytest.raises(ValueError, match="pair 1 has 1 entries"):
+            build_hat_basis((0, 1, 2), [[1, 2], [3]])
 
     def test_pair_count_mismatch(self):
         with pytest.raises(ValueError):

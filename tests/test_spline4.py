@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import mp_interp4, mp_phi
 
-from expspline import errbound2, expcore
+from expspline import errbound2, expcore, hatbasis, spline4
 from expspline.errbound2 import M_constant
 from expspline.expcore import fundamental_derivative, operator_apply
 from expspline.harness import get_test_function, max_abs_L, measure_error
@@ -110,6 +110,10 @@ class TestQuadFrequencySet:
             quad_frequency_set(1, quads=(0.0, math.nan, 0.0, 0.0))
         with pytest.raises(ValueError, match="quadruples"):
             quad_frequency_set(3, quads=[(0., 0., 0., 0.)] * 2)
+
+    def test_ragged_quadruples_are_named(self):
+        with pytest.raises(ValueError, match="quadruple 1 has 2 entries"):
+            quad_frequency_set(2, quads=[[1, 2, 3, 4], [1, 2]])
 
 
 class TestBuildInterpolant4:
@@ -813,6 +817,23 @@ class TestErrorBound4:
         error_bound4(kn, quad_frequency_set(3, quads=(1.0, 2.0, -1.0, -2.0)),
                      None, 1.0)
         assert searches == [6]
+
+    def test_hat_keys_grouped_once(self, monkeypatch):
+        # the hat keys' grouping is the basis's own, which the Lebesgue sup
+        # reads too: one grouping for the hats, one for the operator pairs
+        calls = []
+        group = hatbasis.group_intervals
+
+        def counting_group(pairs, lengths):
+            calls.append(pairs.shape)
+            return group(pairs, lengths)
+
+        monkeypatch.setattr(hatbasis, "group_intervals", counting_group)
+        monkeypatch.setattr(spline4, "group_intervals", counting_group)
+        kn = 0.125 * np.arange(18)
+        error_bound4(kn, quad_frequency_set(17, quads=(1.3, 2.1, -1.3, -2.1)),
+                     None, 1.0)
+        assert len(calls) == 2
 
     def test_symmetric_certificate(self):
         kn = np.linspace(0.0, math.pi, 9)
