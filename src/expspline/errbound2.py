@@ -5,10 +5,13 @@ omega, the solution of L omega = -1 with omega(a) = omega(b) = 0 where
 L = (d/dt - lambda_0)(d/dt - lambda_1).  Its maximum M over the interval
 multiplies max|LF| in the pointwise bound.  omega scales with the interval,
 so M is found once per rescaled pair lambda*(b-a) on the unit interval,
-where omega is unimodal.  There one coarse round of samples brackets the
-maximum, a safeguarded Newton iteration on omega' refines it, with omega''
-taken from the equation, and a pad from a bound on |omega''| over the final
-bracket turns the value found into an upper bound of M.  A bound over a
+where omega is unimodal.  There its critical point t* has a closed form,
+the divided difference g[l0, l1] of g(x) = log(expm1(x)/x), and one
+batched evaluation of omega and omega' at t* and two points 1e-11 beside
+it brackets the maximum; a key whose slopes there do not bracket it
+falls back to a search of [0, 1] by quarters.  A pad from a bound on
+|omega''| over the final bracket turns the value found into an upper bound
+of M.  A bound over a
 partition needs one value per distinct (pair, length) key; the keys not yet
 cached are searched together, each step one batched evaluation of omega and
 omega' over every open key.  Both come from products of fundamental
@@ -20,13 +23,15 @@ quadrature route and the comparison inequalities used in the tests.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .expcore import _phi_rows, fundamental_eval
+from .expcore import _opitz_corner, _phi_rows, fundamental_eval
 from .quadrature import integrate
 
-_BRACKET_POINTS = 17
+# half-width of the start bracket around the closed-form critical point
+_START_RADIUS = 1e-11
 
 _M_UNIT_CACHE_SIZE = 4096
 
@@ -188,12 +193,47 @@ def _m_units(scaled):
         if bad:
             raise ValueError(f"frequencies must be finite, got {bad[0]}")
         lam0, lam1 = np.array(cold, dtype=float).T
-        values, args = _bracket_search(lam0, lam1)
+        try:
+            values, args = _bracket_search(lam0, lam1)
+        except OverflowError:
+            # name the first key that overflows on its own
+            for key in cold:
+                try:
+                    _bracket_search(*np.array([key]).T)
+                except OverflowError as exc:
+                    raise OverflowError(
+                        f"interval constant of the pair {key} scaled to "
+                        f"[0, 1] overflows: {exc}") from exc
+            raise
         for key, val in zip(cold, zip(values.tolist(), args.tolist())):
             found[key] = _m_unit_cache[key] = val
-        for old in list(_m_unit_cache)[:-_M_UNIT_CACHE_SIZE]:
-            del _m_unit_cache[old]
+        excess = len(_m_unit_cache) - _M_UNIT_CACHE_SIZE
+        if excess > 0:
+            # dicts keep insertion order: the oldest keys go first
+            for old in list(islice(_m_unit_cache, excess)):
+                del _m_unit_cache[old]
     return [found[key] for key in scaled]
+
+
+def _critical_point(lam0, lam1):
+    """The critical point of omega on [0, 1] of each pair, in closed form:
+    g[l0, l1] = log(E(l1)/E(l0)) / (l1 - l0), with E(x) = expm1(x)/x the
+    Phi of (0, x) at 1.  With lo <= hi it is evaluated as rho * log1p(u)/u,
+    where rho = Phi_(0,lo,hi)(1) / Phi_(0,lo)(1) and u = (hi - lo) * rho =
+    E(hi)/E(lo) - 1 >= 0, so a near-confluent pair does not cancel; both
+    Phi come from one Opitz kernel call on the mean-centred row (0, lo, hi),
+    whose shift drops out of the ratio.  Where that kernel overflows, which
+    needs |lambda| of about 700, the start is 1/2.
+    """
+    lo, hi = np.minimum(lam0, lam1), np.maximum(lam0, lam1)
+    rows = np.stack([np.zeros_like(lo), lo, hi], axis=1)
+    rows -= (rows.sum(axis=1) / 3.0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first = _opitz_corner(rows, np.ones(lo.size))
+        rho = first[:, 2] / first[:, 1]
+        u = (hi - lo) * rho
+        t = rho * np.where(u > 0.0, np.log1p(u) / u, 1.0)
+    return np.where((t > 0.0) & (t < 1.0), t, 0.5)
 
 
 def _bracket_search(lam0, lam1):
@@ -205,21 +245,36 @@ def _bracket_search(lam0, lam1):
     has omega'' >= 0 and a local maximum omega'' <= 0, so a minimum between
     two maxima needs l0*l1 < 0 and omega_min >= 1/|l0*l1| >= omega_max.
     Then omega = -1/(l0*l1) and omega' = 0 at one point, and by uniqueness
-    omega is that constant, which contradicts omega(0) = 0.  Hence the
-    maximum t* lies between the neighbours of the largest of any set of
-    samples, omega' > 0 left of t* and omega' < 0 right of it.
+    omega is that constant, which contradicts omega(0) = 0.  Hence omega' > 0
+    left of the maximum t* and omega' < 0 right of it, and any lo with
+    omega'(lo) > 0 and hi with omega'(hi) <= 0 bracket t*.
 
-    Search: one round of _BRACKET_POINTS equispaced samples gives the best
-    sample and the bracket [lo, hi] of its neighbours.  Newton's method on
-    omega' starts from that sample, with omega'' = -1 + (l0+l1)*omega' -
-    l0*l1*omega from the equation.  Each evaluated point moves lo where
-    omega' > 0 and hi where omega' <= 0, and a step falls back to bisection
-    when omega'' >= 0, when it is not finite or when it leaves the closed
-    bracket.  The iteration stops when the step or the bracket is below
-    1e-9, which bisection alone reaches in 27 steps; 64 steps end it in any
-    case.  The last iterate t_N is then flanked by two points at twice the
-    last step plus 1e-11, and each flank where omega' has the expected sign
-    closes that side of the bracket.
+    Start: for l0*l1 != 0 and l0 != l1, omega = -1/(l0*l1) + A e^(l0 t) +
+    B e^(l1 t), and the two boundary conditions give A l0 / (B l1) =
+    -E(l0)/E(l1) with E(x) = expm1(x)/x.  So omega'(t) = 0 reads
+    e^((l1 - l0) t) = E(l1)/E(l0), and
+
+        t* = (g(l1) - g(l0)) / (l1 - l0),   g(x) = log(expm1(x)/x),
+
+    the divided difference g[l0, l1], which is g'(l) for l0 = l1 and
+    covers l0*l1 = 0 by continuity.  g is the cumulant generating function
+    of the uniform law on (0, 1), so g' increases from 0 to 1 and t* lies
+    in (0, 1).  _critical_point evaluates it without cancellation.  One
+    batched _omega call takes omega and omega' at t* and t* -+
+    _START_RADIUS for every key.  A key with omega' > 0 at the left point
+    and omega' <= 0 at the right one closes there, with t_N = t* and the
+    bracket [t* - r, t* + r]; every generator and oracle key the tests
+    draw does.
+
+    Fallback: any other key searches [0, 1] by quarters.  Each further
+    batched call evaluates omega and omega' at the three inner quarter
+    points of every open bracket, and the bracket shrinks to the quarter
+    from the last point with omega' > 0 to the first with omega' <= 0.
+    Eighteen calls take it to 4^-18 < 2 * _START_RADIUS, whatever the
+    shape of omega: a Newton iteration on omega' crawls by 1/|lambda| per
+    step along an exponential flank, and its curvature, -1 + (l0+l1)
+    omega' - l0*l1*omega, is rounding noise on a plateau.  t_N is the
+    point last evaluated at an end of the bracket.
 
     Pad: t_N and t* lie in the bracket, of width w.  Let S bound |omega''|
     there.  Then |omega'| <= |omega'(t_N)| + S*w and |omega - omega(t_N)|
@@ -229,53 +284,30 @@ def _bracket_search(lam0, lam1):
              + (|l0+l1|*w + |l0*l1|*w^2) S,
 
     solved for S below.  As omega'(t*) = 0, omega(t*) - omega(t_N) <=
-    S*w^2/2.  So the larger of omega(t_N) and the best sample, plus
-    S*w^2/2, bounds the maximum in exact arithmetic.  Four ulps more cover
-    the rounding of omega, which stays within about three ulps of the mpmath
-    oracle on the keys the tests draw; a computed sign of omega' can only be
-    wrong where omega is flat to rounding.  Every step is elementwise per
-    pair, so a pair gives the same bits alone or in a batch.
+    S*w^2/2.  So the larger of omega(t_N) and the best of the three start
+    values, plus S*w^2/2, bounds the maximum in exact arithmetic.  Four
+    ulps more cover the rounding of omega, which stays within about three
+    ulps of the mpmath oracle on the keys the tests draw; a computed sign
+    of omega' can only be wrong where omega is flat to rounding.  Every
+    step is elementwise per pair, so a pair gives the same bits alone or in
+    a batch.
     """
     count = lam0.size
-    grid = np.arange(_BRACKET_POINTS) / (_BRACKET_POINTS - 1)
-    flat = np.tile(grid, count)
-    vals, slopes = _omega(np.repeat(lam0, _BRACKET_POINTS),
-                          np.repeat(lam1, _BRACKET_POINTS), 1.0,
-                          flat, flat - 1.0)
-    i = np.argmax(vals.reshape(count, _BRACKET_POINTS), axis=1)
-    pick = np.arange(count) * _BRACKET_POINTS + i
-    best, best_t = vals[pick], grid[i]
-    t, v, d = best_t.copy(), best.copy(), slopes[pick]
-    i = np.clip(i, 1, _BRACKET_POINTS - 2)
-    lo, hi = grid[i - 1], grid[i + 1]
-    sigma, prod = lam0 + lam1, lam0 * lam1
-    step = np.zeros(count)
-    live = np.arange(count)
-    for _ in range(64):
-        rising = d[live] > 0.0
-        lo[live] = np.where(rising, t[live], lo[live])
-        hi[live] = np.where(rising, hi[live], t[live])
-        curv = -1.0 + sigma[live] * d[live] - prod[live] * v[live]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = t[live] - d[live] / curv
-        newton = (curv < 0.0) & (new >= lo[live]) & (new <= hi[live])
-        new = np.where(newton, new, 0.5 * (lo[live] + hi[live]))
-        step[live] = new - t[live]
-        go = (np.abs(step[live]) >= 1e-9) & (hi[live] - lo[live] >= 1e-9)
-        live = live[go]
-        if not live.size:
-            break
-        t[live] = new[go]
-        v[live], d[live] = _omega(lam0[live], lam1[live], 1.0, t[live],
-                                  t[live] - 1.0)
-    reach = 2.0 * np.abs(step) + 1e-11
-    flank = np.concatenate([np.maximum(t - reach, lo),
-                            np.minimum(t + reach, hi)])
-    _, flank_d = _omega(np.tile(lam0, 2), np.tile(lam1, 2), 1.0, flank,
-                        flank - 1.0)
-    lo = np.where(flank_d[:count] > 0.0, flank[:count], lo)
-    hi = np.where(flank_d[count:] <= 0.0, flank[count:], hi)
+    start = _critical_point(lam0, lam1)
+    pts = np.stack([start, np.maximum(start - _START_RADIUS, 0.0),
+                    np.minimum(start + _START_RADIUS, 1.0)])
+    vals, slopes = _omega(np.tile(lam0, 3), np.tile(lam1, 3), 1.0,
+                          pts.ravel(), pts.ravel() - 1.0)
+    vals, slopes = vals.reshape(3, count), slopes.reshape(3, count)
+    i, cols = np.argmax(vals, axis=0), np.arange(count)
+    best, best_t = vals[i, cols], pts[i, cols]
+    t, v, d, lo, hi = start, vals[0], slopes[0], pts[1], pts[2]
+    fallback = ~((slopes[1] > 0.0) & (slopes[2] <= 0.0))
+    if fallback.any():
+        t[fallback], v[fallback], d[fallback], lo[fallback], hi[fallback] \
+            = _quarter_bracket(lam0[fallback], lam1[fallback])
     w = hi - lo
+    sigma, prod = lam0 + lam1, lam0 * lam1
     a_sigma, a_prod = np.abs(sigma), np.abs(prod)
     room = 1.0 - (a_sigma + a_prod * w) * w
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,6 +317,31 @@ def _bracket_search(lam0, lam1):
     top = v >= best
     value = np.where(top, v, best) + 0.5 * bound * w * w
     return value * (1.0 + 4.0 * np.finfo(float).eps), np.where(top, t, best_t)
+
+
+def _quarter_bracket(lam0, lam1):
+    """The fallback of _bracket_search: from [0, 1], each call evaluates
+    omega and omega' at the three inner quarter points of every bracket and
+    keeps the quarter where omega' changes sign, until the width is at most
+    2 * _START_RADIUS.  Returns the point last evaluated at an end of each
+    bracket, omega and omega' there, and the bracket (lo, hi)."""
+    count = lam0.size
+    cols = np.arange(count)
+    quarters = np.arange(1.0, 4.0)[:, None]
+    lo, width = np.zeros(count), 1.0
+    while width > 2.0 * _START_RADIUS:
+        # powers of 1/4: every bracket end is exact
+        width *= 0.25
+        pts = lo + width * quarters
+        vals, slopes = _omega(np.tile(lam0, 3), np.tile(lam1, 3), 1.0,
+                              pts.ravel(), pts.ravel() - 1.0)
+        vals, slopes = vals.reshape(3, count), slopes.reshape(3, count)
+        # the rising points before the first one that is not
+        j = np.cumprod(slopes > 0.0, axis=0).sum(axis=0)
+        lo = lo + width * j
+        end = np.maximum(j, 1) - 1
+        t, v, d = pts[end, cols], vals[end, cols], slopes[end, cols]
+    return t, v, d, lo, lo + width
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,9 @@ from .l2proj import (
 )
 from .spline4 import (
     QuadFrequencySet,
+    _error_bound4,
     _max_interval_constants,
     build_interpolant4,
-    error_bound4,
     quad_frequency_set,
     resolve_weight,
     residual_orthogonality,
@@ -524,7 +524,7 @@ def _certificate(norm, level):
            "empirical_error": None, "ratio": None, "passed": True}
     if norm["order"] == 4:
         ml = 0.0 if tf is None else max_abs_L(tf, part, freqs.quads)
-        cert = error_bound4(part, freqs, None, ml)
+        cert = _error_bound4(part, freqs, None, ml, basis)
         row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
                    M0_max=cert.m0_max,
                    bound=None if tf is None else cert.bound)

@@ -545,9 +545,11 @@ class BoundCertificate:
     bound: float
 
 
-def _certificate_parts(part, quads, p):
+def _certificate_parts(part, quads, p, basis=None):
     """Resolve the pairing and return (p, norm_bound, m2_max, m0_max), the
-    closed-form tiers short-circuiting the generic machinery."""
+    closed-form tiers short-circuiting the generic machinery.  basis is the
+    hat basis of the resolved pairing's first pairs when the caller has
+    built it already."""
     _, quads = _checked(part, quads)
     if p is not None and quads.p is not None \
             and float(p) != float(quads.p):
@@ -560,7 +562,8 @@ def _certificate_parts(part, quads, p):
         return p_res, 3.0, delta ** 2 / 8.0, delta ** 2 / 8.0
     if p_res == 0.0 and all(q[0] == -q[1] and q[:2] == q[2:] for q in canon):
         return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
-    basis = build_hat_basis(part, [q[:2] for q in canon])
+    if basis is None:
+        basis = build_hat_basis(part, [q[:2] for q in canon])
     ops = np.array([q[2:] for q in canon])
     # the interval constants first: the hats' Lebesgue sup reads the keys
     # of the first pairing from the cache
@@ -591,13 +594,17 @@ def error_bound4(partition, quads, p, max_lf):
     pieces are assembled from the numeric interval constants and the
     projection norm bound.
     """
-    part = as_partition(partition)
+    return _error_bound4(as_partition(partition), quads, p, max_lf)
+
+
+def _error_bound4(part, quads, p, max_lf, basis=None):
+    """error_bound4 on a Partition, reusing the caller's hat basis of the
+    resolved pairing when given (see _certificate_parts)."""
     max_lf = float(max_lf)
     if not max_lf >= 0.0:
         raise ValueError("max_lf must be nonnegative")
-    _, norm, m2, m0 = _certificate_parts(part, quads, p)
+    _, norm, m2, m0 = _certificate_parts(part, quads, p, basis)
     constant = (1.0 + norm) * m2 * m0
     return BoundCertificate(delta=part.mesh, constant=constant,
                             norm_bound=norm, m2_max=m2, m0_max=m0,
                             bound=constant * max_lf)
-

@@ -1,4 +1,6 @@
 import math
+import re
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -162,10 +164,12 @@ class TestMstar:
         assert np.all(vals > 0.0)
 
 
-def _mp_omega_max(lam0, lam1):
-    """Maximum of the mp_omega oracle on [0, 1]: the best of 63 equispaced
-    samples, refined by golden-section search in 50-digit arithmetic between
-    its two neighbours, which bracket the maximum since omega is unimodal."""
+@lru_cache(maxsize=None)
+def _mp_omega_peak(lam0, lam1):
+    """Maximum of the mp_omega oracle on [0, 1] and its abscissa: the best
+    of 63 equispaced samples, refined by golden-section search in 50-digit
+    arithmetic between its two neighbours, which bracket the maximum since
+    omega is unimodal."""
     f = lambda t: mp_omega(lam0, lam1, 0.0, 1.0, t)
     xs = [mp.mpf(k) / 64 for k in range(1, 64)]
     k = max(range(len(xs)), key=lambda i: f(xs[i]))
@@ -182,7 +186,24 @@ def _mp_omega_max(lam0, lam1):
             lo, c, fc = c, d, fd
             d = lo + g * (hi - lo)
             fd = f(d)
-    return float(max(fc, fd))
+    return (float(fc), float(c)) if fc > fd else (float(fd), float(d))
+
+
+def _mp_omega_max(lam0, lam1):
+    return _mp_omega_peak(lam0, lam1)[0]
+
+
+def _mp_critical_point(lam0, lam1):
+    """g[l0, l1] for g(x) = log(expm1(x)/x) in 60-digit arithmetic, g'(l)
+    for a double pair and 1/2 + (l0 + l1)/24 next to zero."""
+    with mp.workdps(60):
+        g = lambda x: mp.log(mp.expm1(x) / x) if x else mp.mpf(0)
+        l0, l1 = mp.mpf(lam0), mp.mpf(lam1)
+        if max(abs(l0), abs(l1)) < 1e-20:
+            return float(0.5 + (l0 + l1) / 24)
+        if l0 != l1:
+            return float((g(l1) - g(l0)) / (l1 - l0))
+        return float(1 / -mp.expm1(-l0) - 1 / l0)
 
 
 @pytest.fixture
@@ -304,13 +325,68 @@ class TestMConstant:
                                       _certify2_intervals])
     def test_search_points_per_cold_key(self, make, omega_calls,
                                         monkeypatch):
-        # the coarse round, a few Newton steps and the two closing points;
-        # shrinking rounds of 17 points took about 200 per key
+        # every key closes at its critical point: one call, three points
+        # per key (the coarse round and Newton steps took up to 40)
         monkeypatch.setattr(errbound2, "_m_unit_cache", {})
         M_constants(*make(3))
         cold = len(errbound2._m_unit_cache)
         assert cold >= 8
-        assert sum(omega_calls) <= 40 * cold
+        assert omega_calls == [3 * cold]
+
+    @pytest.mark.parametrize("lam0, lam1, value_rtol", [
+        key for key in ORACLE_KEYS
+        if key[:2] not in ((-60.0, 60.0), (-300.0, 250.0))])
+    def test_critical_point_is_oracle_argmax(self, lam0, lam1, value_rtol):
+        # the plateau keys are left out: there omega is flat to far below
+        # an ulp over a wide range, so the oracle's arg-max is not defined
+        start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
+        assert abs(start[0] - _mp_omega_peak(lam0, lam1)[1]) <= 1e-9
+
+    def test_critical_point_lies_inside(self):
+        # double pairs, zero, near-confluent pairs and |lambda| up to 700,
+        # against the closed form in 60 digits, so the start's guard for
+        # an overflowing kernel cannot hide a value outside (0, 1)
+        edge = [0.0, 1e-300, 1e-9, 0.5, 1.0, 1.0 + 1e-9, 30.0, 300.0, 700.0]
+        lams = sorted({sign * x for x in edge for sign in (1.0, -1.0)})
+        rng = np.random.default_rng(5)
+        keys = [(a, b) for a in lams for b in lams] \
+            + [tuple(rng.uniform(-700.0, 700.0, 2)) for _ in range(40)] \
+            + [(1.0, 1.0002), (-3.0, -3.0 + 1e-5), (250.0, 250.001)]
+        lam0, lam1 = np.array(keys).T
+        start = errbound2._critical_point(lam0, lam1)
+        assert np.all((start > 0.0) & (start < 1.0))
+        want = [_mp_critical_point(a, b) for a, b in keys]
+        assert_allclose(start, want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("start", [0.02, 0.98])
+    def test_fallback_from_a_wrong_start(self, start, omega_calls,
+                                         monkeypatch):
+        # a start far from the maximum fails the one-call check, and the
+        # search by quarters still bounds the oracle and terminates
+        monkeypatch.setattr(errbound2, "_critical_point",
+                            lambda lam0, lam1: np.full(lam0.shape, start))
+        keys = np.array([key[:2] for key in self.ORACLE_KEYS])
+        values, _ = _bracket_search(keys[:, 0], keys[:, 1])
+        for (lam0, lam1), value in zip(keys, values):
+            best = _mp_omega_max(lam0, lam1)
+            assert best <= value <= best * (1.0 + 1e-13)
+        for lam0, lam1 in self.DEGENERATE_KEYS:
+            omega_calls.clear()
+            value, arg = _bracket_search(np.array([lam0]), np.array([lam1]))
+            assert 1 < len(omega_calls) <= 30
+            assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
+
+    @pytest.mark.parametrize("lam0, lam1", [(-800.0, 3.0), (-720.0, -1.0)])
+    def test_overflow_is_refused_naming_the_pair(self, lam0, lam1,
+                                                 monkeypatch):
+        # omega is below 1/2400 there, but the product form overflows; the
+        # refusal must stay an OverflowError, not a NaN start or a value
+        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
+        start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
+        assert 0.0 < start[0] < 1.0
+        with pytest.raises(OverflowError,
+                           match=re.escape(f"({lam0}, {lam1})")):
+            M_constant(lam0, lam1, 0.0, 1.0)
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])
@@ -330,11 +406,21 @@ class TestMConstant:
 
     @pytest.mark.parametrize("lam0, lam1", DEGENERATE_KEYS)
     def test_degenerate_keys_terminate(self, lam0, lam1, omega_calls):
-        # one coarse call, one call per step and one for the closing
-        # points; bisection alone needs 27 steps from the coarse bracket
+        # each closes at its critical point in one call
         value, arg = _bracket_search(np.array([lam0]), np.array([lam1]))
-        assert len(omega_calls) <= 30
+        assert omega_calls == [3]
         assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
+
+    def test_cache_keeps_the_newest_keys(self, monkeypatch):
+        monkeypatch.setattr(errbound2, "_M_UNIT_CACHE_SIZE", 8)
+        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
+        keys = [(0.1 * k, 0.1 * k + 1.0) for k in range(30)]
+        for batch in (keys[:5], keys[5:10], keys[10:12], keys[12:30]):
+            got = errbound2._m_units(batch)
+            assert len(got) == len(batch)
+            assert len(errbound2._m_unit_cache) <= 8
+        assert list(errbound2._m_unit_cache) == keys[-8:]
+        assert errbound2._m_units(keys[-3:]) == got[-3:]
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

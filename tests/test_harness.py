@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expspline
-from expspline import cli, harness
+from expspline import cli, harness, hatbasis, spline4
 from expspline.errbound2 import M_constant, interp2_error_bound
 from expspline.expcore import operator_apply
 from expspline.harness import (
@@ -284,6 +284,29 @@ class TestRigorousMaxAbsL:
         assert seen[1] == 2
         per = [max_abs_L(tf, knots[j:j + 2], [pairs[j]]) for j in range(8)]
         assert_allclose(got, per, rtol=1e-15)
+
+    def test_order4_row_builds_one_hat_basis(self, monkeypatch):
+        # c_factor and the certificate share one basis and its grouping;
+        # the operator pairs and the build's quadruples group once each
+        counts = {"basis": 0, "group": 0}
+        build, group = hatbasis.build_hat_basis, hatbasis.group_intervals
+
+        def counting_build(*args, **kwargs):
+            counts["basis"] += 1
+            return build(*args, **kwargs)
+
+        def counting_group(*args):
+            counts["group"] += 1
+            return group(*args)
+
+        for module in (harness, spline4):
+            monkeypatch.setattr(module, "build_hat_basis", counting_build)
+        for module in (hatbasis, spline4):
+            monkeypatch.setattr(module, "group_intervals", counting_group)
+        run_verify({"function": "sin", "domain": [0.0, math.pi], "n": 65,
+                    "order": 4,
+                    "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}})
+        assert counts == {"basis": 1, "group": 3}
 
     def test_order2_row_uses_one_grouped_scan(self):
         cfg = {"function": "runge", "n": 9, "order": 2,
