@@ -104,26 +104,48 @@ def _frequency_rows(rows, what, m, width=None):
     return arr
 
 
+def _flank_ends(lam0, lam1, y):
+    """(s, d, big, sinhc_y): the factors of _phi_ratio that do not depend
+    on x, for pairs and ends y broadcast together.  2s = lam0+lam1, 2d =
+    lam1-lam0, big marks |d y| >= 350, and sinhc_y is sinhc(d y), or its
+    log where big."""
+    s = 0.5 * (np.asarray(lam0, dtype=float) + lam1)
+    d = 0.5 * (np.asarray(lam1, dtype=float) - lam0)
+    uy = d * np.asarray(y, dtype=float)
+    big = np.abs(uy) >= 350.0
+    sinhc_y = _sinhc(np.where(big, 0.0, uy))
+    if big.any():
+        sinhc_y[big] = _log_sinhc(uy[big])
+    return s, d, big, sinhc_y
+
+
+def _flank_ratio(ends, x, y):
+    """phi(x)/phi(y) at x between 0 and y from ends = _flank_ends(lam0,
+    lam1, y), all broadcast against x.  As |x| <= |y|, |d x| stays below
+    350 where |d y| does, so big picks the log-space ratio for x too."""
+    s, d, big, sinhc_y = ends
+    ux = d * x
+    if not big.any():
+        ratio = _sinhc(ux) / sinhc_y
+    else:
+        big = np.broadcast_to(big, ux.shape)
+        ratio = _sinhc(np.where(big, 0.0, ux)) / np.where(big, 1.0, sinhc_y)
+        sign = np.where(np.broadcast_to(x, ux.shape)[big] == 0.0, 0.0, 1.0)
+        ratio[big] = sign * np.exp(_log_sinhc(ux[big])
+                                   - np.broadcast_to(sinhc_y, ux.shape)[big])
+    return (x / y) * np.exp(s * (x - y)) * ratio
+
+
 def _phi_ratio(lam0, lam1, x, y):
-    """phi(x)/phi(y) for the pair function, stable for large frequency loads.
+    """phi(x)/phi(y) for the pair function at x between 0 and y (|x| <=
+    |y|), stable for large frequency loads.
 
     Uses phi(t) = t exp(s t) sinhc(d t) with 2s = lam0+lam1, 2d = lam1-lam0,
     so the exponential factor enters only through exp(s (x - y)).  All four
-    arguments broadcast against each other, one pair per point; points with
-    |d x| or |d y| >= 350 take the ratio of sinhc in log space.
+    arguments broadcast against each other; pairs with |d y| >= 350 take
+    the ratio of sinhc in log space.
     """
-    lam0, lam1, x, y = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lam0, lam1, x, y)))
-    s = 0.5 * (lam0 + lam1)
-    d = 0.5 * (lam1 - lam0)
-    ux = d * x
-    uy = d * y
-    big = np.maximum(np.abs(ux), np.abs(uy)) >= 350.0
-    ratio = _sinhc(np.where(big, 0.0, ux)) / _sinhc(np.where(big, 0.0, uy))
-    if np.any(big):
-        sign = np.where(x[big] == 0.0, 0.0, 1.0)
-        ratio[big] = sign * np.exp(_log_sinhc(ux[big]) - _log_sinhc(uy[big]))
-    return (x / y) * np.exp(s * (x - y)) * ratio
+    return _flank_ratio(_flank_ends(lam0, lam1, y), x, y)
 
 
 @dataclass(eq=False)
@@ -208,7 +230,10 @@ def _flank_values(basis, ts):
     the interval index, computed in blocks of _EVAL_BLOCK points.
 
     For t in interval i the active hats are H_i (falling flank) and H_(i+1)
-    (rising flank); everything else vanishes there.
+    (rising flank); everything else vanishes there.  A flank's x lies
+    between 0 and y = -+h, so |x| <= |y| = h and the factors of _flank_ends,
+    the log-space choice |d h| >= 350 among them, are found once per
+    interval and gathered per point.
     """
     knots = basis.knots
     if not np.all(np.isfinite(ts)):
@@ -217,15 +242,16 @@ def _flank_values(basis, ts):
         raise ValueError("evaluation points must lie inside the partition")
     idx = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0,
                   len(knots) - 2)
-    pairs, lengths = basis.pairs, basis.partition.lengths
+    (lam0, lam1), h = basis.pairs.T, basis.partition.lengths
+    ends = [_flank_ends(lam0, lam1, y) for y in (-h, h)]
     fall = np.empty_like(ts)
     rise = np.empty_like(ts)
     for lo in range(0, ts.size, _EVAL_BLOCK):
         sl, i = slice(lo, lo + _EVAL_BLOCK), idx[lo:lo + _EVAL_BLOCK]
-        (lam0, lam1), h = pairs[i].T, lengths[i]
-        tau = ts[sl] - knots[i]
-        fall[sl] = _phi_ratio(lam0, lam1, tau - h, -h)
-        rise[sl] = _phi_ratio(lam0, lam1, tau, h)
+        tau, hi = ts[sl] - knots[i], h[i]
+        for out, part, x, y in ((fall, ends[0], tau - hi, -hi),
+                                (rise, ends[1], tau, hi)):
+            out[sl] = _flank_ratio([e[i] for e in part], x, y)
     return idx, fall, rise
 
 
@@ -268,8 +294,10 @@ class SplineOrder2:
         idx, fall, rise = _flank_values(self.basis, ts)
         c = np.asarray(self.coeffs)
         out = c[idx] * fall + c[idx + 1] * rise
-        at_knot = np.isin(ts, self.basis.knots)
-        out[at_knot] = c[np.searchsorted(self.basis.knots, ts[at_knot])]
+        # a knot is the left end of its interval, the last knot the right
+        for k in (idx, idx + 1):
+            hit = ts == self.basis.knots[k]
+            out[hit] = c[k[hit]]
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 

@@ -12,6 +12,7 @@ interval's two pairs.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -40,7 +41,8 @@ class QuadFrequencySet:
     the projection step, the last two the pair whose operator produces the
     residual; a weight p links them by requiring {lam0, lam1} =
     {-p - lam2, -p - lam3} per interval.  The quadruples are stored exactly
-    as given; pairing resolution happens on demand.
+    as given; the pairing is resolved on first use, at construction when p
+    is given, and kept for every later resolve_weight.
     """
     quads: tuple
     p: float = None
@@ -48,6 +50,10 @@ class QuadFrequencySet:
     def __post_init__(self):
         if self.p is not None:
             resolve_weight(self)
+
+    @cached_property
+    def _pairing(self):
+        return _resolve_pairing(self.quads, self.p)
 
 
 def quad_frequency_set(m, quads=None, xi=None, p=None):
@@ -115,11 +121,18 @@ def resolve_weight(qset):
     as given is preferred, and when it fails the other regroupings of the
     four frequencies are tried.  Raises ValueError listing every candidate
     p, in interval order, when no single exponent works across all
-    intervals.
+    intervals.  A QuadFrequencySet is resolved once and keeps the result.
     """
-    tol, table = _candidate_table(qset.quads, qset.p)
-    if qset.p is not None:
-        p = float(qset.p)
+    if isinstance(qset, QuadFrequencySet):
+        return qset._pairing
+    return _resolve_pairing(qset.quads, qset.p)
+
+
+def _resolve_pairing(quads, p_req):
+    """resolve_weight of the quadruples quads under the requested p_req."""
+    tol, table = _candidate_table(quads, p_req)
+    if p_req is not None:
+        p = float(p_req)
     else:
         # a NaN matches no candidate
         first = next(iter(table.values()))
@@ -132,11 +145,17 @@ def resolve_weight(qset):
             raise ValueError(
                 "no weight exponent pairs the quadruples; candidate p values "
                 f"per interval were {attempted if attempted else 'none'}"
-                + (f", requested p = {qset.p}" if qset.p is not None else ""))
+                + (f", requested p = {p_req}" if p_req is not None else ""))
         g, o, _ = hit
         canonical[quad] = tuple(sorted(g)) + tuple(sorted(o))
     # + 0.0 turns a -0.0 from the as-given split into +0.0
-    return p + 0.0, tuple(canonical[q] for q in qset.quads)
+    return p + 0.0, tuple(canonical[q] for q in quads)
+
+
+# _RISING[r, n] = (n+1)...(n+r), exact in floats: the factor of row n + r
+# of a Taylor table in its r-th derivative
+_RISING = np.array([[math.perm(n + r, r) for n in range(_TAYLOR_TERMS + 3)]
+                    for r in range(4)], dtype=float)
 
 
 def _derivative_table(table, order):
@@ -144,15 +163,13 @@ def _derivative_table(table, order):
     (n+1)...(n+order) times row n+order."""
     if order == 0:
         return table
-    n = np.arange(table.shape[0] - order, dtype=float)
-    factor = np.prod([n + i for i in range(1, order + 1)], axis=0)
-    return table[order:] * factor[:, None]
+    return table[order:] * _RISING[order, :table.shape[0] - order, None]
 
 
-def _horner(table, idx, u):
+def _horner(table, idx, u, out=None):
     """Polynomial with coefficient rows table (degree+1, pieces) of piece
-    idx at u, one gathered row per step."""
-    acc = table[-1][idx]
+    idx at u, one gathered row per step, accumulated in out when given."""
+    acc = np.take(table[-1], idx, out=out)
     for row in table[-2::-1]:
         acc *= u
         acc += row[idx]
@@ -168,6 +185,10 @@ class SplineOrder4:
     built from them: each interval is cut into equal sub-pieces of width w
     with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
     and taylor[n, p] the n-th Taylor coefficient of the spline at starts[p].
+    The table keeps only the rows its widest sub-piece needs, _row_count(r)
+    for r the largest max|quads[j]| * w: the first term dropped is below
+    0.5^15/15! = 2.3e-17 relative, as in the kernel, so r = 0.5 keeps 18
+    rows and a cubic 4.
 
     A point's sub-piece is found without a search.  [a, b] is cut into one
     equal bucket per sub-piece; buckets[k] is the lowest sub-piece a point
@@ -194,9 +215,9 @@ class SplineOrder4:
         """searchsorted(starts, ts, "right") - 1 for ts in [a, b]."""
         idx = self.buckets[_bucket(ts, self.knots[0], self.knots[-1],
                                    self.buckets.size)]
-        for shift in 1 << np.arange(self.steps - 1, -1, -1):
-            up = idx + shift
-            idx = np.where(self.probe[up] <= ts, up, idx)
+        for k in range(self.steps - 1, -1, -1):
+            shift = 1 << k
+            np.add(idx, shift, out=idx, where=self.probe[idx + shift] <= ts)
         return idx
 
     def __call__(self, t, order=0):
@@ -209,15 +230,17 @@ class SplineOrder4:
         out = np.empty(flat.shape)
         for lo in range(0, flat.size, _EVAL_BLOCK):
             block = flat[lo:lo + _EVAL_BLOCK]
+            low, high = block.min(), block.max()
             # a NaN fails both comparisons
-            if not (block.min() >= a - tol and block.max() <= b + tol):
+            if not (low >= a - tol and high <= b + tol):
                 if not np.all(np.isfinite(block)):
                     raise ValueError("evaluation points must be finite")
                 raise ValueError("evaluation point outside the knot range")
-            block = np.clip(block, a, b)
+            if low < a or high > b:
+                block = np.clip(block, a, b)
             idx = self._piece(block)
-            out[lo:lo + _EVAL_BLOCK] = _horner(table, idx,
-                                               block - self.starts[idx])
+            _horner(table, idx, block - self.starts[idx],
+                    out[lo:lo + _EVAL_BLOCK])
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -288,19 +311,36 @@ def _local_ends(quads, lengths):
                                       d[:, :, 1, 1], d[:, :, 1, 0]], axis=2)
 
 
-def _taylor_rows(x, state):
-    """Taylor coefficients (_TAYLOR_TERMS + 3, N) at 0 of the kernel
-    functions of x (N, 4) with derivatives state (N, 4) of orders 0..3 there:
-    (w_n)_0 with w_(n+1) = Z w_n / (n+1), w_0 the weights on the prefix
-    functions, (D - x_(k-1))...(D - x_0) of the function at 0 (D - x_0
-    takes x_0 out of every prefix).  The first term dropped is below
-    0.5^15/15! relative for max|x| u <= _TAYLOR_RADIUS, as in the kernel."""
+# r^n/n! for n = 1.._TAYLOR_TERMS at r = _TAYLOR_RADIUS, by the recurrence
+# _row_count runs: the last is the kernel's bound 0.5^15/15! = 2.3e-17
+_TAIL = np.cumprod(_TAYLOR_RADIUS / np.arange(1.0, _TAYLOR_TERMS + 1))[-1]
+
+
+def _row_count(r):
+    """Rows of a Taylor table whose sub-pieces have max|x| u <= r: n + 3, n
+    the least n >= 1 with r^n/n! <= _TAIL, so that the first term dropped
+    is below the kernel's bound.  A width rounded past _TAYLOR_RADIUS counts
+    as the radius, so r = _TAYLOR_RADIUS keeps _TAYLOR_TERMS + 3 rows, no
+    table keeps more, and r = 0 (a cubic) keeps 4."""
+    terms = np.cumprod(min(r, _TAYLOR_RADIUS)
+                       / np.arange(1.0, _TAYLOR_TERMS + 1))
+    return int(np.count_nonzero(terms > _TAIL)) + 4
+
+
+def _taylor_rows(x, state, rows):
+    """Taylor coefficients (rows, N) at 0 of the kernel functions of x (N,
+    4) with derivatives state (N, 4) of orders 0..3 there: (w_n)_0 with
+    w_(n+1) = Z w_n / (n+1), w_0 the weights on the prefix functions, (D -
+    x_(k-1))...(D - x_0) of the function at 0 (D - x_0 takes x_0 out of
+    every prefix).  With rows = _row_count(r), the first term dropped is
+    below 0.5^15/15! = 2.3e-17 relative for max|x| u <= r, as in the
+    kernel."""
     v, w = state.T, []
     for xk in x.T:
         w.append(v[0])
         v = v[1:] - xk * v[:-1]
     w = np.stack(w, axis=1)
-    taylor = np.empty((_TAYLOR_TERMS + 3, x.shape[0]))
+    taylor = np.empty((rows, x.shape[0]))
     for n in range(len(taylor)):
         taylor[n] = w[:, 0]
         nxt = x * w
@@ -318,11 +358,13 @@ def _assemble(part, quads, coeffs, ends):
     tau with -Z for (y_j, a_j), e from one kernel call."""
     orders, weights, derivs = ends
     knots, lengths = part.knots, part.lengths
-    counts = np.maximum(1, np.ceil(np.abs(orders[0]).max(axis=1) * lengths
-                                   / _TAYLOR_RADIUS)).astype(int)
+    top = np.abs(orders[0]).max(axis=1)
+    counts = np.maximum(1, np.ceil(top * lengths / _TAYLOR_RADIUS)).astype(int)
+    width = lengths / counts
+    rows = _row_count(np.max(top * width))
     owner = np.repeat(np.arange(lengths.size), counts)
     sub = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    starts = knots[owner] + sub * (lengths / counts)[owner]
+    starts = knots[owner] + sub * width[owner]
     # offsets from the stored starts: evaluation meets each series there
     tau, rest = starts - knots[owner], knots[owner + 1] - starts
     state = np.empty((owner.size, 4))
@@ -330,8 +372,10 @@ def _assemble(part, quads, coeffs, ends):
     last = np.flatnonzero(sub == counts[owner] - 1)[counts > 1]
     if last.size:
         j = owner[last]
-        at_h = _taylor_rows(orders[0, j], np.einsum("jk,rkj->jr", coeffs[j],
-                                                    derivs[:, 1][..., j]))
+        # the full series, so that every kept row equals the full table's:
+        # a shorter one rounds the derivatives it sets differently
+        at_h = _taylor_rows(orders[0, j], np.einsum(
+            "jk,rkj->jr", coeffs[j], derivs[:, 1][..., j]), _TAYLOR_TERMS + 3)
         state[last] = np.stack([_horner(_derivative_table(at_h, r),
                                         np.arange(j.size), -rest[last])
                                 for r in range(4)], axis=1)
@@ -350,7 +394,7 @@ def _assemble(part, quads, coeffs, ends):
     buckets, probe, steps = _lookup(knots, starts)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
                         starts=starts,
-                        taylor=_taylor_rows(orders[0, owner], state),
+                        taylor=_taylor_rows(orders[0, owner], state, rows),
                         buckets=buckets, probe=probe, steps=steps)
 
 

@@ -308,6 +308,26 @@ class TestRigorousMaxAbsL:
                     "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}})
         assert counts == {"basis": 1, "group": 3}
 
+    @pytest.mark.parametrize("p", [None, 0.0])
+    def test_order4_row_resolves_its_pairing_once(self, monkeypatch, p):
+        # the level, its hats and the certificate share one resolution,
+        # also when a given p resolves the set at construction
+        calls = []
+        table = spline4._candidate_table
+
+        def counting_table(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(spline4, "_candidate_table", counting_table)
+        cfg = {"function": "sin", "domain": [0.0, math.pi], "n": 65,
+               "order": 4,
+               "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}}
+        if p is not None:
+            cfg["p"] = p
+        assert run_verify(cfg).passed
+        assert len(calls) == 1
+
     def test_order2_row_uses_one_grouped_scan(self):
         cfg = {"function": "runge", "n": 9, "order": 2,
                "frequencies": {"pairs": [[-1.0, 2.0], [-0.5, 0.5]] * 4}}

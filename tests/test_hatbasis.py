@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from expspline import hatbasis
 from expspline.expcore import _log_sinhc, _sinhc
 from expspline.hatbasis import (
     Partition,
@@ -292,6 +293,34 @@ def test_flanks_match_the_per_interval_loop(cells, fractions):
         assert np.array_equal(got[~stiff], want[~stiff])
         assert_allclose(got[stiff], want[stiff], rtol=1e-13, atol=0.0)
 
+
+
+@pytest.mark.parametrize("d", [350.0, np.nextafter(350.0, 0.0)],
+                         ids=["at-350", "one-ulp-below"])
+def test_log_space_flanks_start_at_d_h_350(monkeypatch, d):
+    # the choice is |d h| >= 350 once per interval (h = 1 on interval 0):
+    # at 350 its flanks go through log space, one ulp below they do not,
+    # and the mild interval never does
+    logged = []
+    real = hatbasis._log_sinhc
+
+    def spy(u):
+        logged.append(np.size(u))
+        return real(u)
+
+    monkeypatch.setattr(hatbasis, "_log_sinhc", spy)
+    basis = build_hat_basis([0.0, 1.0, 1.5], [(-d, d), (-1.0, 1.0)])
+    ts = np.linspace(0.0, 1.5, 13)
+    idx, fall, rise = _flank_values(basis, ts)
+    stiff = d >= 350.0
+    assert bool(logged) == stiff and all(logged)
+    _, want_fall, want_rise = _flanks_by_interval(basis, ts)
+    for got, want in ((fall, want_fall), (rise, want_rise)):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got[idx == 1], want[idx == 1])
+        assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        if not stiff:
+            assert np.array_equal(got, want)
 
 def _grouped_by_dict(pairs, lengths):
     """group_intervals as a loop over a dict of (pair, length) keys."""

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -624,6 +625,96 @@ def test_lookup_is_searchsorted_on_graded_meshes(case):
     s = _random_spline(knots, quad, seed)
     _assert_lookup_exact(s, _probe_points(s, np.random.default_rng(seed),
                                           200))
+
+
+_FULL_ROWS = expcore._TAYLOR_TERMS + 3
+
+
+def _widest_step(s):
+    """max over sub-pieces of max|quad| * width, as _assemble cuts them."""
+    top = np.abs(np.array(s.quads.quads)).max(axis=1)
+    lengths = s.partition.lengths
+    counts = np.maximum(1, np.ceil(top * lengths / expcore._TAYLOR_RADIUS))
+    return float(np.max(top * (lengths / counts)))
+
+
+class TestTaylorRows:
+    def test_row_count_rule(self):
+        # rows = n + 3 for the least n >= 1 with r^n/n! <= 0.5^15/15!
+        bound = 0.5 ** 15 / math.factorial(15)
+        rng = np.random.default_rng(5)
+        radii = np.concatenate([rng.uniform(0.0, 0.5, 300),
+                                10.0 ** rng.uniform(-12.0, -0.3, 300)])
+        for r in radii:
+            n = next(n for n in range(1, 16)
+                     if r ** n / math.factorial(n) <= bound)
+            assert spline4._row_count(r) == n + 3, r
+        assert spline4._row_count(0.0) == 4
+        assert spline4._row_count(0.5) == _FULL_ROWS
+        # a width rounded past the radius keeps the full table, no more
+        for r in (np.nextafter(0.5, 1.0), 0.5 * (1.0 + 1e-15)):
+            assert spline4._row_count(r) == _FULL_ROWS
+        counts = [spline4._row_count(r) for r in np.sort(radii)]
+        assert counts == sorted(counts) and counts[-1] <= _FULL_ROWS
+
+    @pytest.mark.parametrize("knots, quad, rows", [
+        (np.array([0.0, 2.0]), (0.0, 0.0, 0.0, 0.0), 4),
+        (np.array([0.0, 1.0]), (0.5, -0.5, 0.25, -0.25), _FULL_ROWS),
+        (np.linspace(0.0, 1.0, 9), (0.5, -0.5, 0.5, -0.5), 13),
+        (np.linspace(0.0, np.pi, 6), (40.0, -40.0, 39.0, -39.0), None),
+    ], ids=["cubic", "radius", "small", "stiff"])
+    def test_tables_keep_the_rows_of_their_widest_sub_piece(self, knots,
+                                                            quad, rows):
+        m = knots.size - 1
+        qs = quad_frequency_set(m, quads=quad)
+        s = build_interpolant4(knots, qs, np.cos(knots), 0.0, 0.0)
+        want = spline4._row_count(_widest_step(s))
+        assert s.taylor.shape == (want, s.starts.size)
+        assert rows is None or want == rows
+        assert want <= _FULL_ROWS
+        clone = spline_from_coefficients(s.partition, s.quads, s.coeffs)
+        assert np.array_equal(clone.taylor, s.taylor)
+        assert np.array_equal(clone.starts, s.starts)
+
+
+def _full_table_spline(knots, quad, seed):
+    with mock.patch.object(spline4, "_row_count", lambda r: _FULL_ROWS):
+        return _random_spline(knots, quad, seed)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=_lookup_cases(), shrink=st.floats(-3.0, 0.0))
+def test_truncated_table_matches_the_full_one(case, shrink):
+    # the table is the full 18-row one cut to its rows, and s(t, r) lies
+    # within 4 ulps of the local scale of the full table's s^(r)(t): the
+    # largest q^(r-j) max|s^(j)| over the sub-piece (its two ends and the
+    # probes inside), j <= r and q = max|quad|, as dropped rows weigh s^(r)
+    # by the frequencies where its terms cancel, or the sum of |terms| that
+    # Horner's rule rounds; the quadruple shrinks by up to 1e3, so that the
+    # widest step spans (0, 0.5]
+    knots, quad, seed = case
+    quad = tuple(x * 10.0 ** shrink for x in quad)
+    s, full = _random_spline(knots, quad, seed), \
+        _full_table_spline(knots, quad, seed)
+    rows = s.taylor.shape[0]
+    assert rows <= full.taylor.shape[0] == _FULL_ROWS
+    assert np.array_equal(s.taylor, full.taylor[:rows])
+    assert np.array_equal(s.starts, full.starts)
+    ts = np.clip(_probe_points(s, np.random.default_rng(seed), 200),
+                 knots[0], knots[-1])
+    piece = np.searchsorted(s.starts, ts, side="right") - 1
+    ends = np.append(s.starts[1:], knots[-1])
+    q = max(map(abs, quad))
+    local = np.zeros(s.starts.size)
+    for r in range(4):
+        want = full(ts, r)
+        peak = np.maximum(np.abs(full(s.starts, r)), np.abs(full(ends, r)))
+        np.maximum.at(peak, piece, np.abs(want))
+        local = np.maximum(q * local, peak)
+        terms = _horner(np.abs(_derivative_table(full.taylor, r)), piece,
+                        ts - s.starts[piece])
+        scale = np.maximum(local[piece], terms)
+        assert np.all(np.abs(s(ts, r) - want) <= 4.0 * np.spacing(scale)), r
 
 
 def _resolve_weight_per_interval(qset):
