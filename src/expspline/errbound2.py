@@ -11,19 +11,19 @@ batched evaluation of omega and omega' at t* and two points 1e-11 beside
 it brackets the maximum; a key whose slopes there do not bracket it
 falls back to a search of [0, 1] by quarters.  A pad from a bound on
 |omega''| over the final bracket turns the value found into an upper bound
-of M.  A bound over a
-partition needs one value per distinct (pair, length) key; the keys not yet
-cached are searched together, each step one batched evaluation of omega and
-omega' over every open key.  Both come from products of fundamental
-functions, or from a closed form on the flat plateau of a pair straddling
-zero, where the products lose ulps.  omega is also minus the integral of the
-Green function of L with Dirichlet conditions, which supplies an independent
-quadrature route and the comparison inequalities used in the tests.
+of M.  A bound over a partition needs one value per distinct (pair, length)
+key; a hat basis computes them once and keeps them (HatBasis.constants).
+The keys of one call are searched together, each step one batched
+evaluation of omega and omega' over every open key.  Both come from
+products of fundamental functions, or from a closed form on the flat
+plateau of a pair straddling zero, where the products lose ulps.  omega is
+also minus the integral of the Green function of L with Dirichlet
+conditions, which supplies an independent quadrature route and the
+comparison inequalities used in the tests.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -32,12 +32,6 @@ from .quadrature import integrate
 
 # half-width of the start bracket around the closed-form critical point
 _START_RADIUS = 1e-11
-
-_M_UNIT_CACHE_SIZE = 4096
-
-# (lam0*span, lam1*span) -> (bound of max omega, abscissa of the best value)
-# on the unit interval
-_m_unit_cache = {}
 
 
 def mstar(x):
@@ -176,43 +170,6 @@ def omega_via_green(lam0, lam1, a, b, t):
 
     val, _ = integrate(integrand, a, b, breakpoints=[t])
     return val
-
-
-def _m_units(scaled):
-    """Maximum of omega on the unit interval and its abscissa, one
-    (value, t) per rescaled pair (lam0*(b-a), lam1*(b-a)) of scaled.
-
-    Results are cached by that scale-invariant key, which makes repeated
-    intervals of a uniform partition free after the first; the cold keys
-    share one batched search.
-    """
-    found = {key: _m_unit_cache.get(key) for key in scaled}
-    cold = [key for key, val in found.items() if val is None]
-    if cold:
-        bad = [key for key in cold if not all(map(math.isfinite, key))]
-        if bad:
-            raise ValueError(f"frequencies must be finite, got {bad[0]}")
-        lam0, lam1 = np.array(cold, dtype=float).T
-        try:
-            values, args = _bracket_search(lam0, lam1)
-        except OverflowError:
-            # name the first key that overflows on its own
-            for key in cold:
-                try:
-                    _bracket_search(*np.array([key]).T)
-                except OverflowError as exc:
-                    raise OverflowError(
-                        f"interval constant of the pair {key} scaled to "
-                        f"[0, 1] overflows: {exc}") from exc
-            raise
-        for key, val in zip(cold, zip(values.tolist(), args.tolist())):
-            found[key] = _m_unit_cache[key] = val
-        excess = len(_m_unit_cache) - _M_UNIT_CACHE_SIZE
-        if excess > 0:
-            # dicts keep insertion order: the oldest keys go first
-            for old in list(islice(_m_unit_cache, excess)):
-                del _m_unit_cache[old]
-    return [found[key] for key in scaled]
 
 
 def _critical_point(lam0, lam1):
@@ -363,39 +320,63 @@ def M_constant(lam0, lam1, a, b):
     M(lambda; a, b) = (b-a)^2 M(lambda*(b-a); 0, 1) and bounded there by
     _bracket_search.
     """
-    return M_constants([(lam0, lam1)], [a], [b])[0]
+    a, b = float(a), float(b)
+    (value,), (t_unit,) = _unit_search([(lam0, lam1)], [a], [b])
+    return IntervalBoundData(a=a, b=b, lam0=float(lam0), lam1=float(lam1),
+                             value=float(value),
+                             t_max=a + (b - a) * float(t_unit))
 
 
 def M_constants(pairs, lefts, rights):
-    """M_constant of each interval [lefts[i], rights[i]] with pair pairs[i],
-    sequences or arrays; the keys not cached share one batched search."""
-    pairs, lefts, rights = (np.asarray(x, dtype=float).tolist()
-                            for x in (pairs, lefts, rights))
-    for a, b in zip(lefts, rights):
+    """M_constant(...).value of each interval [lefts[i], rights[i]] with
+    pair pairs[i], sequences or arrays, as a float array; all intervals
+    share one batched search."""
+    return _unit_search(pairs, lefts, rights)[0]
+
+
+def _unit_search(pairs, lefts, rights):
+    """Interval constants and the unit-interval abscissae of their best
+    values, from one _bracket_search over the rescaled pairs
+    (lam0*(b-a), lam1*(b-a)); a search that overflows names the first
+    rescaled pair that overflows on its own."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    lefts, rights = (np.asarray(x, dtype=float).ravel()
+                     for x in (lefts, rights))
+    for a, b in zip(lefts.tolist(), rights.tolist()):
         _check_interval(a, b)
-    spans = [b - a for a, b in zip(lefts, rights)]
-    units = _m_units([(lam0 * span, lam1 * span)
-                      for (lam0, lam1), span in zip(pairs, spans)])
-    out = []
-    for (lam0, lam1), a, b, span, (m_unit, t_unit) in zip(
-            pairs, lefts, rights, spans, units):
-        value = span * span * m_unit
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ArithmeticError(
-                f"interval constant failed for ({lam0}, {lam1}) on "
-                f"[{a}, {b}]")
-        out.append(IntervalBoundData(
-            a=float(a), b=float(b), lam0=float(lam0), lam1=float(lam1),
-            value=value, t_max=a + span * t_unit))
-    return out
+    spans = rights - lefts
+    scaled = pairs * spans[:, None]
+    bad = ~np.isfinite(scaled).all(axis=1)
+    if bad.any():
+        key = tuple(scaled[np.argmax(bad)].tolist())
+        raise ValueError(f"frequencies must be finite, got {key}")
+    try:
+        m_unit, t_unit = _bracket_search(*scaled.T)
+    except OverflowError:
+        for key in scaled:
+            try:
+                _bracket_search(*key[:, None])
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"interval constant of the pair {tuple(key.tolist())} "
+                    f"scaled to [0, 1] overflows: {exc}") from exc
+        raise
+    values = spans * spans * m_unit
+    failed = ~((values > 0.0) & np.isfinite(values))
+    if failed.any():
+        j = int(np.argmax(failed))
+        raise ArithmeticError(
+            f"interval constant failed for {tuple(pairs[j].tolist())} on "
+            f"[{lefts[j]}, {rights[j]}]")
+    return values, t_unit
 
 
 def interp2_error_bound(basis, max_lf):
     """Certified sup bound for |F - I2 F| over the whole partition.
 
     max_lf is max|L_j F| per interval (or one scalar for all); the bound is
-    the largest per-interval product M_j * max_lf_j.  M_j is computed once
-    per distinct (pair, length) key.
+    the largest per-interval product M_j * max_lf_j.  M_j is the basis's
+    interval constant of the interval's (pair, length) key.
     """
     knots = basis.knots
     m = knots.size - 1
@@ -406,7 +387,5 @@ def interp2_error_bound(basis, max_lf):
         raise ValueError(f"need {m} interval values, got shape {ml.shape}")
     if not np.all(ml >= 0.0):
         raise ValueError("max|LF| values must be nonnegative numbers")
-    reps, inverse = basis.groups
-    m_vals = np.array([c.value for c in M_constants(
-        basis.pairs[reps], knots[reps], knots[reps + 1])])
-    return max(0.0, float(np.max(m_vals[inverse] * ml)))
+    _, inverse = basis.groups
+    return max(0.0, float(np.max(basis.constants[inverse] * ml)))

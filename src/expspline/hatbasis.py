@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errbound2 import M_constants
 from .expcore import _log_sinhc, _sinhc
 
 # points per pass of the hat evaluation, so its temporaries stay small
@@ -159,6 +160,16 @@ class HatBasis:
     def groups(self):
         """group_intervals of the (pair, length) keys, computed once."""
         return group_intervals(self.pairs, self.partition.lengths)
+
+    @cached_property
+    def constants(self):
+        """Read-only array of the interval constant M of each (pair,
+        length) key, in the order of groups[0], computed once."""
+        reps = self.groups[0]
+        constants = M_constants(self.pairs[reps], self.knots[reps],
+                                self.knots[reps + 1])
+        constants.setflags(write=False)
+        return constants
 
     @property
     def n(self):

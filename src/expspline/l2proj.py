@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errbound2 import M_constants
 from .expcore import _phi_rows, fundamental_eval
 from .hatbasis import SplineOrder2, _phi_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
@@ -226,14 +225,13 @@ def tridiag_solve(gram):
     return x
 
 
-def _lebesgue_sup(basis, reps):
-    """Upper bound of sup sum |H_j| from the interval constants of the keys
-    whose first intervals are reps; see operator_norm_bound."""
-    same = reps[basis.pairs[reps].prod(axis=1) > 0.0]
-    constants = M_constants(basis.pairs[same], basis.knots[same],
-                            basis.knots[same + 1])
-    excess = float(np.max(basis.pairs[same].prod(axis=1)
-                          * [c.value for c in constants], initial=0.0))
+def _lebesgue_sup(basis):
+    """Upper bound of sup sum |H_j| from the basis's interval constants;
+    see operator_norm_bound."""
+    reps, _ = basis.groups
+    # a key with l0*l1 <= 0 adds nothing above the initial 0
+    excess = float(np.max(basis.pairs[reps].prod(axis=1) * basis.constants,
+                          initial=0.0))
     return (1.0 + excess) * (1.0 + 4.0 * np.finfo(float).eps)
 
 
@@ -281,7 +279,7 @@ def operator_norm_bound(basis, p):
         raise DominanceError(int(reps[k]), float(t_key[k]))
     c_factor = float(np.max(t_key))
     s_factor = float(np.max(np.abs(s_val)))
-    return _lebesgue_sup(basis, reps) * s_factor / (1.0 - c_factor)
+    return _lebesgue_sup(basis) * s_factor / (1.0 - c_factor)
 
 
 @dataclass
@@ -309,7 +307,9 @@ def _load_vector(basis, g, p):
     flanks.  A flank whose two estimates pass integrate's test is done;
     only the others go through integrate.  g maps an array of points to
     values; the points span many intervals, but Gauss-Legendre nodes are
-    interior, so a piecewise g can find its piece from the knots.
+    interior, so a piecewise g can find its piece from the knots.  g must be
+    smooth inside each interval: the knots are the only panel ends, and
+    integrate's estimate misses a kink inside a panel.
     """
     p = float(p)
     knots = basis.knots

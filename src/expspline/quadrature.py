@@ -40,8 +40,12 @@ def integrate(f, a, b, breakpoints=(), abs_tol=1e-11, rel_tol=1e-10,
     """Integrate f over [a, b], returning (value, error_estimate).
 
     breakpoints lists interior abscissae where the integrand may lose
-    smoothness; initial panels are aligned with them.  Raises QuadratureError
-    if max_panels subdivisions do not reach the requested tolerance.
+    smoothness; initial panels are aligned with them.  The estimate assumes
+    a smooth integrand in each panel and is no upper bound across a kink:
+    a hat flank times |t - 0.53| on [0.4, 0.8] reads 8.5e-12 against an
+    actual error of 1.6e-11.  So a caller that knows such points passes
+    them as breakpoints.  Raises QuadratureError if max_panels subdivisions
+    do not reach the requested tolerance.
     """
     if not np.isfinite(a) or not np.isfinite(b):
         raise ValueError("integration endpoints must be finite")

@@ -20,6 +20,7 @@ from expspline.errbound2 import (
     omega_via_green,
 )
 from expspline.hatbasis import Partition, build_hat_basis
+from expspline.l2proj import project
 
 from oracles import mp_omega
 
@@ -323,15 +324,12 @@ class TestMConstant:
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])
-    def test_search_points_per_cold_key(self, make, omega_calls,
-                                        monkeypatch):
-        # every key closes at its critical point: one call, three points
-        # per key (the coarse round and Newton steps took up to 40)
-        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
-        M_constants(*make(3))
-        cold = len(errbound2._m_unit_cache)
-        assert cold >= 8
-        assert omega_calls == [3 * cold]
+    def test_search_points_per_cold_key(self, make, omega_calls):
+        # every row closes at its critical point: one call, three points
+        # per row (the coarse round and Newton steps took up to 40)
+        pairs, lefts, rights = make(3)
+        M_constants(pairs, lefts, rights)
+        assert omega_calls == [3 * len(pairs)]
 
     @pytest.mark.parametrize("lam0, lam1, value_rtol", [
         key for key in ORACLE_KEYS
@@ -377,11 +375,9 @@ class TestMConstant:
             assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
 
     @pytest.mark.parametrize("lam0, lam1", [(-800.0, 3.0), (-720.0, -1.0)])
-    def test_overflow_is_refused_naming_the_pair(self, lam0, lam1,
-                                                 monkeypatch):
+    def test_overflow_is_refused_naming_the_pair(self, lam0, lam1):
         # omega is below 1/2400 there, but the product form overflows; the
         # refusal must stay an OverflowError, not a NaN start or a value
-        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
         start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
         assert 0.0 < start[0] < 1.0
         with pytest.raises(OverflowError,
@@ -411,17 +407,6 @@ class TestMConstant:
         assert omega_calls == [3]
         assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
 
-    def test_cache_keeps_the_newest_keys(self, monkeypatch):
-        monkeypatch.setattr(errbound2, "_M_UNIT_CACHE_SIZE", 8)
-        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
-        keys = [(0.1 * k, 0.1 * k + 1.0) for k in range(30)]
-        for batch in (keys[:5], keys[5:10], keys[10:12], keys[12:30]):
-            got = errbound2._m_units(batch)
-            assert len(got) == len(batch)
-            assert len(errbound2._m_unit_cache) <= 8
-        assert list(errbound2._m_unit_cache) == keys[-8:]
-        assert errbound2._m_units(keys[-3:]) == got[-3:]
-
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             M_constant(0.0, 1.0, 2.0, 2.0)
@@ -430,6 +415,51 @@ class TestMConstant:
         data = M_constant(0.0, 0.0, 0.0, 1.0)
         assert isinstance(data, IntervalBoundData)
         assert (data.a, data.b) == (0.0, 1.0)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Number of rows of each _bracket_search call made during the test."""
+    calls = []
+    real = errbound2._bracket_search
+
+    def counting(lam0, lam1):
+        calls.append(lam0.size)
+        return real(lam0, lam1)
+
+    monkeypatch.setattr(errbound2, "_bracket_search", counting)
+    return calls
+
+
+class TestBasisConstants:
+
+    def test_certificate_and_projection_share_one_search(self, searches):
+        pairs, lefts, rights = _certify2_intervals(4)
+        knots = np.append(lefts, rights[-1])
+        basis = build_hat_basis(knots, pairs)
+        interp2_error_bound(basis, 1.0)
+        assert math.isfinite(project(basis, np.sin, 0.3).norm_bound)
+        assert searches == [len(pairs)]
+        # nothing outlives the basis: a fresh one with the same keys
+        # searches them again
+        interp2_error_bound(build_hat_basis(knots, pairs), 1.0)
+        assert searches == [len(pairs)] * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constants_are_the_intervals_own(self, seed):
+        # per key, bit for bit what M_constant gives for its first interval
+        rng = np.random.default_rng(seed)
+        m = 12
+        h = rng.choice([0.1, 0.25, rng.uniform(0.05, 0.3)], m)
+        knots = np.concatenate([[-1.0], -1.0 + np.cumsum(h)])
+        pairs = np.sort(rng.uniform(-4.0, 4.0, (3, 2)), axis=1)[
+            rng.integers(0, 3, m)]
+        basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+        reps, _ = basis.groups
+        assert basis.constants.shape == reps.shape
+        for value, j in zip(basis.constants, reps):
+            want = M_constant(*pairs[j], knots[j], knots[j + 1]).value
+            assert value == want
 
 
 class TestInterp2ErrorBound:

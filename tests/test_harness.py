@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expspline
-from expspline import cli, harness, hatbasis, spline4
+from expspline import cli, errbound2, harness, hatbasis, spline4
 from expspline.errbound2 import M_constant, interp2_error_bound
 from expspline.expcore import operator_apply
 from expspline.harness import (
@@ -341,6 +341,23 @@ class TestRigorousMaxAbsL:
         assert row["M0_max"] == max(
             M_constant(l0, l1, knots[j], knots[j + 1]).value
             for j, (l0, l1) in enumerate(pairs))
+
+    def test_order2_row_searches_its_constants_once(self, monkeypatch):
+        # the norm bound, the certificate and M0_max read the basis's
+        # interval constants, found in one search
+        searches = []
+        search = errbound2._bracket_search
+
+        def counting_search(lam0, lam1):
+            searches.append(lam0.size)
+            return search(lam0, lam1)
+
+        monkeypatch.setattr(errbound2, "_bracket_search", counting_search)
+        cfg = {"function": "runge", "n": 9, "order": 2,
+               "frequencies": {"pairs": [[0.5, 1.5], [-0.5, 0.5]] * 4}}
+        row = run_verify(cfg).rows[0]
+        assert row["norm_bound"] > 3.0 and row["M0_max"] > 0.0
+        assert len(searches) == 1
 
 
 class TestErrorGrid:

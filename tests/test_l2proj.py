@@ -14,7 +14,6 @@ from expspline import expcore, hatbasis, l2proj
 from expspline.errbound2 import omega_eval
 from expspline.hatbasis import (
     build_hat_basis,
-    group_intervals,
     hat_eval,
     interpolate2,
     monotone_radius,
@@ -570,8 +569,7 @@ def _stiff_basis(pair):
 
 
 def _lebesgue_factor(basis):
-    return l2proj._lebesgue_sup(
-        basis, group_intervals(basis.pairs, basis.partition.lengths)[0])
+    return l2proj._lebesgue_sup(basis)
 
 
 def _dense_sum_max(basis):

@@ -871,8 +871,8 @@ class TestOrthogonality:
 class TestErrorBound4:
     def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
         # a power-of-two step makes every span, hence every (pair, length)
-        # key, bitwise equal; the first call fills the interval-constant
-        # cache, the second is counted
+        # key, bitwise equal, so both meshes search the same two keys; the
+        # second call is counted
         calls = []
         kernel = expcore._opitz_corner
 
@@ -894,7 +894,7 @@ class TestErrorBound4:
 
     def test_one_cold_search_per_certificate(self, monkeypatch):
         # both pairings' interval constants are searched together, and the
-        # hats' Lebesgue sup reads the same-sign pair (1, 2) from the cache
+        # hats' Lebesgue sup reads the same-sign pair (1, 2) from the basis
         searches = []
         search = errbound2._bracket_search
 
@@ -902,7 +902,6 @@ class TestErrorBound4:
             searches.append(lam0.size)
             return search(lam0, lam1)
 
-        monkeypatch.setattr(errbound2, "_m_unit_cache", {})
         monkeypatch.setattr(errbound2, "_bracket_search", counting_search)
         kn = np.array([0.0, 0.3, 0.7, 1.2])
         error_bound4(kn, quad_frequency_set(3, quads=(1.0, 2.0, -1.0, -2.0)),
