@@ -90,7 +90,10 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
     Phi_(l0,l1)(span).  Its slope follows from the lowering identity,
     Phi'_(lo,hi) = hi*Phi_(lo,hi) + exp(lo*t) and Phi'_(-l0,-l1,0) =
     Phi_(-l0,-l1), so it needs no further three-frequency kernel call.
-    For lo < 0 < hi the same solution reads omega = (1 - x) / |lo*hi| with
+    The six pair values come from one _phi_rows call and q at tau_a >= 0
+    and tau_b <= 0 from one more, which is one Opitz kernel call for the
+    batch.  For lo < 0 < hi the same solution reads omega = (1 - x) /
+    |lo*hi| with
 
         x = ((1 - e^(-hi*span)) e^(lo*tau_a)
              + (1 - e^(lo*span)) e^(hi*tau_b)) / (1 - e^((lo-hi)*span)),
@@ -106,15 +109,16 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
                    axis=1)
     neg = -pair[:, ::-1]
     span = np.broadcast_to(span, tau_a.shape)
-    p_a, p_b = _phi_rows(pair, tau_a), _phi_rows(pair, tau_b)
-    q_a, q_b = _phi_rows(neg0, tau_a), _phi_rows(neg0, tau_b)
-    c_neg, c_pair = _phi_rows(neg, span), _phi_rows(pair, span)
+    p_a, p_b, c_pair, c_neg, n_a, n_b = _phi_rows(
+        np.concatenate([pair, pair, pair, neg, neg, neg]),
+        np.concatenate([tau_a, tau_b, span, span, tau_a, tau_b])
+    ).reshape(6, -1)
+    q_a, q_b = _phi_rows(np.concatenate([neg0, neg0]),
+                         np.concatenate([tau_a, tau_b])).reshape(2, -1)
     out = -p_b * q_a / c_neg + p_a * q_b / c_pair
     lo, hi = pair.T
-    slope = -((hi * p_b + np.exp(lo * tau_b)) * q_a
-              + p_b * _phi_rows(neg, tau_a)) / c_neg \
-        + ((hi * p_a + np.exp(lo * tau_a)) * q_b
-           + p_a * _phi_rows(neg, tau_b)) / c_pair
+    slope = -((hi * p_b + np.exp(lo * tau_b)) * q_a + p_b * n_a) / c_neg \
+        + ((hi * p_a + np.exp(lo * tau_a)) * q_b + p_a * n_b) / c_pair
     strad = (lo < 0.0) & (hi > 0.0)
     if np.any(strad):
         lo, hi = lo[strad], hi[strad]

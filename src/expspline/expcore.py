@@ -25,11 +25,14 @@ with the diagonal reset to the exact exponentials after every squaring
 relative error against the divided-difference oracle stays below about 3e-14
 for spreads of lambda*t up to several hundred and for clusters down to 1e-12
 relative separation.  Each point is computed independently of the others in
-its batch, to the bit.
+its batch, to the bit.  So callers stack their rows: _phi_rows sends the
+points of both signs of t through one kernel call, and each step of a
+certificate or projection (omega's critical points, omega itself, the Gram
+integrals, the T/S ratios) makes one kernel call per frequency width.
 """
 
 import math
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -59,15 +62,17 @@ def as_frequency_vector(freqs):
 
 
 def _sinhc(u):
-    """sinh(u)/u, even and positive, accurate near zero."""
+    """sinh(u)/u, even and positive, accurate near zero: the series where
+    |u| < 1e-4, the direct quotient elsewhere, inf from |u| of about 711."""
     u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # out= keeps a 0-d input a 0-d array
+        out = np.divide(np.sinh(u), u, out=np.empty_like(u))
     small = np.abs(u) < 1e-4
-    usm = np.where(small, u, 0.0)
-    ubig = np.where(small, 1.0, u)
-    series = 1.0 + usm * usm / 6.0 * (1.0 + usm * usm / 20.0)
-    with np.errstate(over="ignore"):
-        direct = np.sinh(ubig) / ubig
-    return np.where(small, series, direct)
+    if small.any():
+        usm = u[small]
+        out[small] = 1.0 + usm * usm / 6.0 * (1.0 + usm * usm / 20.0)
+    return out
 
 
 def _log_sinhc(u):
@@ -112,6 +117,18 @@ def _phi_pair(lam0, lam1, t):
     return direct
 
 
+@cache
+def _horner_constants(k):
+    """Read-only Horner coefficients of the width-k kernel: c = m!/i! for
+    i = m - 1, ..., 0 (m the degree), and c times the k x k identity."""
+    degree = _TAYLOR_TERMS + k - 2
+    coeffs = np.cumprod(np.arange(degree, 0, -1.0))
+    coeff_eye = coeffs[:, None, None] * np.eye(k)
+    coeffs.setflags(write=False)
+    coeff_eye.setflags(write=False)
+    return coeffs, coeff_eye
+
+
 def _opitz_corner(x, sig):
     """First rows exp(B)[0, :] of the bidiagonal B = diag(x) +
     superdiag(sig), one matrix per row of x (N, k) and entry of sig (N,) >= 0.
@@ -134,25 +151,25 @@ def _opitz_corner(x, sig):
     s = np.maximum(np.frexp(reduce(np.maximum, np.abs(x).T)
                             / _TAYLOR_RADIUS)[1], 0)
     scaled = np.ldexp(x, -s[:, None])
-    diag = np.arange(k)
     b = np.zeros((n, k, k))
-    b[:, diag, diag] = scaled
-    b[:, diag[:-1], diag[1:]] = np.ldexp(sig, -s)[:, None]
+    # b and every e below are C-contiguous, so reshape gives a view, and
+    # its strided slices are the diagonal and the superdiagonal
+    flat = b.reshape(n, k * k)
+    flat[:, ::k + 1] = scaled
+    flat[:, 1::k + 1] = np.ldexp(sig, -s)[:, None]
     # Horner with c_i = m!/i!: e = c_m I, then e = c_(i-1) I + B e
-    degree = _TAYLOR_TERMS + k - 2
-    coeffs = np.cumprod(np.arange(degree, 0, -1.0))
-    coeff_eye = coeffs[:, None, None] * np.eye(k)
+    coeffs, coeff_eye = _horner_constants(k)
     e = b + coeff_eye[0]
     for c_eye in coeff_eye[1:]:
         e = b @ e
         e += c_eye
     e /= coeffs[-1]
-    e[:, diag, diag] = np.exp(scaled)
+    e.reshape(n, k * k)[:, ::k + 1] = np.exp(scaled)
     for level in range(s.max(initial=0)):
         sq = e @ e
         live = s > level
         e = sq if live.all() else np.where(live[:, None, None], sq, e)
-        e[:, diag, diag] = np.exp(
+        e.reshape(n, k * k)[:, ::k + 1] = np.exp(
             np.ldexp(x, (np.minimum(level + 1, s) - s)[:, None]))
     return e[:, 0, :]
 
@@ -206,7 +223,16 @@ def _phi_corner_batch(rows, ts):
 
 def _phi_rows(rows, ts):
     """Phi at ts[i] over the sorted frequency row rows[i], for rows (N, k)
-    and finite ts (N,); Phi(0) is 1 for one frequency and 0 otherwise."""
+    and finite ts (N,); Phi(0) is 1 for one frequency and 0 otherwise.
+
+    For k >= 3 the whole batch is one _opitz_corner call: a row at t < 0
+    enters reflected, as Phi_L(t) = (-1)^(k-1) Phi_(-L)(-t) with -L
+    reversed sorted, beside the rows at t > 0, and the rows at t = 0 stay
+    out.  Rows are independent in the kernel, so each gives the bits it
+    gives alone.  When rows of both signs overflow, the OverflowError names
+    the one with the largest bound of the merged batch, reflected if its t
+    is negative.
+    """
     k = rows.shape[1]
     if k == 1:
         arg = rows[:, 0] * ts
@@ -219,17 +245,18 @@ def _phi_rows(rows, ts):
         out = _phi_pair(rows[:, 0], rows[:, 1], ts)
         out[ts == 0.0] = 0.0
         return out
-    pos = ts > 0.0
-    if pos.all():
-        return _phi_corner_batch(rows, ts)[:, -1]
-    out = np.zeros_like(ts)
     neg = ts < 0.0
-    if pos.any():
-        out[pos] = _phi_corner_batch(rows[pos], ts[pos])[:, -1]
     if neg.any():
-        # Phi_L(t) = (-1)^(k-1) Phi_(-L)(-t), and -L reversed is sorted
-        out[neg] = (-1.0) ** (k - 1) * _phi_corner_batch(
-            -rows[neg, ::-1], -ts[neg])[:, -1]
+        rows = np.where(neg[:, None], -rows[:, ::-1], rows)
+    live = ts != 0.0
+    if live.all():
+        out = _phi_corner_batch(rows, np.abs(ts))[:, -1]
+    else:
+        out = np.zeros_like(ts)
+        if live.any():
+            out[live] = _phi_corner_batch(rows[live],
+                                          np.abs(ts[live]))[:, -1]
+    out[neg] *= (-1.0) ** (k - 1)
     return out
 
 

@@ -54,11 +54,15 @@ class GramSystem:
     p: float = 0.0
 
 
-def _phi(ts, *freqs):
-    """Phi at ts (N,) over the frequency rows given column by column, each
-    an array (N,) or a scalar, in one kernel call."""
-    rows = np.stack(np.broadcast_arrays(*freqs), axis=1)
-    return _phi_rows(np.sort(rows, axis=1), ts)
+def _phi(ts, *groups):
+    """Phi at ts (N,) over the frequency rows of each group, in one kernel
+    call for all groups, as a (len(groups), N) array.  A group is a tuple of
+    columns of one width, each an array (N,) or a scalar; row i of a group
+    holds the frequencies at ts[i]."""
+    rows = np.concatenate([np.stack(np.broadcast_arrays(*cols, ts)[:-1],
+                                    axis=1) for cols in groups])
+    return _phi_rows(np.sort(rows, axis=1),
+                     np.tile(ts, len(groups))).reshape(len(groups), -1)
 
 
 def gram_assemble(basis, p):
@@ -75,8 +79,9 @@ def gram_assemble(basis, p):
     entries: the squared flanks land on the two adjacent diagonal entries,
     the cross integral on the off-diagonals.  They depend on the interval
     through its (pair, length) key and the weight w0 = exp(p t_j) at its
-    left end only, so each fundamental function is one batched kernel call
-    over the distinct keys, and w0 scales them per interval.
+    left end only, so they are found once per distinct key and w0 scales
+    them per interval: phi(h) and phi(-h) in one _phi_rows call, the three
+    four-frequency integrals in one kernel call.
     """
     p = float(p)
     knots = basis.knots
@@ -84,12 +89,14 @@ def gram_assemble(basis, p):
     reps, inverse = basis.groups
     l0, l1 = basis.pairs[reps].T
     h = basis.partition.lengths[reps]
-    phi_h = _phi(h, l0, l1)
-    phi_mh = _phi(-h, l0, l1)
-    i_left = 2.0 * np.array([math.exp(p * x) for x in h.tolist()]) \
-        * _phi(h, 2.0 * l0, 2.0 * l1, l0 + l1, -p)
-    i_right = 2.0 * _phi(h, -2.0 * l0, -2.0 * l1, -l0 - l1, p)
-    cross = -_phi(h, p + l0, p + l1, -l0, -l1)
+    phi_h, phi_mh = _phi(np.concatenate([h, -h]),
+                         (np.tile(l0, 2), np.tile(l1, 2))).reshape(2, -1)
+    f_left, f_right, f_cross = _phi(h, (2.0 * l0, 2.0 * l1, l0 + l1, -p),
+                                    (-2.0 * l0, -2.0 * l1, -l0 - l1, p),
+                                    (p + l0, p + l1, -l0, -l1))
+    i_left = 2.0 * np.array([math.exp(p * x) for x in h.tolist()]) * f_left
+    i_right = 2.0 * f_right
+    cross = -f_cross
     per_key = np.stack([i_right, phi_mh * phi_mh, i_left, phi_h * phi_h,
                         cross, phi_h * phi_mh])
     i_right, sq_mh, i_left, sq_h, cross, prod = per_key[:, inverse]
@@ -107,9 +114,11 @@ def _flank_ratios(name, lam0, lam1, p, h, parts):
     over the broadcast of lam0, lam1 and h, as floats for scalar input.
 
     T and S share the denominator Phi_(l0-l1, l1-l0, 0, -p-l0-l1)(h), which
-    is evaluated once; each fundamental function is one batched kernel call
-    over every length with |h| >= _TINY_H, and the rest get the h -> 0
-    limits T = 1/2 and S = 3/2.
+    is evaluated once.  Every length with |h| >= _TINY_H, of either sign,
+    shares each kernel call: the denominator and T's numerator are one
+    four-frequency call, S's numerator one three-frequency call and one
+    pair evaluation.  The other lengths get the h -> 0 limits T = 1/2 and
+    S = 3/2.
     """
     lam0, lam1, h = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (lam0, lam1, h)))
@@ -120,12 +129,14 @@ def _flank_ratios(name, lam0, lam1, p, h, parts):
     live = np.abs(h) >= _TINY_H
     if np.any(live):
         l0, l1, hs = lam0[live], lam1[live], h[live]
-        den = _phi(hs, l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
+        den_cols = (l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
         if "T" in parts:
-            num = _phi(hs, l0, l1, -p - l0, -p - l1)
+            den, num = _phi(hs, den_cols, (l0, l1, -p - l0, -p - l1))
             out["T"][live] = 0.5 * num / den
+        else:
+            (den,) = _phi(hs, den_cols)
         if "S" in parts:
-            num = _phi(hs, -l0, -l1) * _phi(hs, l0, l1, -p)
+            num = _phi(hs, (-l0, -l1))[0] * _phi(hs, (l0, l1, -p))[0]
             # the polynomial pair with p = 0 has S = 3/2 identically
             poly = (l0 == 0.0) & (l1 == 0.0) & (p == 0.0)
             out["S"][live] = np.where(poly, 1.5, 0.5 * num / den)

@@ -76,6 +76,29 @@ class TestOmega:
                 residual = d2 - (lam0 + lam1) * d1 + lam0 * lam1 * f[2]
                 assert abs(residual + 1.0) < 1e-6
 
+    def test_mixed_batch_equals_single_points(self):
+        # straddling, same-sign, near-confluent and plateau pairs, each at
+        # both ends and inside its interval, in one _omega call and alone
+        pairs = [(-1.0, 2.0), (0.5, 2.0), (-3.0, -1.0), (1.3, 1.3 + 1e-9),
+                 (-40.0, 50.0), (-60.0, 60.0), (0.0, 0.0)]
+        lam0, lam1, span, tau = [], [], [], []
+        for (l0, l1), h in zip(pairs, (1.0, 0.7, 1.3, 0.4, 1.0, 2.0, 0.9)):
+            for frac in (0.0, 0.1, 0.37, 0.5, 0.93, 1.0):
+                lam0.append(l0)
+                lam1.append(l1)
+                span.append(h)
+                tau.append(frac * h)
+        lam0, lam1, span, tau = (np.array(x) for x in
+                                 (lam0, lam1, span, tau))
+        order = np.random.default_rng(5).permutation(tau.size)
+        lam0, lam1, span, tau = (x[order] for x in (lam0, lam1, span, tau))
+        val, slope = errbound2._omega(lam0, lam1, span, tau, tau - span)
+        for i in range(tau.size):
+            one = slice(i, i + 1)
+            v, d = errbound2._omega(lam0[one], lam1[one], span[one],
+                                    tau[one], tau[one] - span[one])
+            assert (val[i], slope[i]) == (v[0], d[0])
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             omega_eval(0.0, 0.0, 1.0, 0.0, 0.5)
@@ -463,6 +486,13 @@ class TestBasisConstants:
 
 
 class TestInterp2ErrorBound:
+    def test_cold_bound_makes_two_kernel_calls(self, kernel_calls):
+        # the critical points of every key, then omega at both signs of tau
+        pairs, lefts, rights = _certify2_intervals(6)
+        basis = build_hat_basis(np.append(lefts, rights[-1]), pairs)
+        interp2_error_bound(basis, 1.0)
+        assert kernel_calls == [(len(pairs), 3), (6 * len(pairs), 3)]
+
     def test_zero_operator_gives_zero(self):
         basis = build_hat_basis(Partition((0.0, 0.5, 1.0)), (0.0, 0.0))
         assert interp2_error_bound(basis, 0.0) == 0.0

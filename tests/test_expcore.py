@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from expspline.expcore import (
     _monic_coefficients,
     _phi_corner_batch,
     _phi_rows,
+    _sinhc,
     as_frequency_vector,
     convolution_check,
     fundamental_derivative,
@@ -164,6 +166,40 @@ class TestOpitzKernel:
                       for i in order]
             assert np.array_equal(batch, single)
 
+    @pytest.mark.parametrize("k", (3, 4, 5))
+    def test_negative_only_batch(self, k, kernel_calls):
+        # every row enters reflected; one kernel call, each row as alone
+        rng = np.random.default_rng(k)
+        rows = np.sort(rng.uniform(-20.0, 20.0, (12, k)), axis=1)
+        ts = -rng.uniform(0.1, 2.0, 12)
+        batch = _phi_rows(rows, ts)
+        assert len(kernel_calls) == 1
+        single = [_phi_rows(rows[i:i + 1], ts[i:i + 1])[0] for i in range(12)]
+        assert np.array_equal(batch, single)
+        reflected = (-1.0) ** (k - 1) * _phi_corner_batch(
+            -rows[:, ::-1], -ts)[:, -1]
+        assert np.array_equal(batch, reflected)
+
+    def test_zero_only_batch(self, kernel_calls):
+        rows = np.sort(np.random.default_rng(2).uniform(-3.0, 3.0, (5, 4)),
+                       axis=1)
+        out = _phi_rows(rows, np.array([0.0, -0.0, 0.0, 0.0, -0.0]))
+        assert np.array_equal(out, np.zeros(5))
+        assert kernel_calls == []
+
+    def test_both_signs_share_one_kernel_call(self, kernel_calls):
+        rows = np.tile([-1.0, 0.5, 2.0], (4, 1))
+        _phi_rows(rows, np.array([0.5, -0.5, 0.0, 1.5]))
+        assert kernel_calls == [(3, 3)]
+
+    def test_overflow_of_both_signs_names_the_largest_bound(self):
+        # the row at t < 0 enters reflected, (0, 1, 500) at t = 3, and its
+        # bound 1500 passes the other row's 1200
+        rows = np.array([[0.0, 1.0, 400.0], [-500.0, -1.0, 0.0]])
+        with pytest.raises(OverflowError, match=r"1\.0, 500\.0\) overflows "
+                           r"at t up to 3"):
+            _phi_rows(rows, np.array([3.0, -3.0]))
+
     @pytest.mark.parametrize("freqs, t", _kernel_oracle_cases())
     def test_first_row_of_unsorted_row_against_oracle(self, freqs, t):
         # entry j is Phi over the first j+1 frequencies in the order given
@@ -181,6 +217,32 @@ class TestOpitzKernel:
         with pytest.raises(OverflowError):
             _phi_corner_batch(np.array([[760.0, 0.0, 0.0, 0.0]]),
                               np.array([1.0]))
+
+
+class TestSinhc:
+    def test_zero_dimensional_input_stays_an_array(self):
+        out = _sinhc(np.asarray(0.3))
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert _sinhc(2.0).shape == ()
+
+    def test_series_below_the_threshold_direct_from_it(self):
+        below = np.array([np.nextafter(1e-4, 0.0), -np.nextafter(1e-4, 0.0),
+                          5e-5, -3e-7, 1e-300])
+        series = 1.0 + below * below / 6.0 * (1.0 + below * below / 20.0)
+        assert np.array_equal(_sinhc(below), series)
+        above = np.array([1e-4, -1e-4, np.nextafter(1e-4, 1.0), 0.3, -2.0,
+                          50.0, 710.0])
+        assert np.array_equal(_sinhc(above), np.sinh(above) / above)
+
+    def test_signed_zero_gives_one(self):
+        assert np.array_equal(_sinhc(np.array([0.0, -0.0])), [1.0, 1.0])
+        assert _sinhc(-0.0) == 1.0
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sinhc(np.array([711.0, -711.0, 1e4, -1e300]))
+        assert np.array_equal(out, np.full(4, np.inf))
 
 
 class TestDerivative:

@@ -119,6 +119,23 @@ class TestTSFunctions:
         with pytest.raises(ValueError):
             sfunc(0.0, math.inf, 0.0, 1.0)
 
+    @pytest.mark.parametrize("p", (0.0, 0.7, -0.4))
+    def test_merged_batch_equals_single_calls(self, p):
+        # T and S of many pairs at +h and -h in one call, as
+        # operator_norm_bound asks for them, and one entry at a time;
+        # includes the polynomial pair and a length below the tiny cutoff
+        rng = np.random.default_rng(3)
+        l0 = np.append(np.sort(rng.uniform(-3.0, 3.0, (9, 2)), axis=1)[:, 0],
+                       [0.0, 1.0])
+        l1 = np.append(l0[:9] + rng.uniform(0.0, 2.0, 9), [0.0, 1.5])
+        h = np.append(rng.uniform(0.05, 0.6, 10), 1e-120)
+        lam0, lam1 = np.repeat(l0, 2), np.repeat(l1, 2)
+        both = np.column_stack([h, -h]).ravel()
+        t_val, s_val = l2proj._flank_ratios("test", lam0, lam1, p, both, "TS")
+        for i in range(both.size):
+            assert t_val[i] == tfunc(lam0[i], lam1[i], p, both[i])
+            assert s_val[i] == sfunc(lam0[i], lam1[i], p, both[i])
+
 
 class TestAbcdQuadrature:
     def test_matches_t_and_s(self):
@@ -246,7 +263,8 @@ class TestGramAssemble:
 
     def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
         # every (pair, length) key distinct; the fundamental functions of
-        # all keys come from a fixed number of batched kernel calls
+        # all keys come from two _phi_rows calls: phi(h) and phi(-h)
+        # together, and the three four-frequency integrals together
         calls = []
 
         def counting(rows, ts):
@@ -268,7 +286,7 @@ class TestGramAssemble:
             gram_assemble(basis, 0.6)
             counts.append(len(calls))
             assert sum(calls) == 5 * (n - 1)
-        assert counts[0] == counts[1] > 0
+        assert counts[0] == counts[1] == 2
 
     def test_entries_positive(self):
         basis = build_hat_basis((0.0, 0.4, 1.0, 1.3),
@@ -376,6 +394,19 @@ class TestProjection:
             lhs = np.max(np.abs(np.sin(grid) - res.spline(grid)))
             rhs = np.max(np.abs(np.sin(grid) - interp(grid)))
             assert lhs <= (1.0 + res.norm_bound) * rhs * (1.0 + 1e-9)
+
+    def test_warm_projection_makes_three_kernel_calls(self, kernel_calls):
+        # with the interval constants on the basis, as after the order-2
+        # certificate: the Gram integrals, the T/S denominator with T's
+        # numerator at +h and -h, and S's numerator
+        rng = np.random.default_rng(11)
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.15, 12))])
+        pairs = np.sort(rng.uniform(-2.0, 2.0, (12, 2)), axis=1)
+        basis = build_hat_basis(knots, pairs)
+        assert basis.constants.size == 12
+        kernel_calls.clear()
+        project(basis, np.sin, 0.6)
+        assert kernel_calls == [(36, 4), (48, 4), (24, 3)]
 
     def test_norm_bound_inf_when_dominance_fails(self):
         basis = build_hat_basis((0.0, 1.2, 2.4), [(1.0, 2.0)] * 2,

@@ -189,22 +189,14 @@ class TestBuildInterpolant4:
                            match="condition estimate"):
             build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
 
-    def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
-        calls = []
-        kernel = expcore._opitz_corner
-
-        def counting_kernel(x, sig):
-            calls.append(x.shape)
-            return kernel(x, sig)
-
-        monkeypatch.setattr(expcore, "_opitz_corner", counting_kernel)
+    def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
         counts = []
         for n in (17, 513):
             kn = np.linspace(0.0, math.pi, n)
-            calls.clear()
+            kernel_calls.clear()
             build_interpolant4(kn, quad_frequency_set(n - 1, quads=(1., 2., -1., -2.)),
                                np.sin(kn), 1.0, -1.0)
-            counts.append(len(calls))
+            counts.append(len(kernel_calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
 
@@ -869,28 +861,30 @@ class TestOrthogonality:
 
 
 class TestErrorBound4:
-    def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
+    def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
         # a power-of-two step makes every span, hence every (pair, length)
         # key, bitwise equal, so both meshes search the same two keys; the
         # second call is counted
-        calls = []
-        kernel = expcore._opitz_corner
-
-        def counting_kernel(x, sig):
-            calls.append(x.shape)
-            return kernel(x, sig)
-
-        monkeypatch.setattr(expcore, "_opitz_corner", counting_kernel)
         counts = []
         for n in (17, 513):
             kn = 0.125 * np.arange(n)
             qs = quad_frequency_set(n - 1, quads=(1.0, 2.0, -1.0, -2.0))
             error_bound4(kn, qs, None, 1.0)
-            calls.clear()
+            kernel_calls.clear()
             error_bound4(kn, qs, None, 1.0)
-            counts.append(len(calls))
+            counts.append(len(kernel_calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_generic_certificate_makes_four_kernel_calls(self, kernel_calls):
+        # two for the interval constants of both pairings (the critical
+        # points, then omega at both signs of tau), one for the shared T/S
+        # denominator and T's numerator at +h and -h, one for S's
+        # three-frequency numerator
+        kn = 0.125 * np.arange(17)
+        error_bound4(kn, quad_frequency_set(16, quads=(1.0, 2.0, -1.0, -2.0)),
+                     None, 1.0)
+        assert [k for _, k in kernel_calls] == [3, 3, 4, 3]
 
     def test_one_cold_search_per_certificate(self, monkeypatch):
         # both pairings' interval constants are searched together, and the
