@@ -111,7 +111,7 @@ def _interp(args):
                    "coefficients": spline.coeffs.tolist()}
         else:
             doc = {"knots": spline.knots.tolist(),
-                   "quads": [list(q) for q in spline.quads.quads],
+                   "quads": spline.quads.quads.tolist(),
                    "p": p,
                    "coefficients": spline.coeffs.tolist()}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -328,23 +328,6 @@ def _apply_monic(coeffs, derivs):
     return acc
 
 
-def operator_apply(freqs, derivs):
-    """Apply L = prod (d/dt - lambda_i) given tabulated derivatives.
-
-    derivs must hold F, F', ..., F^(N+1) evaluated at common points (scalars
-    or arrays).  The monic characteristic polynomial of the frequencies
-    supplies the combination coefficients.
-    """
-    fr = as_frequency_vector(freqs)
-    k = len(fr)
-    if len(derivs) != k + 1:
-        raise ValueError(
-            f"need {k + 1} derivative slots for {k} frequencies, "
-            f"got {len(derivs)}")
-    acc = _apply_monic(_monic_coefficients(fr), derivs)
-    return float(acc) if acc.ndim == 0 else acc
-
-
 def convolution_check(freqs_a, freqs_b, y):
     """Compare int_0^y Phi_A(t) Phi_B(y-t) dt against Phi over the merged
     frequency vector, returning (quadrature_value, closed_form_value)."""

@@ -59,7 +59,6 @@ from .spline4 import (
     _error_bound4,
     build_interpolant4,
     quad_frequency_set,
-    resolve_weight,
     residual_orthogonality,
 )
 
@@ -486,7 +485,7 @@ def _level(norm, part):
         else:
             qset = quad_frequency_set(
                 m, quads=fval[0] if len(fval) == 1 else fval, p=norm["p"])
-        return part, qset, resolve_weight(qset)[0]
+        return part, qset, qset._pairing[0]
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -496,8 +495,7 @@ def _hats(level):
     pair of each resolved quadruple."""
     part, freqs, p = level
     if isinstance(freqs, QuadFrequencySet):
-        freqs = build_hat_basis(part, [q[:2] for q in
-                                       resolve_weight(freqs)[1]])
+        freqs = build_hat_basis(part, freqs._pairing[1][:, :2])
     return freqs, p
 
 

@@ -32,27 +32,45 @@ _COND_MAX = 1e12
 _EVAL_BLOCK = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadFrequencySet:
     """Per-interval frequency quadruples with an optional weight exponent.
 
-    The first two entries of each quadruple are the pair whose hats carry
-    the projection step, the last two the pair whose operator produces the
-    residual; a weight p links them by requiring {lam0, lam1} =
-    {-p - lam2, -p - lam3} per interval.  The quadruples are stored exactly
-    as given; the pairing is resolved on first use, at construction when p
-    is given, and kept for every later resolve_weight.
+    quads is a read-only (m, 4) float array, one row per interval, stored
+    exactly as given.  The first two entries of a row are the pair whose
+    hats carry the projection step, the last two the pair whose operator
+    produces the residual; a weight p links them by requiring {lam0, lam1}
+    = {-p - lam2, -p - lam3} per interval.  The pairing is resolved on
+    first use, at construction when p is given, and kept as _pairing = (p,
+    canonical (m, 4) array) for every later reader.
     """
-    quads: tuple
+    quads: np.ndarray
     p: float = None
 
     def __post_init__(self):
+        quads = np.array(self.quads, dtype=float)
+        if quads.ndim != 2 or quads.shape[1] != 4:
+            raise ValueError(f"need an (m, 4) array, got shape {quads.shape}")
+        quads.setflags(write=False)
+        object.__setattr__(self, "quads", quads)
         if self.p is not None:
-            resolve_weight(self)
+            self._pairing
 
     @cached_property
     def _pairing(self):
-        return _resolve_pairing(self.quads, self.p)
+        """resolve_weight's search, once over the distinct rows."""
+        p, back, split, hit, _, cands = _splits(self.quads, self.p)
+        if not hit.any(axis=1).all():
+            attempted = sorted(set(cands.tolist()))
+            raise ValueError(
+                "no weight exponent pairs the quadruples; candidate p values "
+                f"per interval were {attempted if attempted else 'none'}"
+                + (f", requested p = {self.p}" if self.p is not None else ""))
+        first = split[np.arange(len(split)), hit.argmax(axis=1)]
+        canonical = _sorted_pairs(first.reshape(-1, 2, 2)).reshape(-1, 4)[back]
+        canonical.setflags(write=False)
+        # + 0.0 turns a -0.0 from the as-given split into +0.0
+        return p + 0.0, canonical
 
 
 def quad_frequency_set(m, quads=None, xi=None, p=None):
@@ -60,59 +78,74 @@ def quad_frequency_set(m, quads=None, xi=None, p=None):
 
     Exactly one of quads and xi must be given.  quads is a single quadruple
     or one per interval; xi is the symmetric shorthand, a scalar or one value
-    per interval, expanding to (xi, -xi, xi, -xi) with p = 0.
+    per interval, expanding to (xi, -xi, xi, -xi) with p = 0.  Other shapes
+    and non-finite values raise ValueError naming the offending row.
     """
     if (quads is None) == (xi is None):
         raise ValueError("give exactly one of quads or xi")
     if xi is not None:
         if p not in (None, 0, 0.0):
             raise ValueError("symmetric shorthand fixes p = 0")
-        xs = np.atleast_1d(np.asarray(xi, dtype=float))
+        xs = np.array(xi, dtype=float)
         if xs.size == 1:
             xs = np.repeat(xs, m)
-        if xs.size != m:
-            raise ValueError(f"need {m} xi values, got {xs.size}")
-        out = tuple((float(x), -float(x), float(x), -float(x)) for x in xs)
-        return QuadFrequencySet(quads=out, p=0.0)
-    qs = _frequency_rows(quads, "quadruple", m, 4)
-    out = tuple(map(tuple, qs.tolist()))
+        if xs.shape != (m,):
+            got = xs.size if xs.ndim == 1 else f"shape {xs.shape}"
+            raise ValueError(f"need {m} xi values, got {got}")
+        qs, p = np.column_stack([xs, -xs, xs, -xs]), 0.0
+    else:
+        qs = _frequency_rows(quads, "quadruple", m, 4)
     bad = ~np.isfinite(qs).all(axis=1)
     if bad.any():
         j = int(np.argmax(bad))
-        raise ValueError(f"quadruple {j} is not finite: {out[j]}")
-    return QuadFrequencySet(quads=out, p=None if p is None else float(p))
+        raise ValueError(f"xi {j} is not finite: {xs[j]}" if xi is not None
+                         else f"quadruple {j} is not finite: "
+                         f"{tuple(qs[j].tolist())}")
+    return QuadFrequencySet(quads=qs, p=None if p is None else float(p))
 
 
-def _interval_candidates(quad, tol):
-    """All (hat_pair, op_pair, p) decompositions of one quadruple, the
-    as-given split first."""
-    a, b, c, d = quad
-    out = []
-    for g, o in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        for oo in (o, o[::-1]):
-            p1 = -(g[0] + oo[0])
-            p2 = -(g[1] + oo[1])
-            if abs(p1 - p2) <= 2.0 * tol:
-                out.append((g, oo, 0.5 * (p1 + p2)))
-    return out
+# the (hat pair, operator pair) splits of a quadruple, the as-given first
+_SPLITS = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3],
+                    [0, 2, 3, 1], [0, 3, 1, 2], [0, 3, 2, 1]])
 
 
-def _candidate_table(quads, p=None):
-    """(tol, table) of the pairing searches: tol is 1e-9 of the largest of
-    1, every |frequency| and |p| when given, and table maps each distinct
-    quadruple, in interval order, to its _interval_candidates.  Both cross
-    sums of a split equal -p, so the candidates of one quadruple share p =
-    -(l0 + l1 + l2 + l3)/2 up to rounding."""
-    distinct = dict.fromkeys(quads)
-    scale = max([1.0] + [abs(x) for q in distinct for x in q])
-    if p is not None:
-        scale = max(scale, abs(p))
+def _splits(quads, p_req):
+    """(p, back, split, hit, tol, cands), the one search of both pairings,
+    over the distinct rows of the quadruples quads (m, 4): back maps each
+    interval to its row, split (k, 6, 4) regroups the rows by _SPLITS, cands
+    lists the p of every split whose two cross sums -(hat + op) agree within
+    2 tol, in interval order, and hit marks those within tol of p, which is
+    p_req or else the first candidate of interval 0.  tol is 1e-9 of the
+    largest of 1, every |frequency| and |p_req|.  The cross sums of a split
+    add to -(l0 + l1 + l2 + l3), so one row's candidates agree to rounding."""
+    reps, back = group_intervals(quads, np.zeros(len(quads)))
+    scale = max(1.0, float(np.abs(quads).max()))
+    # a NaN p_req leaves the scale alone
+    if p_req is not None and abs(p_req) > scale:
+        scale = abs(p_req)
     tol = 1e-9 * scale
-    return tol, {q: _interval_candidates(q, tol) for q in distinct}
+    split = quads[reps][:, _SPLITS]
+    p1 = -(split[..., 0] + split[..., 2])
+    p2 = -(split[..., 1] + split[..., 3])
+    pc, ok = 0.5 * (p1 + p2), np.abs(p1 - p2) <= 2.0 * tol
+    if p_req is not None:
+        p = float(p_req)
+    else:
+        # a NaN matches no candidate
+        p = float(pc[0, ok[0]][0]) if ok[0].any() else math.nan
+    return p, back, split, ok & (np.abs(pc - p) <= tol), tol, pc[ok]
+
+
+def _sorted_pairs(pairs):
+    """pairs (..., 2) sorted as sorted() sorts them: swapped only when the
+    second entry is below the first, so -0.0 and +0.0 keep their order."""
+    swap = pairs[..., 1] < pairs[..., 0]
+    return np.where(swap[..., None], pairs[..., ::-1], pairs)
 
 
 def resolve_weight(qset):
-    """Find the weight exponent p and the per-interval pair decomposition.
+    """Find the weight exponent p and the per-interval pair decomposition
+    of a QuadFrequencySet.
 
     Returns (p, canonical) where canonical holds one quadruple per interval
     with both halves sorted and the pairing condition satisfied.  p is the
@@ -120,35 +153,11 @@ def resolve_weight(qset):
     as given is preferred, and when it fails the other regroupings of the
     four frequencies are tried.  Raises ValueError listing every candidate
     p, in interval order, when no single exponent works across all
-    intervals.  A QuadFrequencySet is resolved once and keeps the result.
+    intervals.  The set keeps p and the canonical (m, 4) array; only this
+    public return makes tuples of them, the 4-tuples its callers compare.
     """
-    if isinstance(qset, QuadFrequencySet):
-        return qset._pairing
-    return _resolve_pairing(qset.quads, qset.p)
-
-
-def _resolve_pairing(quads, p_req):
-    """resolve_weight of the quadruples quads under the requested p_req."""
-    tol, table = _candidate_table(quads, p_req)
-    if p_req is not None:
-        p = float(p_req)
-    else:
-        # a NaN matches no candidate
-        first = next(iter(table.values()))
-        p = first[0][2] if first else math.nan
-    canonical = {}
-    for quad, cands in table.items():
-        hit = next((c for c in cands if abs(c[2] - p) <= tol), None)
-        if hit is None:
-            attempted = sorted({c[2] for cs in table.values() for c in cs})
-            raise ValueError(
-                "no weight exponent pairs the quadruples; candidate p values "
-                f"per interval were {attempted if attempted else 'none'}"
-                + (f", requested p = {p_req}" if p_req is not None else ""))
-        g, o, _ = hit
-        canonical[quad] = tuple(sorted(g)) + tuple(sorted(o))
-    # + 0.0 turns a -0.0 from the as-given split into +0.0
-    return p + 0.0, tuple(canonical[q] for q in quads)
+    p, canonical = qset._pairing
+    return p, tuple(map(tuple, canonical.tolist()))
 
 
 # _RISING[r, n] = (n+1)...(n+r), exact in floats: the factor of row n + r
@@ -416,12 +425,16 @@ def _checked(partition, quads):
 
 def spline_from_coefficients(partition, quads, coeffs):
     """Assemble a SplineOrder4 from its coefficients (y_j, y_(j+1), a_j,
-    b_j), one row per interval; the reload path for serialized splines."""
+    b_j), an (m, 4) array of one row per interval; the reload path for
+    serialized splines."""
     part, quads = _checked(partition, quads)
-    coeffs = np.asarray(coeffs, dtype=float).reshape(part.n - 1, 4)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (part.n - 1, 4):
+        raise ValueError(f"need coefficients of shape {(part.n - 1, 4)}, "
+                         f"got shape {coeffs.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
-    ends = _local_ends(np.array(quads.quads), part.lengths)
+    ends = _local_ends(quads.quads, part.lengths)
     return _assemble(part, quads, coeffs, ends)
 
 
@@ -448,7 +461,7 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     if not np.all(np.isfinite([*values, d_left, d_right])):
         raise ValueError("data must be finite")
 
-    ends = _local_ends(np.array(quads.quads), part.lengths)
+    ends = _local_ends(quads.quads, part.lengths)
     (d0, dh), y0, y1 = ends[2][1], values[:-1], values[1:]
     # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
     inv = np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]]) \
@@ -532,25 +545,26 @@ def smoothness_report(s):
 
 
 def _match_op_pairs(qset, basis, p):
-    """Per interval, the (lam2, lam3) pair whose weighted residual is
-    orthogonal to the given hats; errors if the quadruples cannot be paired
-    with the basis pairs under the exponent p."""
-    p = float(p)
-    tol, table = _candidate_table(qset.quads, p)
-    out = []
-    for j, (quad, pair) in enumerate(zip(qset.quads,
-                                         basis.pairs.tolist())):
-        want = sorted(pair)
-        hit = next((o for _, o, pc in table[quad] if abs(pc - p) <= tol
-                    and all(abs(x - w) <= tol for x, w in
-                            zip(sorted((-p - o[0], -p - o[1])), want))),
-                   None)
-        if hit is None:
-            raise ValueError(
-                f"interval {j}: quadruple {quad} does not match hat pair "
-                f"{tuple(pair)} under p = {p}")
-        out.append(hit)
-    return out
+    """The (m, 2) array of (lam2, lam3) pairs, one per interval, whose
+    weighted residual is orthogonal to the given hats.
+
+    Per interval it takes the first split of its quadruple under p (the
+    search of resolve_weight) whose sorted -p - (lam2, lam3) matches the
+    sorted hat pair within tol.  Raises ValueError naming the first
+    interval, in mesh order, that has none.
+    """
+    quads, pairs = qset.quads, basis.pairs
+    p, back, split, hit, tol, _ = _splits(quads, float(p))
+    ops = split[back, :, 2:]
+    want = _sorted_pairs(pairs)[:, None]
+    hit = hit[back] & (np.abs(_sorted_pairs(-p - ops) - want) <= tol).all(2)
+    found = hit.any(axis=1)
+    if not found.all():
+        j = int(np.argmin(found))
+        raise ValueError(
+            f"interval {j}: quadruple {tuple(quads[j].tolist())} does not "
+            f"match hat pair {tuple(pairs[j].tolist())} under p = {p}")
+    return ops[np.arange(len(ops)), hit.argmax(axis=1)]
 
 
 def residual_orthogonality(F_derivs, s, basis, p):
@@ -566,7 +580,7 @@ def residual_orthogonality(F_derivs, s, basis, p):
     if not np.array_equal(basis.knots, s.knots):
         raise ValueError("basis and spline use different partitions")
     p = float(p)
-    l2, l3 = np.array(_match_op_pairs(s.quads, basis, p)).T
+    l2, l3 = _match_op_pairs(s.quads, basis, p).T
     su, pr = l2 + l3, l2 * l3
     knots = s.knots
 
@@ -605,15 +619,16 @@ def _certificate_parts(part, quads, p, basis=None):
         raise ValueError("conflicting weight exponents")
     if p is not None and quads.p is None:
         quads = QuadFrequencySet(quads=quads.quads, p=float(p))
-    p_res, canon = resolve_weight(quads)
+    p_res, canon = quads._pairing
     delta = part.mesh
-    if p_res == 0.0 and all(q == (0.0, 0.0, 0.0, 0.0) for q in canon):
-        return p_res, 3.0, delta ** 2 / 8.0, delta ** 2 / 8.0
-    if p_res == 0.0 and all(q[0] == -q[1] and q[:2] == q[2:] for q in canon):
-        return p_res, 4.0, delta ** 2 / 8.0, delta ** 2 / 8.0
+    # the all-polynomial tier is the symmetric one at xi = 0
+    if p_res == 0.0 and (canon[:, 0] == -canon[:, 1]).all() \
+            and (canon[:, :2] == canon[:, 2:]).all():
+        norm = 3.0 if (canon == 0.0).all() else 4.0
+        return p_res, norm, delta ** 2 / 8.0, delta ** 2 / 8.0
     if basis is None:
-        basis = build_hat_basis(part, [q[:2] for q in canon])
-    ops = np.array([q[2:] for q in canon])
+        basis = build_hat_basis(part, canon[:, :2])
+    ops = canon[:, 2:]
     # both pairings' interval constants in one search; the hats' half is
     # the basis's own, which the Lebesgue sup reads
     hat_reps = basis.groups[0]

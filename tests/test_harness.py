@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import expspline
 from expspline import cli, errbound2, harness, hatbasis, spline4
 from expspline.errbound2 import M_constant, interp2_error_bound
-from expspline.expcore import operator_apply
+from expspline.expcore import _apply_monic, _monic_coefficients
 from expspline.harness import (
     CATALOG,
     ConfigError,
@@ -193,7 +193,8 @@ def _dense_scan(tf, knots, quad, per=2 ** 16):
     def scan(count, sel):
         u = np.linspace(0.0, 1.0, count)
         ts = ((1.0 - u) * lefts[sel] + u * rights[sel]).ravel()
-        vals = operator_apply(quad, tf.derivatives(ts, len(quad) + 1))
+        vals = _apply_monic(_monic_coefficients(quad),
+                            tf.derivatives(ts, len(quad) + 1))
         return np.abs(vals).reshape(-1, count).max(axis=1)
 
     coarse = scan(1024, slice(None))
@@ -287,7 +288,8 @@ class TestRigorousMaxAbsL:
 
     def test_order4_row_builds_one_hat_basis(self, monkeypatch):
         # c_factor and the certificate share one basis and its grouping;
-        # the operator pairs and the build's quadruples group once each
+        # the operator pairs, the build's quadruples and the pairing
+        # search's rows group once each
         counts = {"basis": 0, "group": 0}
         build, group = hatbasis.build_hat_basis, hatbasis.group_intervals
 
@@ -306,20 +308,20 @@ class TestRigorousMaxAbsL:
         run_verify({"function": "sin", "domain": [0.0, math.pi], "n": 65,
                     "order": 4,
                     "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}})
-        assert counts == {"basis": 1, "group": 3}
+        assert counts == {"basis": 1, "group": 4}
 
     @pytest.mark.parametrize("p", [None, 0.0])
     def test_order4_row_resolves_its_pairing_once(self, monkeypatch, p):
         # the level, its hats and the certificate share one resolution,
         # also when a given p resolves the set at construction
         calls = []
-        table = spline4._candidate_table
+        search = spline4._splits
 
-        def counting_table(*args):
+        def counting_search(*args):
             calls.append(args)
-            return table(*args)
+            return search(*args)
 
-        monkeypatch.setattr(spline4, "_candidate_table", counting_table)
+        monkeypatch.setattr(spline4, "_splits", counting_search)
         cfg = {"function": "sin", "domain": [0.0, math.pi], "n": 65,
                "order": 4,
                "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}}

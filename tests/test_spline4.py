@@ -21,7 +21,8 @@ from oracles import mp_interp4, mp_phi
 
 from expspline import errbound2, expcore, hatbasis, spline4
 from expspline.errbound2 import M_constant
-from expspline.expcore import fundamental_derivative, operator_apply
+from expspline.expcore import (_apply_monic, _monic_coefficients,
+                               fundamental_derivative)
 from expspline.harness import get_test_function, max_abs_L, measure_error
 from expspline.hatbasis import build_hat_basis
 from expspline.l2proj import operator_norm_bound
@@ -60,7 +61,8 @@ def _assert_matches_oracle(s, ref, count, rtol, dtol):
 class TestQuadFrequencySet:
     def test_symmetric_shorthand(self):
         qs = quad_frequency_set(3, xi=1.0)
-        assert qs.quads == ((1.0, -1.0, 1.0, -1.0),) * 3
+        assert qs.quads.tolist() == [[1.0, -1.0, 1.0, -1.0]] * 3
+        assert not qs.quads.flags.writeable
         assert qs.p == 0.0
         p, canon = resolve_weight(qs)
         assert p == 0.0
@@ -68,8 +70,8 @@ class TestQuadFrequencySet:
 
     def test_per_interval_xi(self):
         qs = quad_frequency_set(2, xi=[0.5, 2.0])
-        assert qs.quads[0] == (0.5, -0.5, 0.5, -0.5)
-        assert qs.quads[1] == (2.0, -2.0, 2.0, -2.0)
+        assert qs.quads.tolist() == [[0.5, -0.5, 0.5, -0.5],
+                                     [2.0, -2.0, 2.0, -2.0]]
 
     def test_shorthand_rejects_nonzero_p(self):
         with pytest.raises(ValueError, match="p = 0"):
@@ -111,6 +113,23 @@ class TestQuadFrequencySet:
             quad_frequency_set(1, quads=(0.0, math.nan, 0.0, 0.0))
         with pytest.raises(ValueError, match="quadruples"):
             quad_frequency_set(3, quads=[(0., 0., 0., 0.)] * 2)
+        with pytest.raises(ValueError, match=r"got shape \(1, 3\)"):
+            QuadFrequencySet(quads=[(1.0, 2.0, 3.0)])
+        # the symmetric shorthand is checked as the quadruples are
+        with pytest.raises(ValueError, match=r"^xi 0 is not finite: nan$"):
+            quad_frequency_set(2, xi=math.nan)
+        with pytest.raises(ValueError, match=r"^xi 0 is not finite: inf$"):
+            quad_frequency_set(2, xi=math.inf)
+        with pytest.raises(ValueError, match=r"^xi 1 is not finite: nan$"):
+            quad_frequency_set(2, xi=[1.0, math.nan])
+        with pytest.raises(ValueError, match=r"need 2 xi values, got shape "
+                                             r"\(2, 1\)"):
+            quad_frequency_set(2, xi=[[1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"^need 2 xi values, got 3$"):
+            quad_frequency_set(2, xi=[1.0, 2.0, 3.0])
+        # a single value in any shape still stands for every interval
+        assert quad_frequency_set(2, xi=[[0.5]]).quads.tolist() \
+            == [[0.5, -0.5, 0.5, -0.5]] * 2
 
     def test_ragged_quadruples_are_named(self):
         with pytest.raises(ValueError, match="quadruple 1 has 2 entries"):
@@ -539,6 +558,18 @@ class TestEvalAndSmoothness:
         grid = np.linspace(0.0, 1.2, 101)
         assert np.array_equal(s(grid), clone(grid))
 
+    def test_transposed_coefficients_refused(self):
+        # three intervals, so the (4, 3) transpose has 4m entries but is
+        # not square: a reshape would reload it as another spline
+        kn = np.linspace(0.0, 1.0, 4)
+        s = build_interpolant4(kn, quad_frequency_set(3, quads=(1, -1, 1, -1)),
+                               np.sin(kn), 1.0, math.cos(1.0))
+        with pytest.raises(ValueError, match=r"shape \(3, 4\), got shape "
+                                             r"\(4, 3\)"):
+            spline_from_coefficients(s.partition, s.quads, s.coeffs.T)
+        with pytest.raises(ValueError, match=r"got shape \(12,\)"):
+            spline_from_coefficients(s.partition, s.quads, s.coeffs.ravel())
+
 
 def _random_spline(knots, quad, seed=0):
     coeffs = np.random.default_rng(seed).standard_normal((knots.size - 1, 4))
@@ -709,26 +740,35 @@ def test_truncated_table_matches_the_full_one(case, shrink):
         assert np.all(np.abs(s(ts, r) - want) <= 4.0 * np.spacing(scale)), r
 
 
-def _resolve_weight_per_interval(qset):
+def _pairing_tolerance(quads, p):
+    """1e-9 of the largest of 1, every |frequency| and |p| when given."""
+    scale = max([1.0] + [abs(x) for q in quads for x in q])
+    if p is not None:
+        scale = max(scale, abs(p))
+    return 1e-9 * scale
+
+
+def _quad_candidates(quad, tol):
+    """(hat pair, op pair, p) of every split of one quadruple whose two
+    cross sums agree within 2 tol, the as-given split first."""
+    a, b, c, d = quad
+    cands = []
+    for g, o in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        for oo in (o, o[::-1]):
+            p1, p2 = -(g[0] + oo[0]), -(g[1] + oo[1])
+            if abs(p1 - p2) <= 2.0 * tol:
+                cands.append((g, oo, 0.5 * (p1 + p2)))
+    return cands
+
+
+def _resolve_weight_per_interval(quads, p_req):
     """The pairing search interval by interval, every candidate p of
     interval 0 in turn: the reference for resolve_weight."""
-    quads = qset.quads
-    scale = max([1.0] + [abs(x) for q in quads for x in q])
-    if qset.p is not None:
-        scale = max(scale, abs(qset.p))
-    tol = 1e-9 * scale
-    per_interval = []
-    for a, b, c, d in quads:
-        cands = []
-        for g, o in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            for oo in (o, o[::-1]):
-                p1, p2 = -(g[0] + oo[0]), -(g[1] + oo[1])
-                if abs(p1 - p2) <= 2.0 * tol:
-                    cands.append((g, oo, 0.5 * (p1 + p2)))
-        per_interval.append(cands)
+    tol = _pairing_tolerance(quads, p_req)
+    per_interval = [_quad_candidates(quad, tol) for quad in quads]
     attempted = sorted({p for cands in per_interval for _, _, p in cands})
-    if qset.p is not None:
-        ps = [float(qset.p)]
+    if p_req is not None:
+        ps = [float(p_req)]
     else:
         ps = []
         for _, _, p in per_interval[0]:
@@ -746,7 +786,28 @@ def _resolve_weight_per_interval(qset):
     raise ValueError(
         "no weight exponent pairs the quadruples; candidate p values per "
         f"interval were {attempted if attempted else 'none'}"
-        + (f", requested p = {qset.p}" if qset.p is not None else ""))
+        + (f", requested p = {p_req}" if p_req is not None else ""))
+
+
+def _match_op_pairs_per_interval(quads, pairs, p):
+    """Per interval, the first split of its quadruple under p whose -p -
+    (lam2, lam3) sorted matches its sorted hat pair: the reference for
+    _match_op_pairs."""
+    p = float(p)
+    tol = _pairing_tolerance(quads, p)
+    out = []
+    for j, (quad, pair) in enumerate(zip(quads, pairs)):
+        hit = next((o for _, o, pc in _quad_candidates(quad, tol)
+                    if abs(pc - p) <= tol
+                    and all(abs(x - w) <= tol for x, w in
+                            zip(sorted((-p - o[0], -p - o[1])),
+                                sorted(pair)))), None)
+        if hit is None:
+            raise ValueError(
+                f"interval {j}: quadruple {quad} does not match hat pair "
+                f"{tuple(pair)} under p = {p}")
+        out.append(hit)
+    return out
 
 
 # exact values make the cancellations that give p = +-0.0
@@ -774,12 +835,18 @@ def _weight_problems(draw):
     return quads, p
 
 
-def _weight_outcome(resolve, quads, p):
+def _outcome(search, convert):
+    """convert(search()), or the refusal and its message."""
     try:
-        p_res, canonical = resolve(SimpleNamespace(quads=tuple(quads), p=p))
+        out = search()
     except ValueError as exc:
         return "refused", str(exc)
-    return np.float64(p_res).tobytes(), canonical
+    return convert(out)
+
+
+def _weight_outcome(resolve):
+    return _outcome(resolve, lambda out: (np.float64(out[0]).tobytes(),
+                                          out[1]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -791,10 +858,69 @@ def _weight_outcome(resolve, quads, p):
 @example(problem=([(1.0, -1.0, 1.0, -1.0)] * 4, 0.0))
 @example(problem=([(0.0, 0.0, 1.0, -1.0), (-0.0, 0.0, 1.0, -1.0)], None))
 @example(problem=([(0.0, 0.0, 1.0, 2.0)], None))
+# annulus rows: each regroups to p = -2, k = 0 also as given
+@example(problem=([(float(k), float(-k), 2.0 + k, 2.0 - k)
+                   for k in range(6)], None))
 def test_resolve_weight_matches_the_per_interval_search(problem):
     quads, p = problem
-    assert _weight_outcome(resolve_weight, quads, p) \
-        == _weight_outcome(_resolve_weight_per_interval, quads, p)
+    assert _weight_outcome(
+        lambda: resolve_weight(QuadFrequencySet(quads=quads, p=p))) \
+        == _weight_outcome(lambda: _resolve_weight_per_interval(quads, p))
+
+
+_SPLIT_HATS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@st.composite
+def _op_pair_problems(draw):
+    """Quadruples from a pool of one to three, paired ones under p or free
+    ones, the p to test and a hat pair per interval: mostly the first entry
+    of its quadruple with another, as the splits take them, so that
+    intervals of one quadruple take different splits; else any two entries
+    or a noise pair."""
+    p = draw(_FREQS)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            a, b = draw(_FREQS), draw(_FREQS)
+            quad = (a, b, -p - a, -p - b)
+            pool.append(tuple(quad[i] for i in draw(st.permutations(range(4)))))
+        else:
+            pool.append(tuple(draw(_FREQS) for _ in range(4)))
+    quads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    pairs = []
+    for quad in quads:
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            hats = (draw(_FREQS), draw(_FREQS))
+        elif kind == 1:
+            hats = tuple(quad[i] for i in draw(st.sampled_from(_SPLIT_HATS)))
+        else:
+            hats = (quad[0], quad[draw(st.integers(1, 3))])
+        pairs.append(tuple(sorted(hats)))
+    return quads, pairs, p
+
+
+def _op_outcome(search):
+    return _outcome(search, lambda out: [tuple(o) for o in out])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(problem=_op_pair_problems())
+# (1, -1, 1, -1) splits into the hats (1, 1) or (-1, 1) under p = 0
+@example(problem=([(1.0, -1.0, 1.0, -1.0)] * 4,
+                  [(1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)], 0.0))
+# interval 2's noise pair is the first refused, after a mixed interval 1
+@example(problem=([(1.0, -1.0, 1.0, -1.0)] * 3 + [(0.0, -0.0, 2.0, 0.5)],
+                  [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-0.0, 0.0)], 0.0))
+@example(problem=([(-0.0, 0.0, 1.0, -1.0), (0.0, 0.0, -1.0, 1.0)],
+                  [(-1.0, 0.0), (0.0, 1.0)], -0.0))
+def test_match_op_pairs_matches_the_per_interval_search(problem):
+    quads, pairs, p = problem
+    basis = SimpleNamespace(pairs=np.array(pairs, dtype=float).reshape(-1, 2))
+    assert _op_outcome(lambda: spline4._match_op_pairs(
+        QuadFrequencySet(quads=quads), basis, p)) \
+        == _op_outcome(lambda: _match_op_pairs_per_interval(quads, pairs, p))
 
 
 class TestOrthogonality:
@@ -904,7 +1030,8 @@ class TestErrorBound4:
 
     def test_hat_keys_grouped_once(self, monkeypatch):
         # the hat keys' grouping is the basis's own, which the Lebesgue sup
-        # reads too: one grouping for the hats, one for the operator pairs
+        # reads too: one grouping for the hats, one for the operator pairs,
+        # after the pairing search's one of the quadruples
         calls = []
         group = hatbasis.group_intervals
 
@@ -917,7 +1044,7 @@ class TestErrorBound4:
         kn = 0.125 * np.arange(18)
         error_bound4(kn, quad_frequency_set(17, quads=(1.3, 2.1, -1.3, -2.1)),
                      None, 1.0)
-        assert len(calls) == 2
+        assert calls == [(17, 4), (17, 2), (17, 2)]
 
     def test_symmetric_certificate(self):
         kn = np.linspace(0.0, math.pi, 9)
@@ -967,7 +1094,8 @@ class TestErrorBound4:
         grid = np.linspace(0.0, 1.2, 4001)
         derivs = [np.sin(grid), np.cos(grid), -np.sin(grid), -np.cos(grid),
                   np.sin(grid)]
-        max_lf = float(np.max(np.abs(operator_apply(quad, derivs))))
+        max_lf = float(np.max(np.abs(_apply_monic(_monic_coefficients(quad),
+                                                  derivs))))
         cert = error_bound4(kn, quad_frequency_set(3, quads=quad), None, max_lf)
         empirical = np.max(np.abs(s(grid) - np.sin(grid)))
         assert empirical <= cert.bound
