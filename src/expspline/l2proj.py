@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .expcore import _phi_rows, fundamental_eval
 from .hatbasis import SplineOrder2, _phi_ratio
@@ -203,9 +202,54 @@ def dominance_factor(gram):
     return float(np.max(off / diag))
 
 
+def _tridiag(sub, diag, sup, rhs):
+    """(x, bound) for the tridiagonal system with subdiagonal sub, diagonal
+    diag and superdiagonal sup: x by Gaussian elimination with partial
+    pivoting on Python floats in LAPACK gtsv's order of operations, so with
+    its bits, and bound >= ||A^-1||_inf from the same pass.  A zero pivot
+    raises LinAlgError.  With the swaps P and the factors L, U, |A^-1| <=
+    <U>^-1 |L^-1| P and P e = e (<U> the comparison matrix, e the ones;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8
+    and 9), so max(y), y = <U>^-1 z, z = |L^-1| e, bounds every row sum of
+    |A^-1|.  All terms of z and y are nonnegative and a path to an entry of
+    y meets at most 6n roundings, so the computed max(y) is at least 1 - 3n
+    2^-52 times its exact value for these factors; bound adds 4n ulps."""
+    # row i of U is (d_i, u_i, v_i) on columns i to i+2; zeros past the last
+    # row subtract only where gtsv has no term, which keeps its bits
+    d, u, b = diag.tolist(), sup.tolist() + [0.0], rhs.tolist()
+    n = len(d)
+    v, z = [0.0] * n, [1.0] * n
+    di, bi, zi = d[0], b[0], 1.0
+    for i, li in enumerate(sub.tolist()):
+        # gtsv swaps rows i and i+1 unless |d_i| >= |l_i|; a NaN keeps them
+        if abs(li) > abs(di):
+            fact, dn, bn = di / li, d[i + 1], b[i + 1]
+            di, d[i], u[i] = u[i] - fact * dn, li, dn
+            v[i], u[i + 1] = u[i + 1], -fact * u[i + 1]
+            b[i], bi, z[i], zi = bn, bi - fact * bn, 1.0, zi + abs(fact)
+        elif di == 0.0:
+            break
+        else:
+            fact = li / di
+            d[i], b[i], z[i] = di, bi, zi
+            di, bi, zi = d[i + 1] - fact * u[i], b[i + 1] - fact * bi, \
+                1.0 + abs(fact) * zi
+    if di == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    d[-1], u[-1], b[-1], z[-1] = di, 0.0, bi, zi
+    x, y, x1, x2, y1, y2 = [0.0] * n, [0.0] * n, 0.0, 0.0, 0.0, 0.0
+    for i in range(n - 1, -1, -1):
+        di, ui, vi = d[i], u[i], v[i]
+        x1, x2 = (b[i] - ui * x1 - vi * x2) / di, x1
+        y1, y2 = (z[i] + abs(ui) * y1 + abs(vi) * y2) / abs(di), y1
+        x[i], y[i] = x1, y1
+    # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts with
+    return np.array(x), max(y) * (1.0 + 4 * n * 2.0 ** -52)
+
+
 def tridiag_solve(gram):
-    """Solve the tridiagonal system by LAPACK gtsv (Gaussian elimination
-    with partial pivoting) and check the residual.
+    """Solve the tridiagonal system by _tridiag (Gaussian elimination with
+    partial pivoting) and check the residual.
 
     Non-finite entries raise ValueError.  A singular system, a non-finite
     solution or a residual above 1e-12 * ||rhs|| raises LinAlgError.
@@ -218,14 +262,7 @@ def tridiag_solve(gram):
         raise ValueError("inconsistent system shapes")
     if not all(np.isfinite(x).all() for x in (diag, sub, sup, rhs)):
         raise ValueError("tridiagonal system entries must be finite")
-    # the wrapper wants off-diagonals of length at least one; gtsv never
-    # reads them for a 1x1 system
-    pad = [0.0] if n == 1 else []
-    _, _, _, x, info = dgtsv(np.append(sub, pad), diag, np.append(sup, pad),
-                             rhs)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"singular tridiagonal system (gtsv info {info})")
+    x = _tridiag(sub, diag, sup, rhs)[0]
     r = diag * x - rhs
     r[:-1] += sup * x[1:]
     r[1:] += sub * x[:-1]

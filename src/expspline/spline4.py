@@ -3,11 +3,11 @@
 The interpolant of four frequencies per interval matches the knot values
 and the two end slopes and is C^2.  Per interval, the data and G = M s at
 both ends (M from the middle pair of the sorted quadruple) weigh four local
-solutions; the knot slopes solve one tridiagonal system, refused by its
-condition estimate.  Evaluation reads a Taylor table per sub-piece, found
-by a bucket lookup.  The certificate combines the second order interval
-constants, the projection norm and the weight exponent p tying each
-interval's two pairs.
+solutions; the knot slopes solve one tridiagonal system by l2proj's
+elimination, refused by the condition bound of the same pass.  Evaluation
+reads a Taylor table per sub-piece, found by a bucket lookup.  The
+certificate combines the second order interval constants, the projection
+norm and the weight exponent p tying each interval's two pairs.
 """
 
 import math
@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
 from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
 from .hatbasis import (Partition, _frequency_rows, as_partition,
                        build_hat_basis, group_intervals)
-from .l2proj import _load_vector, operator_norm_bound
+from .l2proj import _load_vector, _tridiag, operator_norm_bound
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -448,8 +447,8 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     (G(t_j+), G(t_(j+1)-)), G = M s.  The unknowns are the knot slopes m_k,
     m_0 and m_(n-1) the clamps; C^2 at t_k reads b_(k-1) + sigma_(k-1) m_k
     - pi_(k-1) y_k = a_k + sigma_k m_k - pi_k y_k, sigma and pi the sum and
-    product of M's pair.  LinAlgError refuses the system when its gtcon
-    condition estimate reaches 1e12, and the spline when its table is not
+    product of M's pair.  LinAlgError refuses the system when its
+    condition bound reaches 1e12, and the spline when its table is not
     finite, misses the knot values and clamps by 1e-12 of max(1, |data|)
     or its C^2 joins by 1e-10 of 1 + max|coeffs|.
     """
@@ -492,30 +491,24 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
         raise np.linalg.LinAlgError(
             f"order-4 interpolant is not finite or misses its data by "
             f"{miss:.3e} (data scale {scale:.3g}) or its C^2 joins by "
-            f"{jump:.3e}; condition estimate {cond:.3g}")
+            f"{jump:.3e}; condition bound {cond:.3g}")
     return spline
 
 
 def _tridiagonal_solve(rows, rhs):
     """(x, cond) for the tridiagonal system with rows[:, i] = (a_(i,i-1),
-    a_ii, a_(i,i+1)) scaled to largest entries 1, by one LAPACK LU (gttrf)
-    that also gives the infinity-norm condition estimate (gtcon)."""
-    n = rhs.size
-    # the gttrf wrapper needs three unknowns: pad with identity rows
-    pad = max(0, 3 - n)
-    rows = np.hstack([rows, np.tile([[0.0], [1.0], [0.0]], (1, pad))])
+    a_ii, a_(i,i+1)) scaled to largest entries 1, by l2proj's elimination:
+    cond = ||A||_inf times the bound of ||A^-1||_inf from the same pass, an
+    upper bound of the scaled system's condition number."""
     scale = np.abs(rows).max(axis=0)
-    rows /= scale
-    lu = dgttrf(rows[0, 1:], rows[1], rows[2, :-1])
-    rcond = dgtcon(*lu[:-1], np.abs(rows).sum(axis=0).max(), norm="I")[0] \
-        if lu[-1] == 0 else 0.0
-    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    rows = rows / scale
+    x, bound = _tridiag(rows[0, 1:], rows[1], rows[2, :-1], rhs / scale)
+    cond = float(np.abs(rows).sum(axis=0).max()) * bound
     if not cond < _COND_MAX:
         raise np.linalg.LinAlgError(
-            f"order-4 slope system is ill conditioned: condition estimate "
+            f"order-4 slope system is ill conditioned: condition bound "
             f"{cond:.3g} reaches {_COND_MAX:.0e}")
-    b = np.append(rhs, np.zeros(pad)) / scale
-    return dgttrs(*lu[:-1], b)[0][:n], cond
+    return x, cond
 
 
 def spline4_eval(s, t, order=0):
@@ -549,12 +542,15 @@ def _match_op_pairs(qset, basis, p):
     weighted residual is orthogonal to the given hats.
 
     Per interval it takes the first split of its quadruple under p (the
-    search of resolve_weight) whose sorted -p - (lam2, lam3) matches the
-    sorted hat pair within tol.  Raises ValueError naming the first
-    interval, in mesh order, that has none.
+    search of resolve_weight, then the same six splits with their hat and
+    operator pairs swapped, which keeps p) whose sorted -p - (lam2, lam3)
+    matches the sorted hat pair within tol.  Raises ValueError naming the
+    first interval, in mesh order, that has none.
     """
     quads, pairs = qset.quads, basis.pairs
     p, back, split, hit, tol, _ = _splits(quads, float(p))
+    split = np.concatenate([split, split[..., [2, 3, 0, 1]]], axis=1)
+    hit = np.tile(hit, 2)
     ops = split[back, :, 2:]
     want = _sorted_pairs(pairs)[:, None]
     hit = hit[back] & (np.abs(_sorted_pairs(-p - ops) - want) <= tol).all(2)

@@ -1,0 +1,25 @@
+"""The golden CLI corpus: every recorded command, rerun in process, prints
+the same bytes and exits with the same code.  regen.py writes the corpus."""
+
+import json
+
+import regen
+
+
+def test_cli_output_matches_the_golden_corpus():
+    recorded = json.loads((regen.HERE / "versions.json").read_text())
+    cases = sorted((regen.HERE / "configs").glob("*.json"))
+    assert {p.stem for p in cases} == set(regen.CASES)
+    misses = []
+    for path in cases:
+        expected = json.loads(
+            (regen.HERE / "expected" / path.name).read_text())
+        config = json.loads(path.read_text())
+        assert config == regen.CASES[path.stem]
+        assert [r["argv"] for r in expected] == regen.commands(config)
+        for want in expected:
+            got = regen.run(want["argv"] + ["-c", str(path)])
+            if got != (want["code"], want["stdout"], want["stderr"]):
+                misses.append(f"{path.stem}: {' '.join(want['argv'])}")
+    assert not misses, (f"recorded with {recorded}, run with "
+                        f"{regen.versions()}; differing runs: {misses}")

@@ -600,10 +600,26 @@ def _cli(args, config=None, tmp_path=None):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["-c", str(path)]
+    return subprocess.run(argv, capture_output=True, text=True, env=_env())
+
+
+def _env():
+    """The environment with the package's source directory leading
+    PYTHONPATH."""
     src = str(Path(expspline.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: a fresh interpreter importing the
+    # package (the CLI among it) loads none of it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, expspline, expspline.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+         "'scipy'))"], capture_output=True, text=True, env=_env(),
+        check=True)
+    assert done.stdout == "[]\n"
 
 
 def _main(args, config, tmp_path, capsys):

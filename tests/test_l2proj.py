@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgtsv, dgttrf
 
 from expspline import expcore, hatbasis, l2proj
 from expspline.errbound2 import omega_eval
@@ -296,6 +297,21 @@ class TestGramAssemble:
         assert np.all(g.sub > 0.0)
 
 
+def _lu_bound(sub, diag, sup):
+    """max(<U>^-1 |L^-1| e) from LAPACK gttrf's factors, dense: the swaps
+    and |multipliers| applied to the ones, then the comparison matrix of U
+    solved."""
+    l, d, du, du2, ipiv, info = dgttrf(sub, diag, sup)
+    assert info == 0
+    z = np.ones(d.size)
+    for i, m in enumerate(l):
+        if ipiv[i] != i + 1:
+            z[[i, i + 1]] = z[[i + 1, i]]
+        z[i + 1] += abs(m) * z[i]
+    u = np.diag(np.abs(d)) - np.diag(np.abs(du), 1) - np.diag(np.abs(du2), 2)
+    return np.max(np.linalg.solve(u, z))
+
+
 class TestDominanceAndSolve:
     def test_polynomial_dominance_factor(self):
         basis = build_hat_basis(np.linspace(0.0, 1.0, 6), [(0.0, 0.0)] * 5)
@@ -332,6 +348,52 @@ class TestDominanceAndSolve:
                             atol=1e-12)
             resid = dense @ x - rhs
             assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_elimination_matches_lapack_and_bounds_the_inverse(self):
+        # random systems, a third of the rows with |sub| > |diag| so that
+        # the elimination pivots: the solution has gtsv's bits, and the
+        # bound is at or above ||inv(A)||_inf, which the dense inverse X
+        # bounds from below by ||X|| / (1 + ||AX - I|| + 4 u ||A|| ||X||)
+        # (u the unit roundoff of the residual's three-term products), its
+        # row sums rounded down by n u
+        rng = np.random.default_rng(31)
+        u = 2.0 ** -53
+        pivoted = 0
+        for n in [1, 2, 3, 4, 600] + rng.integers(5, 600, 10).tolist():
+            sub, sup = rng.standard_normal((2, n - 1))
+            diag, rhs = rng.standard_normal((2, n))
+            weak = np.flatnonzero(rng.random(n - 1) < 1.0 / 3.0)
+            diag[weak] = 0.1 * sub[weak] * rng.uniform(-1.0, 1.0, weak.size)
+            pivoted += int(np.sum(np.abs(sub) > np.abs(diag[:-1])))
+            pad = [0.0] if n == 1 else []
+            *_, want, info = dgtsv(np.append(sub, pad), diag,
+                                   np.append(sup, pad), rhs)
+            assert info == 0
+            x, bound = l2proj._tridiag(sub, diag, sup, rhs)
+            assert x.tobytes() == want.tobytes(), n
+            a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+            inv = np.linalg.inv(a)
+            norm_inv = np.abs(inv).sum(axis=1).max()
+            resid = np.abs(a @ inv - np.eye(n)).sum(axis=1).max()
+            norm_a = np.abs(a).sum(axis=1).max()
+            assert bound >= norm_inv * (1.0 - n * u) \
+                / (1.0 + resid + 4.0 * u * norm_a * norm_inv), n
+            if n >= 3:
+                assert_allclose(bound, _lu_bound(sub, diag, sup), rtol=1e-12)
+        assert pivoted > 300
+
+    def test_bound_is_the_inverse_norm_of_an_m_matrix(self):
+        # diagonally dominant, nonpositive couplings: no pivoting, the
+        # comparison matrix of U is U and inv(A) >= 0, so the bound is
+        # ||inv(A)||_inf itself
+        rng = np.random.default_rng(7)
+        n = 50
+        sub, sup = -rng.uniform(0.0, 1.0, (2, n - 1))
+        diag = 2.0 + rng.uniform(0.0, 1.0, n)
+        bound = l2proj._tridiag(sub, diag, sup, np.ones(n))[1]
+        a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        assert_allclose(bound, np.abs(np.linalg.inv(a)).sum(axis=1).max(),
+                        rtol=1e-12)
 
     def test_single_unknown(self):
         g = GramSystem(n=1, diag=np.array([4.0]), sub=np.zeros(0),

@@ -205,7 +205,7 @@ class TestBuildInterpolant4:
         kn = 0.2 * np.arange(300)
         qs = quad_frequency_set(299, quads=(0.0, 0.001, 50.0, 49.999))
         with pytest.raises(np.linalg.LinAlgError,
-                           match="condition estimate"):
+                           match="condition bound"):
             build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
 
     def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
@@ -790,14 +790,16 @@ def _resolve_weight_per_interval(quads, p_req):
 
 
 def _match_op_pairs_per_interval(quads, pairs, p):
-    """Per interval, the first split of its quadruple under p whose -p -
-    (lam2, lam3) sorted matches its sorted hat pair: the reference for
-    _match_op_pairs."""
+    """Per interval, the first split of its quadruple under p, as given or
+    else with hats and operators swapped, whose -p - (lam2, lam3) sorted
+    matches its sorted hat pair: the reference for _match_op_pairs."""
     p = float(p)
     tol = _pairing_tolerance(quads, p)
     out = []
     for j, (quad, pair) in enumerate(zip(quads, pairs)):
-        hit = next((o for _, o, pc in _quad_candidates(quad, tol)
+        cands = _quad_candidates(quad, tol)
+        hit = next((o for _, o, pc in cands + [(o, g, pc)
+                                                for g, o, pc in cands]
                     if abs(pc - p) <= tol
                     and all(abs(x - w) <= tol for x, w in
                             zip(sorted((-p - o[0], -p - o[1])),
@@ -947,6 +949,20 @@ class TestOrthogonality:
         s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
                                np.sin(kn), 1.0, -1.0)
         basis = build_hat_basis(kn, [(1.0, 1.0)] * 4)
+        fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
+        assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("hats, ops", [((-2.0, -1.0), {1.0, 2.0}),
+                                           ((-1.0, 2.0), {1.0, -2.0})])
+    def test_swapped_split_hats(self, hats, ops):
+        # neither hat pair holds the quadruple's first entry: only a split
+        # with the hat and operator pairs swapped reaches them
+        kn = np.linspace(0.0, 1.0, 5)
+        qset = quad_frequency_set(4, quads=(1.0, 2.0, -1.0, -2.0))
+        s = build_interpolant4(kn, qset, np.sin(kn), 1.0, math.cos(1.0))
+        basis = build_hat_basis(kn, [hats] * 4)
+        assert all(set(o) == ops for o in
+                   spline4._match_op_pairs(qset, basis, 0.0).tolist())
         fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
         assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-12
 
