@@ -55,6 +55,7 @@ from .l2proj import (
     sfunc,
 )
 from .spline4 import (
+    _EVAL_BLOCK,
     QuadFrequencySet,
     _error_bound4,
     build_interpolant4,
@@ -316,24 +317,51 @@ _GRID_UNIFORM = 10 ** 4
 _GRID_CHEB = 64
 
 
-def error_grid(partition):
-    """Measurement grid: _GRID_UNIFORM uniform points, every knot, and
-    _GRID_CHEB Chebyshev points in each interval so boundary-layer maxima
-    at stiff frequencies are seen."""
-    knots = as_partition(partition).knots
+def _grid_blocks(knots):
+    """error_grid's points, unsorted and possibly repeated, in blocks of at
+    most _EVAL_BLOCK: the uniform points and the knots first, the rest of
+    their block filled with the Chebyshev points of the leading intervals,
+    then those of _EVAL_BLOCK // _GRID_CHEB intervals per block."""
+    head = np.concatenate([
+        np.linspace(knots[0], knots[-1], _GRID_UNIFORM), knots])
     angles = (2.0 * np.arange(_GRID_CHEB) + 1.0) * math.pi / (2.0 * _GRID_CHEB)
-    mid = 0.5 * (knots[:-1] + knots[1:])
-    half = 0.5 * (knots[1:] - knots[:-1])
-    cheb = mid[:, None] + half[:, None] * np.cos(angles)
-    return np.unique(np.concatenate([
-        np.linspace(knots[0], knots[-1], _GRID_UNIFORM), knots, cheb.ravel()]))
+    offsets, m = np.cos(angles), knots.size - 1
+    per = _EVAL_BLOCK // _GRID_CHEB
+
+    def cheb(lo, hi):
+        a, b = knots[lo:hi], knots[lo + 1:hi + 1]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return (mid[:, None] + half[:, None] * offsets).ravel()
+
+    while head.size > _EVAL_BLOCK:
+        yield head[:_EVAL_BLOCK]
+        head = head[_EVAL_BLOCK:]
+    first = min(m, (_EVAL_BLOCK - head.size) // _GRID_CHEB)
+    yield np.concatenate([head, cheb(0, first)])
+    for lo in range(first, m, per):
+        yield cheb(lo, min(m, lo + per))
+
+
+def error_grid(partition):
+    """Measurement grid, sorted and without repeats: _GRID_UNIFORM uniform
+    points, every knot, and _GRID_CHEB Chebyshev points in each interval so
+    boundary-layer maxima at stiff frequencies are seen."""
+    knots = as_partition(partition).knots
+    return np.unique(np.concatenate(list(_grid_blocks(knots))))
 
 
 def measure_error(reference, candidate, partition):
-    """Dense-grid sup of |reference - candidate|."""
-    grid = error_grid(partition)
-    return float(np.max(np.abs(np.asarray(reference(grid), dtype=float)
-                               - np.asarray(candidate(grid), dtype=float))))
+    """Sup of |reference - candidate| over error_grid's points.
+
+    Both are called on blocks of at most _EVAL_BLOCK points in no
+    guaranteed order, some of them repeated, so memory stays O(block + n)
+    whatever the mesh; the value is the same maximum, and a NaN anywhere
+    makes it NaN."""
+    knots = as_partition(partition).knots
+    return float(np.max([
+        np.max(np.abs(np.asarray(reference(g), dtype=float)
+                      - np.asarray(candidate(g), dtype=float)))
+        for g in _grid_blocks(knots)]))
 
 
 @dataclass
@@ -629,8 +657,9 @@ def convergence_study(config):
     report = run_verify(config)
     errs = np.array([r["empirical_error"] for r in report.rows])
     deltas = np.array([r["delta"] for r in report.rows])
-    grid = error_grid(norm["levels"][0])
-    scale = float(np.max(np.abs(norm["tf"](grid))))
+    knots = as_partition(norm["levels"][0]).knots
+    scale = float(np.max([np.max(np.abs(norm["tf"](g)))
+                          for g in _grid_blocks(knots)]))
     expected = (3.7, 4.3) if norm["order"] == 4 else (1.8, 2.2)
     if np.all(errs < 1e-12 * max(scale, 1e-300)):
         return ConvergenceStudy(rows=report.rows, slope=None, kernel=True,

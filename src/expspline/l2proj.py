@@ -191,10 +191,16 @@ def abcd_quadrature(lam0, lam1, p, h):
 
 
 def dominance_factor(gram):
-    """Largest row ratio (|sub| + |sup|)/diag with zero boundary couplings."""
+    """Largest row ratio (|sub| + |sup|)/diag with zero boundary couplings.
+
+    A diagonal entry at or below zero, which the closed form gives only by
+    underflow, raises LinAlgError naming the first such row."""
     diag = np.asarray(gram.diag, dtype=float)
-    if np.any(diag <= 0.0):
-        raise ValueError("Gram diagonal must be positive")
+    bad = np.flatnonzero(diag <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise np.linalg.LinAlgError(
+            f"Gram diagonal must be positive: row {i} is {float(diag[i])!r}")
     n = gram.n
     off = np.zeros(n)
     off[:-1] += np.abs(gram.sup)

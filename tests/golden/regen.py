@@ -6,8 +6,8 @@ what the library computes: ``verify`` (csv and json), ``bounds``,
 small grid and the json coefficient dump).  For every case this writes
 ``configs/<name>.json`` and ``expected/<name>.json``, the latter holding
 each command's argv, exit code, stdout and stderr; ``versions.json``
-records the interpreter and numpy that produced them.  The files are
-only ever written by this script:
+records the interpreter, numpy and numpy's CPU dispatch that produced
+them.  The files are only ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -96,7 +96,14 @@ def run(argv):
 
 
 def versions():
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The interpreter, numpy, and numpy's SIMD baseline and dispatch
+    targets: which loop a ufunc such as pow takes, and so the last bits of
+    some printed bounds, depends on the CPU."""
+    from numpy._core import _multiarray_umath as umath
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_baseline": umath.__cpu_baseline__,
+            "cpu_dispatch": umath.__cpu_dispatch__}
 
 
 def _dump(path, doc):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -31,9 +32,11 @@ from expspline.harness import (
     run_bounds,
     run_verify,
 )
-from expspline.hatbasis import Partition, build_hat_basis
+from expspline.hatbasis import Partition, build_hat_basis, interpolate2
 from expspline.l2proj import project
 from expspline.spline4 import (
+    _EVAL_BLOCK,
+    build_interpolant4,
     quad_frequency_set,
     resolve_weight,
     spline_from_coefficients,
@@ -387,6 +390,78 @@ class TestErrorGrid:
         part = Partition((0.0, math.pi))
         got = measure_error(np.sin, lambda ts: np.zeros_like(ts), part)
         assert_allclose(got, 1.0, rtol=1e-7)
+
+    @staticmethod
+    def _order4(knots, tf):
+        quads = [(1.3, 2.1, -1.3, -2.1)] * (knots.size - 1)
+        slope = tf.evaluators[1]
+        return build_interpolant4(knots, quad_frequency_set(
+            knots.size - 1, quads=quads), tf(knots),
+            float(slope(knots[0])), float(slope(knots[-1])))
+
+    @staticmethod
+    def _scan(tf, s, knots):
+        grid = error_grid(knots)
+        return float(np.max(np.abs(tf(grid) - s(grid))))
+
+    @pytest.mark.parametrize("n", [2, 17, 257, 513, 2049])
+    def test_measure_error_is_the_sorted_grid_scan(self, n):
+        tf = get_test_function("runge")
+        knots = np.linspace(-1.0, 1.0, n)
+        s = self._order4(knots, tf)
+        assert measure_error(tf, s, knots) == self._scan(tf, s, knots)
+
+    def test_measure_error_on_graded_and_order2(self):
+        tf = get_test_function("sin")
+        knots = np.cumsum(np.concatenate([[0.0], 1.15 ** np.arange(40)]))
+        knots *= math.pi / knots[-1]
+        s = self._order4(knots, tf)
+        assert measure_error(tf, s, knots) == self._scan(tf, s, knots)
+        basis = build_hat_basis(knots, [(-1.0, 2.0)] * (knots.size - 1))
+        s2 = interpolate2(basis, tf(knots))
+        assert measure_error(tf, s2, knots) == self._scan(tf, s2, knots)
+
+    @pytest.mark.parametrize("n", [2, 513, 6400, 20000])
+    def test_scan_reads_bounded_blocks_covering_the_grid(self, n):
+        knots = np.linspace(0.0, 3.0, n)
+        seen = []
+
+        def record(ts):
+            seen.append(np.array(ts))
+            return np.zeros_like(ts)
+        assert measure_error(np.sin, record, knots) > 0.0
+        assert max(g.size for g in seen) <= _EVAL_BLOCK
+        assert np.array_equal(np.unique(np.concatenate(seen)),
+                              error_grid(knots))
+
+    def test_nan_in_a_later_block_reaches_the_result(self):
+        # NaN only at the Chebyshev points of interval 400 of 513 knots,
+        # which the scan reads after its first block
+        knots = np.linspace(0.0, 2.0, 513)
+        a, b = knots[400], knots[401]
+        offsets = np.cos((2.0 * np.arange(64) + 1.0) * math.pi / 128.0)
+        bad = 0.5 * (a + b) + 0.5 * (b - a) * offsets
+        calls = []
+
+        def broken(ts):
+            hit = np.isin(ts, bad)
+            calls.append(bool(hit.any()))
+            return np.where(hit, np.nan, np.sin(ts))
+        assert math.isnan(measure_error(np.cos, broken, knots))
+        assert calls[0] is False and sum(calls) == 1
+
+    def test_scan_memory_stays_near_one_block(self):
+        # the sorted whole-grid scan allocated 8.7 MB here
+        tf = get_test_function("runge")
+        knots = np.linspace(-1.0, 1.0, 4097)
+        s = self._order4(knots, tf)
+        tracemalloc.start()
+        try:
+            measure_error(tf, s, knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 class TestRunVerify:

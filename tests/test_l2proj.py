@@ -332,6 +332,8 @@ class TestDominanceAndSolve:
                        sup=np.zeros(1), rhs=np.zeros(2))
         with pytest.raises(ValueError):
             dominance_factor(g)
+        with pytest.raises(np.linalg.LinAlgError, match="row 1 is 0.0"):
+            dominance_factor(g)
 
     def test_thomas_matches_dense(self):
         rng = np.random.default_rng(2718)
