@@ -2,8 +2,9 @@
 
 Each case is one configuration run through the CLI commands that print
 what the library computes: ``verify`` (csv and json), ``bounds``,
-``gram`` and the ``interp2``/``interp4`` export of its order (csv on a
-small grid and the json coefficient dump).  For every case this writes
+``gram``, the ``interp2``/``interp4`` export of its order (csv on a
+small grid and the json coefficient dump) and ``converge`` (csv and json;
+a config of fewer than three levels records the refusal).  For every case this writes
 ``configs/<name>.json`` and ``expected/<name>.json``, the latter holding
 each command's argv, exit code, stdout and stderr; ``versions.json``
 records the interpreter, numpy and numpy's CPU dispatch that produced
@@ -82,7 +83,8 @@ def commands(config):
     interp = f"interp{config['order']}"
     return [["verify"], ["verify", "--format", "json"], ["bounds"],
             ["gram"], [interp, "--eval-grid", "21"],
-            [interp, "--format", "json"]]
+            [interp, "--format", "json"], ["converge"],
+            ["converge", "--format", "json"]]
 
 
 def run(argv):

@@ -22,13 +22,10 @@ from expspline.harness import (
     CATALOG,
     ConfigError,
     convergence_study,
-    emit,
     error_grid,
     get_test_function,
     max_abs_L,
     measure_error,
-    render_csv,
-    render_json,
     run_bounds,
     run_verify,
 )
@@ -625,48 +622,6 @@ class TestConvergence:
             convergence_study(config)
 
 
-class TestEmission:
-
-    def test_csv_header_and_blanks(self):
-        config = {"function": {"samples": [0.0, 0.7, 0.9, 1.0]},
-                  "knots": [0.0, 0.5, 1.0, 1.5],
-                  "frequencies": {"pairs": [[-1.0, 1.0]]}, "order": 2}
-        text = render_csv(run_verify(config).rows)
-        lines = text.splitlines()
-        assert lines[0] == ("n,delta,empirical_error,bound,ratio,"
-                            "norm_bound,M0_max,M2_max,c_factor")
-        cells = lines[1].split(",")
-        assert cells[0] == "4"
-        assert cells[2] == "" and cells[3] == "" and cells[4] == ""
-
-    def test_csv_bytes_deterministic(self):
-        a = render_csv(run_verify(SIN2_CONFIG).rows)
-        b = render_csv(run_verify(SIN2_CONFIG).rows)
-        assert a.encode() == b.encode()
-
-    def test_emit_csv_and_json(self, tmp_path):
-        report = run_verify(dict(SIN2_CONFIG, n=5))
-        p_csv = emit(report, "csv", tmp_path)
-        p_json = emit(report, "json", tmp_path)
-        assert p_csv.name == "verify.csv"
-        doc = json.loads(p_json.read_text())
-        assert doc["passed"] is True
-        assert doc["config"]["function"] == "sin"
-        assert len(doc["rows"]) == 1
-
-    def test_emit_rejects_unknown_format(self, tmp_path):
-        report = run_verify(dict(SIN2_CONFIG, n=5))
-        with pytest.raises(ConfigError, match="format"):
-            emit(report, "yaml", tmp_path)
-
-    def test_json_round_trip(self):
-        report = run_verify(dict(SIN2_CONFIG, n=5))
-        doc = json.loads(render_json(report))
-        row = doc["rows"][0]
-        assert row["M2_max"] is None
-        assert row["passed"] is True
-
-
 def _cli(args, config=None, tmp_path=None):
     """Run `python -m expspline.cli` on the package under test: its source
     directory leads PYTHONPATH, so no install and no environment is needed."""
@@ -768,6 +723,141 @@ class TestCommandsComputeWhatTheyPrint:
         for config in (SIN2_CONFIG, WEIGHTED_CONFIG, SAMPLES4_CONFIG):
             assert _main(["bounds"], config, tmp_path, capsys)[0] == 0
         assert _main(["bounds"], SIN4_CONFIG, tmp_path, capsys) == want
+
+
+class TestEmission:
+
+    def test_csv_header_and_blanks(self, tmp_path, capsys):
+        code, out, _ = _main(["verify"], SAMPLES2_CONFIG, tmp_path, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == ("n,delta,empirical_error,bound,ratio,"
+                            "norm_bound,M0_max,M2_max,c_factor")
+        cells = lines[1].split(",")
+        assert cells[0] == "4"
+        assert cells[2] == "" and cells[3] == "" and cells[4] == ""
+
+    def test_csv_bytes_deterministic(self, tmp_path, capsys):
+        a = _main(["verify"], SIN2_CONFIG, tmp_path, capsys)
+        b = _main(["verify"], SIN2_CONFIG, tmp_path, capsys)
+        assert a[1].encode() == b[1].encode() and a == b
+
+    def test_emit_csv_and_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = dict(SIN2_CONFIG, n=5)
+        for fmt in ("csv", "json"):
+            code, printed, _ = _main(["verify", "--format", fmt, "-o",
+                                      str(out)], config, tmp_path, capsys)
+            assert code == 0
+            assert printed == f"{out / ('verify.' + fmt)}\n"
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["passed"] is True
+        assert doc["config"]["function"] == "sin"
+        assert len(doc["rows"]) == 1
+
+    def test_emit_rejects_unknown_format(self, tmp_path, capsys):
+        code, out, err = _main(["verify", "--format", "yaml", "-o",
+                                str(tmp_path / "out")], SIN2_CONFIG,
+                               tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "format" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_json_round_trip(self, tmp_path, capsys):
+        _, out, _ = _main(["verify", "--format", "json"],
+                          dict(SIN2_CONFIG, n=5), tmp_path, capsys)
+        row = json.loads(out)["rows"][0]
+        assert row["M2_max"] is None
+        assert row["passed"] is True
+
+
+# two fixed results in place of the real checklist, whose details carry
+# timings
+ACCEPTANCE = [harness.CriterionResult(1, "first check", True, "ok"),
+              harness.CriterionResult(12, "last check", False, "off by 2")]
+ACCEPTANCE_TXT = "PASS  1 first check: ok\nFAIL 12 last check: off by 2\n"
+ACCEPTANCE_JSON = """[
+  {
+    "detail": "ok",
+    "index": 1,
+    "passed": true,
+    "title": "first check"
+  },
+  {
+    "detail": "off by 2",
+    "index": 12,
+    "passed": false,
+    "title": "last check"
+  }
+]
+"""
+
+
+class TestOutput:
+
+    def test_acceptance_bytes_and_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "acceptance_criteria", lambda: ACCEPTANCE)
+        assert _main(["acceptance"], None, None, capsys) == (
+            2, ACCEPTANCE_TXT, "")
+        assert _main(["acceptance", "--format", "json"], None, None,
+                     capsys) == (2, ACCEPTANCE_JSON, "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, config", [
+        ("verify", SIN2_CONFIG), ("bounds", SIN2_CONFIG),
+        ("gram", WEIGHTED_CONFIG), ("interp2", dict(SIN2_CONFIG, n=5)),
+        ("interp4", SIN4_CONFIG), ("converge", SIN2_CONFIG),
+        ("acceptance", None)])
+    def test_out_dir_holds_the_printed_bytes(self, monkeypatch, tmp_path,
+                                             capsys, command, config, fmt):
+        monkeypatch.setattr(cli, "acceptance_criteria", lambda: ACCEPTANCE)
+        argv = [command, "--format", fmt]
+        code, out, err = _main(argv, config, tmp_path, capsys)
+        assert out
+        outdir = tmp_path / "made" / "here"
+        ext = "txt" if (command, fmt) == ("acceptance", "csv") else fmt
+        path = outdir / f"{command}.{ext}"
+        assert _main(argv + ["-o", str(outdir)], config, tmp_path,
+                     capsys) == (code, f"{path}\n", err)
+        assert sorted(outdir.iterdir()) == [path]
+        assert path.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.parametrize("content, refusal", [
+        (None, "cannot read config"),
+        ("{not json", "config is not valid JSON"),
+        ("[1, 2]", "config must be a JSON object")],
+        ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_config_is_exit_1(self, tmp_path, capsys, content,
+                                         refusal):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        code = cli.main(["verify", "-c", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {refusal}")
+
+    def test_eval_grid_of_one_point_is_exit_1(self, tmp_path, capsys):
+        assert _main(["interp4", "--eval-grid", "1"], SIN4_CONFIG, tmp_path,
+                     capsys) == (1, "", "error: --eval-grid must be at "
+                                        "least 2\n")
+
+    def test_converge_on_a_kernel_function_is_exit_0(self, tmp_path,
+                                                      capsys):
+        config = {"function": "exp", "domain": [0.0, 1.0],
+                  "frequencies": {"xi": 1.0}, "n": [5, 9, 17], "order": 4}
+        code, out, _ = _main(["converge"], config, tmp_path, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == ("# slope = , expected [3.7, 4.3], "
+                                        "kernel = true")
+        code, out, _ = _main(["converge", "--format", "json"], config,
+                             tmp_path, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["kernel"] is True
+        assert doc["slope"] is None and doc["within_expected"] is None
+        assert [set(row) for row in doc["rows"]] == [{
+            "n", "delta", "empirical_error", "bound", "ratio", "norm_bound",
+            "M0_max", "M2_max", "c_factor"}] * 3
 
 
 class TestCli:
