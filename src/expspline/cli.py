@@ -8,7 +8,9 @@ an expected property is violated, 3 on numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -16,19 +18,20 @@ import numpy as np
 
 from .harness import (
     ConfigError,
-    _fmt,
     acceptance_criteria,
     build_configured_spline,
     configured_gram,
     convergence_study,
-    emit,
-    render_csv,
-    render_json,
     run_bounds,
     run_verify,
 )
 from .l2proj import DominanceError
 from .quadrature import QuadratureError
+
+# the columns of a verify, bounds or converge row in csv
+_COLUMNS = ("n", "delta", "empirical_error", "bound", "ratio", "norm_bound",
+            "M0_max", "M2_max", "c_factor")
+_CELLS = operator.itemgetter(*_COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,35 +52,50 @@ def _load_config(path):
     return cfg
 
 
-def _write_or_print(text, outdir, stem, ext):
-    if outdir is None:
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return "%.12g" % float(value)
+
+
+def _csv(header, rows):
+    """The header line, then one line of formatted cells per row; byte
+    deterministic."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(doc):
+    """doc as indented JSON with sorted keys; numpy arrays and scalars
+    become lists and Python numbers."""
+    return json.dumps(doc, indent=2, sort_keys=True,
+                      default=lambda obj: obj.tolist()) + "\n"
+
+
+def _output(args, text, ext):
+    """Print text, or write it as ASCII to DIR/<command>.<ext> under -o DIR
+    and print that path."""
+    if args.out is None:
         sys.stdout.write(text)
         return
-    outdir = Path(outdir)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{stem}.{ext}"
+    path = outdir / f"{args.command}.{ext}"
     path.write_bytes(text.encode("ascii"))
     print(path)
 
 
-def _print_report(report, args, stem):
-    if args.out is not None:
-        print(emit(report, args.format, args.out, stem=stem))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report.rows))
+def _cmd_report(args):
+    report = args.run(_load_config(args.config))
+    if args.format == "csv":
+        text = _csv(_COLUMNS, map(_CELLS, report.rows))
     else:
-        sys.stdout.write(render_json(report))
-
-
-def _cmd_verify(args):
-    report = run_verify(_load_config(args.config))
-    _print_report(report, args, "verify")
+        text = _json(dataclasses.asdict(report))
+    _output(args, text, args.format)
     return 0 if report.passed else 2
-
-
-def _cmd_bounds(args):
-    _print_report(run_bounds(_load_config(args.config)), args, "bounds")
-    return 0
 
 
 def _interp(args):
@@ -90,91 +108,61 @@ def _interp(args):
     if m < 2:
         raise ConfigError("--eval-grid must be at least 2")
     spline, part, p = build_configured_spline(cfg)
-    grid = np.linspace(part.knots[0], part.knots[-1], m)
     if args.format == "csv":
+        grid = np.linspace(part.knots[0], part.knots[-1], m)
         if args.order == 2:
-            header = "t,s"
-            cols = [grid, spline(grid)]
+            header, values = ("t", "s"), [spline(grid)]
         else:
-            header = "t,s,ds,d2s"
-            cols = [grid, spline(grid), spline(grid, order=1),
-                    spline(grid, order=2)]
-        lines = [header]
-        for i in range(m):
-            lines.append(",".join(_fmt(c[i]) for c in cols))
-        text = "\n".join(lines) + "\n"
+            header = ("t", "s", "ds", "d2s")
+            values = [spline(grid, order=r) for r in range(3)]
+        text = _csv(header, zip(grid, *values))
     else:
-        if args.order == 2:
-            doc = {"knots": spline.basis.knots.tolist(),
-                   "pairs": spline.basis.pairs.tolist(),
-                   "p": cfg.get("p", 0.0),
-                   "coefficients": spline.coeffs.tolist()}
-        else:
-            doc = {"knots": spline.knots.tolist(),
-                   "quads": spline.quads.quads.tolist(),
-                   "p": p,
-                   "coefficients": spline.coeffs.tolist()}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args.out, f"interp{args.order}",
-                    "csv" if args.format == "csv" else "json")
+        key, freqs = ("pairs", spline.basis.pairs) if args.order == 2 \
+            else ("quads", spline.quads.quads)
+        text = _json({"knots": part.knots, key: freqs, "p": p,
+                      "coefficients": spline.coeffs})
+    _output(args, text, args.format)
     return 0
 
 
 def _cmd_gram(args):
     gram, rhs, p = configured_gram(_load_config(args.config))
     if args.format == "csv":
-        lines = ["i,diag,sub,super,rhs"]
-        for i in range(gram.n):
-            sub = gram.sub[i - 1] if i >= 1 else None
-            sup = gram.sup[i] if i < gram.n - 1 else None
-            r = None if rhs is None else rhs[i]
-            lines.append(",".join([str(i), _fmt(gram.diag[i]), _fmt(sub),
-                                   _fmt(sup), _fmt(r)]))
-        text = "\n".join(lines) + "\n"
+        n = gram.n
+        text = _csv(("i", "diag", "sub", "super", "rhs"), zip(
+            range(n), gram.diag, [None, *gram.sub], [*gram.sup, None],
+            [None] * n if rhs is None else rhs))
     else:
-        doc = {"p": p, "diag": gram.diag.tolist(), "sub": gram.sub.tolist(),
-               "super": gram.sup.tolist(),
-               "rhs": None if rhs is None else rhs.tolist()}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args.out, "gram",
-                    "csv" if args.format == "csv" else "json")
+        text = _json({"p": p, "diag": gram.diag, "sub": gram.sub,
+                      "super": gram.sup, "rhs": rhs})
+    _output(args, text, args.format)
     return 0
 
 
 def _cmd_converge(args):
     study = convergence_study(_load_config(args.config))
-    doc = {"rows": [{k: (None if v is None else (int(v) if k == "n"
-                                                 else float(v)))
-                     for k, v in row.items() if k != "passed"}
-                    for row in study.rows],
-           "slope": study.slope, "kernel": study.kernel,
-           "order": study.order, "expected": list(study.expected),
-           "within_expected": study.within_expected}
     if args.format == "csv":
-        lines = [render_csv(study.rows).rstrip("\n")]
-        lines.append(f"# slope = {_fmt(study.slope)}, expected "
-                     f"[{study.expected[0]:g}, {study.expected[1]:g}], "
-                     f"kernel = {str(study.kernel).lower()}")
-        text = "\n".join(lines) + "\n"
+        text = _csv(_COLUMNS, map(_CELLS, study.rows)) + (
+            f"# slope = {_fmt(study.slope)}, expected "
+            f"[{study.expected[0]:g}, {study.expected[1]:g}], "
+            f"kernel = {str(study.kernel).lower()}\n")
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args.out, "converge",
-                    "csv" if args.format == "csv" else "json")
-    if study.kernel:
-        return 0
-    return 0 if study.within_expected else 2
+        text = _json({"rows": [{k: v for k, v in row.items()
+                                if k != "passed"} for row in study.rows],
+                      "slope": study.slope, "kernel": study.kernel,
+                      "order": study.order, "expected": study.expected,
+                      "within_expected": study.within_expected})
+    _output(args, text, args.format)
+    return 0 if study.kernel or study.within_expected else 2
 
 
 def _cmd_acceptance(args):
     results = acceptance_criteria()
     if args.format == "json":
-        doc = [{"index": r.index, "title": r.title, "passed": r.passed,
-                "detail": r.detail} for r in results]
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text, ext = _json([dataclasses.asdict(r) for r in results]), "json"
     else:
-        text = "\n".join(r.line() for r in results) + "\n"
-    _write_or_print(text, args.out, "acceptance",
-                    "json" if args.format == "json" else "txt")
+        text, ext = "\n".join(r.line() for r in results) + "\n", "txt"
+    _output(args, text, ext)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -200,7 +188,7 @@ def build_parser():
     sp = subs.add_parser("verify", parents=[], help="build interpolants and "
                          "check measured errors against certificates")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_report, run=run_verify)
 
     sp = subs.add_parser("interp2", help="piecewise exponential interpolant "
                          "of order 2: evaluation grid or coefficient dump")
@@ -215,7 +203,7 @@ def build_parser():
     sp = subs.add_parser("bounds", help="certificates only, no error "
                          "measurement")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_bounds)
+    sp.set_defaults(func=_cmd_report, run=run_bounds)
 
     sp = subs.add_parser("gram", help="dump the weighted tridiagonal Gram "
                          "system of the hat basis")

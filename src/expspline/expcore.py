@@ -24,11 +24,16 @@ with the diagonal reset to the exact exponentials after every squaring
 (Higham, SIMAX 2005; McCurdy, Ng and Parlett, Math. Comp. 1984).  Its
 relative error against the divided-difference oracle stays below about 3e-14
 for spreads of lambda*t up to several hundred and for clusters down to 1e-12
-relative separation.  Each point is computed independently of the others in
-its batch, to the bit.  So callers stack their rows: _phi_rows sends the
-points of both signs of t through one kernel call, and each step of a
-certificate or projection (omega's critical points, omega itself, the Gram
-integrals, the T/S ratios) makes one kernel call per frequency width.
+relative separation.  The two log-space routes, a pair whose direct product
+overflows (_phi_pair) and a row whose shift |mean*t| passes 690
+(_phi_corner_batch), are limited instead by the rounding of their exponents:
+their relative error is about eps * max|lambda*t|, which on sampled keys
+reached 1.6e-13 at |lambda*t| of 1400 and 4e-13 at 2800.  Each point is
+computed independently of the others in its batch, to the bit.  So callers
+stack their rows: _phi_rows sends the points of both signs of t through one
+kernel call, and each step of a certificate or projection (omega's critical
+points, omega itself, the Gram integrals, the T/S ratios) makes one kernel
+call per frequency width.
 """
 
 import math

@@ -1,6 +1,6 @@
 """End-to-end verification: analytic test functions, dense-grid error
-measurement against certificates, convergence studies, deterministic report
-emission, and the acceptance checklist.
+measurement against certificates, convergence studies and the acceptance
+checklist, returned as data for the command line to render.
 
 Everything here stays on the consumer side of the library API: errors are
 measured by sampling, certificates come from the bound constructors, and the
@@ -17,11 +17,9 @@ without them gets no max|LF|.  The spacing keeps the pad within 2.5e-7 of
 the sampled maximum.
 """
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -527,6 +525,11 @@ def _hats(level):
     return freqs, p
 
 
+def _end_slopes(tf, knots):
+    """F' at the first and the last knot: the clamp "exact" stands for."""
+    return [float(tf.evaluators[1](knots[i])) for i in (0, -1)]
+
+
 def _spline(norm, level):
     """The level's interpolant of the catalog function or the samples."""
     part, freqs, _ = level
@@ -536,7 +539,7 @@ def _spline(norm, level):
     if norm["order"] == 2:
         return interpolate2(freqs, values)
     if norm["clamp"] == "exact":
-        dl, dr = (float(tf.evaluators[1](knots[i])) for i in (0, -1))
+        dl, dr = _end_slopes(tf, knots)
     else:
         dl, dr = norm["clamp"]
     return build_interpolant4(part, freqs, values, dl, dr)
@@ -544,7 +547,10 @@ def _spline(norm, level):
 
 def _certificate(norm, level):
     """A level's row with its certificate columns and the measured ones
-    blank; a catalog function adds max|LF| and the bound."""
+    blank; a catalog function adds max|LF| and the bound.  The order-4
+    bound is that of the spline clamped at F's own end slopes, so a level
+    clamped at other slopes gets none, and its row names why in
+    no_bound."""
     part, freqs, _ = level
     basis, p = _hats(level)
     tf = norm["tf"]
@@ -553,11 +559,17 @@ def _certificate(norm, level):
            "M2_max": None, "M0_max": None, "bound": None,
            "empirical_error": None, "ratio": None, "passed": True}
     if norm["order"] == 4:
-        ml = 0.0 if tf is None else max_abs_L(tf, part, freqs.quads)
+        clamp = norm["clamp"]
+        exact = None if tf is None else _end_slopes(tf, part.knots)
+        certified = clamp in ("exact", exact)
+        ml = max_abs_L(tf, part, freqs.quads) if certified else 0.0
         cert = _error_bound4(part, freqs, None, ml, basis)
         row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
                    M0_max=cert.m0_max,
-                   bound=None if tf is None else cert.bound)
+                   bound=cert.bound if certified else None)
+        if tf is not None and not certified:
+            row["no_bound"] = (f"clamp {clamp} is not the end slopes "
+                               f"{exact} of {tf.name}")
         return row
     row["norm_bound"] = operator_norm_bound(basis, p)
     if tf is not None:
@@ -575,9 +587,10 @@ def _verify_row(norm, level):
     if norm["tf"] is not None:
         empirical = measure_error(norm["tf"], spline, level[0])
         bound = row["bound"]
-        row.update(empirical_error=empirical,
-                   ratio=empirical / bound if bound > 0.0 else None,
-                   passed=bool(empirical <= bound))
+        row["empirical_error"] = empirical
+        if bound is not None:
+            row.update(ratio=empirical / bound if bound > 0.0 else None,
+                       passed=bool(empirical <= bound))
     return row
 
 
@@ -667,66 +680,6 @@ def convergence_study(config):
     slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
     return ConvergenceStudy(rows=report.rows, slope=slope, kernel=False,
                             order=norm["order"], expected=expected)
-
-
-CSV_COLUMNS = ("n", "delta", "empirical_error", "bound", "ratio",
-               "norm_bound", "M0_max", "M2_max", "c_factor")
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return "%.12g" % float(value)
-
-
-def render_csv(rows):
-    """Fixed-format CSV for the verification rows; byte deterministic."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def render_json(report):
-    doc = {"config": _jsonable(report.config),
-           "rows": _jsonable(report.rows),
-           "passed": bool(report.passed)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def emit(report, fmt, outdir, stem="verify"):
-    """Write the report under outdir in the requested format and return the
-    path; identical reports produce identical bytes."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        payload = render_csv(report.rows)
-        path = outdir / f"{stem}.csv"
-    elif fmt == "json":
-        payload = render_json(report)
-        path = outdir / f"{stem}.json"
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    path.write_bytes(payload.encode("ascii"))
-    return path
 
 
 @dataclass

@@ -67,6 +67,11 @@ CASES = {
                  "knots": [0.0, 0.5, 1.0, 1.5], "order": 2,
                  "frequencies": {"pairs": [[-1.0, 1.0], [-0.5, 2.0],
                                            [0.0, 0.0]]}},
+    # clamped at (0, 0), not sin's end slopes (1, -1): the error is
+    # measured and no bound is printed
+    "inexact-clamp-sin": {"function": "sin", "domain": [0.0, math.pi],
+                          "n": [9, 17, 33], "order": 4, "clamp": [0.0, 0.0],
+                          "frequencies": {"xi": 1.0}},
     # refused by the slope system's condition gate
     "refused-ill-conditioned": {"function": "sin", "n": 300,
                                 "domain": [0.0, 59.8], "order": 4,

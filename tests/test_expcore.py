@@ -219,6 +219,60 @@ class TestOpitzKernel:
                               np.array([1.0]))
 
 
+def _assert_log_space_accuracy(rows, ts):
+    """_phi_rows against the oracle within 2 eps max|lambda*t|, twice the
+    accuracy the module docstring states for the log-space routes."""
+    got = _phi_rows(rows, ts)
+    with mp.workdps(150):
+        ref = np.array([float(mp_phi(r, t)) for r, t in zip(rows, ts)])
+    tol = 2.0 * np.finfo(float).eps * np.max(np.abs(rows * ts[:, None]),
+                                             axis=1)
+    assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
+
+
+class TestLogSpace:
+
+    def test_pair_whose_direct_product_overflows(self):
+        # |d*t| >= 720 makes sinhc(d*t) infinite: (-1440, 0) at t = 1 is
+        # about 1/1440; the random keys keep the larger exponent c*t small,
+        # with t of both signs
+        rng = np.random.default_rng(36)
+        t = rng.uniform(0.5, 2.0, 40) * rng.choice([-1.0, 1.0], 40)
+        c = rng.uniform(-50.0, 50.0, 40)
+        width = 2.0 * rng.uniform(720.0, 1400.0, 40) / np.abs(t)
+        far = c - np.sign(t) * width
+        rows = np.vstack([[-1440.0, 0.0],
+                          np.sort(np.column_stack([far, c]), axis=1)])
+        ts = np.append(1.0, t)
+        assert_allclose(_phi_rows(rows[:1], ts[:1]), 1.0 / 1440.0,
+                        rtol=1e-13)
+        _assert_log_space_accuracy(rows, ts)
+
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_row_whose_shift_passes_690(self, k):
+        # |mean * t| > 690 takes the shifted tail: (-1400, -700, 0) at t = 1
+        # is about 1.0204e-6; the random keys keep the centred exponents
+        # below 700 so the kernel itself stays finite
+        rng = np.random.default_rng(k)
+        x = np.column_stack([rng.uniform(-2100.0, -40.0, (4000, k - 1)),
+                             rng.uniform(-40.0, 8.0, 4000)])
+        x[:200] = rng.uniform(680.0, 698.0, (200, k))
+        x = np.sort(x, axis=1)
+        mean = x.mean(axis=1)
+        keep = (np.abs(mean) > 690.0) & (x[:, -1] - mean < 700.0) \
+            & (mean - x[:, 0] < 700.0)
+        assert keep[:200].sum() >= 5 and keep[200:].sum() >= 20
+        t = rng.uniform(0.5, 2.0, 4000)
+        rows = (x / t[:, None])[keep][:40]
+        ts = t[keep][:40]
+        if k == 3:
+            rows = np.vstack([[-1400.0, -700.0, 0.0], rows])
+            ts = np.append(1.0, ts)
+            assert_allclose(_phi_rows(rows[:1], ts[:1]), 1.0204081632653e-6,
+                            rtol=1e-12)
+        _assert_log_space_accuracy(rows, ts)
+
+
 class TestSinhc:
     def test_zero_dimensional_input_stays_an_array(self):
         out = _sinhc(np.asarray(0.3))

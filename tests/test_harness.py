@@ -501,14 +501,22 @@ class TestRunVerify:
         assert row["bound"] is None and row["empirical_error"] is None
         assert row["c_factor"] > 0.0
 
-    def test_wrong_clamp_violates_certificate(self):
-        # zero end slopes are not sin's derivatives, so the clamped-error
-        # certificate no longer applies and the report must say so
-        config = dict(SIN4_CONFIG, n=5, clamp=[0.0, 0.0],
+    def test_inexact_clamp_gets_no_certificate(self):
+        # zero end slopes are not sin's, and the certificate bounds only the
+        # spline clamped at F's own: the error is measured, no bound given
+        config = dict(SIN4_CONFIG, n=[5, 9], clamp=[0.0, 0.0],
                       frequencies={"xi": 0.0})
         report = run_verify(config)
-        assert not report.passed
-        assert report.rows[0]["ratio"] > 1.0
+        assert report.passed
+        for row in report.rows:
+            assert row["bound"] is None and row["ratio"] is None
+            assert row["empirical_error"] > 1e-2
+            assert row["no_bound"] == ("clamp [0.0, 0.0] is not the end "
+                                       "slopes [1.0, -1.0] of sin")
+        # sin's own end slopes, given by value, are certified
+        exact = run_verify(dict(config, clamp=[1.0, -1.0]))
+        assert exact.rows == run_verify(dict(config, clamp="exact")).rows
+        assert exact.rows[0]["bound"] > 0.0 and "no_bound" not in exact.rows[0]
 
     def test_per_interval_xi_list(self):
         config = {"function": "sin", "knots": [0.0, 1.0, 2.0, math.pi],
@@ -521,9 +529,10 @@ class TestRunBounds:
 
     @pytest.mark.parametrize("config", [SIN2_CONFIG, SIN4_CONFIG,
                                         WEIGHTED_CONFIG, SAMPLES2_CONFIG,
-                                        SAMPLES4_CONFIG],
+                                        SAMPLES4_CONFIG,
+                                        dict(SIN4_CONFIG, clamp=[0.0, 0.0])],
                              ids=["sin2", "sin4", "weighted", "samples2",
-                                  "samples4"])
+                                  "samples4", "inexact-clamp"])
     def test_rows_are_verify_rows_without_measurement(self, config):
         want = run_verify(config)
         for row in want.rows:
@@ -740,7 +749,7 @@ class TestEmission:
     def test_csv_bytes_deterministic(self, tmp_path, capsys):
         a = _main(["verify"], SIN2_CONFIG, tmp_path, capsys)
         b = _main(["verify"], SIN2_CONFIG, tmp_path, capsys)
-        assert a[1].encode() == b[1].encode() and a == b
+        assert a == b
 
     def test_emit_csv_and_json(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -894,10 +903,13 @@ class TestCli:
     def test_unknown_subcommand_is_exit_1(self, capsys):
         assert _main(["frobnicate"], None, None, capsys)[0] == 1
 
-    def test_bound_violation_is_exit_2(self, tmp_path, capsys):
-        config = dict(SIN4_CONFIG, n=5, clamp=[0.0, 0.0],
-                      frequencies={"xi": 0.0})
-        assert _main(["verify"], config, tmp_path, capsys)[0] == 2
+    def test_bound_violation_is_exit_2(self, monkeypatch, tmp_path, capsys):
+        # a measured error of 1 stands in for one past the bound
+        monkeypatch.setattr(harness, "measure_error", lambda *args: 1.0)
+        code, out, _ = _main(["verify"], dict(SIN4_CONFIG, n=5), tmp_path,
+                             capsys)
+        assert code == 2
+        assert float(out.splitlines()[1].split(",")[4]) > 1.0
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         config = {"function": "sin", "domain": [0.0, math.pi],
@@ -973,6 +985,15 @@ class TestCli:
         assert code == 0
         assert '"p": 0.0' in out
         assert math.copysign(1.0, json.loads(out)["p"]) == 1.0
+
+    def test_interp2_dump_prints_the_resolved_weight(self, tmp_path,
+                                                      capsys):
+        # "1" passes validation as the weight 1.0 the hats are built with
+        config = dict(SIN2_CONFIG, n=5, p="1")
+        for command in ("interp2", "gram"):
+            code, out, _ = _main([command, "--format", "json"], config,
+                                 tmp_path, capsys)
+            assert code == 0 and '"p": 1.0' in out
 
     def test_converge_exit_codes(self, tmp_path, capsys):
         code, out, _ = _main(["converge", "--format", "json"], SIN2_CONFIG,
