@@ -7,16 +7,22 @@ small grid and the json coefficient dump) and ``converge`` (csv and json;
 a config of fewer than three levels records the refusal).  For every case this writes
 ``configs/<name>.json`` and ``expected/<name>.json``, the latter holding
 each command's argv, exit code, stdout and stderr; ``versions.json``
-records the interpreter, numpy and numpy's CPU dispatch that produced
-them.  The files are only ever written by this script:
+records the interpreter, numpy, the SIMD targets this CPU runs and
+OpenBLAS's core that produced them.  ``digest.json`` pins the library
+below the CLI: per item of digest_items(), a replica of the verify4 bench
+generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
+bytes of the spline's coeffs, starts and taylor, of every error_bound4
+field and of max_abs_L.
+The files are only ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``tests/golden/test_golden.py`` replays every command in process and
-asks for the same bytes.
+``tests/golden/test_golden.py`` replays every command and every digest
+item in process and asks for the same bytes.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -102,15 +108,112 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the verify4 bench generator: the quadruple classes per size and the
+# catalog functions, each item on a uniform mesh of its function's domain
+_DIGEST_STRATA = {17: ("symmetric", "generic", "confluent"),
+                  65: ("symmetric", "generic", "confluent"),
+                  257: ("symmetric", "generic"),
+                  513: ("symmetric", "generic")}
+_DIGEST_FUNCS = ("sin", "cos", "gauss", "runge")
+_DIGEST_SEED = 91
+
+
+def _draw_quad(cls, rng):
+    """One quadruple of the class, drawn as the verify4 generator draws."""
+    if cls == "symmetric":
+        xi = rng.uniform(0.5, 4.0)
+        return (xi, -xi, xi, -xi)
+    if cls == "generic":
+        a = rng.uniform(0.5, 2.0)
+        b = a + rng.uniform(0.5, 2.0)
+        return (a, b, -a, -b)
+    eps = 10.0 ** rng.uniform(-9.0, -7.0)
+    return (1.0, 1.0 + eps, -1.0, -1.0 - eps)
+
+
+def digest_items():
+    """(name, function, n, quadruple) of every digest item: per size, class
+    and function one quadruple from a generator seeded with _DIGEST_SEED,
+    then runge at n = 32769, which pins the large mesh."""
+    rng = np.random.default_rng(_DIGEST_SEED)
+    items = [(f"n{n}-{cls}-{func}", func, n, _draw_quad(cls, rng))
+             for n, classes in _DIGEST_STRATA.items() for cls in classes
+             for func in _DIGEST_FUNCS]
+    items.append(("n32769-generic-runge", "runge", 32769,
+                  (1.3, 2.1, -1.3, -2.1)))
+    return items
+
+
+def _sha(value):
+    """sha256 of the float64 bytes of an array or a float."""
+    return hashlib.sha256(
+        np.ascontiguousarray(value, dtype=float).tobytes()).hexdigest()
+
+
+def digest_item(func, n, quad):
+    """The sha256 of each output of one item, run as the verify4 bench
+    runs it: build_interpolant4 with the function's end slopes, max_abs_L
+    and error_bound4 with the weight resolved from the quadruple."""
+    from expspline import (build_interpolant4, error_bound4,
+                           get_test_function, max_abs_L, quad_frequency_set)
+
+    tf = get_test_function(func)
+    a, b = tf.default_domain
+    knots = np.linspace(a, b, n)
+    qset = quad_frequency_set(n - 1, quads=quad)
+    slope = tf.evaluators[1]
+    spline = build_interpolant4(knots, qset, tf(knots),
+                                float(slope(np.array(a))),
+                                float(slope(np.array(b))))
+    ml = max_abs_L(tf, knots, list(qset.quads))
+    cert = error_bound4(knots, qset, None, ml)
+    out = {name: _sha(getattr(spline, name))
+           for name in ("coeffs", "starts", "taylor")}
+    out.update({f"cert.{f}": _sha(getattr(cert, f)) for f in (
+        "delta", "constant", "norm_bound", "m2_max", "m0_max", "bound")})
+    out["max_abs_L"] = _sha(ml)
+    return out
+
+
+def digest():
+    """Every digest item's hashes, by item name."""
+    return {name: {"function": func, "n": n, "quad": list(quad),
+                   **digest_item(func, n, quad)}
+            for name, func, n, quad in digest_items()}
+
+
+def _openblas_core():
+    """The core OpenBLAS picked at run time for numpy's BLAS, read from
+    the library itself; "unknown" when it exposes no such call.  A stacked
+    @ runs through its dgemm, whose last bits follow that core."""
+    import ctypes
+
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("lib*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_",
+                     "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def versions():
-    """The interpreter, numpy, and numpy's SIMD baseline and dispatch
-    targets: which loop a ufunc such as pow takes, and so the last bits of
-    some printed bounds, depends on the CPU."""
+    """The interpreter, numpy, numpy's SIMD baseline, the dispatch targets
+    this CPU runs and OpenBLAS's core: which loop a ufunc such as pow takes,
+    and so the last bits of some printed bounds, depends on the CPU."""
     from numpy._core import _multiarray_umath as umath
 
     return {"python": platform.python_version(), "numpy": np.__version__,
             "cpu_baseline": umath.__cpu_baseline__,
-            "cpu_dispatch": umath.__cpu_dispatch__}
+            "cpu_targets": [t for t in umath.__cpu_dispatch__
+                            if umath.__cpu_features__.get(t)],
+            "openblas_core": _openblas_core()}
 
 
 def _dump(path, doc):
@@ -130,6 +233,7 @@ def main():
             runs.append({"argv": argv, "code": code, "stdout": out,
                          "stderr": err})
         _dump(HERE / "expected" / f"{name}.json", runs)
+    _dump(HERE / "digest.json", digest())
     _dump(HERE / "versions.json", versions())
 
 

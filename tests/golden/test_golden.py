@@ -23,3 +23,20 @@ def test_cli_output_matches_the_golden_corpus():
                 misses.append(f"{path.stem}: {' '.join(want['argv'])}")
     assert not misses, (f"recorded with {recorded}, run with "
                         f"{regen.versions()}; differing runs: {misses}")
+
+
+def test_library_outputs_match_the_digest():
+    recorded = json.loads((regen.HERE / "versions.json").read_text())
+    want = json.loads((regen.HERE / "digest.json").read_text())
+    items = regen.digest_items()
+    assert set(want) == {name for name, *_ in items}
+    misses = []
+    for name, func, n, quad in items:
+        expected = want[name]
+        assert (expected["function"], expected["n"], expected["quad"]) \
+            == (func, n, list(quad))
+        got = regen.digest_item(func, n, quad)
+        misses += [f"{name}: {field}" for field in sorted(got)
+                   if got[field] != expected[field]]
+    assert not misses, (f"recorded with {recorded}, run with "
+                        f"{regen.versions()}; differing outputs: {misses}")
