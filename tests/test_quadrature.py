@@ -5,7 +5,21 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad as scipy_quad
 
-from expspline.quadrature import QuadratureError, integrate
+from expspline.quadrature import (_GL_NODES, _GL_WEIGHTS, QuadratureError,
+                                  integrate)
+
+
+def test_rule_is_leggauss_15():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    np.testing.assert_array_max_ulp(_GL_NODES, nodes, maxulp=1)
+    np.testing.assert_array_max_ulp(_GL_WEIGHTS, weights, maxulp=1)
+
+
+@pytest.mark.parametrize("k", range(30))
+def test_rule_integrates_monomials_exactly(k):
+    # 15 points are exact through degree 29
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    assert abs(float(np.dot(_GL_WEIGHTS, _GL_NODES ** k)) - exact) <= 1e-15
 
 
 def test_smooth_against_scipy():
