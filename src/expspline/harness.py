@@ -353,11 +353,12 @@ def max_abs_L(tf, partition, freq_sets):
     linear-interpolation error d^2/8 * sup|(L F)''|, the latter bounded
     from the catalog function's declared derivative bounds (see
     _lf_bounds); the result is never below the true supremum as long as
-    those bounds hold, and at most about 2.5e-7 relative above it.  One
-    grid covers all intervals.  A NaN value raises ValueError naming the
-    first such interval in mesh order; ragged frequency sets, a function
-    without declared bounds, or bounds that give no finite pad, raise
-    ValueError too.
+    those bounds hold, and at most about 2.5e-7 relative above it.  The
+    intervals are scanned in groups of _LF_GROUP, so memory stays near one
+    group's whatever the mesh; a small mesh is one group and one grid.  A
+    NaN value raises ValueError naming the first such interval in mesh
+    order; ragged frequency sets, a function without declared bounds, or
+    bounds that give no finite pad, raise ValueError too.
     """
     part = as_partition(partition)
     sets = _frequency_rows(freq_sets, "frequency set", part.n - 1)

@@ -234,14 +234,14 @@ def _tridiag(sub, diag, sup, rhs):
     saved, carry = [], None
     di, bi, zi = float(diag[0]), float(rhs[0]), 1.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # row i of U is (d_i, u_i, v_i) on columns i to i+2; zeros past the
-        # last row subtract only where gtsv has no term, which keeps its
-        # bits
+        # row i of U is (d_i, u_i, v_i) on columns i to i+2
         dk, uk, bk = diag[lo:hi + 1].tolist(), sup[lo:hi + 1].tolist(), \
             rhs[lo:hi + 1].tolist()
         if carry is not None:
             uk[0] = carry
         if hi == n - 1:
+            # zeros past the last row subtract only where gtsv has no term,
+            # which keeps its bits
             uk.append(0.0)
         vk, zk = [0.0] * (hi - lo + 1), [1.0] * (hi - lo + 1)
         for i, li in enumerate(sub[lo:hi].tolist()):
@@ -279,7 +279,8 @@ def _tridiag(sub, diag, sup, rhs):
         if not saved:
             break
         dk, uk, vk, bk, zk = (a.tolist() for a in saved.pop())
-    # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts with
+    # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts
+    # with: y_0 starts block 0's peak, and that peak starts peaks[::-1]
     x = xs[0] if len(xs) == 1 else np.concatenate(xs[::-1])
     return x, max(peaks[::-1]) * (1.0 + 4 * n * 2.0 ** -52)
 

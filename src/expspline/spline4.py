@@ -368,10 +368,9 @@ def _row_count(r):
 def _taylor_rows(x, state, rows, out=None):
     """Taylor coefficients (rows, N) at 0 of the kernel functions of x (N,
     4) with derivatives state (N, 4) of orders 0..3 there, in out when
-    given: (w_n)_0 with
-    w_(n+1) = Z w_n / (n+1), w_0 the weights on the prefix functions, (D -
-    x_(k-1))...(D - x_0) of the function at 0 (D - x_0 takes x_0 out of
-    every prefix).  With rows = _row_count(r), the first term dropped is
+    given: (w_n)_0 with w_(n+1) = Z w_n / (n+1), w_0 the weights on the
+    prefix functions, (D - x_(k-1))...(D - x_0) of the function at 0 (D -
+    x_0 takes x_0 out of every prefix).  With rows = _row_count(r), the first term dropped is
     below 0.5^15/15! = 2.3e-17 relative for max|x| u <= r, as in the
     kernel.  That holds for the value only: order r reads row n + r
     weighted by (n+1)...(n+r), so its first dropped term can be up to
@@ -409,8 +408,9 @@ def _assemble(part, quads, coeffs, ends):
     first = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(lengths.size), counts)
     sub = np.arange(owner.size) - first[owner]
-    # offsets from the stored starts: evaluation meets each series there
     starts = knots[owner] + sub * width[owner]
+    # tau and h - tau below are offsets from the stored starts: evaluation
+    # meets each series there
     state = np.empty((owner.size, 4))
     for b in _blocks(lengths.size):
         # a contiguous gather: a strided one sums in another order
@@ -531,6 +531,7 @@ def _clamped_coefficients(ends, values, d_left, d_right):
     # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
     inv = np.take(np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]])
                   / (d0[2] * dh[3] - d0[3] * dh[2]), back, axis=-1)
+    # F' and R' at tau = 0 and h
     (f0, r0), (fh, rh) = np.take(derivs[1, :, :2], back, axis=-1)
     known = np.array([y0 * f0 + y1 * r0, y0 * fh + y1 * rh])
     pair = orders[0, :, :2]
