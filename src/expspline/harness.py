@@ -312,8 +312,7 @@ def _lf_bounds(tf, part, sets, per_interval):
     # the first pass's maxima, then the bounds
     out = np.empty(m)
     for g in groups:
-        coeffs, curve, apriori = pads = _lf_pads(tf, sets[g], lefts[g],
-                                                 rights[g])
+        coeffs, curve, apriori = _lf_pads(tf, sets[g], lefts[g], rights[g])
         _check_interval_values(~np.isfinite(curve + apriori), knots,
                                f"derivative bounds of {tf.name!r} give no "
                                "finite pad", g.start)

@@ -291,8 +291,7 @@ def _blocks(size, block=_BUILD_BLOCK):
     """Slices over range(size) of block each, the last one taking in a
     lone last element, so that no slice holds one element unless size is
     1.  np.einsum sums over a one-row operand in another order than over a
-    longer one, and a ufunc may take another loop for a length-one axis,
-    so blocks keep the bits of the whole only this way."""
+    longer one, so blocks keep the bits of the whole only this way."""
     if size <= block:
         return [slice(0, size)] if size else []
     cuts = list(range(0, size, block)) + [size]

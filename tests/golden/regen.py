@@ -12,8 +12,7 @@ OpenBLAS's core that produced them.  ``digest.json`` pins the library
 below the CLI: per item of digest_items(), a replica of the verify4 bench
 generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
 bytes of the spline's coeffs, starts and taylor, of every error_bound4
-field and of max_abs_L.
-The files are only ever written by this script:
+field and of max_abs_L.  The files are only ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -198,7 +197,7 @@ def _openblas_core():
                      "scipy_openblas_get_corename", "openblas_get_corename"):
             corename = getattr(handle, name, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return "unknown"
 
