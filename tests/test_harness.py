@@ -238,10 +238,14 @@ class TestDeclaredBounds:
         with pytest.raises(ValueError, match="no derivative bounds"):
             max_abs_L(bare, (0.0, 1.0), [(1.0, -1.0, 1.0, -1.0)])
 
-    def test_non_finite_pad_raises(self):
+    def test_non_finite_pad_raises(self, monkeypatch):
         exp = get_test_function("exp")
         with pytest.raises(ValueError, match="no finite pad on interval 1 "):
             max_abs_L(exp, (0.0, 700.0, 800.0), [(1.0, -1.0)] * 2)
+        # in the second of two groups
+        monkeypatch.setattr(harness, "_LF_GROUP", 2)
+        with pytest.raises(ValueError, match="no finite pad on interval 2 "):
+            max_abs_L(exp, (0.0, 1.0, 2.0, 750.0, 800.0), [(1.0, -1.0)] * 4)
 
 
 class TestRigorousMaxAbsL:
@@ -390,11 +394,13 @@ class TestRigorousMaxAbsL:
             assert got.tobytes() == whole.tobytes(), (group, run)
 
     def test_groups_name_the_first_nan_interval(self, monkeypatch):
-        # NaN from t = 0.62 on: the first pass meets it at the left end of
-        # interval 7 of [0, 1] cut in 10, the grid in interval 6
+        # NaN on [0.61, 0.64) only: no left end or midpoint of [0, 1] cut
+        # in 10 meets it, so the grid of interval 6, in the group of
+        # intervals 6 and 7, finds it
         sin = get_test_function("sin")
         broken = dataclasses.replace(sin, evaluators=(lambda ts: np.where(
-            ts >= 0.62, np.nan, np.sin(ts)),) + sin.evaluators[1:])
+            (ts >= 0.61) & (ts < 0.64), np.nan, np.sin(ts)),)
+            + sin.evaluators[1:])
         knots = np.linspace(0.0, 1.0, 11)
         monkeypatch.setattr(harness, "_LF_GROUP", 2)
         with pytest.raises(ValueError, match="L F is NaN on interval 6 "):
