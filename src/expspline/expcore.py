@@ -329,7 +329,7 @@ def _apply_monic(coeffs, derivs):
     k = len(coeffs) - 1
     acc = np.array(derivs[k], dtype=float)
     for i in range(1, k + 1):
-        acc += coeffs[i] * np.asarray(derivs[k - i], dtype=float)
+        acc = acc + coeffs[i] * np.asarray(derivs[k - i], dtype=float)
     return acc
 
 

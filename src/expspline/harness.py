@@ -55,7 +55,6 @@ from .l2proj import (
 from .spline4 import (
     _EVAL_BLOCK,
     QuadFrequencySet,
-    _blocks,
     _error_bound4,
     build_interpolant4,
     quad_frequency_set,
@@ -97,15 +96,14 @@ _FACTORIALS = np.array([math.factorial(r) for r in range(7)], float)[:, None]
 _CRAMER = 1.086435
 
 
-# The bounds below use plain ufuncs and repeat: the wrappers np.clip and
-# np.broadcast_to cost more than the work on a one-interval mesh.
 def _nearest_zero(lefts, rights):
-    return np.minimum(np.maximum(np.asarray(lefts, float), 0.0), rights)
+    return np.clip(0.0, np.asarray(lefts, float), np.asarray(rights, float))
 
 
 def _constant_bounds(value):
     def bounds(lefts, rights):
-        return value(np.asarray(rights, float))[None].repeat(7, axis=0)
+        return np.broadcast_to(value(np.asarray(rights, float)),
+                               (7, np.size(rights)))
     return bounds
 
 
@@ -217,64 +215,14 @@ _PAD_FLOOR = 1e-12
 _ROUNDING = 64.0 * np.finfo(float).eps
 # Most segments of one interval's grid; past it the pad exceeds its target.
 _MAX_SEGMENTS = 2 ** 20
-# _lf_bounds takes the intervals in groups of _LF_GROUP and scans a group's
-# grid in runs of whole intervals of at most _LF_RUN points (an interval of
-# more alone): its temporaries stay near 5 MB whatever the mesh, and a
-# mesh of a few intervals is one run.
-_LF_GROUP = 2048
-_LF_RUN = 32768
 
 
-def _check_interval_values(bad, knots, what, start=0):
-    """Raise ValueError naming the first interval flagged in bad, which
-    flags the intervals from start on."""
+def _check_interval_values(bad, knots, what):
+    """Raise ValueError naming the first interval flagged in bad."""
     if bad.any():
-        j = start + int(np.argmax(bad))
+        j = int(np.argmax(bad))
         raise ValueError(f"{what} on interval {j} "
                          f"[{knots[j]:g}, {knots[j + 1]:g}]")
-
-
-def _lf_pads(tf, sets, lefts, rights):
-    """(coeffs, curve, apriori) of the intervals [lefts, rights] with
-    frequency rows sets (see _lf_bounds): c of each L_j as columns, B_j and
-    A_j."""
-    # columns: c of each L_j, then e of prod (D + |lambda_i|), e_i >= |c_i|
-    m, k = sets.shape
-    both = _monic_coefficients(np.concatenate([sets, -np.abs(sets)]).T)
-    coeffs = both[:, :m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dbound = np.asarray(tf.bounds(lefts, rights), dtype=float)
-        curve = _apply_monic(np.abs(coeffs), dbound[2:k + 3])
-        apriori = _apply_monic(both[:, m:], dbound[:k + 1])
-    return coeffs, curve, apriori
-
-
-def _lf_grid(tf, coeffs, lefts, rights, segments):
-    """max |L_j F| over segments[j] + 1 equally spaced points of each
-    interval [lefts[j], rights[j]], L_j from column j of coeffs, in runs of
-    whole intervals of at most _LF_RUN points (an interval of more alone)."""
-    counts = segments + 1
-    ends = np.cumsum(counts)
-    if counts.size > 1 and ends[-1] > _LF_RUN:
-        # the run from interval j stops before cut[j], the first interval
-        # that would take it past _LF_RUN points
-        cut = np.searchsorted(ends, ends - counts + _LF_RUN, side="right")
-        grid = np.empty(counts.size)
-        lo = 0
-        while lo < counts.size:
-            hi = max(lo + 1, int(cut[lo]))
-            grid[lo:hi] = _lf_grid(tf, coeffs[:, lo:hi], lefts[lo:hi],
-                                   rights[lo:hi], segments[lo:hi])
-            lo = hi
-        return grid
-    starts = ends - counts
-    owner = np.repeat(np.arange(counts.size), counts)
-    frac = (np.arange(ends[-1]) - starts[owner]) / segments[owner]
-    # exact at both ends: (1 - 0) a + 0 b = a and 0 a + 1 b = b
-    ts = (1.0 - frac) * lefts[owner] + frac * rights[owner]
-    vals = _apply_monic(np.repeat(coeffs, counts, axis=1),
-                        tf.derivatives(ts, coeffs.shape[0]))
-    return np.maximum.reduceat(np.abs(vals), starts)
 
 
 def _lf_bounds(tf, part, sets, per_interval):
@@ -292,12 +240,8 @@ def _lf_bounds(tf, part, sets, per_interval):
     from a first pass at the left ends and midpoints, so that the pad is at
     most _PAD_REL of the sampled maximum, the partition's or, with
     per_interval, the interval's own, and at least _PAD_FLOOR * A_j.
-
-    The intervals are taken in groups of _LF_GROUP, so memory stays near
-    one group's whatever the mesh.  One sweep over the groups checks the
-    pads and runs the first pass; a second recomputes each group's pads,
-    which a mesh of one group keeps from the first, and scans its grid in
-    runs of at most _LF_RUN points (_lf_grid).
+    The first pass and the grid each take one derivatives call over all
+    intervals, every point combining its own interval's coefficients.
     """
     knots = part.knots
     lefts, rights = knots[:-1], knots[1:]
@@ -308,39 +252,42 @@ def _lf_bounds(tf, part, sets, per_interval):
     if not 1 <= k <= 4:
         raise ValueError("max|LF| takes one to four frequencies per "
                          f"interval, got {k}")
-    groups = _blocks(m, _LF_GROUP)
-    # the first pass's maxima, then the bounds
-    out = np.empty(m)
-    for g in groups:
-        coeffs, curve, apriori = _lf_pads(tf, sets[g], lefts[g], rights[g])
-        _check_interval_values(~np.isfinite(curve + apriori), knots,
-                               f"derivative bounds of {tf.name!r} give no "
-                               "finite pad", g.start)
-        # a row of left ends and a row of midpoints
-        ends = np.concatenate([lefts[g], 0.5 * (lefts[g] + rights[g])])
-        vals = np.abs(_apply_monic(coeffs, tf.derivatives(
-            ends.reshape(2, -1), k + 1)))
-        np.maximum(vals[0], vals[1], out=out[g])
-    _check_interval_values(np.isnan(out), knots, "L F is NaN")
-    scale = None if per_interval else out.max()
-    for g in groups:
-        if len(groups) > 1:
-            coeffs, curve, apriori = _lf_pads(tf, sets[g], lefts[g],
-                                              rights[g])
-        widths = rights[g] - lefts[g]
-        target = np.maximum(_PAD_REL * (out[g] if scale is None else scale),
-                            _PAD_FLOOR * apriori)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            segments = np.ceil(widths * np.sqrt(curve / (8.0 * target)))
-        # fmax sends the NaN of 0/0 (g'' and the target both zero) to one
-        # segment
-        segments = np.fmin(np.fmax(segments, 1.0),
-                           _MAX_SEGMENTS).astype(np.intp)
-        grid = _lf_grid(tf, coeffs, lefts[g], rights[g], segments)
-        _check_interval_values(np.isnan(grid), knots, "L F is NaN", g.start)
-        np.add(grid + (widths / segments) ** 2 / 8.0 * curve,
-               _ROUNDING * apriori, out=out[g])
-    return out
+    # columns: c of each L_j, then e of prod (D + |lambda_i|), e_i >= |c_i|
+    both = _monic_coefficients(np.concatenate([sets, -np.abs(sets)]).T)
+    coeffs = both[:, :m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dbound = np.asarray(tf.bounds(lefts, rights), dtype=float)
+        curve = _apply_monic(np.abs(coeffs), dbound[2:k + 3])
+        apriori = _apply_monic(both[:, m:], dbound[:k + 1])
+    _check_interval_values(~np.isfinite(curve + apriori), knots,
+                           f"derivative bounds of {tf.name!r} give no "
+                           "finite pad")
+
+    # first pass: a row of left ends and a row of midpoints
+    ends = np.concatenate([lefts, 0.5 * (lefts + rights)]).reshape(2, m)
+    vals = np.abs(_apply_monic(coeffs, tf.derivatives(ends, k + 1)))
+    coarse = np.maximum(vals[0], vals[1])
+    _check_interval_values(np.isnan(coarse), knots, "L F is NaN")
+    scale = coarse if per_interval else np.max(coarse)
+    target = np.maximum(_PAD_REL * scale, _PAD_FLOOR * apriori)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        segments = np.ceil((rights - lefts) * np.sqrt(curve / (8.0 * target)))
+    # fmax sends the NaN of 0/0 (g'' and the target both zero) to one segment
+    segments = np.fmin(np.fmax(segments, 1.0), _MAX_SEGMENTS).astype(np.intp)
+
+    # the grid: segments[j] + 1 equally spaced points of interval j
+    counts = segments + 1
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(m), counts)
+    frac = (np.arange(counts.sum()) - starts[owner]) / segments[owner]
+    # exact at both ends: (1 - 0) a + 0 b = a and 0 a + 1 b = b
+    ts = (1.0 - frac) * lefts[owner] + frac * rights[owner]
+    vals = _apply_monic(np.repeat(coeffs, counts, axis=1),
+                        tf.derivatives(ts, k + 1))
+    grid = np.maximum.reduceat(np.abs(vals), starts)
+    _check_interval_values(np.isnan(grid), knots, "L F is NaN")
+    spacing = (rights - lefts) / segments
+    return grid + spacing ** 2 / 8.0 * curve + _ROUNDING * apriori
 
 
 def max_abs_L(tf, partition, freq_sets):
@@ -352,16 +299,15 @@ def max_abs_L(tf, partition, freq_sets):
     linear-interpolation error d^2/8 * sup|(L F)''|, the latter bounded
     from the catalog function's declared derivative bounds (see
     _lf_bounds); the result is never below the true supremum as long as
-    those bounds hold, and at most about 2.5e-7 relative above it.  The
-    intervals are scanned in groups of _LF_GROUP, so memory stays near one
-    group's whatever the mesh; a small mesh is one group and one grid.  A
-    NaN value raises ValueError naming the first such interval in mesh
-    order; ragged frequency sets, a function without declared bounds, or
-    bounds that give no finite pad, raise ValueError too.
+    those bounds hold, and at most about 2.5e-7 relative above it.  One
+    grid covers all intervals.  A NaN value raises ValueError naming the
+    first such interval in mesh order; ragged frequency sets, a function
+    without declared bounds, or bounds that give no finite pad, raise
+    ValueError too.
     """
     part = as_partition(partition)
     sets = _frequency_rows(freq_sets, "frequency set", part.n - 1)
-    return float(_lf_bounds(tf, part, sets, False).max())
+    return float(np.max(_lf_bounds(tf, part, sets, False)))
 
 
 # error_grid's uniform points over the domain and Chebyshev points per interval

@@ -208,10 +208,6 @@ def dominance_factor(gram):
     return float(np.max(off / diag))
 
 
-# rows of _tridiag's elimination held as Python floats at one time
-_TRIDIAG_BLOCK = 1024
-
-
 def _tridiag(sub, diag, sup, rhs):
     """(x, bound) for the tridiagonal system with subdiagonal sub, diagonal
     diag and superdiagonal sup: x by Gaussian elimination with partial
@@ -223,66 +219,38 @@ def _tridiag(sub, diag, sup, rhs):
     and 9), so max(y), y = <U>^-1 z, z = |L^-1| e, bounds every row sum of
     |A^-1|.  All terms of z and y are nonnegative and a path to an entry of
     y meets at most 6n roundings, so the computed max(y) is at least 1 - 3n
-    2^-52 times its exact value for these factors; bound adds 4n ulps.
-    Both passes take the rows as Python floats _TRIDIAG_BLOCK at a time;
-    between them U, the eliminated rhs and z of all but the last block
-    wait in float arrays."""
-    n = diag.size
-    # block k eliminates rows cuts[k] to cuts[k+1] - 1 and reads row
-    # cuts[k+1], whose u it may change: that u carries to block k+1
-    cuts = list(range(0, max(n - 1, 1), _TRIDIAG_BLOCK)) + [n - 1]
-    saved, carry = [], None
-    di, bi, zi = float(diag[0]), float(rhs[0]), 1.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # row i of U is (d_i, u_i, v_i) on columns i to i+2
-        dk, uk, bk = diag[lo:hi + 1].tolist(), sup[lo:hi + 1].tolist(), \
-            rhs[lo:hi + 1].tolist()
-        if carry is not None:
-            uk[0] = carry
-        if hi == n - 1:
-            # zeros past the last row subtract only where gtsv has no term,
-            # which keeps its bits
-            uk.append(0.0)
-        vk, zk = [0.0] * (hi - lo + 1), [1.0] * (hi - lo + 1)
-        for i, li in enumerate(sub[lo:hi].tolist()):
-            # gtsv swaps rows i and i+1 unless |d_i| >= |l_i|; a NaN keeps
-            # them
-            if abs(li) > abs(di):
-                fact, dn, bn = di / li, dk[i + 1], bk[i + 1]
-                di, dk[i], uk[i] = uk[i] - fact * dn, li, dn
-                vk[i], uk[i + 1] = uk[i + 1], -fact * uk[i + 1]
-                bk[i], bi, zk[i], zi = bn, bi - fact * bn, 1.0, zi + abs(fact)
-            elif di == 0.0:
-                raise np.linalg.LinAlgError("singular tridiagonal system")
-            else:
-                fact = li / di
-                dk[i], bk[i], zk[i] = di, bi, zi
-                di, bi, zi = dk[i + 1] - fact * uk[i], \
-                    bk[i + 1] - fact * bi, 1.0 + abs(fact) * zi
-        if hi < n - 1:
-            carry = uk[-1]
-            saved.append([np.array(a[:-1]) for a in (dk, uk, vk, bk, zk)])
+    2^-52 times its exact value for these factors; bound adds 4n ulps."""
+    # row i of U is (d_i, u_i, v_i) on columns i to i+2; zeros past the last
+    # row subtract only where gtsv has no term, which keeps its bits
+    d, u, b = diag.tolist(), sup.tolist() + [0.0], rhs.tolist()
+    n = len(d)
+    v, z = [0.0] * n, [1.0] * n
+    di, bi, zi = d[0], b[0], 1.0
+    for i, li in enumerate(sub.tolist()):
+        # gtsv swaps rows i and i+1 unless |d_i| >= |l_i|; a NaN keeps them
+        if abs(li) > abs(di):
+            fact, dn, bn = di / li, d[i + 1], b[i + 1]
+            di, d[i], u[i] = u[i] - fact * dn, li, dn
+            v[i], u[i + 1] = u[i + 1], -fact * u[i + 1]
+            b[i], bi, z[i], zi = bn, bi - fact * bn, 1.0, zi + abs(fact)
+        elif di == 0.0:
+            break
+        else:
+            fact = li / di
+            d[i], b[i], z[i] = di, bi, zi
+            di, bi, zi = d[i + 1] - fact * u[i], b[i + 1] - fact * bi, \
+                1.0 + abs(fact) * zi
     if di == 0.0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
-    # the last block's lists run to row n-1 and start the back substitution
-    dk[-1], uk[-1], bk[-1], zk[-1] = di, 0.0, bi, zi
-    xs, peaks, x1, x2, y1, y2 = [], [], 0.0, 0.0, 0.0, 0.0
-    while True:
-        xk, yk = [0.0] * len(dk), [0.0] * len(dk)
-        for i in range(len(dk) - 1, -1, -1):
-            di, ui, vi = dk[i], uk[i], vk[i]
-            x1, x2 = (bk[i] - ui * x1 - vi * x2) / di, x1
-            y1, y2 = (zk[i] + abs(ui) * y1 + abs(vi) * y2) / abs(di), y1
-            xk[i], yk[i] = x1, y1
-        xs.append(np.array(xk))
-        peaks.append(max(yk))
-        if not saved:
-            break
-        dk, uk, vk, bk, zk = (a.tolist() for a in saved.pop())
-    # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts
-    # with: y_0 starts block 0's peak, and that peak starts peaks[::-1]
-    x = xs[0] if len(xs) == 1 else np.concatenate(xs[::-1])
-    return x, max(peaks[::-1]) * (1.0 + 4 * n * 2.0 ** -52)
+    d[-1], u[-1], b[-1], z[-1] = di, 0.0, bi, zi
+    x, y, x1, x2, y1, y2 = [0.0] * n, [0.0] * n, 0.0, 0.0, 0.0, 0.0
+    for i in range(n - 1, -1, -1):
+        di, ui, vi = d[i], u[i], v[i]
+        x1, x2 = (b[i] - ui * x1 - vi * x2) / di, x1
+        y1, y2 = (z[i] + abs(ui) * y1 + abs(vi) * y2) / abs(di), y1
+        x[i], y[i] = x1, y1
+    # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts with
+    return np.array(x), max(y) * (1.0 + 4 * n * 2.0 ** -52)
 
 
 def tridiag_solve(gram):

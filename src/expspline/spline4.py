@@ -30,10 +30,6 @@ _COND_MAX = 1e12
 # temporaries (128 KiB each) stay in L2
 _EVAL_BLOCK = 16384
 
-# intervals or sub-pieces per block of the build's gathers (_blocks): the
-# first sub-pieces' (4, 4, block) operand stays at 0.5 MB
-_BUILD_BLOCK = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class QuadFrequencySet:
@@ -179,14 +175,7 @@ def _derivative_table(table, order):
 
 def _horner(table, idx, u, out=None):
     """Polynomial with coefficient rows table (degree+1, pieces) of piece
-    idx at u, one gathered row per step, accumulated in out when given;
-    idx None reads every piece in order, with no gather."""
-    if idx is None:
-        acc = np.array(table[-1])
-        for row in table[-2::-1]:
-            acc *= u
-            acc += row
-        return acc
+    idx at u, one gathered row per step, accumulated in out when given."""
     acc = np.take(table[-1], idx, out=out)
     for row in table[-2::-1]:
         acc *= u
@@ -287,34 +276,18 @@ def _lookup(knots, starts):
     return buckets, probe, steps
 
 
-def _blocks(size, block=_BUILD_BLOCK):
-    """Slices over range(size) of block each, the last one taking in a
-    lone last element, so that no slice holds one element unless size is
-    1.  np.einsum sums over a one-row operand in another order than over a
-    longer one, so blocks keep the bits of the whole only this way."""
-    if size <= block:
-        return [slice(0, size)] if size else []
-    cuts = list(range(0, size, block)) + [size]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-
 def _local_ends(quads, lengths):
-    """Local functions of every interval, from one kernel call at h over
-    the distinct (sorted quadruple, length) keys.
+    """Local functions of every interval, from one kernel call at h.
 
     x is the sorted quadruple, middle pair (x0, x1) first, M = (D - x0)(D -
     x1).  On [0, h], R = phi_m(tau)/phi_m(h) is the right flank of M, W_R =
     (Phi_x(tau) - Phi_x(h) R)/phi_o(h) solves M W = phi_o(tau)/phi_o(h)
     with zero ends (phi_o over (x2, x3)), and F, W_F are those of -x at h -
     tau, as Phi_x(-t) = (-1)^k Phi_(-x)(t) over k+1 frequencies.  Returns
-    (orders, weights, derivs, back) for the k keys: orders (2, k, 4), x and
-    -x; weights (2, k, 2, 4), (R, W_R) and (F, W_F) in their prefix
-    functions; derivs (4, 2, 4, k), orders 0..3 of (F, R, W_F, W_R) at tau
-    = 0 and h, W_R' from Phi' = x1 Phi + Phi_(x0, x2, x3) and phi_m' = x1
-    phi_m + exp(x0 tau) so that no large terms cancel; back (m,), the key
-    of each interval.  A reader gathers per interval only what it reads.
+    orders (2, m, 4), x and -x; weights (2, m, 2, 4), (R, W_R) and (F, W_F)
+    in their prefix functions; derivs (4, 2, 4, m), orders 0..3 of (F, R,
+    W_F, W_R) at tau = 0 and h, W_R' from Phi' = x1 Phi + Phi_(x0, x2, x3)
+    and phi_m' = x1 phi_m + exp(x0 tau) so that no large terms cancel.
     """
     sorted_quads = np.sort(quads, axis=1)
     reps, back = group_intervals(sorted_quads, lengths)
@@ -324,14 +297,15 @@ def _local_ends(quads, lengths):
     e = _phi_corner_batch(np.concatenate([*orders,
                                           *orders[..., [2, 3, 0, 1]]]),
                           np.tile(keys[:, 4], 4))
-    e_h, e_o = e.reshape(2, 2, -1, 4)
+    e_h, e_o = e.reshape(2, 2, -1, 4)[:, :, back.ravel()]
+    orders = orders[:, back.ravel()]
     x0, x1, _, x3 = np.moveaxis(orders, 2, 0)
     inv_m, inv_o = 1.0 / e_h[..., 1], 1.0 / e_o[..., 1]
     ratio = e_h[..., 3] * inv_m
     weights = np.zeros(orders.shape[:2] + (2, 4))
     weights[..., 0, 1], weights[..., 1, 3] = inv_m, inv_o
     weights[..., 1, 1] = -ratio * inv_o
-    # d[order, end, (R, W_R), side, key]; load = M (R, W_R)
+    # d[order, end, (R, W_R), side, j]; load = M (R, W_R)
     d = np.zeros((4, 2, 2) + inv_m.shape)
     load = np.zeros(d.shape)
     d[0, 1, 0] = load[0, 1, 1] = 1.0
@@ -344,8 +318,7 @@ def _local_ends(quads, lengths):
     d[..., 1, :] = d[:, ::-1, :, 1] * np.array([1.0, -1.0, 1.0, -1.0])[
         :, None, None, None]
     return orders, weights, np.stack([d[:, :, 0, 1], d[:, :, 0, 0],
-                                      d[:, :, 1, 1], d[:, :, 1, 0]],
-                                     axis=2), back
+                                      d[:, :, 1, 1], d[:, :, 1, 0]], axis=2)
 
 
 # r^n/n! for n = 1.._TAYLOR_TERMS at r = _TAYLOR_RADIUS, by the recurrence
@@ -364,12 +337,12 @@ def _row_count(r):
     return int(np.count_nonzero(terms > _TAIL)) + 4
 
 
-def _taylor_rows(x, state, rows, out=None):
+def _taylor_rows(x, state, rows):
     """Taylor coefficients (rows, N) at 0 of the kernel functions of x (N,
-    4) with derivatives state (N, 4) of orders 0..3 there, in out when
-    given: (w_n)_0 with w_(n+1) = Z w_n / (n+1), w_0 the weights on the
-    prefix functions, (D - x_(k-1))...(D - x_0) of the function at 0 (D -
-    x_0 takes x_0 out of every prefix).  With rows = _row_count(r), the first term dropped is
+    4) with derivatives state (N, 4) of orders 0..3 there: (w_n)_0 with
+    w_(n+1) = Z w_n / (n+1), w_0 the weights on the prefix functions, (D -
+    x_(k-1))...(D - x_0) of the function at 0 (D - x_0 takes x_0 out of
+    every prefix).  With rows = _row_count(r), the first term dropped is
     below 0.5^15/15! = 2.3e-17 relative for max|x| u <= r, as in the
     kernel.  That holds for the value only: order r reads row n + r
     weighted by (n+1)...(n+r), so its first dropped term can be up to
@@ -380,8 +353,8 @@ def _taylor_rows(x, state, rows, out=None):
         w.append(v[0])
         v = v[1:] - xk * v[:-1]
     w = np.stack(w, axis=1)
-    taylor = np.empty((rows, x.shape[0])) if out is None else out
-    for n in range(rows):
+    taylor = np.empty((rows, x.shape[0]))
+    for n in range(len(taylor)):
         taylor[n] = w[:, 0]
         nxt = x * w
         nxt[:, :-1] += w[:, 1:]
@@ -395,59 +368,46 @@ def _assemble(part, quads, coeffs, ends):
     at tau = 0, on the last from the series at tau = h run back, so the
     knots read the end values the build solved with, and elsewhere from
     each side, e(tau) Z^r (weights . (y_(j+1), b_j)) and the same in h -
-    tau with -Z for (y_j, a_j), e from the kernel.  ends are
-    _local_ends's per key; each kind of sub-piece gathers its intervals'
-    in _blocks, and the table is filled in the same blocks."""
-    orders, weights, derivs, back = ends
+    tau with -Z for (y_j, a_j), e from one kernel call."""
+    orders, weights, derivs = ends
     knots, lengths = part.knots, part.lengths
-    top = np.abs(orders[0]).max(axis=1)[back]
+    top = np.abs(orders[0]).max(axis=1)
     counts = np.maximum(1, np.ceil(top * lengths / _TAYLOR_RADIUS)).astype(int)
     width = lengths / counts
     rows = _row_count(np.max(top * width))
-    first = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(lengths.size), counts)
-    sub = np.arange(owner.size) - first[owner]
+    sub = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
     starts = knots[owner] + sub * width[owner]
-    # tau and h - tau below are offsets from the stored starts: evaluation
-    # meets each series there
+    # offsets from the stored starts: evaluation meets each series there
+    tau, rest = starts - knots[owner], knots[owner + 1] - starts
     state = np.empty((owner.size, 4))
-    for b in _blocks(lengths.size):
-        # a contiguous gather: a strided one sums in another order
-        state[first[b]] = np.einsum("jk,rkj->jr", coeffs[b], np.take(
-            derivs[:, 0], back[b], axis=-1))
-    last = (first + counts - 1)[counts > 1]
-    for b in _blocks(last.size):
-        p = last[b]
-        j = owner[p]
+    state[sub == 0] = np.einsum("jk,rkj->jr", coeffs, derivs[:, 0])
+    last = np.flatnonzero(sub == counts[owner] - 1)[counts > 1]
+    if last.size:
+        j = owner[last]
         # the full series, so that every kept row equals the full table's:
         # a shorter one rounds the derivatives it sets differently
-        at_h = _taylor_rows(orders[0, back[j]], np.einsum(
-            "jk,rkj->jr", coeffs[j], derivs[:, 1][..., back[j]]),
-            _TAYLOR_TERMS + 3)
-        rest = knots[j + 1] - starts[p]
-        state[p] = np.stack([_horner(_derivative_table(at_h, r), None,
-                                     -rest) for r in range(4)], axis=1)
-    inner = np.flatnonzero((sub > 0) & (sub < (counts - 1)[owner]))
-    for b in _blocks(inner.size):
-        p = inner[b]
-        j = owner[p]
-        key = back[j]
-        e = _phi_corner_batch(np.concatenate([orders[0, key], orders[1, key]]),
-                              np.concatenate([starts[p] - knots[j],
-                                              knots[j + 1] - starts[p]]))
+        at_h = _taylor_rows(orders[0, j], np.einsum(
+            "jk,rkj->jr", coeffs[j], derivs[:, 1][..., j]), _TAYLOR_TERMS + 3)
+        state[last] = np.stack([_horner(_derivative_table(at_h, r),
+                                        np.arange(j.size), -rest[last])
+                                for r in range(4)], axis=1)
+    inner = np.flatnonzero((sub > 0) & (sub < counts[owner] - 1))
+    if inner.size:
+        j = owner[inner]
+        e = _phi_corner_batch(np.concatenate([orders[0, j], orders[1, j]]),
+                              np.concatenate([tau[inner], rest[inner]]))
         c = np.einsum("jfs,sjfk->sjk", coeffs[j].reshape(-1, 2, 2)[..., ::-1],
-                      weights[:, key])
+                      weights[:, j])
         for r in range(4):
-            state[p, r] = np.einsum("spk,spk->p", e.reshape(c.shape), c)
-            nxt = orders[:, key] * c
+            state[inner, r] = np.einsum("spk,spk->p", e.reshape(c.shape), c)
+            nxt = orders[:, j] * c
             nxt[..., :-1] += c[..., 1:]
             c = nxt * np.array([1.0, -1.0])[:, None, None]
-    taylor = np.empty((rows, owner.size))
-    for b in _blocks(owner.size):
-        _taylor_rows(orders[0, back[owner[b]]], state[b], rows, taylor[:, b])
     buckets, probe, steps = _lookup(knots, starts)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
-                        starts=starts, taylor=taylor,
+                        starts=starts,
+                        taylor=_taylor_rows(orders[0, owner], state, rows),
                         buckets=buckets, probe=probe, steps=steps)
 
 
@@ -497,14 +457,28 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
     if values.shape != (part.n,):
         raise ValueError(f"need {part.n} values, got shape {values.shape}")
     d_left, d_right = float(d_left), float(d_right)
-    if not (np.all(np.isfinite(values)) and math.isfinite(d_left)
-            and math.isfinite(d_right)):
+    if not np.all(np.isfinite([*values, d_left, d_right])):
         raise ValueError("data must be finite")
 
     ends = _local_ends(quads.quads, part.lengths)
-    coeffs, cond = _clamped_coefficients(ends, values, d_left, d_right)
-    spline = _assemble(part, quads, coeffs, ends)
-    y0, y1 = values[:-1], values[1:]
+    (d0, dh), y0, y1 = ends[2][1], values[:-1], values[1:]
+    # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
+    inv = np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]]) \
+        / (d0[2] * dh[3] - d0[3] * dh[2])
+    known = np.array([y0 * d0[0] + y1 * d0[1], y0 * dh[0] + y1 * dh[1]])
+    sigma, pi = ends[0][0, :, :2].sum(axis=1), ends[0][0, :, :2].prod(axis=1)
+    # row k couples (m_(k-1), m_k, m_(k+1)): the clamps, C^2 at the others
+    rows = np.zeros((3, part.n))
+    rows[:, 1:-1] = (inv[1, 0, :-1], inv[1, 1, :-1] - inv[0, 0, 1:]
+                     + sigma[:-1] - sigma[1:], -inv[0, 1, 1:])
+    rows[1, [0, -1]] = 1.0
+    slopes, cond = _tridiagonal_solve(rows, np.concatenate([
+        [d_left], (pi[:-1] - pi[1:]) * y1[:-1]
+        + np.sum(inv[1, :, :-1] * known[:, :-1], axis=0)
+        - np.sum(inv[0, :, 1:] * known[:, 1:], axis=0), [d_right]]))
+    a, b = np.einsum("ikj,kj->ij", inv, np.array([slopes[:-1], slopes[1:]])
+                     - known)
+    spline = _assemble(part, quads, np.column_stack([y0, y1, a, b]), ends)
     # rounding at the right ends and joins grows with the local functions
     # (like exp(min|l| h) for a same-sign pair) and with the coefficients
     left, right = _knot_readback(spline)
@@ -519,34 +493,6 @@ def build_interpolant4(partition, quads, values, d_left, d_right):
             f"{miss:.3e} (data scale {scale:.3g}) or its C^2 joins by "
             f"{jump:.3e}; condition bound {cond:.3g}")
     return spline
-
-
-def _clamped_coefficients(ends, values, d_left, d_right):
-    """(coeffs, cond) of build_interpolant4: the (m, 4) rows (y_j,
-    y_(j+1), a_j, b_j) from the slope system and that system's condition
-    bound, each interval gathering its key's entries of ends."""
-    orders, _, derivs, back = ends
-    (d0, dh), y0, y1 = derivs[1], values[:-1], values[1:]
-    # (a_j, b_j) = inv_j (m_j - known_j[0], m_(j+1) - known_j[1])
-    inv = np.take(np.array([[dh[3], -d0[3]], [-dh[2], d0[2]]])
-                  / (d0[2] * dh[3] - d0[3] * dh[2]), back, axis=-1)
-    # F' and R' at tau = 0 and h
-    (f0, r0), (fh, rh) = np.take(derivs[1, :, :2], back, axis=-1)
-    known = np.array([y0 * f0 + y1 * r0, y0 * fh + y1 * rh])
-    pair = orders[0, :, :2]
-    sigma, pi = pair.sum(axis=1)[back], pair.prod(axis=1)[back]
-    # row k couples (m_(k-1), m_k, m_(k+1)): the clamps, C^2 at the others
-    rows = np.zeros((3, values.size))
-    rows[:, 1:-1] = (inv[1, 0, :-1], inv[1, 1, :-1] - inv[0, 0, 1:]
-                     + sigma[:-1] - sigma[1:], -inv[0, 1, 1:])
-    rows[1, [0, -1]] = 1.0
-    slopes, cond = _tridiagonal_solve(rows, np.concatenate([
-        [d_left], (pi[:-1] - pi[1:]) * y1[:-1]
-        + np.sum(inv[1, :, :-1] * known[:, :-1], axis=0)
-        - np.sum(inv[0, :, 1:] * known[:, 1:], axis=0), [d_right]]))
-    a, b = np.einsum("ikj,kj->ij", inv, np.array([slopes[:-1], slopes[1:]])
-                     - known)
-    return np.column_stack([y0, y1, a, b]), cond
 
 
 def _tridiagonal_solve(rows, rhs):
@@ -572,17 +518,15 @@ def spline4_eval(s, t, order=0):
 
 def _knot_readback(s):
     """Derivatives of orders 0..2 at the knots, each (n-1, 3): from the
-    left, the last sub-piece of each interval run to its right end, its
-    table rows gathered in _blocks; from the right, the first sub-piece of
-    each interval."""
+    left, the last sub-piece of each interval run to its right end; from
+    the right, the first sub-piece of each interval."""
     knots = s.knots
     first = np.searchsorted(s.starts, knots[:-1])
     last = np.append(first[1:], s.starts.size) - 1
-    left = np.empty((last.size, 3))
-    for b in _blocks(last.size):
-        table, u = s.taylor[:, last[b]], knots[1:][b] - s.starts[last[b]]
-        for r in range(3):
-            left[b, r] = _horner(_derivative_table(table, r), None, u)
+    table, every = s.taylor[:, last], np.arange(last.size)
+    left = np.stack([_horner(_derivative_table(table, r), every,
+                             knots[1:] - s.starts[last]) for r in range(3)],
+                    axis=1)
     return left, s.taylor[:3, first].T * np.array([1.0, 1.0, 2.0])
 
 

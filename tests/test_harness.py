@@ -179,16 +179,6 @@ def _count_points(tf):
         tf, evaluators=(counted,) + tf.evaluators[1:]), seen
 
 
-def _traced_peak(call):
-    """tracemalloc's peak, in bytes, over call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _dense_scan(tf, knots, quad, per=2 ** 16):
     """max |L F| over per equally spaced points of every interval.
 
@@ -238,14 +228,10 @@ class TestDeclaredBounds:
         with pytest.raises(ValueError, match="no derivative bounds"):
             max_abs_L(bare, (0.0, 1.0), [(1.0, -1.0, 1.0, -1.0)])
 
-    def test_non_finite_pad_raises(self, monkeypatch):
+    def test_non_finite_pad_raises(self):
         exp = get_test_function("exp")
         with pytest.raises(ValueError, match="no finite pad on interval 1 "):
             max_abs_L(exp, (0.0, 700.0, 800.0), [(1.0, -1.0)] * 2)
-        # in the second of two groups
-        monkeypatch.setattr(harness, "_LF_GROUP", 2)
-        with pytest.raises(ValueError, match="no finite pad on interval 2 "):
-            max_abs_L(exp, (0.0, 1.0, 2.0, 750.0, 800.0), [(1.0, -1.0)] * 4)
 
 
 class TestRigorousMaxAbsL:
@@ -375,45 +361,6 @@ class TestRigorousMaxAbsL:
         assert row["norm_bound"] > 3.0 and row["M0_max"] > 0.0
         assert len(searches) == 1
 
-    @pytest.mark.parametrize("per_interval", (False, True))
-    @pytest.mark.parametrize("name", ("sin", "gauss", "runge"))
-    def test_groups_and_runs_keep_the_bits(self, monkeypatch, name,
-                                           per_interval):
-        # groups of two or three intervals and runs down to one interval
-        # give the bytes of one group and one run
-        tf = get_test_function(name)
-        knots = np.linspace(*tf.default_domain, 40)
-        rng = np.random.default_rng(3)
-        sets = rng.uniform(-3.0, 3.0, (39, 2))
-        part = Partition(knots)
-        whole = harness._lf_bounds(tf, part, sets, per_interval)
-        for group, run in ((2, 1), (2, 300), (5, 1000), (7, 10 ** 6)):
-            monkeypatch.setattr(harness, "_LF_GROUP", group)
-            monkeypatch.setattr(harness, "_LF_RUN", run)
-            got = harness._lf_bounds(tf, part, sets, per_interval)
-            assert got.tobytes() == whole.tobytes(), (group, run)
-
-    def test_groups_name_the_first_nan_interval(self, monkeypatch):
-        # NaN on [0.61, 0.64) only: no left end or midpoint of [0, 1] cut
-        # in 10 meets it, so the grid of interval 6, in the group of
-        # intervals 6 and 7, finds it
-        sin = get_test_function("sin")
-        broken = dataclasses.replace(sin, evaluators=(lambda ts: np.where(
-            (ts >= 0.61) & (ts < 0.64), np.nan, np.sin(ts)),)
-            + sin.evaluators[1:])
-        knots = np.linspace(0.0, 1.0, 11)
-        monkeypatch.setattr(harness, "_LF_GROUP", 2)
-        with pytest.raises(ValueError, match="L F is NaN on interval 6 "):
-            max_abs_L(broken, knots, [(1.0, -1.0)] * 10)
-
-    def test_memory_stays_near_one_group(self):
-        # one grid over all intervals peaked at 16.2 MB here
-        tf = get_test_function("runge")
-        knots = np.linspace(-1.0, 1.0, 32769)
-        sets = np.tile(QUADS["generic"], (knots.size - 1, 1))
-        peak = _traced_peak(lambda: max_abs_L(tf, knots, sets))
-        assert peak <= 5 * 2 ** 20
-
 
 class TestErrorGrid:
 
@@ -512,22 +459,6 @@ class TestErrorGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
-
-    def test_build_memory_stays_near_the_spline(self):
-        # per-interval local functions peaked at 18.6 MB here, 10.6 times
-        # the spline's arrays; under tracemalloc the slope solve's Python
-        # floats make n = 32769 take 2 s
-        tf = get_test_function("runge")
-        knots = np.linspace(-1.0, 1.0, 16385)
-        qset = quad_frequency_set(knots.size - 1, quads=QUADS["generic"])
-        values, slope = tf(knots), tf.evaluators[1]
-        box = []
-        peak = _traced_peak(lambda: box.append(build_interpolant4(
-            knots, qset, values, float(slope(knots[0])),
-            float(slope(knots[-1])))))
-        own = sum(getattr(box[0], name).nbytes for name in (
-            "coeffs", "starts", "taylor", "buckets", "probe"))
-        assert peak <= 3 * own
 
 
 class TestRunVerify:

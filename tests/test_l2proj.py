@@ -384,26 +384,6 @@ class TestDominanceAndSolve:
                 assert_allclose(bound, _lu_bound(sub, diag, sup), rtol=1e-12)
         assert pivoted > 300
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_blocks_keep_gtsvs_bits(self, monkeypatch, block):
-        # short blocks put row swaps on every block boundary: the solution
-        # keeps gtsv's bits and the bound is the one block's
-        rng = np.random.default_rng(block)
-        for n in [1, 2, 3, 4, 8, 9, 15, 16, 17, 50]:
-            sub, sup = rng.standard_normal((2, n - 1))
-            diag, rhs = rng.standard_normal((2, n))
-            weak = np.flatnonzero(rng.random(n - 1) < 0.4)
-            diag[weak] = 0.1 * sub[weak]
-            pad = [0.0] if n == 1 else []
-            *_, want, info = dgtsv(np.append(sub, pad), diag,
-                                   np.append(sup, pad), rhs)
-            assert info == 0
-            bound = l2proj._tridiag(sub, diag, sup, rhs)[1]
-            monkeypatch.setattr(l2proj, "_TRIDIAG_BLOCK", block)
-            x, got = l2proj._tridiag(sub, diag, sup, rhs)
-            monkeypatch.undo()
-            assert x.tobytes() == want.tobytes() and got == bound, n
-
     def test_bound_is_the_inverse_norm_of_an_m_matrix(self):
         # diagonally dominant, nonpositive couplings: no pivoting, the
         # comparison matrix of U is U and inv(A) >= 0, so the bound is

@@ -602,45 +602,6 @@ def _probe_points(s, rng, count):
          np.nextafter(b, -np.inf)]])
 
 
-class TestBuildBlocks:
-    # a graded mesh whose intervals hold one to four sub-pieces, so that
-    # the first, last and inner kinds all span several short blocks, some
-    # ending in a lone element
-    knots = np.cumsum(np.concatenate([[0.0], 1.12 ** np.arange(31)]))
-    knots *= 4.0 / knots[-1]
-    quad = (1.1, 3.9, -1.1, -3.9)
-
-    def _build(self):
-        tf = get_test_function("sin")
-        return build_interpolant4(self.knots, quad_frequency_set(
-            self.knots.size - 1, quads=self.quad), tf(self.knots), 1.0,
-            math.cos(4.0))
-
-    def test_kinds_span_several_blocks(self):
-        s = self._build()
-        counts = np.diff(np.searchsorted(s.starts, s.knots))
-        assert set(counts.tolist()) == {1, 2, 3, 4}
-
-    @pytest.mark.parametrize("block", [2, 3, 5])
-    def test_blocks_keep_the_bits(self, monkeypatch, block):
-        whole = self._build()
-        real = spline4._blocks
-        monkeypatch.setattr(spline4, "_blocks",
-                            lambda size: real(size, block))
-        got = self._build()
-        for name in ("coeffs", "starts", "taylor", "buckets", "probe"):
-            assert getattr(got, name).tobytes() \
-                == getattr(whole, name).tobytes(), name
-        assert smoothness_report(got).tobytes() \
-            == smoothness_report(whole).tobytes()
-
-    def test_lone_last_element_joins_the_block_before(self):
-        assert spline4._blocks(7, 3) == [slice(0, 3), slice(3, 7)]
-        assert spline4._blocks(6, 3) == [slice(0, 3), slice(3, 6)]
-        assert spline4._blocks(1, 3) == [slice(0, 1)]
-        assert spline4._blocks(0, 3) == []
-
-
 class TestPieceLookup:
     GRADED = np.concatenate([[0.0], np.cumsum(1.3 ** np.arange(40))])
 
