@@ -133,13 +133,16 @@ def _draw_quad(cls, rng):
 def digest_items():
     """(name, function, n, quadruple) of every digest item: per size, class
     and function one quadruple from a generator seeded with _DIGEST_SEED,
-    then runge at n = 32769, which pins the large mesh."""
+    then runge at n = 32769, which pins the large mesh, and two stiff items
+    of 6 and 5 sub-pieces per interval, which pin the inner sub-pieces."""
     rng = np.random.default_rng(_DIGEST_SEED)
     items = [(f"n{n}-{cls}-{func}", func, n, _draw_quad(cls, rng))
              for n, classes in _DIGEST_STRATA.items() for cls in classes
              for func in _DIGEST_FUNCS]
     items.append(("n32769-generic-runge", "runge", 32769,
                   (1.3, 2.1, -1.3, -2.1)))
+    items.append(("n9-stiff-sin", "sin", 9, (6.0, -7.0, -6.0, 7.0)))
+    items.append(("n17-stiff-gauss", "gauss", 17, (9.0, -10.0, -9.0, 10.0)))
     return items
 
 
