@@ -128,13 +128,13 @@ def _interp(args):
 def _cmd_gram(args):
     gram, rhs, p = configured_gram(_load_config(args.config))
     if args.format == "csv":
-        n = gram.n
+        n = gram.diag.size
         text = _csv(("i", "diag", "sub", "super", "rhs"), zip(
-            range(n), gram.diag, [None, *gram.sub], [*gram.sup, None],
+            range(n), gram.diag, [None, *gram.off], [*gram.off, None],
             [None] * n if rhs is None else rhs))
     else:
-        text = _json({"p": p, "diag": gram.diag, "sub": gram.sub,
-                      "super": gram.sup, "rhs": rhs})
+        text = _json({"p": p, "diag": gram.diag, "sub": gram.off,
+                      "super": gram.off, "rhs": rhs})
     _output(args, text, args.format)
     return 0
 

@@ -722,7 +722,7 @@ def _criterion_gram():
                 g = gram_assemble(basis, p)
                 for (i, j), closed in (((0, 0), g.diag[0]),
                                        ((1, 1), g.diag[1]),
-                                       ((0, 1), g.sub[0])):
+                                       ((0, 1), g.off[0])):
                     direct, _ = integrate(
                         lambda ts: hat_eval(basis, i, ts)
                         * hat_eval(basis, j, ts) * np.exp(p * ts),
@@ -734,7 +734,7 @@ def _criterion_gram():
     g = gram_assemble(basis, 0.0)
     poly_dev = max(
         float(np.max(np.abs(g.diag[1:-1] - 2 * h / 3))) / (2 * h / 3),
-        float(np.max(np.abs(g.sub - h / 6))) / (h / 6),
+        float(np.max(np.abs(g.off - h / 6))) / (h / 6),
         abs(g.diag[0] - h / 3) / (h / 3), abs(g.diag[-1] - h / 3) / (h / 3))
     ok = worst <= 1e-9 and poly_dev <= 1e-12
     return ok, f"closed vs quadrature {worst:.3e} (limit 1e-09), " \

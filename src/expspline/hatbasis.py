@@ -106,7 +106,7 @@ def _frequency_rows(rows, what, m, width=None):
 
 
 def _flank_ends(lam0, lam1, y):
-    """(s, d, big, sinhc_y): the factors of _phi_ratio that do not depend
+    """(s, d, big, sinhc_y): the factors of _flank_ratio that do not depend
     on x, for pairs and ends y broadcast together.  2s = lam0+lam1, 2d =
     lam1-lam0, big marks |d y| >= 350, and sinhc_y is sinhc(d y), or its
     log where big."""
@@ -122,7 +122,8 @@ def _flank_ends(lam0, lam1, y):
 
 def _flank_ratio(ends, x, y):
     """phi(x)/phi(y) at x between 0 and y from ends = _flank_ends(lam0,
-    lam1, y), all broadcast against x.  As |x| <= |y|, |d x| stays below
+    lam1, y), all broadcast against x: phi(t) = t exp(s t) sinhc(d t), so
+    exp enters only as exp(s (x - y)).  As |x| <= |y|, |d x| stays below
     350 where |d y| does, so big picks the log-space ratio for x too."""
     s, d, big, sinhc_y = ends
     ux = d * x
@@ -135,18 +136,6 @@ def _flank_ratio(ends, x, y):
         ratio[big] = sign * np.exp(_log_sinhc(ux[big])
                                    - np.broadcast_to(sinhc_y, ux.shape)[big])
     return (x / y) * np.exp(s * (x - y)) * ratio
-
-
-def _phi_ratio(lam0, lam1, x, y):
-    """phi(x)/phi(y) for the pair function at x between 0 and y (|x| <=
-    |y|), stable for large frequency loads.
-
-    Uses phi(t) = t exp(s t) sinhc(d t) with 2s = lam0+lam1, 2d = lam1-lam0,
-    so the exponential factor enters only through exp(s (x - y)).  All four
-    arguments broadcast against each other; pairs with |d y| >= 350 take
-    the ratio of sinhc in log space.
-    """
-    return _flank_ratio(_flank_ends(lam0, lam1, y), x, y)
 
 
 @dataclass(eq=False)

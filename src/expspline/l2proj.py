@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expcore import _phi_rows, fundamental_eval
-from .hatbasis import SplineOrder2, _phi_ratio
+from .hatbasis import SplineOrder2, _flank_ends, _flank_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 _TINY_H = 1e-100
@@ -37,20 +37,20 @@ class DominanceError(RuntimeError):
             f"{t_value:.6g} >= 1")
 
 
-@dataclass
-class GramSystem:
-    """Tridiagonal normal equations of a hat basis.
+def _finite_p(p):
+    """The weight exponent p as a float; a non-finite p raises ValueError."""
+    p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(f"weight exponent p must be finite, got {p}")
+    return p
 
-    sub[i] couples knots i and i+1 below the diagonal, sup[i] above; both
-    equal here since the form is symmetric, but they are kept separate so the
-    solver handles either convention.
-    """
-    n: int
+
+@dataclass(frozen=True, eq=False)
+class GramSystem:
+    """Symmetric tridiagonal Gram matrix of a hat basis: diag (n,) and off
+    (n-1,), off[i] coupling knots i and i+1 below and above the diagonal."""
     diag: np.ndarray = field(repr=False)
-    sub: np.ndarray = field(repr=False)
-    sup: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    p: float = 0.0
+    off: np.ndarray = field(repr=False)
 
 
 def _phi(ts, *groups):
@@ -80,11 +80,11 @@ def gram_assemble(basis, p):
     through its (pair, length) key and the weight w0 = exp(p t_j) at its
     left end only, so they are found once per distinct key and w0 scales
     them per interval: phi(h) and phi(-h) in one _phi_rows call, the three
-    four-frequency integrals in one kernel call.
+    four-frequency integrals in one kernel call.  A non-finite p raises
+    ValueError.
     """
-    p = float(p)
+    p = _finite_p(p)
     knots = basis.knots
-    n = basis.n
     reps, inverse = basis.groups
     l0, l1 = basis.pairs[reps].T
     h = basis.partition.lengths[reps]
@@ -100,12 +100,10 @@ def gram_assemble(basis, p):
                         cross, phi_h * phi_mh])
     i_right, sq_mh, i_left, sq_h, cross, prod = per_key[:, inverse]
     w0 = np.array([math.exp(p * t) for t in knots[:-1].tolist()])
-    diag = np.zeros(n)
+    diag = np.zeros(basis.n)
     diag[:-1] += w0 * i_right / sq_mh
     diag[1:] += w0 * i_left / sq_h
-    sub = w0 * cross / prod
-    return GramSystem(n=n, diag=diag, sub=sub, sup=sub.copy(),
-                      rhs=np.zeros(n), p=p)
+    return GramSystem(diag=diag, off=w0 * cross / prod)
 
 
 def _flank_ratios(name, lam0, lam1, p, h, parts):
@@ -191,7 +189,7 @@ def abcd_quadrature(lam0, lam1, p, h):
 
 
 def dominance_factor(gram):
-    """Largest row ratio (|sub| + |sup|)/diag with zero boundary couplings.
+    """Largest row ratio (|off_(i-1)| + |off_i|)/diag_i, off 0 past the ends.
 
     A diagonal entry at or below zero, which the closed form gives only by
     underflow, raises LinAlgError naming the first such row."""
@@ -201,11 +199,10 @@ def dominance_factor(gram):
         i = int(bad[0])
         raise np.linalg.LinAlgError(
             f"Gram diagonal must be positive: row {i} is {float(diag[i])!r}")
-    n = gram.n
-    off = np.zeros(n)
-    off[:-1] += np.abs(gram.sup)
-    off[1:] += np.abs(gram.sub)
-    return float(np.max(off / diag))
+    couple, row = np.abs(gram.off), np.zeros(diag.size)
+    row[:-1] += couple
+    row[1:] += couple
+    return float(np.max(row / diag))
 
 
 def _tridiag(sub, diag, sup, rhs):
@@ -253,17 +250,19 @@ def _tridiag(sub, diag, sup, rhs):
     return np.array(x), max(y) * (1.0 + 4 * n * 2.0 ** -52)
 
 
-def tridiag_solve(gram):
-    """Solve the tridiagonal system by _tridiag (Gaussian elimination with
-    partial pivoting) and check the residual.
+def tridiag_solve(sub, diag, sup, rhs):
+    """Solve the tridiagonal system with subdiagonal sub, diagonal diag and
+    superdiagonal sup for rhs by _tridiag (Gaussian elimination with partial
+    pivoting) and check the residual.
 
-    Non-finite entries raise ValueError.  A singular system, a non-finite
-    solution or a residual above 1e-12 * ||rhs|| raises LinAlgError.
+    Inconsistent shapes and non-finite entries raise ValueError.  A
+    singular system, a non-finite solution or a residual above 1e-12 *
+    ||rhs|| raises LinAlgError.
     """
-    n = gram.n
-    diag, sub, sup, rhs = (np.asarray(x, dtype=float) for x in
-                           (gram.diag, gram.sub, gram.sup, gram.rhs))
-    if diag.shape != (n,) or rhs.shape != (n,) or sub.shape != (n - 1,) \
+    sub, diag, sup, rhs = (np.asarray(x, dtype=float) for x in
+                           (sub, diag, sup, rhs))
+    n = diag.size
+    if diag.ndim != 1 or rhs.shape != (n,) or sub.shape != (n - 1,) \
             or sup.shape != (n - 1,):
         raise ValueError("inconsistent system shapes")
     if not all(np.isfinite(x).all() for x in (diag, sub, sup, rhs)):
@@ -342,9 +341,7 @@ class ProjectionResult:
     coeffs: np.ndarray = field(repr=False)
     c: float = 0.0
     norm_bound: float = math.inf
-
     basis: object = None
-    p: float = 0.0
 
     @property
     def spline(self):
@@ -375,9 +372,9 @@ def _load_vector(basis, g, p):
     # row 0 holds the falling flanks, anchored at b, row 1 the rising ones
     anchor = np.stack([b, a])
     y = np.stack([a - b, b - a])
-    lam0, lam1 = basis.pairs.T
-    flanks = _phi_ratio(lam0[:, None], lam1[:, None], ts - anchor[..., None],
-                        y[..., None]).reshape(2, -1)
+    lam0, lam1 = basis.pairs.T[..., None]
+    flanks = _flank_ratio(_flank_ends(lam0, lam1, y[..., None]),
+                          ts - anchor[..., None], y[..., None]).reshape(2, -1)
     ts = ts.ravel()
     vals = flanks * g(ts) * np.exp(p * ts)
     panel = half * (vals.reshape(2, *half.shape, -1) @ _GL_WEIGHTS)
@@ -386,9 +383,9 @@ def _load_vector(basis, g, p):
         ok = np.isfinite(coarse) & np.isfinite(fine) & (
             np.abs(fine - coarse) <= np.maximum(1e-11, 1e-10 * np.abs(fine)))
     for k, j in zip(*np.nonzero(~ok)):
-        lam0, lam1 = basis.pairs[j]
+        ends = _flank_ends(*basis.pairs[j], y[k, j])
         fine[k, j] = integrate(
-            lambda t: _phi_ratio(lam0, lam1, t - anchor[k, j], y[k, j])
+            lambda t: _flank_ratio(ends, t - anchor[k, j], y[k, j])
             * g(t) * np.exp(p * t), a[j], b[j])[0]
     rhs = np.zeros(basis.n)
     rhs[:-1] += fine[0]
@@ -400,20 +397,19 @@ def project(basis, g, p):
     """Weighted best approximation of g from the hat span.
 
     g must accept arrays.  The load vector comes from one Gauss-Legendre
-    pass over every flank, adaptive only where that fails, the solve from
-    the closed-form Gram matrix.  When the basis admits no dominance-based
-    norm bound the projection is still returned, with norm_bound set to
-    inf.
+    pass over every flank, adaptive only where that fails, and is passed
+    with the closed-form Gram matrix to tridiag_solve; nothing given is
+    modified.  When the basis admits no dominance-based norm bound the
+    projection is still returned, with norm_bound set to inf.
     """
-    p = float(p)
     gram = gram_assemble(basis, p)
-    gram.rhs = _load_vector(basis, g, p)
-    coeffs = tridiag_solve(gram)
+    coeffs = tridiag_solve(gram.off, gram.diag, gram.off,
+                           _load_vector(basis, g, p))
     c_factor = dominance_factor(gram)
     try:
         norm_bound = operator_norm_bound(basis, p)
     except DominanceError:
         norm_bound = math.inf
     return ProjectionResult(coeffs=coeffs, c=c_factor, norm_bound=norm_bound,
-                            basis=basis, p=p)
+                            basis=basis)
 

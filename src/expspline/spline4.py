@@ -20,7 +20,7 @@ from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
 from .hatbasis import (Partition, _frequency_rows, as_partition,
                        build_hat_basis, group_intervals)
-from .l2proj import _load_vector, _tridiag, operator_norm_bound
+from .l2proj import _finite_p, _load_vector, _tridiag, operator_norm_bound
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -112,24 +112,24 @@ def _splits(quads, p_req):
     """(p, back, split, hit, tol, cands), the one search of both pairings,
     over the distinct rows of the quadruples quads (m, 4): back maps each
     interval to its row, split (k, 6, 4) regroups the rows by _SPLITS, cands
-    lists the p of every split whose two cross sums -(hat + op) agree within
-    2 tol, in interval order, and hit marks those within tol of p, which is
-    p_req or else the first candidate of interval 0.  tol is 1e-9 of the
-    largest of 1, every |frequency| and |p_req|.  The cross sums of a split
-    add to -(l0 + l1 + l2 + l3), so one row's candidates agree to rounding."""
+    lists the p of every split whose two cross sums -(hat + op) agree within 2
+    tol, in interval order, and hit marks those within tol of p, which is
+    p_req or else the first candidate of interval 0.  A non-finite p_req
+    raises ValueError.  tol is 1e-9 of the largest of 1, every |frequency| and
+    |p_req|.  The cross sums of a split add to -(l0 + l1 + l2 + l3), so one
+    row's candidates agree to rounding."""
     reps, back = group_intervals(quads, np.zeros(len(quads)))
     scale = max(1.0, float(np.abs(quads).max()))
-    # a NaN p_req leaves the scale alone
-    if p_req is not None and abs(p_req) > scale:
-        scale = abs(p_req)
+    if p_req is not None:
+        p_req = _finite_p(p_req)
+        scale = max(scale, abs(p_req))
     tol = 1e-9 * scale
     split = quads[reps][:, _SPLITS]
     p1 = -(split[..., 0] + split[..., 2])
     p2 = -(split[..., 1] + split[..., 3])
     pc, ok = 0.5 * (p1 + p2), np.abs(p1 - p2) <= 2.0 * tol
-    if p_req is not None:
-        p = float(p_req)
-    else:
+    p = p_req
+    if p is None:
         # a NaN matches no candidate
         p = float(pc[0, ok[0]][0]) if ok[0].any() else math.nan
     return p, back, split, ok & (np.abs(pc - p) <= tol), tol, pc[ok]
@@ -190,15 +190,15 @@ class SplineOrder4:
     coeffs[j] = (y_j, y_(j+1), a_j, b_j) weigh the local functions (F, R,
     W_F, W_R) of _local_ends on interval j.  Evaluation reads the table
     built from them: each interval is cut into equal sub-pieces of width w
-    with max|quads[j]| * w <= _TAYLOR_RADIUS, starts holds their left ends
-    and taylor[n, p] the n-th Taylor coefficient of the spline at starts[p].
-    The table keeps only the rows its widest sub-piece needs, _row_count(r)
-    for r the largest max|quads[j]| * w: the first term dropped is below
-    0.5^15/15! = 2.3e-17 relative, as in the kernel, so r = 0.5 keeps 18
-    rows and a cubic 4.  That bound is the value's: derivative order r reads
-    row n + r weighted by (n+1)...(n+r), so its first dropped term can be
-    up to binom(n+r, r) times larger, 816 times for s''' at 18 rows.  No
-    certificate reads s'''.
+    with max|quads[j]| * w <= _TAYLOR_RADIUS, starts (a view of probe's
+    head) holds their left ends and taylor[n, p] the n-th Taylor
+    coefficient of the spline at starts[p].  The table keeps only the rows
+    its widest sub-piece needs, _row_count(r) for r the largest max|quads[j]|
+    * w: the first term dropped is below 0.5^15/15! = 2.3e-17 relative, as
+    in the kernel, so r = 0.5 keeps 18 rows and a cubic 4.  That bound is
+    the value's: derivative order r reads row n + r weighted by
+    (n+1)...(n+r), so its first dropped term can be up to binom(n+r, r)
+    times larger, 816 times for s''' at 18 rows.  No certificate reads s'''.
 
     A point's sub-piece is found without a search.  [a, b] is cut into one
     equal bucket per sub-piece; buckets[k] is the lowest sub-piece a point
@@ -231,7 +231,8 @@ class SplineOrder4:
         return idx
 
     def __call__(self, t, order=0):
-        if order not in (0, 1, 2, 3):
+        if order not in (0, 1, 2, 3) or isinstance(order, bool) \
+                or not isinstance(order, (int, np.integer)):
             raise ValueError("order must be 0..3")
         a, b = self.knots[0], self.knots[-1]
         ts = np.asarray(t, dtype=float)
@@ -368,7 +369,13 @@ def _assemble(part, quads, coeffs, ends):
     at tau = 0, on the last from the series at tau = h run back, so the
     knots read the end values the build solved with, and elsewhere from
     each side, e(tau) Z^r (weights . (y_(j+1), b_j)) and the same in h -
-    tau with -Z for (y_j, a_j), e from one kernel call."""
+    tau with -Z for (y_j, a_j), e from one kernel call.
+
+    Each state sums four terms per side in the order np.einsum took on two
+    or more intervals, which keeps the tables' bits: left to right on first
+    sub-pieces, (k0 + k2) + (k1 + k3) on last ones and on each side of inner
+    ones, then side 0 plus side 1.  Fixed, no order depends on how many
+    intervals one call covers."""
     orders, weights, derivs = ends
     knots, lengths = part.knots, part.lengths
     top = np.abs(orders[0]).max(axis=1)
@@ -381,14 +388,17 @@ def _assemble(part, quads, coeffs, ends):
     # offsets from the stored starts: evaluation meets each series there
     tau, rest = starts - knots[owner], knots[owner + 1] - starts
     state = np.empty((owner.size, 4))
-    state[sub == 0] = np.einsum("jk,rkj->jr", coeffs, derivs[:, 0])
+    # t[r, k, j] = coeffs[j, k] * derivs[r, end, k, j]
+    t = coeffs.T * derivs[:, 0]
+    state[sub == 0] = (t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]).T
     last = np.flatnonzero(sub == counts[owner] - 1)[counts > 1]
     if last.size:
         j = owner[last]
+        t = coeffs[j].T * derivs[:, 1][..., j]
+        at_end = (t[:, 0] + t[:, 2]) + (t[:, 1] + t[:, 3])
         # the full series, so that every kept row equals the full table's:
         # a shorter one rounds the derivatives it sets differently
-        at_h = _taylor_rows(orders[0, j], np.einsum(
-            "jk,rkj->jr", coeffs[j], derivs[:, 1][..., j]), _TAYLOR_TERMS + 3)
+        at_h = _taylor_rows(orders[0, j], at_end.T, _TAYLOR_TERMS + 3)
         state[last] = np.stack([_horner(_derivative_table(at_h, r),
                                         np.arange(j.size), -rest[last])
                                 for r in range(4)], axis=1)
@@ -396,17 +406,22 @@ def _assemble(part, quads, coeffs, ends):
     if inner.size:
         j = owner[inner]
         e = _phi_corner_batch(np.concatenate([orders[0, j], orders[1, j]]),
-                              np.concatenate([tau[inner], rest[inner]]))
-        c = np.einsum("jfs,sjfk->sjk", coeffs[j].reshape(-1, 2, 2)[..., ::-1],
-                      weights[:, j])
+                              np.concatenate([tau[inner], rest[inner]])
+                              ).reshape(2, -1, 4)
+        # c[s, p] = (y_(j+1), b_j) . weights[0] and (y_j, a_j) . weights[1]
+        data = coeffs[j].reshape(-1, 2, 2)[..., ::-1].transpose(2, 0, 1)
+        c = data[..., 0, None] * weights[:, j, 0] \
+            + data[..., 1, None] * weights[:, j, 1]
         for r in range(4):
-            state[inner, r] = np.einsum("spk,spk->p", e.reshape(c.shape), c)
+            t = e * c
+            side = (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
+            state[inner, r] = side[0] + side[1]
             nxt = orders[:, j] * c
             nxt[..., :-1] += c[..., 1:]
             c = nxt * np.array([1.0, -1.0])[:, None, None]
     buckets, probe, steps = _lookup(knots, starts)
     return SplineOrder4(partition=part, quads=quads, coeffs=coeffs,
-                        starts=starts,
+                        starts=probe[:starts.size],
                         taylor=_taylor_rows(orders[0, owner], state, rows),
                         buckets=buckets, probe=probe, steps=steps)
 
@@ -548,7 +563,7 @@ def _match_op_pairs(qset, basis, p):
     first interval, in mesh order, that has none.
     """
     quads, pairs = qset.quads, basis.pairs
-    p, back, split, hit, tol, _ = _splits(quads, float(p))
+    p, back, split, hit, tol, _ = _splits(quads, p)
     split = np.concatenate([split, split[..., [2, 3, 0, 1]]], axis=1)
     hit = np.tile(hit, 2)
     ops = split[back, :, 2:]
@@ -575,7 +590,6 @@ def residual_orthogonality(F_derivs, s, basis, p):
     """
     if not np.array_equal(basis.knots, s.knots):
         raise ValueError("basis and spline use different partitions")
-    p = float(p)
     l2, l3 = _match_op_pairs(s.quads, basis, p).T
     su, pr = l2 + l3, l2 * l3
     knots = s.knots
@@ -605,7 +619,7 @@ class BoundCertificate:
 
 
 def _certificate_parts(part, quads, p, basis=None):
-    """Resolve the pairing and return (p, norm_bound, m2_max, m0_max), the
+    """Resolve the pairing and return (norm_bound, m2_max, m0_max), the
     closed-form tiers short-circuiting the generic machinery.  basis is the
     hat basis of the resolved pairing's first pairs when the caller has
     built it already."""
@@ -621,7 +635,7 @@ def _certificate_parts(part, quads, p, basis=None):
     if p_res == 0.0 and (canon[:, 0] == -canon[:, 1]).all() \
             and (canon[:, :2] == canon[:, 2:]).all():
         norm = 3.0 if (canon == 0.0).all() else 4.0
-        return p_res, norm, delta ** 2 / 8.0, delta ** 2 / 8.0
+        return norm, delta ** 2 / 8.0, delta ** 2 / 8.0
     if basis is None:
         basis = build_hat_basis(part, canon[:, :2])
     ops = canon[:, 2:]
@@ -636,7 +650,7 @@ def _certificate_parts(part, quads, p, basis=None):
     hats.setflags(write=False)
     basis.constants = hats
     norm = operator_norm_bound(basis, p_res)
-    return p_res, norm, float(np.max(hats)), float(np.max(opers))
+    return norm, float(np.max(hats)), float(np.max(opers))
 
 
 def error_bound4(partition, quads, p, max_lf):
@@ -657,7 +671,7 @@ def _error_bound4(part, quads, p, max_lf, basis=None):
     max_lf = float(max_lf)
     if not max_lf >= 0.0:
         raise ValueError("max_lf must be nonnegative")
-    _, norm, m2, m0 = _certificate_parts(part, quads, p, basis)
+    norm, m2, m0 = _certificate_parts(part, quads, p, basis)
     constant = (1.0 + norm) * m2 * m0
     return BoundCertificate(delta=part.mesh, constant=constant,
                             norm_bound=norm, m2_max=m2, m0_max=m0,

@@ -77,6 +77,15 @@ class TestQuadFrequencySet:
         with pytest.raises(ValueError, match="p = 0"):
             quad_frequency_set(2, xi=1.0, p=0.5)
 
+    def test_non_finite_p_is_refused(self):
+        # an infinite p made the pairing tolerance infinite, so every split
+        # matched: the quadruple, refused without p, was accepted
+        with pytest.raises(ValueError, match="no weight exponent"):
+            resolve_weight(quad_frequency_set(4, quads=(0.3, 5.0, -1.0, 7.0)))
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="p must be finite"):
+                quad_frequency_set(4, quads=(0.3, 5.0, -1.0, 7.0), p=p)
+
     def test_positional_resolution(self):
         qs = quad_frequency_set(3, quads=(0.3, -1.1, -1.0, 0.4))
         p, canon = resolve_weight(qs)
@@ -488,6 +497,24 @@ class TestTaylorTable:
                     assert_allclose(s(ts, order=order), want, rtol=1e-12,
                                     atol=1e-13, err_msg=f"{k} {j} {order}")
 
+    @pytest.mark.parametrize("quad", [(1.3, 2.1, -1.3, -2.1),
+                                      (3.0, 3.5, -3.0, -3.5)])
+    def test_each_interval_is_assembled_on_its_own(self, quad):
+        # 2 and 3 sub-pieces per interval: interval j rebuilt alone from
+        # its coefficients has the bits of interval j of the whole mesh,
+        # whatever the number of intervals one assembly sums over
+        knots = np.linspace(0.0, np.pi, 9)
+        s = build_interpolant4(knots, [quad] * 8, np.sin(knots), 1.0, -1.0)
+        first = np.searchsorted(s.starts, knots[:-1])
+        ends = np.append(first[1:], s.starts.size)
+        assert np.all(ends - first == (2 if quad[0] < 2.0 else 3))
+        for j in range(8):
+            one = spline_from_coefficients(knots[j:j + 2], [quad],
+                                           s.coeffs[j:j + 1])
+            rows = min(one.taylor.shape[0], s.taylor.shape[0])
+            whole = np.ascontiguousarray(s.taylor[:rows, first[j]:ends[j]])
+            assert one.taylor[:rows].tobytes() == whole.tobytes(), j
+
     def test_table_is_linear_in_coefficients(self):
         rng = np.random.default_rng(3)
         c1, c2 = rng.standard_normal((2, 2, 4))
@@ -524,6 +551,10 @@ class TestEvalAndSmoothness:
             spline4_eval(s, 0.5, order=4)
         with pytest.raises(ValueError, match="order"):
             s(0.5, order=4)
+        for bad in (True, 1.0, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="order must be 0..3"):
+                s(0.5, order=bad)
+        assert s(0.5, order=np.int64(2)) == s(0.5, order=2)
         with pytest.raises(ValueError, match="outside"):
             s(1.3)
         with pytest.raises(ValueError, match="outside"):
@@ -992,6 +1023,16 @@ class TestOrthogonality:
         with pytest.raises(ValueError, match="does not match"):
             residual_orthogonality(fd, s, basis, 0.0)
 
+    def test_non_finite_p_is_refused(self):
+        # p = -inf used to accept every split and report a residual of 0
+        kn = np.linspace(0.0, math.pi, 5)
+        s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
+                               np.sin(kn), 1.0, -1.0)
+        basis = build_hat_basis(kn, [(-1.0, 1.0)] * 4)
+        fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
+        with pytest.raises(ValueError, match="p must be finite"):
+            residual_orthogonality(fd, s, basis, -math.inf)
+
     def test_partition_mismatch_rejected(self):
         kn = np.linspace(0.0, math.pi, 5)
         s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
@@ -1127,6 +1168,12 @@ class TestErrorBound4:
             error_bound4(kn, quad_frequency_set(2, xi=1.0), 0.0, -1.0)
         with pytest.raises(ValueError, match="conflicting"):
             error_bound4(kn, quad_frequency_set(2, xi=1.0), 1.0, 1.0)
+        # an infinite p used to pair the quadruples and fail later, in the
+        # projection norm
+        with pytest.raises(ValueError, match="p must be finite"):
+            error_bound4(kn, quad_frequency_set(2, quads=(0.3, 5.0, -1.0,
+                                                          7.0)),
+                         math.inf, 1.0)
 
     def test_is_frozen_record(self):
         kn = np.linspace(0.0, 1.0, 3)
