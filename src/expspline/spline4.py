@@ -231,8 +231,8 @@ class SplineOrder4:
         return idx
 
     def __call__(self, t, order=0):
-        if order not in (0, 1, 2, 3) or isinstance(order, bool) \
-                or not isinstance(order, (int, np.integer)):
+        if type(order) is not int and not isinstance(order, np.integer) \
+                or order not in (0, 1, 2, 3):
             raise ValueError("order must be 0..3")
         a, b = self.knots[0], self.knots[-1]
         ts = np.asarray(t, dtype=float)
