@@ -464,7 +464,7 @@ class TestProjection:
         assert kernel_calls == [(36, 4), (48, 4), (24, 3)]
 
     def test_non_finite_p_is_refused(self):
-        # a NaN p used to end in OverflowError naming a NaN frequency
+        # refused by name, before the kernel sees a NaN frequency
         basis = build_hat_basis(np.linspace(0.0, 1.0, 4), [(-1.0, 1.0)] * 3)
         for p in (math.nan, math.inf):
             with pytest.raises(ValueError, match="p must be finite"):

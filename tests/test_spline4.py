@@ -78,8 +78,8 @@ class TestQuadFrequencySet:
             quad_frequency_set(2, xi=1.0, p=0.5)
 
     def test_non_finite_p_is_refused(self):
-        # an infinite p made the pairing tolerance infinite, so every split
-        # matched: the quadruple, refused without p, was accepted
+        # an infinite p would make the pairing tolerance infinite, so that
+        # every split matched this quadruple, which no p pairs
         with pytest.raises(ValueError, match="no weight exponent"):
             resolve_weight(quad_frequency_set(4, quads=(0.3, 5.0, -1.0, 7.0)))
         for p in (math.inf, -math.inf, math.nan):
@@ -1024,7 +1024,7 @@ class TestOrthogonality:
             residual_orthogonality(fd, s, basis, 0.0)
 
     def test_non_finite_p_is_refused(self):
-        # p = -inf used to accept every split and report a residual of 0
+        # p = -inf would match every split and give a residual of 0
         kn = np.linspace(0.0, math.pi, 5)
         s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
                                np.sin(kn), 1.0, -1.0)
@@ -1168,8 +1168,7 @@ class TestErrorBound4:
             error_bound4(kn, quad_frequency_set(2, xi=1.0), 0.0, -1.0)
         with pytest.raises(ValueError, match="conflicting"):
             error_bound4(kn, quad_frequency_set(2, xi=1.0), 1.0, 1.0)
-        # an infinite p used to pair the quadruples and fail later, in the
-        # projection norm
+        # refused in the pairing, not later in the projection norm
         with pytest.raises(ValueError, match="p must be finite"):
             error_bound4(kn, quad_frequency_set(2, quads=(0.3, 5.0, -1.0,
                                                           7.0)),
