@@ -358,3 +358,47 @@ def test_group_intervals_matches_the_dict_loop(keys):
     want_reps, want_inverse = _grouped_by_dict(pairs, lengths)
     assert reps.tolist() == want_reps
     assert np.array_equal(inverse, want_inverse)
+
+
+# the kinds of interval of a random mesh: mild, polynomial and
+# near-polynomial pairs, and stiff straddling pairs with |d h| up to 1800
+_NEAR_POLY = st.tuples(st.floats(-1e-7, 1e-7), st.floats(-1e-7, 1e-7)).map(
+    sorted)
+_MESH_CELLS = st.lists(
+    st.tuples(st.one_of(_MILD, st.just((0.0, 0.0)), _NEAR_POLY, _STIFF),
+              st.floats(2e-3, 2.0)), min_size=1, max_size=6)
+
+
+def _mesh_and_points(cells, fractions):
+    """Hat basis of cells with its knots, and points: the knots, then
+    fractions of the domain."""
+    knots = np.concatenate([[0.0], np.cumsum([h for _, h in cells])])
+    basis = build_hat_basis(knots, [tuple(p) for p, _ in cells],
+                            allow_nonmonotone=True)
+    return basis, np.concatenate([knots, knots[-1] * np.array(fractions)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(cells=_MESH_CELLS,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       data=st.data())
+@example(cells=[((-400.0, 400.0), 1.0), ((0.0, 0.0), 1e-3),
+                ((-1.0, 2.0), 0.5)],
+         fractions=[0.0, 0.5, 1.0], data=None)
+def test_evaluators_are_their_flanks(cells, fractions, data):
+    # the interpolant keeps its data at the knots (to the bit, up to the
+    # sign of a zero), sum_hats is the sum of the two flanks to the bit,
+    # and a hat is the flank it selects, on every point
+    basis, ts = _mesh_and_points(cells, fractions)
+    values = np.linspace(-2.0, 3.0, basis.n) if data is None else np.array(
+        data.draw(st.lists(st.floats(-10.0, 10.0), min_size=basis.n,
+                           max_size=basis.n)))
+    got = interpolate2(basis, values)(basis.knots)
+    assert np.array_equal(got, values)
+    idx, fall, rise = _flank_values(basis, ts)
+    assert np.all(np.isfinite(fall)) and np.all(np.isfinite(rise))
+    want = np.abs(fall) + np.abs(rise)
+    assert sum_hats(basis, ts).tobytes() == want.tobytes()
+    for j in range(basis.n):
+        hat = np.where(idx == j, fall, np.where(idx == j - 1, rise, 0.0))
+        assert np.array_equal(hat_eval(basis, j, ts), hat)
