@@ -124,18 +124,21 @@ def _flank_ratio(ends, x, y):
     """phi(x)/phi(y) at x between 0 and y from ends = _flank_ends(lam0,
     lam1, y), all broadcast against x: phi(t) = t exp(s t) sinhc(d t), so
     exp enters only as exp(s (x - y)).  As |x| <= |y|, |d x| stays below
-    350 where |d y| does, so big picks the log-space ratio for x too."""
+    350 where |d y| does, so big picks the log-space ratio for x too.
+    There s (x - y) and the log sinhc ratio are one exponent: apart, the
+    first can overflow where the second underflows."""
     s, d, big, sinhc_y = ends
     ux = d * x
+    arg = s * (x - y)
     if not big.any():
-        ratio = _sinhc(ux) / sinhc_y
-    else:
-        big = np.broadcast_to(big, ux.shape)
-        ratio = _sinhc(np.where(big, 0.0, ux)) / np.where(big, 1.0, sinhc_y)
-        sign = np.where(np.broadcast_to(x, ux.shape)[big] == 0.0, 0.0, 1.0)
-        ratio[big] = sign * np.exp(_log_sinhc(ux[big])
-                                   - np.broadcast_to(sinhc_y, ux.shape)[big])
-    return (x / y) * np.exp(s * (x - y)) * ratio
+        return (x / y) * np.exp(arg) * (_sinhc(ux) / sinhc_y)
+    big = np.broadcast_to(big, ux.shape)
+    ratio = _sinhc(np.where(big, 0.0, ux)) / np.where(big, 1.0, sinhc_y)
+    ratio[big] = np.where(np.broadcast_to(x, ux.shape)[big] == 0.0, 0.0, 1.0)
+    arg = np.array(np.broadcast_to(arg, ux.shape))
+    arg[big] += (_log_sinhc(ux[big])
+                 - np.broadcast_to(sinhc_y, ux.shape)[big])
+    return (x / y) * np.exp(arg) * ratio
 
 
 @dataclass(eq=False)

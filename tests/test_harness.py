@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -706,6 +707,21 @@ class TestCommandsComputeWhatTheyPrint:
         at = np.isclose(table[:, :1], knots, rtol=0.0, atol=1e-11).any(axis=1)
         assert at.sum() == knots.size
         assert_allclose(table[at, 1], np.sin(table[at, 0]), atol=1e-11)
+
+    def test_interp2_stiff_straddling_pair_is_finite(self, tmp_path, capsys):
+        # (-2000, 0) on h = 1: |s h| = |d h| = 1000, so the flank's
+        # exp(s (x - y)) overflows where its sinhc ratio underflows
+        config = {"function": "sin", "domain": [0.0, 2.0], "n": 3,
+                  "frequencies": {"pairs": [[-2000.0, 0.0]]}, "order": 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = _main(["interp2", "--eval-grid", "2001"], config,
+                                 tmp_path, capsys)
+        assert code == 0
+        table = np.array([[float(x) for x in line.split(",")]
+                          for line in out.splitlines()[1:]])
+        assert table.shape == (2001, 2) and np.all(np.isfinite(table))
+        assert_allclose(table[::1000, 1], np.sin([0.0, 1.0, 2.0]), atol=0.0)
 
     def test_bounds_certifies_what_the_build_refuses(self, tmp_path, capsys):
         # 40 intervals graded by 1.5: the build misses its C^2 joins

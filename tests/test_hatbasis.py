@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,8 @@ from expspline.hatbasis import (
     monotone_radius,
     sum_hats,
 )
+
+from oracles import mp_phi_pair
 
 
 def uniform_basis(a, b, n, pair):
@@ -234,17 +237,15 @@ class TestInterpolate2:
 
 
 def _ratio_one_pair(lam0, lam1, x, y):
-    """phi(x)/phi(y) for one pair, choosing the direct or the log-space
-    sinhc ratio once for all of x."""
+    """phi(x)/phi(y) for one pair, choosing the direct ratio or one
+    exponent with the log-space sinhc ratio once for all of x."""
     s = 0.5 * (lam0 + lam1)
     d = 0.5 * (lam1 - lam0)
     if max(abs(d * np.max(np.abs(x), initial=0.0)), abs(d * y)) < 350.0:
-        ratio = _sinhc(d * x) / _sinhc(d * y)
-    else:
-        sign = np.where(x == 0.0, 0.0, 1.0)
-        ratio = sign * np.exp(_log_sinhc(d * x)
-                              - _log_sinhc(np.asarray(d * y)))
-    return (x / y) * np.exp(s * (x - y)) * ratio
+        return (x / y) * np.exp(s * (x - y)) * (_sinhc(d * x)
+                                                / _sinhc(d * y))
+    return (x / y) * np.exp(s * (x - y) + (_log_sinhc(d * x)
+                                           - _log_sinhc(np.asarray(d * y))))
 
 
 def _flanks_by_interval(basis, ts):
@@ -321,6 +322,38 @@ def test_log_space_flanks_start_at_d_h_350(monkeypatch, d):
         assert_allclose(got, want, rtol=1e-13, atol=0.0)
         if not stiff:
             assert np.array_equal(got, want)
+
+def _mp_flank(lam0, lam1, x, y):
+    """phi(x)/phi(y) by mpmath, with digits enough for the cancellation
+    of exp(lam1 x) - exp(lam0 x) at small |x|."""
+    lost = -math.log10(abs(x) * (lam1 - lam0)) if x else 0.0
+    with mp.workdps(60 + max(0, math.ceil(lost))):
+        return float(mp_phi_pair(lam0, lam1, x) / mp_phi_pair(lam0, lam1, y))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(h=st.floats(0.05, 2.0), dh=st.floats(350.0, 1500.0),
+       lean=st.floats(-1.0, 1.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(h=1.0, dh=1000.0, lean=-1.0, fractions=[0.0, 0.1, 0.29, 0.5, 1.0])
+@example(h=2.0, dh=1500.0, lean=0.9, fractions=[1e-3, 0.5, 0.999])
+def test_log_space_flanks_against_mpmath(h, dh, lean, fractions):
+    # straddling pairs with |d h| >= 350, so every flank takes the log-space
+    # branch, and |s h| up to 1500: exp(s (x - y)) alone would overflow or
+    # underflow where the flank itself does not.  Relative error within
+    # 2 eps max|lambda| h of the mpmath ratio.
+    d = dh / h
+    lam0, lam1 = lean * d - d, lean * d + d
+    basis = build_hat_basis([0.0, h], [(lam0, lam1)])
+    ts = h * np.array([0.0, 1.0, *fractions])
+    _, fall, rise = _flank_values(basis, ts)
+    tol = 2.0 * np.finfo(float).eps * max(abs(lam0), abs(lam1)) * h
+    for got, x, y in ((fall, ts - h, -h), (rise, ts, h)):
+        want = np.array([_mp_flank(lam0, lam1, xi, y) for xi in x])
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want)
+                      <= tol * want + np.finfo(float).tiny)
+
 
 def _grouped_by_dict(pairs, lengths):
     """group_intervals as a loop over a dict of (pair, length) keys."""
