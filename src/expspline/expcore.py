@@ -247,20 +247,11 @@ def _phi_rows(rows, ts):
                 f"to {ts.max():g}")
         return np.exp(arg)
     if k == 2:
-        out = _phi_pair(rows[:, 0], rows[:, 1], ts)
-        out[ts == 0.0] = 0.0
-        return out
+        return _phi_pair(rows[:, 0], rows[:, 1], ts)
     neg = ts < 0.0
     if neg.any():
         rows = np.where(neg[:, None], -rows[:, ::-1], rows)
-    live = ts != 0.0
-    if live.all():
-        out = _phi_corner_batch(rows, np.abs(ts))[:, -1]
-    else:
-        out = np.zeros_like(ts)
-        if live.any():
-            out[live] = _phi_corner_batch(rows[live],
-                                          np.abs(ts[live]))[:, -1]
+    out = _phi_corner_batch(rows, np.abs(ts))[:, -1]
     out[neg] *= (-1.0) ** (k - 1)
     return out
 

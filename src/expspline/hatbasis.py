@@ -132,9 +132,9 @@ def _flank_ratio(ends, x, y):
     arg = s * (x - y)
     if not big.any():
         return (x / y) * np.exp(arg) * (_sinhc(ux) / sinhc_y)
+    # where big, ratio is sinhc(0) / 1 = 1 and arg takes the sinhc ratio
     big = np.broadcast_to(big, ux.shape)
     ratio = _sinhc(np.where(big, 0.0, ux)) / np.where(big, 1.0, sinhc_y)
-    ratio[big] = np.where(np.broadcast_to(x, ux.shape)[big] == 0.0, 0.0, 1.0)
     arg = np.array(np.broadcast_to(arg, ux.shape))
     arg[big] += (_log_sinhc(ux[big])
                  - np.broadcast_to(sinhc_y, ux.shape)[big])
@@ -259,48 +259,41 @@ def _flank_values(basis, ts):
 
 
 def hat_eval(basis, j, t):
-    """Evaluate the hat anchored at knot j (0-based) at scalar or array t."""
+    """Evaluate the hat anchored at knot j (0-based) at scalar or array t:
+    the interpolant of the j-th unit vector, so exactly 1 at t_j and 0 at
+    the other knots."""
     n = basis.n
     if not 0 <= j <= n - 1:
         raise ValueError(f"knot index {j} outside 0..{n - 1}")
-    t_arr = np.asarray(t, dtype=float)
-    ts = t_arr.ravel()
-    idx, fall, rise = _flank_values(basis, ts)
-    out = np.zeros_like(ts)
-    out[idx == j] = fall[idx == j]
-    out[idx == j - 1] = rise[idx == j - 1]
-    # the shared knot itself belongs to the right interval after searchsorted,
-    # except t_(n-1) which folds into the last one; both give exactly 1 there
-    out[ts == basis.knots[j]] = 1.0
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    coeffs = np.zeros(n)
+    coeffs[j] = 1.0
+    return SplineOrder2(basis, coeffs)(t)
 
 
 def sum_hats(basis, t):
-    """Pointwise sum of the absolute values of all hats at t."""
-    t_arr = np.asarray(t, dtype=float)
-    ts = t_arr.ravel()
-    _, fall, rise = _flank_values(basis, ts)
-    out = np.abs(fall) + np.abs(rise)
-    out[np.isin(ts, basis.knots)] = 1.0
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    """Pointwise sum of the absolute values of all hats at t: the flanks
+    are >= 0, so this is the interpolant of the ones."""
+    return SplineOrder2(basis, np.ones(basis.n))(t)
 
 
 @dataclass
 class SplineOrder2:
-    """Piecewise exponential interpolant sum_j c_j H_j."""
+    """Piecewise exponential interpolant sum_j c_j H_j.
+
+    On interval i it is c_i fall + c_(i+1) rise from _flank_values.  No
+    knot value is set apart: at its own knot a flank is (y/y) exp(0) 1 =
+    1, and at the other knot (0/y) times a factor that is finite for every
+    pair build_hat_basis accepts, so +-0.  The sum is c_j there to the
+    bit, up to the sign of a zero.
+    """
     basis: HatBasis
     coeffs: np.ndarray = field(repr=False)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        ts = t_arr.ravel()
-        idx, fall, rise = _flank_values(self.basis, ts)
+        idx, fall, rise = _flank_values(self.basis, t_arr.ravel())
         c = np.asarray(self.coeffs)
         out = c[idx] * fall + c[idx + 1] * rise
-        # a knot is the left end of its interval, the last knot the right
-        for k in (idx, idx + 1):
-            hit = ts == self.basis.knots[k]
-            out[hit] = c[k[hit]]
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 

@@ -183,14 +183,16 @@ class TestOpitzKernel:
     def test_zero_only_batch(self, kernel_calls):
         rows = np.sort(np.random.default_rng(2).uniform(-3.0, 3.0, (5, 4)),
                        axis=1)
+        # t = 0 rows go through the kernel, whose first row there is the
+        # first unit row
         out = _phi_rows(rows, np.array([0.0, -0.0, 0.0, 0.0, -0.0]))
         assert np.array_equal(out, np.zeros(5))
-        assert kernel_calls == []
+        assert kernel_calls == [(5, 4)]
 
     def test_both_signs_share_one_kernel_call(self, kernel_calls):
         rows = np.tile([-1.0, 0.5, 2.0], (4, 1))
         _phi_rows(rows, np.array([0.5, -0.5, 0.0, 1.5]))
-        assert kernel_calls == [(3, 3)]
+        assert kernel_calls == [(4, 3)]
 
     def test_overflow_of_both_signs_names_the_largest_bound(self):
         # the row at t < 0 enters reflected, (0, 1, 500) at t = 3, and its
