@@ -117,7 +117,7 @@ def _phi_pair(lam0, lam1, t):
                       for x in (lam0, lam1))
             raise OverflowError(
                 f"fundamental function for ({l0}, {l1}) overflows at |t| "
-                f"up to {np.max(np.abs(tb)):g}")
+                f"up to {abs(tb[i]):g}")
         direct[bad] = np.sign(tb) * np.exp(logmag)
     return direct
 
@@ -232,19 +232,21 @@ def _phi_rows(rows, ts):
 
     For k >= 3 the whole batch is one _opitz_corner call: a row at t < 0
     enters reflected, as Phi_L(t) = (-1)^(k-1) Phi_(-L)(-t) with -L
-    reversed sorted, beside the rows at t > 0, and the rows at t = 0 stay
-    out.  Rows are independent in the kernel, so each gives the bits it
-    gives alone.  When rows of both signs overflow, the OverflowError names
-    the one with the largest bound of the merged batch, reflected if its t
-    is negative.
+    reversed sorted, beside the rows at t >= 0.  No row is set apart: at
+    t = 0 the kernel's first row is the first unit row, whose last entry
+    is 0, and _phi_pair gives t exp(0) sinhc(0) = +-0.  Rows are
+    independent in the kernel, so each gives the bits it gives alone.  An
+    OverflowError names the row with the largest exponent or bound and
+    that row's own t; for k >= 3 the row is reflected if its t is
+    negative.
     """
     k = rows.shape[1]
     if k == 1:
         arg = rows[:, 0] * ts
         if (arg > _EXP_ARG_MAX).any():
+            i = int(np.argmax(arg))
             raise OverflowError(
-                f"exp({rows[int(np.argmax(arg)), 0]}*t) overflows at t up "
-                f"to {ts.max():g}")
+                f"exp({rows[i, 0]}*t) overflows at t up to {ts[i]:g}")
         return np.exp(arg)
     if k == 2:
         return _phi_pair(rows[:, 0], rows[:, 1], ts)
@@ -280,16 +282,18 @@ def fundamental_derivative(freqs, t, order):
     Repeated use of the lowering identity Phi'_(l0..lk) = lk*Phi_(l0..lk)
     + Phi_(l0..l(k-1)) turns the derivative into an exact combination of
     fundamental functions over prefixes of Lambda, so no finite differences
-    are involved.  order=0 returns the function itself.
+    are involved.  order is a Python or numpy integer >= 0; order=0
+    returns the function itself.
     """
-    if order < 0 or order != int(order):
+    if type(order) is not int and not isinstance(order, np.integer) \
+            or order < 0:
         raise ValueError("order must be a nonnegative integer")
     fr = tuple(sorted(as_frequency_vector(freqs)))
     k = len(fr)
     coeff = np.zeros(k)
     coeff[k - 1] = 1.0
     lam = np.array(fr)
-    for _ in range(int(order)):
+    for _ in range(order):
         nxt = coeff * lam
         nxt[:-1] += coeff[1:]
         coeff = nxt

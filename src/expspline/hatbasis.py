@@ -126,19 +126,19 @@ def _flank_ratio(ends, x, y):
     exp enters only as exp(s (x - y)).  As |x| <= |y|, |d x| stays below
     350 where |d y| does, so big picks the log-space ratio for x too.
     There s (x - y) and the log sinhc ratio are one exponent: apart, the
-    first can overflow where the second underflows."""
+    first can overflow where the second underflows.  At x = 0 the factor
+    x / y makes the flank +-0, with no case of its own."""
     s, d, big, sinhc_y = ends
     ux = d * x
     arg = s * (x - y)
-    if not big.any():
-        return (x / y) * np.exp(arg) * (_sinhc(ux) / sinhc_y)
-    # where big, ratio is sinhc(0) / 1 = 1 and arg takes the sinhc ratio
-    big = np.broadcast_to(big, ux.shape)
-    ratio = _sinhc(np.where(big, 0.0, ux)) / np.where(big, 1.0, sinhc_y)
-    arg = np.array(np.broadcast_to(arg, ux.shape))
-    arg[big] += (_log_sinhc(ux[big])
-                 - np.broadcast_to(sinhc_y, ux.shape)[big])
-    return (x / y) * np.exp(arg) * ratio
+    if big.any():
+        # the exponent takes the log sinhc ratio, and sinhc(0) / 1 = 1
+        big = np.broadcast_to(big, ux.shape)
+        sinhc_y = np.broadcast_to(sinhc_y, ux.shape)
+        arg = np.array(np.broadcast_to(arg, ux.shape))
+        arg[big] += _log_sinhc(ux[big]) - sinhc_y[big]
+        ux, sinhc_y = np.where(big, 0.0, ux), np.where(big, 1.0, sinhc_y)
+    return (x / y) * np.exp(arg) * (_sinhc(ux) / sinhc_y)
 
 
 @dataclass(eq=False)
@@ -236,7 +236,9 @@ def _flank_values(basis, ts):
     (rising flank); everything else vanishes there.  A flank's x lies
     between 0 and y = -+h, so |x| <= |y| = h and the factors of _flank_ends,
     the log-space choice |d h| >= 350 among them, are found once per
-    interval and gathered per point.
+    interval and gathered per point.  Knot t_i falls in interval i, the
+    last knot in the last interval; there the factors are exactly 1 and
+    +-0, which SplineOrder2 relies on to keep its data at the knots.
     """
     knots = basis.knots
     if not np.all(np.isfinite(ts)):
@@ -263,8 +265,10 @@ def hat_eval(basis, j, t):
     the interpolant of the j-th unit vector, so exactly 1 at t_j and 0 at
     the other knots."""
     n = basis.n
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"knot index {j} outside 0..{n - 1}")
+    if type(j) is not int and not isinstance(j, np.integer) \
+            or not 0 <= j <= n - 1:
+        raise ValueError(f"knot index must be an integer in 0..{n - 1}, "
+                         f"got {j!r}")
     coeffs = np.zeros(n)
     coeffs[j] = 1.0
     return SplineOrder2(basis, coeffs)(t)

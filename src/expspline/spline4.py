@@ -48,8 +48,9 @@ class QuadFrequencySet:
 
     def __post_init__(self):
         quads = np.array(self.quads, dtype=float)
-        if quads.ndim != 2 or quads.shape[1] != 4:
-            raise ValueError(f"need an (m, 4) array, got shape {quads.shape}")
+        if quads.ndim != 2 or quads.shape[1] != 4 or len(quads) == 0:
+            raise ValueError("need an (m, 4) array with m >= 1, got shape "
+                             f"{quads.shape}")
         quads.setflags(write=False)
         object.__setattr__(self, "quads", quads)
         if self.p is not None:

@@ -108,6 +108,20 @@ class TestFundamentalEval:
         with pytest.raises(OverflowError):
             fundamental_eval((-300.0, 300.0, 0.0), 5.0)
 
+    def test_one_frequency_overflow_names_its_rows_t(self):
+        # the failing row's t, not the batch's largest
+        with pytest.raises(OverflowError, match=r"^exp\(1000\.0\*t\) "
+                           r"overflows at t up to 1$"):
+            _phi_rows(np.array([[1000.0], [1.0]]), np.array([1.0, 5.0]))
+
+    def test_pair_overflow_names_its_rows_t(self):
+        # both rows overflow; the larger exponent is (-2000, 0) at t = -1,
+        # and the |t| named is its own, not the 2.5 of the other row
+        with pytest.raises(OverflowError, match=r"\(-2000\.0, 0\.0\) "
+                           r"overflows at \|t\| up to 1$"):
+            _phi_rows(np.array([[-2000.0, 0.0], [0.0, 300.0]]),
+                      np.array([-1.0, 2.5]))
+
     def test_hard_underflow_returns_zero(self):
         assert fundamental_eval((-200.0, -200.0), 10.0) == 0.0
 
@@ -341,6 +355,15 @@ class TestDerivative:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             fundamental_derivative((1.0,), 0.5, -1)
+
+    @pytest.mark.parametrize("order", [True, math.nan, 1.0, 1.5, "1"])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            fundamental_derivative((1.0, 2.0), 0.5, order)
+
+    def test_numpy_integer_order(self):
+        assert fundamental_derivative((1.0, 2.0), 0.5, np.int64(2)) == \
+            fundamental_derivative((1.0, 2.0), 0.5, 2)
 
 
 class TestReflection:

@@ -156,6 +156,17 @@ class TestHatEval:
         with pytest.raises(ValueError):
             hat_eval(basis, 1, 1.5)
 
+    @pytest.mark.parametrize("j", [1.5, True, 1.0, math.nan, -1],
+                             ids=["fraction", "bool", "float", "nan", "neg"])
+    def test_knot_index_must_be_an_integer(self, j):
+        basis = uniform_basis(0.0, 1.0, 3, (0.0, 0.0))
+        with pytest.raises(ValueError, match=r"integer in 0\.\.2, got"):
+            hat_eval(basis, j, 0.2)
+
+    def test_numpy_integer_knot_index(self):
+        basis = uniform_basis(0.0, 1.0, 3, (0.0, 0.0))
+        assert hat_eval(basis, np.int64(1), 0.25) == hat_eval(basis, 1, 0.25)
+
     def test_large_frequency_load_stable(self):
         # sinh arguments overflow the direct path; the log route takes over
         basis = build_hat_basis(Partition((0.0, 2.0, 4.0)),

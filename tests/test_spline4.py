@@ -140,6 +140,16 @@ class TestQuadFrequencySet:
         assert quad_frequency_set(2, xi=[[0.5]]).quads.tolist() \
             == [[0.5, -0.5, 0.5, -0.5]] * 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: quad_frequency_set(0, xi=1.0),
+        lambda: quad_frequency_set(0, quads=(1.0, -1.0, 1.0, -1.0)),
+        lambda: QuadFrequencySet(quads=np.empty((0, 4))),
+        lambda: QuadFrequencySet(quads=np.empty((0, 4)), p=0.0),
+    ], ids=["xi", "quads", "set", "set-with-p"])
+    def test_no_intervals_refused_at_construction(self, make):
+        with pytest.raises(ValueError, match=r"m >= 1, got shape \(0, 4\)"):
+            make()
+
     def test_ragged_quadruples_are_named(self):
         with pytest.raises(ValueError, match="quadruple 1 has 2 entries"):
             quad_frequency_set(2, quads=[[1, 2, 3, 4], [1, 2]])
