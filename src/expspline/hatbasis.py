@@ -287,7 +287,7 @@ class SplineOrder2:
     On interval i it is c_i fall + c_(i+1) rise from _flank_values.  No
     knot value is set apart: at its own knot a flank is (y/y) exp(0) 1 =
     1, and at the other knot (0/y) times a factor that is finite for every
-    pair build_hat_basis accepts, so +-0.  The sum is c_j there to the
+    pair within its monotone radius, so +-0.  The sum is c_j there to the
     bit, up to the sign of a zero.
     """
     basis: HatBasis
