@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errbound2 import M_constants
-from .expcore import _log_sinhc, _sinhc
+from .expcore import _pair_scaled, _quotient
 
 # points per pass of the hat evaluation, so its temporaries stay small
 _EVAL_BLOCK = 2048
@@ -106,39 +106,20 @@ def _frequency_rows(rows, what, m, width=None):
 
 
 def _flank_ends(lam0, lam1, y):
-    """(s, d, big, sinhc_y): the factors of _flank_ratio that do not depend
-    on x, for pairs and ends y broadcast together.  2s = lam0+lam1, 2d =
-    lam1-lam0, big marks |d y| >= 350, and sinhc_y is sinhc(d y), or its
-    log where big."""
-    s = 0.5 * (np.asarray(lam0, dtype=float) + lam1)
-    d = 0.5 * (np.asarray(lam1, dtype=float) - lam0)
-    uy = d * np.asarray(y, dtype=float)
-    big = np.abs(uy) >= 350.0
-    sinhc_y = _sinhc(np.where(big, 0.0, uy))
-    if big.any():
-        sinhc_y[big] = _log_sinhc(uy[big])
-    return s, d, big, sinhc_y
+    """(lam0, lam1, mant, scale): the factors of _flank_ratio that do not
+    depend on x, for pairs and ends y broadcast together, phi(y) = mant *
+    exp(scale) from _pair_scaled."""
+    return lam0, lam1, *_pair_scaled(lam0, lam1, np.asarray(y, dtype=float))
 
 
-def _flank_ratio(ends, x, y):
+def _flank_ratio(ends, x):
     """phi(x)/phi(y) at x between 0 and y from ends = _flank_ends(lam0,
-    lam1, y), all broadcast against x: phi(t) = t exp(s t) sinhc(d t), so
-    exp enters only as exp(s (x - y)).  As |x| <= |y|, |d x| stays below
-    350 where |d y| does, so big picks the log-space ratio for x too.
-    There s (x - y) and the log sinhc ratio are one exponent: apart, the
-    first can overflow where the second underflows.  At x = 0 the factor
-    x / y makes the flank +-0, with no case of its own."""
-    s, d, big, sinhc_y = ends
-    ux = d * x
-    arg = s * (x - y)
-    if big.any():
-        # the exponent takes the log sinhc ratio, and sinhc(0) / 1 = 1
-        big = np.broadcast_to(big, ux.shape)
-        sinhc_y = np.broadcast_to(sinhc_y, ux.shape)
-        arg = np.array(np.broadcast_to(arg, ux.shape))
-        arg[big] += _log_sinhc(ux[big]) - sinhc_y[big]
-        ux, sinhc_y = np.where(big, 0.0, ux), np.where(big, 1.0, sinhc_y)
-    return (x / y) * np.exp(arg) * (_sinhc(ux) / sinhc_y)
+    lam1, y), all broadcast against x: the mantissas divide and the scales
+    subtract, so a flank overflows only where its value does.  At x = y
+    the ratio is y/y times exp(0), exactly 1, and at x = 0 it is 0/y, +-0,
+    whatever the exponent, with no case of its own."""
+    lam0, lam1, mant_y, scale_y = ends
+    return _quotient([_pair_scaled(lam0, lam1, x)], [(mant_y, scale_y)])
 
 
 @dataclass(eq=False)
@@ -199,8 +180,7 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
             raise ValueError(
                 f"interval {j} has length {partition.lengths[j]:g} beyond "
                 f"the monotone radius {delta[j]:g} of pair "
-                f"{tuple(pairs[j].tolist())}; pass allow_nonmonotone=True "
-                f"to override")
+                f"{tuple(pairs[j].tolist())}")
     pairs.setflags(write=False)
     return HatBasis(partition, pairs)
 
@@ -234,11 +214,11 @@ def _flank_values(basis, ts):
 
     For t in interval i the active hats are H_i (falling flank) and H_(i+1)
     (rising flank); everything else vanishes there.  A flank's x lies
-    between 0 and y = -+h, so |x| <= |y| = h and the factors of _flank_ends,
-    the log-space choice |d h| >= 350 among them, are found once per
-    interval and gathered per point.  Knot t_i falls in interval i, the
-    last knot in the last interval; there the factors are exactly 1 and
-    +-0, which SplineOrder2 relies on to keep its data at the knots.
+    between 0 and y = -+h, and the factors of _flank_ends, phi(-+h) among
+    them, are found once per interval and gathered per point.  Knot t_i
+    falls in interval i, the last knot in the last interval; there the
+    factors are exactly 1 and +-0, which SplineOrder2 relies on to keep its
+    data at the knots.
     """
     knots = basis.knots
     if not np.all(np.isfinite(ts)):
@@ -254,9 +234,8 @@ def _flank_values(basis, ts):
     for lo in range(0, ts.size, _EVAL_BLOCK):
         sl, i = slice(lo, lo + _EVAL_BLOCK), idx[lo:lo + _EVAL_BLOCK]
         tau, hi = ts[sl] - knots[i], h[i]
-        for out, part, x, y in ((fall, ends[0], tau - hi, -hi),
-                                (rise, ends[1], tau, hi)):
-            out[sl] = _flank_ratio([e[i] for e in part], x, y)
+        for out, part, x in ((fall, ends[0], tau - hi), (rise, ends[1], tau)):
+            out[sl] = _flank_ratio([e[i] for e in part], x)
     return idx, fall, rise
 
 
@@ -285,10 +264,9 @@ class SplineOrder2:
     """Piecewise exponential interpolant sum_j c_j H_j.
 
     On interval i it is c_i fall + c_(i+1) rise from _flank_values.  No
-    knot value is set apart: at its own knot a flank is (y/y) exp(0) 1 =
-    1, and at the other knot (0/y) times a factor that is finite for every
-    pair within its monotone radius, so +-0.  The sum is c_j there to the
-    bit, up to the sign of a zero.
+    knot value is set apart: at its own knot a flank is (y/y) exp(0) = 1,
+    and at the other knot (0/y) exp(scale) = +-0 for every pair.  The sum
+    is c_j there to the bit, up to the sign of a zero.
     """
     basis: HatBasis
     coeffs: np.ndarray = field(repr=False)

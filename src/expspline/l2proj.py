@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expcore import _phi_rows, fundamental_eval
+from .expcore import _pair_scaled, _phi_scaled, _quotient, fundamental_eval
 from .hatbasis import SplineOrder2, _flank_ends, _flank_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
@@ -55,13 +55,14 @@ class GramSystem:
 
 def _phi(ts, *groups):
     """Phi at ts (N,) over the frequency rows of each group, in one kernel
-    call for all groups, as a (len(groups), N) array.  A group is a tuple of
-    columns of one width, each an array (N,) or a scalar; row i of a group
-    holds the frequencies at ts[i]."""
+    call for all groups, as one (mant, scale) pair of _phi_scaled per
+    group.  A group is a tuple of columns of one width, each an array (N,)
+    or a scalar; row i of a group holds the frequencies at ts[i]."""
     rows = np.concatenate([np.stack(np.broadcast_arrays(*cols, ts)[:-1],
                                     axis=1) for cols in groups])
-    return _phi_rows(np.sort(rows, axis=1),
-                     np.tile(ts, len(groups))).reshape(len(groups), -1)
+    mant, scale = _phi_scaled(np.sort(rows, axis=1), np.tile(ts, len(groups)))
+    return list(zip(mant.reshape(len(groups), -1),
+                    scale.reshape(len(groups), -1)))
 
 
 def gram_assemble(basis, p):
@@ -78,9 +79,11 @@ def gram_assemble(basis, p):
     entries: the squared flanks land on the two adjacent diagonal entries,
     the cross integral on the off-diagonals.  They depend on the interval
     through its (pair, length) key and the weight w0 = exp(p t_j) at its
-    left end only, so they are found once per distinct key and w0 scales
-    them per interval: phi(h) and phi(-h) in one _phi_rows call, the three
-    four-frequency integrals in one kernel call.  A non-finite p raises
+    left end only, so the fundamental functions are found once per
+    distinct key, the three four-frequency integrals in one kernel call.
+    Each entry is one _quotient of their (mant, scale) pairs and w0's
+    exponent p t_j, so it overflows only where its value does, although
+    its factors may pass the double range.  A non-finite p raises
     ValueError.
     """
     p = _finite_p(p)
@@ -88,22 +91,21 @@ def gram_assemble(basis, p):
     reps, inverse = basis.groups
     l0, l1 = basis.pairs[reps].T
     h = basis.partition.lengths[reps]
-    phi_h, phi_mh = _phi(np.concatenate([h, -h]),
-                         (np.tile(l0, 2), np.tile(l1, 2))).reshape(2, -1)
     f_left, f_right, f_cross = _phi(h, (2.0 * l0, 2.0 * l1, l0 + l1, -p),
                                     (-2.0 * l0, -2.0 * l1, -l0 - l1, p),
                                     (p + l0, p + l1, -l0, -l1))
-    i_left = 2.0 * np.array([math.exp(p * x) for x in h.tolist()]) * f_left
-    i_right = 2.0 * f_right
-    cross = -f_cross
-    per_key = np.stack([i_right, phi_mh * phi_mh, i_left, phi_h * phi_h,
-                        cross, phi_h * phi_mh])
-    i_right, sq_mh, i_left, sq_h, cross, prod = per_key[:, inverse]
-    w0 = np.array([math.exp(p * t) for t in knots[:-1].tolist()])
+    # every factor per key as (mant, scale), exp(p h) in f_left's scale,
+    # gathered per interval
+    phi_h, phi_mh, f_left, f_right, f_cross = (
+        (mant[inverse], scale[inverse]) for mant, scale in
+        (_pair_scaled(l0, l1, h), _pair_scaled(l0, l1, -h),
+         (f_left[0], f_left[1] + p * h), f_right, f_cross))
+    w0 = (1.0, p * knots[:-1])
     diag = np.zeros(basis.n)
-    diag[:-1] += w0 * i_right / sq_mh
-    diag[1:] += w0 * i_left / sq_h
-    return GramSystem(diag=diag, off=w0 * cross / prod)
+    diag[:-1] += 2.0 * _quotient([w0, f_right], [phi_mh, phi_mh])
+    diag[1:] += 2.0 * _quotient([w0, f_left], [phi_h, phi_h])
+    return GramSystem(diag=diag,
+                      off=-_quotient([w0, f_cross], [phi_h, phi_mh]))
 
 
 def _flank_ratios(name, lam0, lam1, p, h, parts):
@@ -114,8 +116,9 @@ def _flank_ratios(name, lam0, lam1, p, h, parts):
     is evaluated once.  Every length with |h| >= _TINY_H, of either sign,
     shares each kernel call: the denominator and T's numerator are one
     four-frequency call, S's numerator one three-frequency call and one
-    pair evaluation.  The other lengths get the h -> 0 limits T = 1/2 and
-    S = 3/2.
+    pair evaluation.  Each ratio is one _quotient of their (mant, scale)
+    pairs, finite wherever the ratio is.  The other lengths get the h -> 0
+    limits T = 1/2 and S = 3/2.
     """
     lam0, lam1, h = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (lam0, lam1, h)))
@@ -129,14 +132,15 @@ def _flank_ratios(name, lam0, lam1, p, h, parts):
         den_cols = (l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
         if "T" in parts:
             den, num = _phi(hs, den_cols, (l0, l1, -p - l0, -p - l1))
-            out["T"][live] = 0.5 * num / den
+            out["T"][live] = 0.5 * _quotient([num], [den])
         else:
             (den,) = _phi(hs, den_cols)
         if "S" in parts:
-            num = _phi(hs, (-l0, -l1))[0] * _phi(hs, (l0, l1, -p))[0]
+            num = _phi(hs, (-l0, -l1))[0], _phi(hs, (l0, l1, -p))[0]
             # the polynomial pair with p = 0 has S = 3/2 identically
             poly = (l0 == 0.0) & (l1 == 0.0) & (p == 0.0)
-            out["S"][live] = np.where(poly, 1.5, 0.5 * num / den)
+            out["S"][live] = np.where(poly, 1.5,
+                                      0.5 * _quotient(num, [den]))
     return tuple(float(out[c]) if h.ndim == 0 else out[c] for c in parts)
 
 
@@ -374,7 +378,7 @@ def _load_vector(basis, g, p):
     y = np.stack([a - b, b - a])
     lam0, lam1 = basis.pairs.T[..., None]
     flanks = _flank_ratio(_flank_ends(lam0, lam1, y[..., None]),
-                          ts - anchor[..., None], y[..., None]).reshape(2, -1)
+                          ts - anchor[..., None]).reshape(2, -1)
     ts = ts.ravel()
     vals = flanks * g(ts) * np.exp(p * ts)
     panel = half * (vals.reshape(2, *half.shape, -1) @ _GL_WEIGHTS)
@@ -385,7 +389,7 @@ def _load_vector(basis, g, p):
     for k, j in zip(*np.nonzero(~ok)):
         ends = _flank_ends(*basis.pairs[j], y[k, j])
         fine[k, j] = integrate(
-            lambda t: _flank_ratio(ends, t - anchor[k, j], y[k, j])
+            lambda t: _flank_ratio(ends, t - anchor[k, j])
             * g(t) * np.exp(p * t), a[j], b[j])[0]
     rhs = np.zeros(basis.n)
     rhs[:-1] += fine[0]

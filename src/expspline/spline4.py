@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errbound2 import M_constants
-from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _phi_corner_batch
+from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _corner_scaled, _plain
 from .hatbasis import (Partition, _frequency_rows, as_partition,
                        build_hat_basis, group_intervals)
 from .l2proj import _finite_p, _load_vector, _tridiag, operator_norm_bound
@@ -296,9 +296,9 @@ def _local_ends(quads, lengths):
     keys = np.column_stack([sorted_quads[reps], lengths[reps]])
     fwd = keys[:, [1, 2, 0, 3]]
     orders = np.stack([fwd, -fwd[:, [1, 0, 3, 2]]])
-    e = _phi_corner_batch(np.concatenate([*orders,
-                                          *orders[..., [2, 3, 0, 1]]]),
-                          np.tile(keys[:, 4], 4))
+    freqs = np.concatenate([*orders, *orders[..., [2, 3, 0, 1]]])
+    ts = np.tile(keys[:, 4], 4)
+    e = _plain(_corner_scaled(freqs, ts), freqs, ts)
     e_h, e_o = e.reshape(2, 2, -1, 4)[:, :, back.ravel()]
     orders = orders[:, back.ravel()]
     x0, x1, _, x3 = np.moveaxis(orders, 2, 0)
@@ -406,9 +406,9 @@ def _assemble(part, quads, coeffs, ends):
     inner = np.flatnonzero((sub > 0) & (sub < counts[owner] - 1))
     if inner.size:
         j = owner[inner]
-        e = _phi_corner_batch(np.concatenate([orders[0, j], orders[1, j]]),
-                              np.concatenate([tau[inner], rest[inner]])
-                              ).reshape(2, -1, 4)
+        freqs = np.concatenate([orders[0, j], orders[1, j]])
+        ts = np.concatenate([tau[inner], rest[inner]])
+        e = _plain(_corner_scaled(freqs, ts), freqs, ts).reshape(2, -1, 4)
         # c[s, p] = (y_(j+1), b_j) . weights[0] and (y_j, a_j) . weights[1]
         data = coeffs[j].reshape(-1, 2, 2)[..., ::-1].transpose(2, 0, 1)
         c = data[..., 0, None] * weights[:, j, 0] \
@@ -521,9 +521,10 @@ def _tridiagonal_solve(rows, rhs):
     x, bound = _tridiag(rows[0, 1:], rows[1], rows[2, :-1], rhs / scale)
     cond = float(np.abs(rows).sum(axis=0).max()) * bound
     if not cond < _COND_MAX:
+        why = f"condition bound {cond:.3g} reaches {_COND_MAX:.0e}" \
+            if math.isfinite(cond) else "its condition bound overflows"
         raise np.linalg.LinAlgError(
-            f"order-4 slope system is ill conditioned: condition bound "
-            f"{cond:.3g} reaches {_COND_MAX:.0e}")
+            f"order-4 slope system is ill conditioned: {why}")
     return x, cond
 
 

@@ -2,14 +2,12 @@
 
 import pytest
 
-from expspline import errbound2, expcore
+from expspline import expcore
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Shapes (N, k) of the Opitz kernel calls made during the test.
-    errbound2 binds the kernel under its own name for the critical point,
-    so both names are patched."""
+    """Shapes (N, k) of the Opitz kernel calls made during the test."""
     calls = []
     real = expcore._opitz_corner
 
@@ -17,6 +15,5 @@ def kernel_calls(monkeypatch):
         calls.append(x.shape)
         return real(x, sig)
 
-    for module in (expcore, errbound2):
-        monkeypatch.setattr(module, "_opitz_corner", counting)
+    monkeypatch.setattr(expcore, "_opitz_corner", counting)
     return calls

@@ -1,5 +1,4 @@
 import math
-import re
 from functools import lru_cache
 
 import mpmath as mp
@@ -398,14 +397,16 @@ class TestMConstant:
             assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
 
     @pytest.mark.parametrize("lam0, lam1", [(-800.0, 3.0), (-720.0, -1.0)])
-    def test_overflow_is_refused_naming_the_pair(self, lam0, lam1):
-        # omega is below 1/2400 there, but the product form overflows; the
-        # refusal must stay an OverflowError, not a NaN start or a value
+    def test_factors_past_the_double_range_give_the_oracle_maximum(
+            self, lam0, lam1):
+        # omega stays below 1/400 there, while factors of its product form,
+        # such as Phi_(l0,l1)(-1), pass the double range
         start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
         assert 0.0 < start[0] < 1.0
-        with pytest.raises(OverflowError,
-                           match=re.escape(f"({lam0}, {lam1})")):
-            M_constant(lam0, lam1, 0.0, 1.0)
+        data = M_constant(lam0, lam1, 0.0, 1.0)
+        best = _mp_omega_max(lam0, lam1)
+        assert data.value >= best
+        assert_allclose(data.value, best, rtol=1e-13)
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])

@@ -9,9 +9,11 @@ from numpy.testing import assert_allclose
 from expspline.expcore import (
     _apply_monic,
     _monic_coefficients,
-    _phi_corner_batch,
+    _corner_scaled,
+    _pair_scaled,
     _phi_rows,
-    _sinhc,
+    _phi_scaled,
+    _plain,
     as_frequency_vector,
     convolution_check,
     fundamental_derivative,
@@ -110,17 +112,24 @@ class TestFundamentalEval:
 
     def test_one_frequency_overflow_names_its_rows_t(self):
         # the failing row's t, not the batch's largest
-        with pytest.raises(OverflowError, match=r"^exp\(1000\.0\*t\) "
-                           r"overflows at t up to 1$"):
+        with pytest.raises(OverflowError, match=r"\(1000\.0,\) overflows "
+                           r"at t = 1$"):
             _phi_rows(np.array([[1000.0], [1.0]]), np.array([1.0, 5.0]))
 
     def test_pair_overflow_names_its_rows_t(self):
         # both rows overflow; the larger exponent is (-2000, 0) at t = -1,
         # and the |t| named is its own, not the 2.5 of the other row
         with pytest.raises(OverflowError, match=r"\(-2000\.0, 0\.0\) "
-                           r"overflows at \|t\| up to 1$"):
+                           r"overflows at t = -1$"):
             _phi_rows(np.array([[-2000.0, 0.0], [0.0, 300.0]]),
                       np.array([-1.0, 2.5]))
+
+    def test_pair_whose_exp_factor_underflows(self):
+        # exp(s t) underflows below 1e-308, but the value does not
+        assert_allclose(fundamental_eval((-868.4092867128231,
+                                          -110.84836175676793),
+                                         1.5679139806364661),
+                        4.364144827589071e-79, rtol=1e-13)
 
     def test_hard_underflow_returns_zero(self):
         assert fundamental_eval((-200.0, -200.0), 10.0) == 0.0
@@ -132,6 +141,11 @@ class TestFundamentalEval:
             fundamental_eval((1.0,), np.inf)
         with pytest.raises(ValueError):
             as_frequency_vector(())
+
+
+def _first_rows(rows, ts):
+    """The plain first rows of exp(t*Z), as the order-4 build reads them."""
+    return _plain(_corner_scaled(rows, ts), rows, ts)
 
 
 def _kernel_oracle_cases():
@@ -190,8 +204,7 @@ class TestOpitzKernel:
         assert len(kernel_calls) == 1
         single = [_phi_rows(rows[i:i + 1], ts[i:i + 1])[0] for i in range(12)]
         assert np.array_equal(batch, single)
-        reflected = (-1.0) ** (k - 1) * _phi_corner_batch(
-            -rows[:, ::-1], -ts)[:, -1]
+        reflected = (-1.0) ** (k - 1) * _first_rows(-rows[:, ::-1], -ts)[:, -1]
         assert np.array_equal(batch, reflected)
 
     def test_zero_only_batch(self, kernel_calls):
@@ -210,109 +223,119 @@ class TestOpitzKernel:
 
     def test_overflow_of_both_signs_names_the_largest_bound(self):
         # the row at t < 0 enters reflected, (0, 1, 500) at t = 3, and its
-        # bound 1500 passes the other row's 1200
+        # value near e^1500 passes the other row's e^1200; the message names
+        # the row as given, with its own t
         rows = np.array([[0.0, 1.0, 400.0], [-500.0, -1.0, 0.0]])
-        with pytest.raises(OverflowError, match=r"1\.0, 500\.0\) overflows "
-                           r"at t up to 3"):
+        with pytest.raises(OverflowError, match=r"\(-500\.0, -1\.0, 0\.0\) "
+                           r"overflows at t = -3$"):
             _phi_rows(rows, np.array([3.0, -3.0]))
 
     @pytest.mark.parametrize("freqs, t", _kernel_oracle_cases())
     def test_first_row_of_unsorted_row_against_oracle(self, freqs, t):
         # entry j is Phi over the first j+1 frequencies in the order given
         row = np.random.default_rng(len(freqs)).permutation(freqs)
-        got = _phi_corner_batch(row[None, :], np.array([t]))[0]
+        got = _first_rows(row[None, :], np.array([t]))[0]
         with mp.workdps(150):
             ref = [float(mp_phi(row[:j + 1], t)) for j in range(len(row))]
         assert_allclose(got, ref, rtol=1e-13)
-        at_zero = _phi_corner_batch(row[None, :], np.zeros(1))[0]
+        at_zero = _first_rows(row[None, :], np.zeros(1))[0]
         assert np.array_equal(at_zero, np.eye(len(row))[0])
 
     def test_overflow_check_reads_the_largest_entry(self):
         # the largest frequency comes first: the centred kernel stays finite
-        # and only the restored shift would overflow
-        with pytest.raises(OverflowError):
-            _phi_corner_batch(np.array([[760.0, 0.0, 0.0, 0.0]]),
-                              np.array([1.0]))
+        # and only the restored shift takes the value past the double range
+        with pytest.raises(OverflowError, match=r"\(760\.0, 0\.0, 0\.0, "
+                           r"0\.0\) overflows at t = 1$"):
+            _first_rows(np.array([[760.0, 0.0, 0.0, 0.0]]), np.array([1.0]))
 
 
-def _assert_log_space_accuracy(rows, ts):
-    """_phi_rows against the oracle within 2 eps max|lambda*t|, twice the
-    accuracy the module docstring states for the log-space routes."""
-    got = _phi_rows(rows, ts)
+def _assert_scaled_sweep(k, seed, pinned=()):
+    """_phi_scaled on 60 derandomized rows of width k, t of both signs and
+    max|lambda*t| from 1 to 1500, beside the pinned (row, t, value): the
+    sign, and log|mant| + scale within 2 eps max|lambda*t| of the oracle's
+    log|Phi|; mant is finite everywhere, and _phi_rows gives mant *
+    exp(scale) wherever that lies in the double range and refuses the row
+    elsewhere."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.2, 2.0, 60) * rng.choice([-1.0, 1.0], 60)
+    lam = rng.uniform(-1.0, 1.0, (60, k))
+    lam *= (rng.uniform(1.0, 1500.0, 60) / np.abs(t)
+            / np.abs(lam).max(axis=1))[:, None]
+    rows = np.vstack([np.sort(lam, axis=1)] + [row for row, _, _ in pinned])
+    ts = np.append(t, [tp for _, tp, _ in pinned])
+    mant, scale = _phi_scaled(rows, ts)
+    assert np.all(np.isfinite(mant)) and np.all(np.isfinite(scale))
     with mp.workdps(150):
-        ref = np.array([float(mp_phi(r, t)) for r, t in zip(rows, ts)])
-    tol = 2.0 * np.finfo(float).eps * np.max(np.abs(rows * ts[:, None]),
-                                             axis=1)
-    assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
+        ref = [mp_phi(r, tr) for r, tr in zip(rows, ts)]
+        log_ref = np.array([float(mp.log(abs(x))) for x in ref])
+        in_range = np.array([abs(x) <= np.finfo(float).max for x in ref])
+        want = np.array([float(mp.mpf(m) * mp.exp(sc))
+                         for m, sc in zip(mant, scale)])
+    assert np.array_equal(np.sign(mant), [float(mp.sign(x)) for x in ref])
+    eps = np.finfo(float).eps
+    tol = 2.0 * eps * np.max(np.abs(rows * ts[:, None]), axis=1)
+    assert np.all(np.abs(np.log(np.abs(mant)) + scale - log_ref) <= tol)
+    assert in_range.any() and not in_range.all()
+    got = _phi_rows(rows[in_range], ts[in_range])
+    assert np.all(np.abs(got - want[in_range])
+                  <= (2.0 + np.abs(scale[in_range])) * eps
+                  * np.abs(want[in_range]) + np.finfo(float).tiny)
+    for i in np.flatnonzero(~in_range):
+        with pytest.raises(OverflowError):
+            _phi_rows(rows[i:i + 1], ts[i:i + 1])
+    for j, (_, _, value) in enumerate(pinned):
+        assert_allclose(got[j - len(pinned)], value, rtol=1e-12)
 
 
 class TestLogSpace:
 
     def test_pair_whose_direct_product_overflows(self):
-        # |d*t| >= 720 makes sinhc(d*t) infinite: (-1440, 0) at t = 1 is
-        # about 1/1440; the random keys keep the larger exponent c*t small,
-        # with t of both signs
-        rng = np.random.default_rng(36)
-        t = rng.uniform(0.5, 2.0, 40) * rng.choice([-1.0, 1.0], 40)
-        c = rng.uniform(-50.0, 50.0, 40)
-        width = 2.0 * rng.uniform(720.0, 1400.0, 40) / np.abs(t)
-        far = c - np.sign(t) * width
-        rows = np.vstack([[-1440.0, 0.0],
-                          np.sort(np.column_stack([far, c]), axis=1)])
-        ts = np.append(1.0, t)
-        assert_allclose(_phi_rows(rows[:1], ts[:1]), 1.0 / 1440.0,
-                        rtol=1e-13)
-        _assert_log_space_accuracy(rows, ts)
+        # |d*t| >= 720 makes sinh(d*t) infinite, though (-1440, 0) at t = 1
+        # is about 1/1440
+        _assert_scaled_sweep(2, 36, [([-1440.0, 0.0], 1.0, 1.0 / 1440.0)])
 
     @pytest.mark.parametrize("k", (3, 4))
     def test_row_whose_shift_passes_690(self, k):
-        # |mean * t| > 690 takes the shifted tail: (-1400, -700, 0) at t = 1
-        # is about 1.0204e-6; the random keys keep the centred exponents
-        # below 700 so the kernel itself stays finite
-        rng = np.random.default_rng(k)
-        x = np.column_stack([rng.uniform(-2100.0, -40.0, (4000, k - 1)),
-                             rng.uniform(-40.0, 8.0, 4000)])
-        x[:200] = rng.uniform(680.0, 698.0, (200, k))
-        x = np.sort(x, axis=1)
-        mean = x.mean(axis=1)
-        keep = (np.abs(mean) > 690.0) & (x[:, -1] - mean < 700.0) \
-            & (mean - x[:, 0] < 700.0)
-        assert keep[:200].sum() >= 5 and keep[200:].sum() >= 20
-        t = rng.uniform(0.5, 2.0, 4000)
-        rows = (x / t[:, None])[keep][:40]
-        ts = t[keep][:40]
-        if k == 3:
-            rows = np.vstack([[-1400.0, -700.0, 0.0], rows])
-            ts = np.append(1.0, ts)
-            assert_allclose(_phi_rows(rows[:1], ts[:1]), 1.0204081632653e-6,
-                            rtol=1e-12)
-        _assert_log_space_accuracy(rows, ts)
+        # (-1400, -700, 0) at t = 1, of mean -700, is about 1.0204e-6
+        _assert_scaled_sweep(k, k, [([-1400.0, -700.0, 0.0], 1.0,
+                                     1.0204081632653e-6)] if k == 3 else [])
 
 
 class TestSinhc:
-    def test_zero_dimensional_input_stays_an_array(self):
-        out = _sinhc(np.asarray(0.3))
-        assert isinstance(out, np.ndarray) and out.shape == ()
-        assert _sinhc(2.0).shape == ()
+    """The factor (1 - exp(-2|u|)) / (2|u|) = exp(-|u|) sinh(u)/u of the
+    pair mantissa t times it, u = d t."""
 
-    def test_series_below_the_threshold_direct_from_it(self):
-        below = np.array([np.nextafter(1e-4, 0.0), -np.nextafter(1e-4, 0.0),
-                          5e-5, -3e-7, 1e-300])
-        series = 1.0 + below * below / 6.0 * (1.0 + below * below / 20.0)
-        assert np.array_equal(_sinhc(below), series)
-        above = np.array([1e-4, -1e-4, np.nextafter(1e-4, 1.0), 0.3, -2.0,
-                          50.0, 710.0])
-        assert np.array_equal(_sinhc(above), np.sinh(above) / above)
+    def test_zero_dimensional_input_stays_an_array(self):
+        mant, scale = _pair_scaled(-1.0, 1.0, np.asarray(0.3))
+        assert np.shape(mant) == () and np.shape(scale) == ()
+        assert_allclose(mant * np.exp(scale), math.sinh(0.3), rtol=1e-15)
+
+    def test_small_arguments_against_mpmath(self):
+        u = np.array([1e-300, 1e-12, 5e-5, 1e-4, 0.3, 2.0, 50.0, 700.0])
+        mant, scale = _pair_scaled(-u, u, np.ones_like(u))
+        with mp.workdps(50):
+            want = [float(-mp.expm1(-2 * mp.mpf(x)) / (2 * mp.mpf(x)))
+                    for x in u]
+        assert_allclose(mant, want, rtol=4.0 * np.finfo(float).eps)
+        assert np.array_equal(scale, u)
 
     def test_signed_zero_gives_one(self):
-        assert np.array_equal(_sinhc(np.array([0.0, -0.0])), [1.0, 1.0])
-        assert _sinhc(-0.0) == 1.0
+        # d t = +-0 gives the factor 1: mant is t to the bit, signed zeros
+        # of t included
+        t = np.array([0.0, -0.0, 0.3, -2.5, 1e300])
+        for lam in (2.0, -0.0, 0.0):
+            mant, scale = _pair_scaled(lam, lam, t)
+            assert np.array_equal(mant, t)
+            assert np.array_equal(np.signbit(mant), np.signbit(t))
+            assert np.array_equal(scale, lam * t)
 
-    def test_overflow_is_inf_without_warning(self):
+    def test_large_arguments_stay_finite_without_warning(self):
+        u = np.array([711.0, -711.0, 1e4, -1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _sinhc(np.array([711.0, -711.0, 1e4, -1e300]))
-        assert np.array_equal(out, np.full(4, np.inf))
+            mant, scale = _pair_scaled(-np.abs(u), np.abs(u), np.sign(u))
+        assert_allclose(mant, np.sign(u) / (2.0 * np.abs(u)), rtol=1e-15)
+        assert np.array_equal(scale, np.abs(u))
 
 
 class TestDerivative:
@@ -380,7 +403,7 @@ class TestReflection:
         ts = np.array([0.01, 0.1, 0.39, 1.0])
         ts = ts[max(map(abs, quad)) * ts <= 150.0]
         rows = np.tile(-np.array(quad), (ts.size, 1))
-        got = _phi_corner_batch(rows, ts) * (-1.0) ** np.arange(4)
+        got = _first_rows(rows, ts) * (-1.0) ** np.arange(4)
         for i, t in enumerate(ts):
             want = [float(mp_phi(quad[:k + 1], -t)) for k in range(4)]
             assert_allclose(got[i], want, rtol=1e-13, err_msg=f"t={t}")

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expspline import hatbasis
-from expspline.expcore import _log_sinhc, _sinhc
 from expspline.hatbasis import (
     Partition,
     _flank_values,
@@ -248,15 +246,24 @@ class TestInterpolate2:
 
 
 def _ratio_one_pair(lam0, lam1, x, y):
-    """phi(x)/phi(y) for one pair, choosing the direct ratio or one
-    exponent with the log-space sinhc ratio once for all of x."""
-    s = 0.5 * (lam0 + lam1)
+    """phi(x)/phi(y) for one pair by the one pair formula: phi(t) = m(t)
+    exp(c(t)) with c = s t + |d t| = max(lam0 t, lam1 t) and m = t (1 -
+    exp(-2 |d t|)) / (2 |d t|), or t at d t = 0, so the ratio is m(x)/m(y)
+    exp(c(x) - c(y)), its exponential split as exp(r) 2^n, n = 0 unless
+    the exponent passes 700, so that a subnormal flank is rounded once."""
     d = 0.5 * (lam1 - lam0)
-    if max(abs(d * np.max(np.abs(x), initial=0.0)), abs(d * y)) < 350.0:
-        return (x / y) * np.exp(s * (x - y)) * (_sinhc(d * x)
-                                                / _sinhc(d * y))
-    return (x / y) * np.exp(s * (x - y) + (_log_sinhc(d * x)
-                                           - _log_sinhc(np.asarray(d * y))))
+
+    def parts(t):
+        u = np.abs(d * np.asarray(t))
+        with np.errstate(invalid="ignore"):
+            return np.where(u > 0.0, t * -np.expm1(-2.0 * u) / (2.0 * u),
+                            t), np.maximum(lam0 * t, lam1 * t)
+
+    (m_x, c_x), (m_y, c_y) = parts(x), parts(y)
+    e = c_x - c_y
+    n = np.where(np.abs(e) > 700.0, np.rint(e / math.log(2.0)), 0.0)
+    return np.ldexp((m_x / m_y) * np.exp(e - n * math.log(2.0)),
+                    n.astype(int))
 
 
 def _flanks_by_interval(basis, ts):
@@ -290,7 +297,8 @@ _STIFF = st.tuples(st.floats(-900.0, -200.0), st.floats(200.0, 900.0))
          fractions=[0.0, 0.25, 0.5, 0.75, 1.0])
 def test_flanks_match_the_per_interval_loop(cells, fractions):
     # mixed stiff and mild intervals on one partition: bitwise equal where
-    # the pair is mild, within 1e-13 where the log-space branch is taken
+    # the pair is mild, within 1e-13 where |d h| >= 350, whose exponents
+    # may pass 700 and take _times_exp's power-of-two route
     pairs = [tuple(pair) for pair, _ in cells]
     knots = np.concatenate([[0.0], np.cumsum([h for _, h in cells])])
     basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
@@ -307,33 +315,6 @@ def test_flanks_match_the_per_interval_loop(cells, fractions):
 
 
 
-@pytest.mark.parametrize("d", [350.0, np.nextafter(350.0, 0.0)],
-                         ids=["at-350", "one-ulp-below"])
-def test_log_space_flanks_start_at_d_h_350(monkeypatch, d):
-    # the choice is |d h| >= 350 once per interval (h = 1 on interval 0):
-    # at 350 its flanks go through log space, one ulp below they do not,
-    # and the mild interval never does
-    logged = []
-    real = hatbasis._log_sinhc
-
-    def spy(u):
-        logged.append(np.size(u))
-        return real(u)
-
-    monkeypatch.setattr(hatbasis, "_log_sinhc", spy)
-    basis = build_hat_basis([0.0, 1.0, 1.5], [(-d, d), (-1.0, 1.0)])
-    ts = np.linspace(0.0, 1.5, 13)
-    idx, fall, rise = _flank_values(basis, ts)
-    stiff = d >= 350.0
-    assert bool(logged) == stiff and all(logged)
-    _, want_fall, want_rise = _flanks_by_interval(basis, ts)
-    for got, want in ((fall, want_fall), (rise, want_rise)):
-        assert np.all(np.isfinite(got))
-        assert np.array_equal(got[idx == 1], want[idx == 1])
-        assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        if not stiff:
-            assert np.array_equal(got, want)
-
 def _mp_flank(lam0, lam1, x, y):
     """phi(x)/phi(y) by mpmath, with digits enough for the cancellation
     of exp(lam1 x) - exp(lam0 x) at small |x|."""
@@ -349,10 +330,10 @@ def _mp_flank(lam0, lam1, x, y):
 @example(h=1.0, dh=1000.0, lean=-1.0, fractions=[0.0, 0.1, 0.29, 0.5, 1.0])
 @example(h=2.0, dh=1500.0, lean=0.9, fractions=[1e-3, 0.5, 0.999])
 def test_log_space_flanks_against_mpmath(h, dh, lean, fractions):
-    # straddling pairs with |d h| >= 350, so every flank takes the log-space
-    # branch, and |s h| up to 1500: exp(s (x - y)) alone would overflow or
-    # underflow where the flank itself does not.  Relative error within
-    # 2 eps max|lambda| h of the mpmath ratio.
+    # straddling pairs with |d h| >= 350 and |s h| up to 1500: phi(-+h)
+    # and exp(s (x - y)) alone overflow or underflow where the flank itself
+    # does not.  Relative error within 2 eps max|lambda| h of the mpmath
+    # ratio.
     d = dh / h
     lam0, lam1 = lean * d - d, lean * d + d
     basis = build_hat_basis([0.0, h], [(lam0, lam1)])
@@ -364,6 +345,38 @@ def test_log_space_flanks_against_mpmath(h, dh, lean, fractions):
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want)
                       <= tol * want + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("pair", [(800.0, 801.0), (-801.0, -800.0)])
+def test_nonmonotone_stiff_interpolant_keeps_its_data(pair):
+    # h = 1 is about 800 monotone radii: phi(-+1) passes the double range,
+    # and between the knots the interpolant of (1, 2, 3) reaches e^792.
+    # It reads its data at the knots, never NaN, the mpmath value within
+    # 2 eps max|lambda| h wherever that lies in the double range, and inf
+    # where it does not
+    knots = np.array([0.0, 1.0, 2.0])
+    values = np.array([1.0, 2.0, 3.0])
+    spline = interpolate2(build_hat_basis(knots, [pair] * 2,
+                                          allow_nonmonotone=True), values)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(spline(knots), values)
+        ts = np.concatenate([np.linspace(0.0, 2.0, 81),
+                             [1e-3, 0.86, 0.89, 0.999, 1.001, 1.11, 1.999]])
+        got = spline(ts)
+    with mp.workdps(60):
+        want = []
+        for t in ts:
+            i = min(int(t), 1)
+            fall = mp_phi_pair(*pair, t - knots[i + 1]) \
+                / mp_phi_pair(*pair, -1.0)
+            rise = mp_phi_pair(*pair, t - knots[i]) / mp_phi_pair(*pair, 1.0)
+            want.append(values[i] * fall + values[i + 1] * rise)
+    big = np.array([abs(w) > np.finfo(float).max for w in want])
+    assert big.any() and not big.all()
+    assert np.all(np.isposinf(got[big]))
+    want = np.array([float(w) for w in np.array(want)[~big]])
+    tol = 2.0 * np.finfo(float).eps * 801.0
+    assert np.all(np.abs(got[~big] - want) <= tol * np.abs(want))
 
 
 def _grouped_by_dict(pairs, lengths):

@@ -11,7 +11,7 @@ import mpmath as mp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgtsv, dgttrf
 
-from expspline import expcore, hatbasis, l2proj
+from expspline import l2proj
 from expspline.errbound2 import omega_eval
 from expspline.hatbasis import (
     build_hat_basis,
@@ -34,7 +34,7 @@ from expspline.l2proj import (
 )
 from expspline.quadrature import QuadratureError
 
-from oracles import inner_product_p, mp_load_vector
+from oracles import inner_product_p, mp_load_vector, mp_phi_pair
 
 
 class TestTSFunctions:
@@ -259,17 +259,19 @@ class TestGramAssemble:
 
     def test_kernel_calls_do_not_grow_with_the_mesh(self, monkeypatch):
         # every (pair, length) key distinct; the fundamental functions of
-        # all keys come from two _phi_rows calls: phi(h) and phi(-h)
-        # together, and the three four-frequency integrals together
+        # all keys come from one _phi_scaled call for the three
+        # four-frequency integrals together and two _pair_scaled calls,
+        # phi(h) and phi(-h)
         calls = []
 
-        def counting(rows, ts):
-            calls.append(len(ts))
-            return real(rows, ts)
+        def counting(real):
+            def call(*args):
+                calls.append((real.__name__, np.size(args[-1])))
+                return real(*args)
+            return call
 
-        real = expcore._phi_rows
-        monkeypatch.setattr(expcore, "_phi_rows", counting)
-        monkeypatch.setattr(l2proj, "_phi_rows", counting)
+        for name in ("_phi_scaled", "_pair_scaled"):
+            monkeypatch.setattr(l2proj, name, counting(getattr(l2proj, name)))
         counts = []
         for n in (9, 65):
             rng = np.random.default_rng(n)
@@ -281,8 +283,42 @@ class TestGramAssemble:
             calls.clear()
             gram_assemble(basis, 0.6)
             counts.append(len(calls))
-            assert sum(calls) == 5 * (n - 1)
-        assert counts[0] == counts[1] == 2
+            assert sorted(calls) == [("_pair_scaled", n - 1)] * 2 \
+                + [("_phi_scaled", 3 * (n - 1))]
+        assert counts[0] == counts[1] == 3
+
+    def test_stiff_factors_give_the_quadrature_entries(self):
+        # pair (-300, 250) on 4 intervals graded by 1.15: phi(-+h) and the
+        # factor Phi_(-500, 0, 50, 600)(1.218) pass the double range, while
+        # every entry is an integral of two hats, at most h.  The oracle is
+        # mpmath quadrature of the hat products, split at the flanks'
+        # boundary layers; its tolerance is absolute, so the cross product,
+        # near e^(-250 h), is scaled to O(1) first
+        lengths = 1.15 ** np.arange(4)
+        knots = -2.0 + 4.0 * np.append(0.0, np.cumsum(lengths)) \
+            / lengths.sum()
+        pair = (-300.0, 250.0)
+        basis = build_hat_basis(knots, [pair] * 4)
+        gram = gram_assemble(basis, 0.0)
+        diag, off = [mp.mpf(0)] * 5, []
+        with mp.workdps(40):
+            for j, h in enumerate(basis.partition.lengths):
+                a, b = knots[j], knots[j + 1]
+                fall = lambda t: mp_phi_pair(*pair, t - b) \
+                    / mp_phi_pair(*pair, -h)
+                rise = lambda t: mp_phi_pair(*pair, t - a) \
+                    / mp_phi_pair(*pair, h)
+                cuts = [a + x for x in (0.0, 1e-3, 1e-2, 0.1)] \
+                    + [b - x for x in (0.1, 1e-2, 1e-3, 0.0)]
+                diag[j] += mp.quad(lambda t: fall(t) ** 2, cuts)
+                diag[j + 1] += mp.quad(lambda t: rise(t) ** 2, cuts)
+                norm = mp.exp(pair[1] * h)
+                off.append(mp.quad(lambda t: fall(t) * rise(t) * norm, cuts)
+                           / norm)
+        assert_allclose(gram.diag, [float(x) for x in diag], rtol=1e-12)
+        assert_allclose(gram.off, [float(x) for x in off], rtol=1e-12)
+        result = project(basis, lambda t: np.exp(-t * t), 0.0)
+        assert np.all(np.isfinite(result.coeffs))
 
     def test_entries_positive(self):
         basis = build_hat_basis((0.0, 0.4, 1.0, 1.3),
@@ -518,22 +554,13 @@ class TestLoadVector:
             assert_allclose(got, want, rtol=1e-12)
         assert calls == []
 
-    def test_stiff_pair_takes_the_log_branch(self, monkeypatch):
-        # d h = 435 on interval 1: sinh would overflow, so its flanks go
-        # through log space
-        logged = []
-
-        def spy(u):
-            logged.append(np.size(u))
-            return real(u)
-
-        real = hatbasis._log_sinhc
-        monkeypatch.setattr(hatbasis, "_log_sinhc", spy)
+    def test_stiff_pair_against_mpmath(self):
+        # d h = 435 on interval 1: sinh(d h) and phi(-+h) pass the double
+        # range, while the flanks stay in [0, 1]
         knots = (0.0, 1.0, 2.0, 2.5)
         pairs = [(-1.0, 2.0), (-450.0, 420.0), (-0.5, 0.5)]
         basis = build_hat_basis(knots, pairs)
         got = l2proj._load_vector(basis, np.cos, 0.4)
-        assert logged and all(logged)
         want = mp_load_vector(knots, pairs, mp.cos, 0.4)
         assert np.all(np.isfinite(got))
         assert_allclose(got, want, rtol=1e-12)

@@ -227,6 +227,16 @@ class TestBuildInterpolant4:
                            match="condition bound"):
             build_interpolant4(kn, qs, np.sin(kn), 1.0, math.cos(kn[-1]))
 
+    def test_overflowed_condition_bound_is_named(self):
+        # the slope rows are finite (3e109 beside 2e-108), but the
+        # elimination overflows, and a NaN bound would name nothing
+        kn = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="ill conditioned: its condition bound "
+                                 "overflows$"):
+            build_interpolant4(kn, (-1e3,) * 4, np.sin(kn), 1.0,
+                               math.cos(1.0))
+
     def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
         counts = []
         for n in (17, 513):
