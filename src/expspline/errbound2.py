@@ -94,9 +94,10 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
     Phi_(-l0,-l1), so it needs no further three-frequency kernel call.
     The six pair values come from one _phi_scaled call and q at tau_a >= 0
     and tau_b <= 0 from one more, which is one Opitz kernel call for the
-    batch.  Each product of the two forms is one _quotient of their (mant,
-    scale) parts, exp(lo*t) taken on the scale of Phi_(lo,hi), so a term
-    is finite wherever its value is, although its factors may not be.  For
+    batch.  The six products of the two forms are one stacked _quotient
+    of their (mant, scale) parts, exp(lo*t) taken on the scale of
+    Phi_(lo,hi), so a term is finite wherever its value is, although its
+    factors may not be.  For
     lo < 0 < hi the same solution reads omega = (1 - x) / |lo*hi| with
 
         x = ((1 - e^(-hi*span)) e^(lo*tau_a)
@@ -125,10 +126,13 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
     # Phi'_(lo,hi) = hi Phi_(lo,hi) + exp(lo t) on the scale of Phi_(lo,hi)
     d_a, d_b = ((hi * m + np.exp(lo * tau - sc), sc)
                 for (m, sc), tau in ((p_a, tau_a), (p_b, tau_b)))
-    out = _quotient([p_a, q_b], [c_pair]) - _quotient([p_b, q_a], [c_neg])
-    slope = _quotient([d_a, q_b], [c_pair]) \
-        + _quotient([p_a, n_b], [c_pair]) \
-        - _quotient([d_b, q_a], [c_neg]) - _quotient([p_b, n_a], [c_neg])
+    # the six products num * other / den, stacked into one _quotient
+    num, other, den = (tuple(map(np.stack, zip(*fs))) for fs in (
+        (p_a, p_b, d_a, p_a, d_b, p_b), (q_b, q_a, q_b, n_b, q_a, n_a),
+        (c_pair, c_neg, c_pair, c_pair, c_neg, c_neg)))
+    a, b, a_d, a_n, b_d, b_n = _quotient([num, other], [den])
+    out = a - b
+    slope = a_d + a_n - b_d - b_n
     strad = (lo < 0.0) & (hi > 0.0)
     if np.any(strad):
         lo, hi = lo[strad], hi[strad]

@@ -197,14 +197,15 @@ def _times_exp(mant, scale):
     700, elsewhere mant exp(r) 2^n with scale = n log 2 + r, so the result
     overflows or underflows only where the value does, and a zero mant
     gives a zero whatever the scale."""
-    mant, scale = np.broadcast_arrays(mant, scale)
+    far = np.abs(scale) > 700.0
+    if not far.any():
+        return mant * np.exp(scale)
+    mant, scale, far = np.broadcast_arrays(mant, scale, far)
     with np.errstate(over="ignore", invalid="ignore"):
         out = mant * np.exp(scale)
-        far = np.abs(scale) > 700.0
-        if far.any():
-            n = np.rint(scale[far] / (_LN2_HI + _LN2_LO))
-            r = scale[far] - n * _LN2_HI - n * _LN2_LO
-            out[far] = np.ldexp(mant[far] * np.exp(r), n.astype(int))
+        n = np.rint(scale[far] / (_LN2_HI + _LN2_LO))
+        r = scale[far] - n * _LN2_HI - n * _LN2_LO
+        out[far] = np.ldexp(mant[far] * np.exp(r), n.astype(int))
     return out
 
 
@@ -228,7 +229,8 @@ def _plain(scaled, rows, ts):
     largest and that row's own t."""
     mant, scale = scaled
     scale = scale.reshape(scale.shape + (1,) * (mant.ndim - 1))
-    out = _times_exp(mant, scale)
+    with np.errstate(over="ignore"):
+        out = _times_exp(mant, scale)
     bad = ~np.isfinite(out)
     if bad.any():
         with np.errstate(divide="ignore", invalid="ignore"):
