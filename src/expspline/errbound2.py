@@ -357,7 +357,9 @@ def M_constants(pairs, lefts, rights):
 def _unit_search(pairs, lefts, rights):
     """Interval constants and the unit-interval abscissae of their best
     values, from one _bracket_search over the rescaled pairs
-    (lam0*(b-a), lam1*(b-a))."""
+    (lam0*(b-a), lam1*(b-a)).  A constant past the double range, as for
+    large same-sign pairs, raises OverflowError naming its interval; any
+    other that is not finite and positive raises ArithmeticError."""
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     lefts, rights = (np.asarray(x, dtype=float).ravel()
                      for x in (lefts, rights))
@@ -369,13 +371,16 @@ def _unit_search(pairs, lefts, rights):
     if bad.any():
         key = tuple(scaled[np.argmax(bad)].tolist())
         raise ValueError(f"frequencies must be finite, got {key}")
-    m_unit, t_unit = _bracket_search(*scaled.T)
-    values = spans * spans * m_unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_unit, t_unit = _bracket_search(*scaled.T)
+        values = spans * spans * m_unit
     failed = ~((values > 0.0) & np.isfinite(values))
     if failed.any():
         j = int(np.argmax(failed))
-        raise ArithmeticError(
-            f"interval constant failed for {tuple(pairs[j].tolist())} on "
+        error, what = (OverflowError, "overflows") if values[j] == np.inf \
+            else (ArithmeticError, "failed")
+        raise error(
+            f"interval constant {what} for {tuple(pairs[j].tolist())} on "
             f"[{lefts[j]}, {rights[j]}]")
     return values, t_unit
 

@@ -83,8 +83,8 @@ def gram_assemble(basis, p):
     distinct key, the three four-frequency integrals in one kernel call.
     Each entry is one _quotient of their (mant, scale) pairs and w0's
     exponent p t_j, so it overflows only where its value does, although
-    its factors may pass the double range.  A non-finite p raises
-    ValueError.
+    its factors may pass the double range; such an entry reads inf, which
+    tridiag_solve refuses.  A non-finite p raises ValueError.
     """
     p = _finite_p(p)
     knots = basis.knots

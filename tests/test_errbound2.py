@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from functools import lru_cache
 
 import mpmath as mp
@@ -407,6 +409,20 @@ class TestMConstant:
         best = _mp_omega_max(lam0, lam1)
         assert data.value >= best
         assert_allclose(data.value, best, rtol=1e-13)
+
+    @pytest.mark.parametrize("lam0, lam1", [(2000.0, 2001.0),
+                                            (-1e4, -9999.0)])
+    def test_constant_past_the_double_range_is_an_overflow(self, lam0,
+                                                           lam1):
+        # large same-sign pairs: omega's maximum passes 1e308 (it is
+        # 1.7e295 for (700, 701)), so M is refused by OverflowError, with
+        # no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"interval constant overflows for ({lam0}, {lam1}) on "
+                    f"[0.0, 1.0]")):
+                M_constant(lam0, lam1, 0.0, 1.0)
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])
