@@ -12,12 +12,17 @@ OpenBLAS's core that produced them.  ``digest.json`` pins the library
 below the CLI: per item of digest_items(), a replica of the verify4 bench
 generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
 bytes of the spline's coeffs, starts and taylor, of every error_bound4
-field and of max_abs_L.  The files are only ever written by this script:
+field and of max_abs_L.  ``promise.json`` is the promise ledger: the
+outcome of run_verify on every case of promise_cases(), one single-level
+config per catalog function, frequency family, size and mesh, each
+certified, refused by type or failed with the item that owns it.  The
+files are only ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``tests/golden/test_golden.py`` replays every command and every digest
-item in process and asks for the same bytes.
+``tests/golden/test_golden.py`` replays every command, every digest item
+and every ledger case in process and asks for the same bytes and
+outcomes.
 """
 
 import contextlib
@@ -184,6 +189,78 @@ def digest():
             for name, func, n, quad in digest_items()}
 
 
+# the promise ledger's strata: each catalog function on its own domain with
+# exact clamps, each family of frequencies (order, frequencies), and each
+# size, on a uniform mesh and on one graded by 1.15
+_PROMISE_FUNCS = ("sin", "cos", "exp", "runge", "gauss", "t3")
+_PROMISE_FAMILIES = {
+    **{f"o4-xi{xi:g}": (4, {"xi": xi}) for xi in (0.5, 3.0, 20.0, 200.0)},
+    **{f"o4-{'/'.join(f'{q:.9g}' for q in quad)}": (4, {"quads": [quad]})
+       for quad in ([1.3, 2.1, -1.3, -2.1], [5.0, 11.0, -5.0, -11.0],
+                    [1.0, 1.0 + 1e-8, -1.0, -1.0 - 1e-8], [1.0, 2.0, 5.0, 4.0],
+                    [-1.0, -2.0, -5.0, -4.0], [1.0, -1.0, 3.0, 1.0],
+                    [8.0, -8.0, 10.0, -6.0], [0.0, 0.0, 0.0, 0.0])},
+    **{f"o2-{l0:g}/{l1:g}": (2, {"pairs": [[l0, l1]]})
+       for l0, l1 in ((-1.0, 2.0), (3.0, 4.0), (0.0, 0.0), (-300.0, 250.0))},
+    "o2-xi2": (2, {"xi": 2.0}),
+}
+_PROMISE_SIZES = (5, 9, 33, 129)
+
+# a failed row whose measured error is at most _FLOOR, rounding on the
+# catalog's functions of size O(1), is owned by the rounding model: the
+# bound of an F that L annihilates is 0, and no term covers the rounding
+_FLOOR, _FLOOR_OWNER = 1e-14, "item 8"
+
+
+def promise_cases():
+    """(name, config) of every ledger case: one level each, so every case
+    has one outcome."""
+    from expspline import get_test_function
+
+    cases = []
+    for func in _PROMISE_FUNCS:
+        a, b = get_test_function(func).default_domain
+        for family, (order, freqs) in _PROMISE_FAMILIES.items():
+            for n in _PROMISE_SIZES:
+                graded = np.cumsum(np.concatenate(
+                    [[0.0], 1.15 ** np.arange(n - 1)]))
+                graded = a + (b - a) * graded / graded[-1]
+                graded[-1] = b
+                for mesh, grid in (("uniform", {"n": n}),
+                                   ("graded", {"knots": graded.tolist()})):
+                    cases.append((f"{family} {func} n{n} {mesh}",
+                                  {"function": func, "order": order,
+                                   "frequencies": freqs, **grid}))
+    return cases
+
+
+def promise_outcome(config):
+    """run_verify's outcome of one case: "pass", "no bound", "refused
+    <exception type>" for the CLI's typed refusals, or "failed <owner>"
+    when the measured error passes the bound.  Any other exception
+    propagates."""
+    from expspline import ConfigError, DominanceError, QuadratureError
+    from expspline.harness import run_verify
+
+    typed = (ConfigError, DominanceError, QuadratureError, OverflowError,
+             np.linalg.LinAlgError, ValueError)
+    try:
+        (row,) = run_verify(config).rows
+    except typed as exc:
+        return f"refused {type(exc).__name__}"
+    if row["bound"] is None:
+        return "no bound"
+    if row["passed"]:
+        return "pass"
+    floor = row["empirical_error"] <= _FLOOR
+    return f"failed {_FLOOR_OWNER if floor else 'unowned'}"
+
+
+def promise():
+    """Every ledger case's outcome, by case name."""
+    return {name: promise_outcome(config) for name, config in promise_cases()}
+
+
 def _openblas_core():
     """The core OpenBLAS picked at run time for numpy's BLAS, read from
     the library itself; "unknown" when it exposes no such call.  A stacked
@@ -236,6 +313,7 @@ def main():
                          "stderr": err})
         _dump(HERE / "expected" / f"{name}.json", runs)
     _dump(HERE / "digest.json", digest())
+    _dump(HERE / "promise.json", promise())
     _dump(HERE / "versions.json", versions())
 
 

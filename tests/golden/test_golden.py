@@ -1,7 +1,9 @@
 """The golden CLI corpus: every recorded command, rerun in process, prints
-the same bytes and exits with the same code.  regen.py writes the corpus."""
+the same bytes and exits with the same code, and every promise-ledger case
+keeps its outcome.  regen.py writes the corpus and the ledger."""
 
 import json
+import warnings
 
 import regen
 
@@ -40,3 +42,16 @@ def test_library_outputs_match_the_digest():
                    if got[field] != expected[field]]
     assert not misses, (f"recorded with {recorded}, run with "
                         f"{regen.versions()}; differing outputs: {misses}")
+
+
+def test_every_ledger_case_keeps_its_outcome():
+    want = json.loads((regen.HERE / "promise.json").read_text())
+    cases = regen.promise_cases()
+    assert set(want) == {name for name, _ in cases}
+    # an untyped exception propagates, and a RuntimeWarning is one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = {name: regen.promise_outcome(config) for name, config in cases}
+    moved = [f"{name}: {want[name]} -> {got[name]}" for name in sorted(got)
+             if got[name] != want[name]]
+    assert not moved, f"{len(moved)} ledger cases moved: {moved}"
