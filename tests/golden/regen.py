@@ -90,6 +90,10 @@ CASES = {
     # no weight exponent pairs these frequencies
     "refused-no-pairing": {"function": "sin", "n": 5, "order": 4,
                            "frequencies": {"quads": [[0.0, 0.0, 1.0, 2.0]]}},
+    # same-sign hats on intervals past the monotone radius 0.288 of (3, 4)
+    "order2-past-radius-sin": {"function": "sin", "n": [5, 9, 33],
+                               "order": 2,
+                               "frequencies": {"pairs": [[3.0, 4.0]]}},
 }
 
 
