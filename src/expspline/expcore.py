@@ -222,11 +222,10 @@ def _quotient(nums, dens):
     return _times_exp(mant, scale)
 
 
-def _plain(scaled, rows, ts):
+def _plain(scaled, overflow):
     """The plain values mant * exp(scale) of scaled = (mant, scale), mant
-    (N,) or (N, k) for the frequency rows (N, k) at ts (N,).  A value
-    outside the double range raises OverflowError naming the row of the
-    largest and that row's own t."""
+    (N,) or (N, k) for N rows.  A value outside the double range raises
+    OverflowError(overflow(i)), i the row of the largest."""
     mant, scale = scaled
     scale = scale.reshape(scale.shape + (1,) * (mant.ndim - 1))
     with np.errstate(over="ignore"):
@@ -236,10 +235,8 @@ def _plain(scaled, rows, ts):
         with np.errstate(divide="ignore", invalid="ignore"):
             size = np.log(np.abs(mant)) + scale
         size = np.where(bad, np.nan_to_num(size, nan=np.inf), -np.inf)
-        i = int(np.argmax(size.reshape(len(size), -1).max(axis=1)))
-        raise OverflowError(
-            f"fundamental function for {tuple(rows[i].tolist())} overflows "
-            f"at t = {ts[i]:g}")
+        raise OverflowError(overflow(
+            int(np.argmax(size.reshape(len(size), -1).max(axis=1)))))
     return out
 
 
@@ -247,7 +244,9 @@ def _phi_rows(rows, ts):
     """Phi at ts[i] over the sorted frequency row rows[i], for rows (N, k)
     and finite ts (N,), as the plain values of _phi_scaled; a value
     outside the double range raises OverflowError naming its row and t."""
-    return _plain(_phi_scaled(rows, ts), rows, ts)
+    return _plain(_phi_scaled(rows, ts), lambda i: (
+        f"fundamental function for {tuple(rows[i].tolist())} overflows "
+        f"at t = {ts[i]:g}"))
 
 
 def fundamental_eval(freqs, t):

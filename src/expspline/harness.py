@@ -42,9 +42,11 @@ from .hatbasis import (
     build_hat_basis,
     hat_eval,
     interpolate2,
+    monotone_radius,
     sum_hats,
 )
 from .l2proj import (
+    DominanceError,
     _load_vector,
     dominance_factor,
     gram_assemble,
@@ -550,7 +552,8 @@ def _certificate(norm, level):
     blank; a catalog function adds max|LF| and the bound.  The order-4
     bound is that of the spline clamped at F's own end slopes, so a level
     clamped at other slopes gets none, and its row names why in
-    no_bound."""
+    no_bound.  The order-2 bound reads no norm bound: a Gram without
+    dominance leaves norm_bound blank and names why in no_norm_bound."""
     part, freqs, _ = level
     basis, p = _hats(level)
     tf = norm["tf"]
@@ -571,7 +574,10 @@ def _certificate(norm, level):
             row["no_bound"] = (f"clamp {clamp} is not the end slopes "
                                f"{exact} of {tf.name}")
         return row
-    row["norm_bound"] = operator_norm_bound(basis, p)
+    try:
+        row["norm_bound"] = operator_norm_bound(basis, p)
+    except DominanceError as exc:
+        row.update(norm_bound=None, no_norm_bound=str(exc))
     if tf is not None:
         row["bound"] = interp2_error_bound(
             basis, _lf_bounds(tf, part, basis.pairs, True))
@@ -925,10 +931,10 @@ def _criterion_hat_sums():
         ts = np.linspace(knots[0], knots[-1], 801)
         worst_mixed = max(worst_mixed, float(np.max(sum_hats(basis, ts))))
         shift = float(rng.uniform(0.5, 3.0))
-        try:
-            basis2 = build_hat_basis(knots, mixed + shift)
-        except ValueError:
+        reach = monotone_radius(*(mixed + shift).T) * (1.0 + 1e-12)
+        if np.any(np.diff(knots) > reach):  # the bound 2 is for monotone hats
             continue
+        basis2 = build_hat_basis(knots, mixed + shift)
         worst_all = max(worst_all, float(np.max(sum_hats(basis2, ts))))
     h = 0.31
     basis = build_hat_basis(np.arange(5) * h, [(0.0, 0.0)] * 4)

@@ -5,8 +5,8 @@ Every interval [t_j, t_(j+1)] of a partition carries a frequency pair
 interval j, the hat anchored at knot j rises as phi_(j-1)(t - t_(j-1)),
 normalised to 1 at t_j, and falls as phi_j(t - t_(j+1)), again normalised
 at t_j.  Hats reproduce Kronecker data at the knots; the first and last are
-half hats.  Keeping each interval shorter than the monotone radius of its
-pair guarantees 0 <= H_j <= 1.
+half hats.  Past the monotone radius of its pair an interval's hats leave
+[0, 1], which neither certificate assumes.
 """
 
 import math
@@ -36,17 +36,12 @@ def monotone_radius(lam0, lam1):
     if not (np.isfinite(lam0).all() and np.isfinite(lam1).all()
             and (lam0 <= lam1).all()):
         raise ValueError("pairs must be finite and ordered, lam0 <= lam1")
-    radius = _radius(lam0, lam1)
-    return float(radius) if radius.ndim == 0 else radius
-
-
-def _radius(lam0, lam1):
-    """monotone_radius of finite ordered pairs, arrays lam0 and lam1."""
     a0, a1 = np.abs(lam0), np.abs(lam1)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(a0 == a1, 1.0 / a0,
                           (np.log(a1) - np.log(a0)) / (a1 - a0))
-    return np.where((lam0 <= 0.0) & (lam1 >= 0.0), np.inf, radius)
+    radius = np.where((lam0 <= 0.0) & (lam1 >= 0.0), np.inf, radius)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,14 +148,13 @@ class HatBasis:
         return self.partition.knots
 
 
-def build_hat_basis(partition, pairs, allow_nonmonotone=False):
+def build_hat_basis(partition, pairs):
     """Validate pairs against the partition and return a HatBasis.
 
-    pairs is one (lambda_0, lambda_1) per interval, each ordered, or a single
-    pair applied everywhere.  Intervals longer than the monotone radius of
-    their pair are rejected unless allow_nonmonotone is set, because the hats
-    would leave [0, 1] and every bound downstream assumes they do not.  The
-    first offending interval is named.
+    pairs is one (lambda_0, lambda_1) per interval, each finite and ordered,
+    or a single pair applied everywhere; the first offending pair is named.
+    Every interval length is accepted: past the monotone radius of its pair
+    the hats leave [0, 1], which neither certificate assumes.
     """
     partition = as_partition(partition)
     pairs = _frequency_rows(pairs, "frequency pair", partition.n - 1, 2)
@@ -172,15 +166,6 @@ def build_hat_basis(partition, pairs, allow_nonmonotone=False):
         if not np.isfinite(pairs[j]).all():
             raise ValueError(f"pair {j} is not finite: {pair}")
         raise ValueError(f"pair {j} must be ordered, got {pair}")
-    if not allow_nonmonotone:
-        delta = _radius(lam0, lam1)
-        far = partition.lengths > delta * (1.0 + 1e-12)
-        if far.any():
-            j = int(np.argmax(far))
-            raise ValueError(
-                f"interval {j} has length {partition.lengths[j]:g} beyond "
-                f"the monotone radius {delta[j]:g} of pair "
-                f"{tuple(pairs[j].tolist())}")
     pairs.setflags(write=False)
     return HatBasis(partition, pairs)
 
@@ -266,16 +251,29 @@ class SplineOrder2:
     On interval i it is c_i fall + c_(i+1) rise from _flank_values.  No
     knot value is set apart: at its own knot a flank is (y/y) exp(0) = 1,
     and at the other knot (0/y) exp(scale) = +-0 for every pair.  The sum
-    is c_j there to the bit, up to the sign of a zero.
+    is c_j there to the bit, up to the sign of a zero.  A value outside the
+    double range raises OverflowError naming the first such t.
     """
     basis: HatBasis
     coeffs: np.ndarray = field(repr=False)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        idx, fall, rise = _flank_values(self.basis, t_arr.ravel())
+        ts = t_arr.ravel()
+        idx, fall, rise = _flank_values(self.basis, ts)
         c = np.asarray(self.coeffs)
-        out = c[idx] * fall + c[idx + 1] * rise
+        left, right = c[idx], c[idx + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = left * fall + right * rise
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # a zero coefficient adds zero, however large its flank
+                out[bad] = sum(np.where(w[bad] == 0.0, 0.0, w[bad] * f[bad])
+                               for w, f in ((left, fall), (right, rise)))
+                bad = ~np.isfinite(out)
+        if bad.any():
+            raise OverflowError(f"order-2 interpolant overflows at t = "
+                                f"{ts[int(np.argmax(bad))]:g}")
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 

@@ -302,7 +302,8 @@ def operator_norm_bound(basis, p):
     and -h, evaluated once per distinct (pair, length) key in mesh order; if
     some |T| reaches 1 the Gram matrix has no dominance margin and
     DominanceError reports the first such interval before any interval
-    constant is asked for.
+    constant is asked for.  Hats past the monotone radius of their pair
+    may get there; the order-4 certificate reads this bound, order 2 not.
 
     On interval j, with pair (l0, l1) and length h, the live flanks sum to
     u = phi(t - t_(j+1))/phi(-h) + phi(t - t_j)/phi(h), both >= 0, monotone

@@ -278,6 +278,14 @@ def _lookup(knots, starts):
     return buckets, probe, steps
 
 
+def _local_rows(rows, ts, quads, owner):
+    """First kernel rows of rows at offsets ts from a knot of interval
+    owner[i]; an overflow names that interval and its quadruple as given."""
+    return _plain(_corner_scaled(rows, ts), lambda i: (
+        f"local functions of interval {owner[i]} for quadruple "
+        f"{tuple(quads[owner[i]].tolist())} overflow at offset {ts[i]:g}"))
+
+
 def _local_ends(quads, lengths):
     """Local functions of every interval, from one kernel call at h.
 
@@ -298,7 +306,7 @@ def _local_ends(quads, lengths):
     orders = np.stack([fwd, -fwd[:, [1, 0, 3, 2]]])
     freqs = np.concatenate([*orders, *orders[..., [2, 3, 0, 1]]])
     ts = np.tile(keys[:, 4], 4)
-    e = _plain(_corner_scaled(freqs, ts), freqs, ts)
+    e = _local_rows(freqs, ts, quads, np.tile(reps, 4))
     e_h, e_o = e.reshape(2, 2, -1, 4)[:, :, back.ravel()]
     orders = orders[:, back.ravel()]
     x0, x1, _, x3 = np.moveaxis(orders, 2, 0)
@@ -408,7 +416,8 @@ def _assemble(part, quads, coeffs, ends):
         j = owner[inner]
         freqs = np.concatenate([orders[0, j], orders[1, j]])
         ts = np.concatenate([tau[inner], rest[inner]])
-        e = _plain(_corner_scaled(freqs, ts), freqs, ts).reshape(2, -1, 4)
+        e = _local_rows(freqs, ts, quads.quads,
+                        np.tile(j, 2)).reshape(2, -1, 4)
         # c[s, p] = (y_(j+1), b_j) . weights[0] and (y_j, a_j) . weights[1]
         data = coeffs[j].reshape(-1, 2, 2)[..., ::-1].transpose(2, 0, 1)
         c = data[..., 0, None] * weights[:, j, 0] \

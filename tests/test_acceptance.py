@@ -8,8 +8,10 @@ interpreter and the package under test, so it needs no installed console
 script and no PYTHONPATH.
 """
 
+import numpy as np
 from test_harness import _cli
 
+from expspline import build_hat_basis, harness, monotone_radius
 from expspline.harness import (
     _criterion_convolution,
     _criterion_cubic_limit,
@@ -98,6 +100,26 @@ def test_criterion_11_hat_sums():
     # sum of hats <= 2 always, <= 1 for mixed-sign pairs, and equal to 1
     # within 1e-14 for polynomial hats
     _check(11, "hat sum bounds", _criterion_hat_sums)
+
+
+def test_criterion_11_builds_monotone_bases_only(monkeypatch):
+    # the bound 2 holds for monotone hats: the criterion skips the shifted
+    # bases past the monotone radius before building them, and it reads
+    # the same samples as when the constructor refused them
+    built = []
+
+    def spy(knots, pairs):
+        built.append((np.diff(knots), np.asarray(pairs)))
+        return build_hat_basis(knots, pairs)
+
+    monkeypatch.setattr(harness, "build_hat_basis", spy)
+    assert _criterion_hat_sums() == (True, (
+        "mixed-sign sum max 1.000000000000 (limit 1), overall max "
+        "1.114995410669 (limit 2), polynomial unity dev 2.2e-16 (limit "
+        "1e-14)"))
+    assert len(built) == 77
+    for lengths, pairs in built:
+        assert np.all(lengths <= monotone_radius(*pairs.T) * (1.0 + 1e-12))
 
 
 def test_criterion_12_derivative_level_bound():

@@ -494,7 +494,7 @@ class TestBasisConstants:
         knots = np.concatenate([[-1.0], -1.0 + np.cumsum(h)])
         pairs = np.sort(rng.uniform(-4.0, 4.0, (3, 2)), axis=1)[
             rng.integers(0, 3, m)]
-        basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+        basis = build_hat_basis(knots, pairs)
         reps, _ = basis.groups
         assert basis.constants.shape == reps.shape
         for value, j in zip(basis.constants, reps):

@@ -145,7 +145,8 @@ class TestFundamentalEval:
 
 def _first_rows(rows, ts):
     """The plain first rows of exp(t*Z), as the order-4 build reads them."""
-    return _plain(_corner_scaled(rows, ts), rows, ts)
+    return _plain(_corner_scaled(rows, ts), lambda i: (
+        f"{tuple(rows[i].tolist())} overflows at t = {ts[i]:g}"))
 
 
 def _kernel_oracle_cases():

