@@ -262,14 +262,14 @@ class SplineOrder2:
         ts = t_arr.ravel()
         idx, fall, rise = _flank_values(self.basis, ts)
         c = np.asarray(self.coeffs)
-        left, right = c[idx], c[idx + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            out = left * fall + right * rise
+            out = c[idx] * fall + c[idx + 1] * rise
             bad = ~np.isfinite(out)
             if bad.any():
                 # a zero coefficient adds zero, however large its flank
-                out[bad] = sum(np.where(w[bad] == 0.0, 0.0, w[bad] * f[bad])
-                               for w, f in ((left, fall), (right, rise)))
+                i = idx[bad]
+                out[bad] = sum(np.where(w == 0.0, 0.0, w * f) for w, f in
+                               ((c[i], fall[bad]), (c[i + 1], rise[bad])))
                 bad = ~np.isfinite(out)
         if bad.any():
             raise OverflowError(f"order-2 interpolant overflows at t = "
