@@ -210,6 +210,37 @@ _PROMISE_FAMILIES = {
 }
 _PROMISE_SIZES = (5, 9, 33, 129)
 
+# known cases outside the strata, each at the smallest size that shows it,
+# on [0, 1] unless the function's own domain is named
+_UNIT = {"domain": [0.0, 1.0]}
+_PROMISE_KNOWN = {
+    # the stiff same-sign range (ROADMAP item 3)
+    **{f"known o4-{lam:g}x4 sin n5 unit": {
+        "function": "sin", "order": 4, "n": 5, **_UNIT,
+        "frequencies": {"quads": [[lam] * 4]}}
+       for lam in (-300.0, -1e3, -1e4)},
+    # stiff symmetric quadruples
+    "known o4-xi1000 sin n5 unit": {"function": "sin", "order": 4, "n": 5,
+                                    **_UNIT, "frequencies": {"xi": 1000.0}},
+    "known o4-xi100 sin n9 unit": {"function": "sin", "order": 4, "n": 9,
+                                   **_UNIT, "frequencies": {"xi": 100.0}},
+    # the order-2 rounding floor: exp is in the kernel of (D - 1)(D - 6)
+    "known o2-1/6 exp n129 unit": {"function": "exp", "order": 2, "n": 129,
+                                   **_UNIT,
+                                   "frequencies": {"pairs": [[1.0, 6.0]]}},
+    # order 2 in the weight exp(t)
+    "known o2-p1-(-1)/2 sin n9 uniform": {
+        "function": "sin", "order": 2, "n": 9, "p": 1.0,
+        "frequencies": {"pairs": [[-1.0, 2.0]]}},
+    # the confluent build's own conditioning (ROADMAP item 21)
+    "known o4-48x4 sin n33 unit": {"function": "sin", "order": 4, "n": 33,
+                                   **_UNIT,
+                                   "frequencies": {"quads": [[48.0] * 4]}},
+    # the order-4 rounding floor: t3 is in the kernel of D^4
+    "known o4-xi0 t3 n9 uniform": {"function": "t3", "order": 4, "n": 9,
+                                   "frequencies": {"xi": 0.0}},
+}
+
 # a failed row whose measured error is at most _FLOOR, rounding on the
 # catalog's functions of size O(1), is owned by the rounding model: the
 # bound of an F that L annihilates is 0, and no term covers the rounding
@@ -218,7 +249,7 @@ _FLOOR, _FLOOR_OWNER = 1e-14, "item 8"
 
 def promise_cases():
     """(name, config) of every ledger case: one level each, so every case
-    has one outcome."""
+    has one outcome.  The strata come first, then _PROMISE_KNOWN."""
     from expspline import get_test_function
 
     cases = []
@@ -235,7 +266,7 @@ def promise_cases():
                     cases.append((f"{family} {func} n{n} {mesh}",
                                   {"function": func, "order": order,
                                    "frequencies": freqs, **grid}))
-    return cases
+    return cases + list(_PROMISE_KNOWN.items())
 
 
 def promise_outcome(config):
