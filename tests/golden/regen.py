@@ -14,15 +14,17 @@ generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
 bytes of the spline's coeffs, starts and taylor, of every error_bound4
 field and of max_abs_L.  ``promise.json`` is the promise ledger: the
 outcome of run_verify on every case of promise_cases(), one single-level
-config per catalog function, frequency family, size and mesh, each
-certified, refused by type or failed with the item that owns it.  The
+config per catalog function, frequency family, size and mesh plus the
+known cases, each certified, refused by type or failed with the item that
+owns it.  The
 files are only ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
 ``tests/golden/test_golden.py`` replays every command, every digest item
 and every ledger case in process and asks for the same bytes and
-outcomes.
+outcomes.  After writing, the script prints one line per expected file,
+digest field and ledger case that moved, and nothing when nothing did.
 """
 
 import contextlib
@@ -335,9 +337,18 @@ def _dump(path, doc):
                     encoding="utf-8")
 
 
+def _read(path):
+    """The parsed file at path, or {} when there is none."""
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
 def main():
+    """Write every file, then print what moved: one line per expected file
+    whose bytes changed, per digest item and field whose hash changed and
+    per ledger case whose outcome changed; nothing when nothing moved."""
     (HERE / "configs").mkdir(exist_ok=True)
     (HERE / "expected").mkdir(exist_ok=True)
+    moved = []
     for name, config in CASES.items():
         path = HERE / "configs" / f"{name}.json"
         _dump(path, config)
@@ -346,10 +357,25 @@ def main():
             code, out, err = run(argv + ["-c", str(path)])
             runs.append({"argv": argv, "code": code, "stdout": out,
                          "stderr": err})
-        _dump(HERE / "expected" / f"{name}.json", runs)
-    _dump(HERE / "digest.json", digest())
-    _dump(HERE / "promise.json", promise())
+        path = HERE / "expected" / f"{name}.json"
+        before = path.read_bytes() if path.exists() else None
+        _dump(path, runs)
+        if path.read_bytes() != before:
+            moved.append(f"expected/{name}.json")
+    old_digest, new_digest = _read(HERE / "digest.json"), digest()
+    for name, item in new_digest.items():
+        old = old_digest.get(name, {})
+        moved += [f"digest {name}: {field}" for field in sorted(item)
+                  if item[field] != old.get(field)]
+    old_promise, new_promise = _read(HERE / "promise.json"), promise()
+    moved += [f"promise {name}: {old_promise.get(name)} -> {outcome}"
+              for name, outcome in new_promise.items()
+              if outcome != old_promise.get(name)]
+    _dump(HERE / "digest.json", new_digest)
+    _dump(HERE / "promise.json", new_promise)
     _dump(HERE / "versions.json", versions())
+    for line in moved:
+        print(line)
 
 
 if __name__ == "__main__":
