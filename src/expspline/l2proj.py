@@ -295,15 +295,15 @@ def _lebesgue_sup(basis):
 def operator_norm_bound(basis, p):
     """Certified sup-norm bound for the weighted projection onto the hats.
 
-    Three closed-form tiers cover the classical cases with p = 0: all
-    polynomial pairs give 3, all symmetric pairs give 4, and pairs straddling
-    zero give an explicit rational expression.  Everything else is the
-    Lebesgue sup of the hats times S / (1 - T), with T and S the ratios at +h
-    and -h, evaluated once per distinct (pair, length) key in mesh order; if
-    some |T| reaches 1 the Gram matrix has no dominance margin and
-    DominanceError reports the first such interval before any interval
+    The Lebesgue sup of the hats times S / (1 - T), with T and S the ratios
+    at +h and -h, evaluated once per distinct (pair, length) key in mesh
+    order; if some |T| reaches 1 the Gram matrix has no dominance margin
+    and DominanceError reports the first such interval before any interval
     constant is asked for.  Hats past the monotone radius of their pair
     may get there; the order-4 certificate reads this bound, order 2 not.
+    The classical p = 0 constants (3 for polynomial pairs, 4 for symmetric
+    ones, a rational formula for pairs straddling zero) are not used; the
+    tests check that this bound stays at or below them.
 
     On interval j, with pair (l0, l1) and length h, the live flanks sum to
     u = phi(t - t_(j+1))/phi(-h) + phi(t - t_j)/phi(h), both >= 0, monotone
@@ -313,23 +313,12 @@ def operator_norm_bound(basis, p):
     l0*l1*M_j over the keys with l0*l1 > 0, M_j the interval constant, an
     upper bound of max omega_j, rounded up by four ulps.
     """
-    p = float(p)
-    l0, l1 = basis.pairs.T
-    if p == 0.0:
-        if np.all((l0 == 0.0) & (l1 == 0.0)):
-            return 3.0
-        if np.all(l1 == -l0):
-            return 4.0
-        if np.all((l0 < 0.0) & (0.0 < l1)):
-            return 2.0 * float(np.max(np.maximum(
-                (2.0 * l1 - 4.0 * l0) / (-3.0 * l0),
-                (4.0 * l1 - 2.0 * l0) / (3.0 * l1))))
     lengths = basis.partition.lengths
     reps, _ = basis.groups
     lam0, lam1 = np.repeat(basis.pairs[reps], 2, axis=0).T
     both = np.column_stack([lengths[reps], -lengths[reps]]).ravel()
-    t_val, s_val = _flank_ratios("operator_norm_bound", lam0, lam1, p, both,
-                                 "TS")
+    t_val, s_val = _flank_ratios("operator_norm_bound", lam0, lam1,
+                                 float(p), both, "TS")
     t_key = np.abs(t_val).reshape(-1, 2).max(axis=1)
     failed = ~(t_key < 1.0)
     if np.any(failed):
@@ -342,10 +331,10 @@ def operator_norm_bound(basis, p):
 
 @dataclass
 class ProjectionResult:
-    """Best approximation coefficients with the dominance and norm data."""
+    """Best approximation coefficients with the Gram's dominance factor c;
+    the norm bound of the projector is operator_norm_bound's."""
     coeffs: np.ndarray = field(repr=False)
     c: float = 0.0
-    norm_bound: float = math.inf
     basis: object = None
 
     @property
@@ -404,17 +393,12 @@ def project(basis, g, p):
     g must accept arrays.  The load vector comes from one Gauss-Legendre
     pass over every flank, adaptive only where that fails, and is passed
     with the closed-form Gram matrix to tridiag_solve; nothing given is
-    modified.  When the basis admits no dominance-based norm bound the
-    projection is still returned, with norm_bound set to inf.
+    modified.  The result carries the Gram's dominance factor; the
+    projector's norm bound is operator_norm_bound's, which raises
+    DominanceError where there is none.
     """
     gram = gram_assemble(basis, p)
     coeffs = tridiag_solve(gram.off, gram.diag, gram.off,
                            _load_vector(basis, g, p))
-    c_factor = dominance_factor(gram)
-    try:
-        norm_bound = operator_norm_bound(basis, p)
-    except DominanceError:
-        norm_bound = math.inf
-    return ProjectionResult(coeffs=coeffs, c=c_factor, norm_bound=norm_bound,
+    return ProjectionResult(coeffs=coeffs, c=dominance_factor(gram),
                             basis=basis)
-

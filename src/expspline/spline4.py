@@ -630,8 +630,9 @@ class BoundCertificate:
 
 
 def _certificate_parts(part, quads, p, basis=None):
-    """Resolve the pairing and return (norm_bound, m2_max, m0_max), the
-    closed-form tiers short-circuiting the generic machinery.  basis is the
+    """Resolve the pairing and return (norm_bound, m2_max, m0_max): the
+    interval constants of both pairings from one M_constants search and the
+    norm bound from operator_norm_bound, for every quadruple.  basis is the
     hat basis of the resolved pairing's first pairs when the caller has
     built it already."""
     _, quads = _checked(part, quads)
@@ -641,12 +642,6 @@ def _certificate_parts(part, quads, p, basis=None):
     if p is not None and quads.p is None:
         quads = QuadFrequencySet(quads=quads.quads, p=float(p))
     p_res, canon = quads._pairing
-    delta = part.mesh
-    # the all-polynomial tier is the symmetric one at xi = 0
-    if p_res == 0.0 and (canon[:, 0] == -canon[:, 1]).all() \
-            and (canon[:, :2] == canon[:, 2:]).all():
-        norm = 3.0 if (canon == 0.0).all() else 4.0
-        return norm, delta ** 2 / 8.0, delta ** 2 / 8.0
     if basis is None:
         basis = build_hat_basis(part, canon[:, :2])
     ops = canon[:, 2:]
@@ -668,10 +663,9 @@ def error_bound4(partition, quads, p, max_lf):
     """Certified sup-norm bound for clamped fourth order interpolation.
 
     max_lf bounds |L F| over the domain, L being the per-interval product
-    operator.  All-polynomial and all-symmetric quadruples use the closed
-    norm constants 3 and 4 with interval constant delta^2/8; otherwise the
-    pieces are assembled from the numeric interval constants and the
-    projection norm bound.
+    operator.  The bound is (1 + K) * M2 * M0 * max_lf, with M2 and M0 the
+    largest interval constants of the hat and operator pairings and K the
+    projection norm bound, the same route for every quadruple.
     """
     return _error_bound4(as_partition(partition), quads, p, max_lf)
 

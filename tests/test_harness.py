@@ -472,7 +472,8 @@ class TestRunVerify:
             assert r["empirical_error"] <= r["bound"]
             assert 0.0 < r["ratio"] < 1.0
             assert r["M2_max"] is None
-            assert r["norm_bound"] == 4.0
+            # the classical symmetric constant bounds the one route
+            assert r["norm_bound"] <= 4.0
             assert r["c_factor"] < 0.5 + 1e-12
         deltas = [r["delta"] for r in report.rows]
         assert_allclose(deltas, [math.pi / 4, math.pi / 8, math.pi / 16],
@@ -482,10 +483,14 @@ class TestRunVerify:
         report = run_verify(SIN4_CONFIG)
         assert report.passed
         row = report.rows[0]
-        assert row["norm_bound"] == 4.0
+        assert row["norm_bound"] <= 4.0
         assert row["M0_max"] == row["M2_max"] > 0.0
         assert row["bound"] == pytest.approx(
-            5.0 * row["M2_max"] * row["M0_max"] * (1 + 2.0 ** 2) ** 2)
+            (1.0 + row["norm_bound"]) * row["M2_max"] * row["M0_max"]
+            * (1 + 2.0 ** 2) ** 2)
+        # at or below the classical 5 delta^4 / 64 max|LF|
+        assert row["bound"] <= 5.0 / 64.0 * row["delta"] ** 4 \
+            * (1 + 2.0 ** 2) ** 2
 
     def test_explicit_knots_and_quads(self):
         config = {"function": "exp", "knots": [0.0, 0.4, 0.9, 1.5],

@@ -458,7 +458,8 @@ class TestProjection:
         basis = build_hat_basis(np.linspace(0.0, 1.0, 5), [(0.0, 0.0)] * 4)
         res = project(basis, lambda ts: ts, 0.0)
         assert_allclose(res.coeffs, np.array(basis.knots), atol=1e-12)
-        assert res.norm_bound == 3.0
+        # the classical constant 3, and the Lebesgue sup's four-ulp pad
+        assert 3.0 <= operator_norm_bound(basis, 0.0) <= 3.0 * (1.0 + 4 * _EPS)
         assert_allclose(res.c, 0.5, rtol=1e-12)
 
     def test_orthogonality_residual_sin(self):
@@ -483,12 +484,13 @@ class TestProjection:
             grid = np.linspace(0.0, math.pi, 2001)
             lhs = np.max(np.abs(np.sin(grid) - res.spline(grid)))
             rhs = np.max(np.abs(np.sin(grid) - interp(grid)))
-            assert lhs <= (1.0 + res.norm_bound) * rhs * (1.0 + 1e-9)
+            norm = operator_norm_bound(basis, 0.0)
+            assert lhs <= (1.0 + norm) * rhs * (1.0 + 1e-9)
 
-    def test_warm_projection_makes_three_kernel_calls(self, kernel_calls):
+    def test_warm_projection_makes_one_kernel_call(self, kernel_calls):
         # with the interval constants on the basis, as after the order-2
-        # certificate: the Gram integrals, the T/S denominator with T's
-        # numerator at +h and -h, and S's numerator
+        # certificate: the Gram integrals; the projection asks for no norm
+        # bound
         rng = np.random.default_rng(11)
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.15, 12))])
         pairs = np.sort(rng.uniform(-2.0, 2.0, (12, 2)), axis=1)
@@ -496,7 +498,7 @@ class TestProjection:
         assert basis.constants.size == 12
         kernel_calls.clear()
         project(basis, np.sin, 0.6)
-        assert kernel_calls == [(36, 4), (48, 4), (24, 3)]
+        assert kernel_calls == [(36, 4)]
 
     def test_non_finite_p_is_refused(self):
         # refused by name, before the kernel sees a NaN frequency
@@ -505,11 +507,14 @@ class TestProjection:
             with pytest.raises(ValueError, match="p must be finite"):
                 project(basis, np.sin, p)
 
-    def test_norm_bound_inf_when_dominance_fails(self):
+    def test_projection_without_dominance_keeps_its_coeffs(self):
+        # the projection is returned; the norm bound is refused by type
         basis = build_hat_basis((0.0, 1.2, 2.4), [(1.0, 2.0)] * 2)
         res = project(basis, lambda ts: np.exp(ts), 0.0)
-        assert math.isinf(res.norm_bound)
         assert np.all(np.isfinite(res.coeffs))
+        assert not hasattr(res, "norm_bound")
+        with pytest.raises(DominanceError):
+            operator_norm_bound(basis, 0.0)
 
 
 class TestLoadVector:
@@ -591,26 +596,72 @@ class TestLoadVector:
             l2proj._load_vector(basis, g, 0.3)
 
 
+def _straddling_constant(pairs):
+    """The classical p = 0 norm constant of pairs l0 < 0 < l1: twice the
+    largest of (2 l1 - 4 l0) / (-3 l0) and (4 l1 - 2 l0) / (3 l1)."""
+    l0, l1 = np.asarray(pairs, dtype=float).T
+    return 2.0 * float(np.max(np.maximum((2.0 * l1 - 4.0 * l0) / (-3.0 * l0),
+                                         (4.0 * l1 - 2.0 * l0) / (3.0 * l1))))
+
+
+def _classical_cases(seed, count):
+    """(basis, classical constant) of count p = 0 bases, cycling through
+    symmetric, straddling and polynomial pairs, |lambda| log-uniform in
+    [1e-3, 1e3], n from 3 to 33 on a span log-uniform in [0.1, 10],
+    alternately uniform and graded by 1.15; every other basis of a class
+    varies the pair per interval.  Only the polynomial constant 3 is
+    attained; the others exceed the route's K by a margin."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        m = int(rng.integers(2, 33))
+        w = 1.15 ** np.arange(m) if k % 2 else np.ones(m)
+        knots = np.concatenate([[0.0], np.cumsum(w)]) \
+            * 10.0 ** rng.uniform(-1.0, 1.0) / w.sum()
+        mag = 10.0 ** rng.uniform(-3.0, 3.0, (m, 2))
+        if k % 4 < 2:
+            mag[:] = mag[0]
+        kind = k % 3
+        if kind == 0:
+            pairs, want = np.column_stack([-mag[:, 0], mag[:, 0]]), 4.0
+        elif kind == 1:
+            pairs = np.column_stack([-mag[:, 0], mag[:, 1]])
+            want = _straddling_constant(pairs)
+        else:
+            pairs, want = np.zeros((m, 2)), 3.0
+        out.append((build_hat_basis(knots, pairs), want))
+    return out
+
+
 class TestOperatorNormBound:
+    # the classical p = 0 constants are an independent check of the one
+    # route: K stays at or below them, the polynomial 3 up to the Lebesgue
+    # sup's four-ulp pad
+
     def test_polynomial_tier(self):
         basis = build_hat_basis(np.linspace(0.0, 2.0, 7), [(0.0, 0.0)] * 6)
-        assert operator_norm_bound(basis, 0.0) == 3.0
+        assert 3.0 <= operator_norm_bound(basis, 0.0) <= 3.0 * (1.0 + 4 * _EPS)
 
     def test_symmetric_tier(self):
         basis = build_hat_basis(
             (0.0, 0.5, 1.2, 2.0),
             [(-1.0, 1.0), (-4.0, 4.0), (-0.5, 0.5)])
-        assert operator_norm_bound(basis, 0.0) == 4.0
+        assert operator_norm_bound(basis, 0.0) <= 4.0
 
     def test_mixed_sign_tier(self):
         basis = build_hat_basis(np.linspace(0.0, 1.0, 4), [(-2.0, 1.0)] * 3)
-        assert_allclose(operator_norm_bound(basis, 0.0), 16.0 / 3.0,
-                        rtol=1e-14)
-        varied = build_hat_basis((0.0, 0.4, 0.8),
-                                 [(-2.0, 1.0), (-1.0, 3.0)])
+        assert operator_norm_bound(basis, 0.0) <= 16.0 / 3.0
+        pairs = [(-2.0, 1.0), (-1.0, 3.0)]
+        varied = build_hat_basis((0.0, 0.4, 0.8), pairs)
         want = 2.0 * max(16.0 / 3.0 / 2.0,
                          (2 * 3 + 4) / 3.0, (4 * 3 + 2) / 9.0)
-        assert_allclose(operator_norm_bound(varied, 0.0), want, rtol=1e-14)
+        assert _straddling_constant(pairs) == want
+        assert operator_norm_bound(varied, 0.0) <= want
+
+    def test_classical_constants_bound_the_route(self):
+        for basis, want in _classical_cases(48, 150):
+            pad = 4 * _EPS if want == 3.0 else 1e-15
+            assert operator_norm_bound(basis, 0.0) <= want * (1.0 + pad)
 
     def test_generic_tier_sane(self):
         basis = build_hat_basis(np.linspace(0.0, 1.0, 5), [(0.0, 0.0)] * 4)

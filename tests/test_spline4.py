@@ -1072,6 +1072,13 @@ class TestOrthogonality:
             residual_orthogonality(fd, s, other, 0.0)
 
 
+_EPS = np.finfo(float).eps
+# the all-polynomial certificate's relative excess over delta^4 / 16: the
+# four-ulp pads of K, M2 and M0 and the products' rounding (13 eps at most
+# on the sweep of test_classical_constants_bound_the_certificate)
+_POLY_PAD = 20 * _EPS
+
+
 class TestErrorBound4:
     def test_kernel_calls_do_not_grow_with_the_mesh(self, kernel_calls):
         # a power-of-two step makes every span, hence every (pair, length)
@@ -1136,18 +1143,44 @@ class TestErrorBound4:
         kn = np.linspace(0.0, math.pi, 9)
         cert = error_bound4(kn, quad_frequency_set(8, xi=1.0), 0.0, 1.0)
         delta = math.pi / 8.0
-        assert cert.norm_bound == 4.0
-        assert_allclose(cert.constant, 5.0 / 64.0 * delta ** 4, rtol=1e-13)
-        assert_allclose(cert.bound, 5.0 / 64.0 * delta ** 4, rtol=1e-13)
-        assert_allclose(cert.m2_max, delta ** 2 / 8.0, rtol=1e-13)
+        # at or below the classical K = 4, M = delta^2 / 8
+        assert cert.norm_bound <= 4.0
+        assert cert.m2_max == cert.m0_max <= delta ** 2 / 8.0
+        assert cert.constant <= 5.0 / 64.0 * delta ** 4
+        assert cert.bound == cert.constant
 
     def test_polynomial_certificate(self):
         kn = np.linspace(0.0, 1.0, 5)
         cert = error_bound4(kn, quad_frequency_set(4, quads=(0., 0., 0., 0.)),
                             0.0, 2.0)
-        assert cert.norm_bound == 3.0
-        assert_allclose(cert.constant, 0.25 ** 4 / 16.0, rtol=1e-13)
-        assert_allclose(cert.bound, 2.0 * 0.25 ** 4 / 16.0, rtol=1e-13)
+        # the classical K = 3 and M = delta^2 / 8, each up to its pad
+        assert 3.0 <= cert.norm_bound <= 3.0 * (1.0 + 4 * _EPS)
+        assert_allclose(cert.m2_max, 0.25 ** 2 / 8.0, rtol=8 * _EPS)
+        assert_allclose(cert.constant, 0.25 ** 4 / 16.0, rtol=_POLY_PAD)
+        assert cert.bound == 2.0 * cert.constant
+
+    @pytest.mark.parametrize("kind", ["symmetric", "polynomial"])
+    def test_classical_constants_bound_the_certificate(self, kind):
+        # the classical order-4 constants check the one route from outside:
+        # 5 delta^4 / 64 for symmetric quadruples, delta^4 / 16 up to the
+        # pads for polynomial ones; xi log-uniform in [1e-3, 1e3], one per
+        # mesh or one per interval, n from 3 to 33 on a span log-uniform in
+        # [0.1, 10], uniform or graded by 1.15
+        rng = np.random.default_rng(448)
+        for k in range(100):
+            m = int(rng.integers(2, 33))
+            w = 1.15 ** np.arange(m) if k % 2 else np.ones(m)
+            kn = np.concatenate([[0.0], np.cumsum(w)]) \
+                * 10.0 ** rng.uniform(-1.0, 1.0) / w.sum()
+            delta = float(np.max(np.diff(kn)))
+            if kind == "symmetric":
+                xi = 10.0 ** rng.uniform(-3.0, 3.0, m if k % 4 < 2 else 1)
+                cert = error_bound4(kn, quad_frequency_set(m, xi=xi), 0.0, 1.0)
+                assert cert.constant <= 5.0 / 64.0 * delta ** 4
+            else:
+                cert = error_bound4(kn, quad_frequency_set(m, quads=(0.0,) * 4),
+                                    0.0, 1.0)
+                assert cert.constant <= delta ** 4 / 16.0 * (1.0 + _POLY_PAD)
 
     def test_constant_identity_all_tiers(self):
         kn = np.linspace(0.0, 1.2, 4)
