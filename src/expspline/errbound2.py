@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expcore import (_corner_scaled, _phi_scaled, _quotient,
+from .expcore import (_columns, _corner_scaled, _phi_scaled, _quotient,
                       fundamental_eval)
 from .quadrature import integrate
 
@@ -109,9 +109,8 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
     of terms far larger than the slope; elsewhere 1 - x cancels and the
     product form is kept.
     """
-    pair = np.sort(np.stack([lam0, lam1], axis=1), axis=1)
-    neg0 = np.sort(np.stack([-lam0, -lam1, np.zeros_like(lam0)], axis=1),
-                   axis=1)
+    pair = np.sort(_columns(lam0.size, lam0, lam1), axis=1)
+    neg0 = np.sort(_columns(lam0.size, -lam0, -lam1, 0.0), axis=1)
     neg = -pair[:, ::-1]
     span = np.broadcast_to(span, tau_a.shape)
     mant, scale = _phi_scaled(
@@ -127,7 +126,7 @@ def _omega(lam0, lam1, span, tau_a, tau_b):
     d_a, d_b = ((hi * m + np.exp(lo * tau - sc), sc)
                 for (m, sc), tau in ((p_a, tau_a), (p_b, tau_b)))
     # the six products num * other / den, stacked into one _quotient
-    num, other, den = (tuple(map(np.stack, zip(*fs))) for fs in (
+    num, other, den = (tuple(map(np.array, zip(*fs))) for fs in (
         (p_a, p_b, d_a, p_a, d_b, p_b), (q_b, q_a, q_b, n_b, q_a, n_a),
         (c_pair, c_neg, c_pair, c_pair, c_neg, c_neg)))
     a, b, a_d, a_n, b_d, b_n = _quotient([num, other], [den])
@@ -201,7 +200,7 @@ def _critical_point(lam0, lam1):
     hi - lo of about 700, the start is 1/2.
     """
     lo, hi = np.minimum(lam0, lam1), np.maximum(lam0, lam1)
-    first, _ = _corner_scaled(np.stack([np.zeros_like(lo), lo, hi], axis=1),
+    first, _ = _corner_scaled(_columns(lo.size, 0.0, lo, hi),
                               np.ones(lo.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rho = first[:, 2] / first[:, 1]
@@ -271,7 +270,7 @@ def _bracket_search(lam0, lam1):
     """
     count = lam0.size
     start = _critical_point(lam0, lam1)
-    pts = np.stack([start, np.maximum(start - _START_RADIUS, 0.0),
+    pts = np.array([start, np.maximum(start - _START_RADIUS, 0.0),
                     np.minimum(start + _START_RADIUS, 1.0)])
     vals, slopes = _omega(np.tile(lam0, 3), np.tile(lam1, 3), 1.0,
                           pts.ravel(), pts.ravel() - 1.0)

@@ -44,7 +44,7 @@ makes one kernel call per frequency width.
 """
 
 import math
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def _opitz_corner(x, sig):
     alone or inside any batch.
     """
     n, k = x.shape
-    s = np.maximum(np.frexp(reduce(np.maximum, np.abs(x).T)
+    s = np.maximum(np.frexp(np.abs(x).max(axis=1)
                             / _TAYLOR_RADIUS)[1], 0)
     scaled = np.ldexp(x, -s[:, None])
     b = np.zeros((n, k, k))
@@ -133,6 +133,16 @@ def _opitz_corner(x, sig):
     return e[:, 0, :]
 
 
+def _columns(n, *cols):
+    """The (n, len(cols)) array, in C order, whose columns are cols, each an
+    array (n,) or a scalar; it stacks rows for the kernel with fewer numpy
+    calls than np.stack."""
+    out = np.empty((n, len(cols)))
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
+
+
 def _corner_scaled(rows, ts):
     """(first, scale): the first rows of exp(t*Z) for the frequency rows of
     rows (N, k), in the order given, at ts (N,) >= 0, as first (N, k) times
@@ -144,7 +154,7 @@ def _corner_scaled(rows, ts):
     is the row's largest entry, and every entry of first is at most
     t^j/j!."""
     k = rows.shape[1]
-    top = reduce(np.maximum, rows.T)
+    top = rows.max(axis=1)
     m = rows.sum(axis=1) / k
     over = (top - m) * ts + (k - 1) * np.log(np.maximum(ts, 1.0)) \
         > _EXP_ARG_MAX

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expcore import _pair_scaled, _phi_scaled, _quotient, fundamental_eval
+from .expcore import (_columns, _pair_scaled, _phi_scaled, _quotient,
+                      fundamental_eval)
 from .hatbasis import SplineOrder2, _flank_ends, _flank_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
@@ -58,9 +59,9 @@ def _phi(ts, *groups):
     call for all groups, as one (mant, scale) pair of _phi_scaled per
     group.  A group is a tuple of columns of one width, each an array (N,)
     or a scalar; row i of a group holds the frequencies at ts[i]."""
-    rows = np.concatenate([np.stack(np.broadcast_arrays(*cols, ts)[:-1],
-                                    axis=1) for cols in groups])
-    mant, scale = _phi_scaled(np.sort(rows, axis=1), np.tile(ts, len(groups)))
+    rows = np.concatenate([_columns(ts.size, *cols) for cols in groups])
+    rows.sort(axis=1)
+    mant, scale = _phi_scaled(rows, np.tile(ts, len(groups)))
     return list(zip(mant.reshape(len(groups), -1),
                     scale.reshape(len(groups), -1)))
 
@@ -301,9 +302,9 @@ def operator_norm_bound(basis, p):
     and DominanceError reports the first such interval before any interval
     constant is asked for.  Hats past the monotone radius of their pair
     may get there; the order-4 certificate reads this bound, order 2 not.
-    The classical p = 0 constants (3 for polynomial pairs, 4 for symmetric
-    ones, a rational formula for pairs straddling zero) are not used; the
-    tests check that this bound stays at or below them.
+    For p = 0 it is at or below the classical constants, 4 for symmetric
+    pairs and a rational formula for pairs straddling zero, and 3 for
+    polynomial pairs up to the four-ulp pad; the tests check this.
 
     On interval j, with pair (l0, l1) and length h, the live flanks sum to
     u = phi(t - t_(j+1))/phi(-h) + phi(t - t_j)/phi(h), both >= 0, monotone
