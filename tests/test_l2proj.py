@@ -608,9 +608,8 @@ def _classical_cases(seed, count):
     """(basis, classical constant) of count p = 0 bases, cycling through
     symmetric, straddling and polynomial pairs, |lambda| log-uniform in
     [1e-3, 1e3], n from 3 to 33 on a span log-uniform in [0.1, 10],
-    alternately uniform and graded by 1.15; every other basis of a class
-    varies the pair per interval.  Only the polynomial constant 3 is
-    attained; the others exceed the route's K by a margin."""
+    alternately uniform and graded by 1.15; half the bases vary the pair
+    per interval."""
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
