@@ -8,7 +8,7 @@ from .errbound2 import interp2_error_bound
 from .expcore import fundamental_derivative, fundamental_eval
 from .harness import ConfigError, get_test_function, max_abs_L, measure_error
 from .hatbasis import Partition, build_hat_basis, interpolate2, monotone_radius
-from .l2proj import DominanceError, project
+from .l2proj import project
 from .quadrature import QuadratureError, integrate
 from .spline4 import (
     build_interpolant4,

@@ -25,7 +25,6 @@ from .harness import (
     run_bounds,
     run_verify,
 )
-from .l2proj import DominanceError
 from .quadrature import QuadratureError
 
 # the columns of a verify, bounds or converge row in csv
@@ -227,8 +226,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     # numpy's LinAlgError is a ValueError, so the numerical types go first
-    except (DominanceError, QuadratureError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError among them

@@ -8,13 +8,13 @@ so M is found once per rescaled pair lambda*(b-a) on the unit interval,
 where omega is unimodal.  There its critical point t* has a closed form,
 the divided difference g[l0, l1] of g(x) = log(expm1(x)/x), and one
 batched evaluation of omega and omega' at t* and two points 1e-11 beside
-it brackets the maximum; a key whose slopes there do not bracket it
-falls back to a search of [0, 1] by quarters.  A pad from a bound on
-|omega''| over the final bracket turns the value found into an upper bound
-of M.  A bound over a partition needs one value per distinct (pair, length)
-key; a hat basis computes them once and keeps them (HatBasis.constants).
-The keys of one call are searched together, each step one batched
-evaluation of omega and omega' over every open key.  Both come from
+it brackets the maximum; a key whose slopes there do not bracket it is
+refused by ArithmeticError.  A pad from a bound on |omega''| over the
+bracket turns the value found into an upper bound of M.  A bound over a
+partition needs one value per distinct (pair, length) key; a hat basis
+computes them once and keeps them (HatBasis.constants).  The keys of one
+call are searched together, in one batched evaluation of omega and
+omega' over every key.  Both come from
 products of fundamental functions, formed from their mantissas and
 log-scales, or from a closed form on the flat plateau of a pair straddling
 zero, where the products lose ulps.  omega is also minus the integral of
@@ -196,8 +196,11 @@ def _critical_point(lam0, lam1):
     where rho = Phi_(0,lo,hi)(1) / Phi_(0,lo)(1) and u = (hi - lo) * rho =
     E(hi)/E(lo) - 1 >= 0, so a near-confluent pair does not cancel; both
     Phi come from one _corner_scaled row (0, lo, hi), whose scale drops out
-    of the ratio.  Where E(hi)/E(lo) passes the double range, which needs
-    hi - lo of about 700, the start is 1/2.
+    of the ratio.  Where u passes the double range, which needs hi - lo of
+    about 700, t* is (g(hi) - g(lo)) / (hi - lo) in log form: g(x) =
+    x - log x for x > 700, where the dropped log1p(-e^-x) is below 1e-300,
+    and log(expm1(x)/x) elsewhere, which does not overflow; a few ulps of g
+    are small once divided by hi - lo.
     """
     lo, hi = np.minimum(lam0, lam1), np.maximum(lam0, lam1)
     first, _ = _corner_scaled(_columns(lo.size, 0.0, lo, hi),
@@ -206,7 +209,14 @@ def _critical_point(lam0, lam1):
         rho = first[:, 2] / first[:, 1]
         u = (hi - lo) * rho
         t = rho * np.where(u > 0.0, np.log1p(u) / u, 1.0)
-    return np.where((t > 0.0) & (t < 1.0), t, 0.5)
+        far = ~np.isfinite(u)
+        if far.any():
+            ends = np.stack([lo[far], hi[far]])
+            g = np.where(ends > 700.0, ends - np.log(ends),
+                         np.log(np.expm1(ends) / ends))
+            g[ends == 0.0] = 0.0
+            t[far] = (g[1] - g[0]) / (hi[far] - lo[far])
+    return t
 
 
 def _bracket_search(lam0, lam1):
@@ -236,18 +246,9 @@ def _bracket_search(lam0, lam1):
     batched _omega call takes omega and omega' at t* and t* -+
     _START_RADIUS for every key.  A key with omega' > 0 at the left point
     and omega' <= 0 at the right one closes there, with t_N = t* and the
-    bracket [t* - r, t* + r]; every generator and oracle key the tests
-    draw does.
-
-    Fallback: any other key searches [0, 1] by quarters.  Each further
-    batched call evaluates omega and omega' at the three inner quarter
-    points of every open bracket, and the bracket shrinks to the quarter
-    from the last point with omega' > 0 to the first with omega' <= 0.
-    Eighteen calls take it to 4^-18 < 2 * _START_RADIUS, whatever the
-    shape of omega: a Newton iteration on omega' crawls by 1/|lambda| per
-    step along an exponential flank, and its curvature, -1 + (l0+l1)
-    omega' - l0*l1*omega, is rounding noise on a plateau.  t_N is the
-    point last evaluated at an end of the bracket.
+    bracket [t* - r, t* + r]; every generator, oracle and ledger key the
+    tests draw does, and every key of their sweep up to |lambda| = 1400.
+    Any other key raises ArithmeticError naming it.
 
     Pad: t_N and t* lie in the bracket, of width w.  Let S bound |omega''|
     there.  Then |omega'| <= |omega'(t_N)| + S*w and |omega - omega(t_N)|
@@ -257,8 +258,8 @@ def _bracket_search(lam0, lam1):
              + (|l0+l1|*w + |l0*l1|*w^2) S,
 
     solved for S below.  As omega'(t*) = 0, omega(t*) - omega(t_N) <=
-    S*w^2/2.  So the larger of omega(t_N) and the best of the three start
-    values, plus S*w^2/2, bounds the maximum in exact arithmetic.  Four
+    S*w^2/2.  So the best of the three start values, omega(t_N) among
+    them, plus S*w^2/2, bounds the maximum in exact arithmetic.  Four
     ulps more cover the rounding of omega where it is measured small: on
     the bench generators' keys (234 keys, 15 points each) omega stays
     within 2.5 ulps of the mpmath oracle.  They are a sampled claim on
@@ -277,12 +278,14 @@ def _bracket_search(lam0, lam1):
     vals, slopes = vals.reshape(3, count), slopes.reshape(3, count)
     i, cols = np.argmax(vals, axis=0), np.arange(count)
     best, best_t = vals[i, cols], pts[i, cols]
-    t, v, d, lo, hi = start, vals[0], slopes[0], pts[1], pts[2]
-    fallback = ~((slopes[1] > 0.0) & (slopes[2] <= 0.0))
-    if fallback.any():
-        t[fallback], v[fallback], d[fallback], lo[fallback], hi[fallback] \
-            = _quarter_bracket(lam0[fallback], lam1[fallback])
-    w = hi - lo
+    shut = (slopes[1] > 0.0) & (slopes[2] <= 0.0)
+    if not shut.all():
+        k = int(np.argmin(shut))
+        raise ArithmeticError(
+            f"omega's slope does not change sign around the critical point "
+            f"{float(start[k])!r} of the unit-interval pair "
+            f"{(float(lam0[k]), float(lam1[k]))}")
+    v, d, w = vals[0], slopes[0], pts[2] - pts[1]
     sigma, prod = lam0 + lam1, lam0 * lam1
     a_sigma, a_prod = np.abs(sigma), np.abs(prod)
     room = 1.0 - (a_sigma + a_prod * w) * w
@@ -290,34 +293,8 @@ def _bracket_search(lam0, lam1):
         bound = (np.abs(1.0 + prod * v) + (a_sigma + a_prod * w) * np.abs(d)) \
             / room
     bound[~(room > 0.0)] = np.inf
-    top = v >= best
-    value = np.where(top, v, best) + 0.5 * bound * w * w
-    return value * (1.0 + 4.0 * np.finfo(float).eps), np.where(top, t, best_t)
-
-
-def _quarter_bracket(lam0, lam1):
-    """The fallback of _bracket_search: from [0, 1], each call evaluates
-    omega and omega' at the three inner quarter points of every bracket and
-    keeps the quarter where omega' changes sign, until the width is at most
-    2 * _START_RADIUS.  Returns the point last evaluated at an end of each
-    bracket, omega and omega' there, and the bracket (lo, hi)."""
-    count = lam0.size
-    cols = np.arange(count)
-    quarters = np.arange(1.0, 4.0)[:, None]
-    lo, width = np.zeros(count), 1.0
-    while width > 2.0 * _START_RADIUS:
-        # powers of 1/4: every bracket end is exact
-        width *= 0.25
-        pts = lo + width * quarters
-        vals, slopes = _omega(np.tile(lam0, 3), np.tile(lam1, 3), 1.0,
-                              pts.ravel(), pts.ravel() - 1.0)
-        vals, slopes = vals.reshape(3, count), slopes.reshape(3, count)
-        # the rising points before the first one that is not
-        j = np.cumprod(slopes > 0.0, axis=0).sum(axis=0)
-        lo = lo + width * j
-        end = np.maximum(j, 1) - 1
-        t, v, d = pts[end, cols], vals[end, cols], slopes[end, cols]
-    return t, v, d, lo, lo + width
+    value = best + 0.5 * bound * w * w
+    return value * (1.0 + 4.0 * np.finfo(float).eps), best_t
 
 
 @dataclass(frozen=True)

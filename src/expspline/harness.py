@@ -46,11 +46,10 @@ from .hatbasis import (
     sum_hats,
 )
 from .l2proj import (
-    DominanceError,
     _load_vector,
+    _norm_bound,
     dominance_factor,
     gram_assemble,
-    operator_norm_bound,
     tfunc,
     sfunc,
 )
@@ -552,13 +551,15 @@ def _certificate(norm, level):
     blank; a catalog function adds max|LF| and the bound.  The order-4
     bound is that of the spline clamped at F's own end slopes, so a level
     clamped at other slopes gets none, and its row names why in
-    no_bound.  The order-2 bound reads no norm bound: a Gram without
-    dominance leaves norm_bound blank and names why in no_norm_bound."""
+    no_bound.  c_factor and the norm bound read one Gram assembly.  The
+    order-2 bound reads no norm bound: where the projector's solve check
+    fails, norm_bound is blank and no_norm_bound names why."""
     part, freqs, _ = level
     basis, p = _hats(level)
+    gram = gram_assemble(basis, p)
     tf = norm["tf"]
     row = {"n": part.n, "delta": part.mesh,
-           "c_factor": dominance_factor(gram_assemble(basis, p)),
+           "c_factor": dominance_factor(gram),
            "M2_max": None, "M0_max": None, "bound": None,
            "empirical_error": None, "ratio": None, "passed": True}
     if norm["order"] == 4:
@@ -566,7 +567,7 @@ def _certificate(norm, level):
         exact = None if tf is None else _end_slopes(tf, part.knots)
         certified = clamp in ("exact", exact)
         ml = max_abs_L(tf, part, freqs.quads) if certified else 0.0
-        cert = _error_bound4(part, freqs, None, ml, basis)
+        cert = _error_bound4(part, freqs, None, ml, basis, gram)
         row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
                    M0_max=cert.m0_max,
                    bound=cert.bound if certified else None)
@@ -575,8 +576,8 @@ def _certificate(norm, level):
                                f"{exact} of {tf.name}")
         return row
     try:
-        row["norm_bound"] = operator_norm_bound(basis, p)
-    except DominanceError as exc:
+        row["norm_bound"] = _norm_bound(basis, p, gram)
+    except np.linalg.LinAlgError as exc:
         row.update(norm_bound=None, no_norm_bound=str(exc))
     if tf is not None:
         row["bound"] = interp2_error_bound(

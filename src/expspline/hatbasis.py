@@ -37,7 +37,8 @@ def monotone_radius(lam0, lam1):
             and (lam0 <= lam1).all()):
         raise ValueError("pairs must be finite and ordered, lam0 <= lam1")
     a0, a1 = np.abs(lam0), np.abs(lam1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 1/|lambda| of a subnormal lambda overflows to its value, inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         radius = np.where(a0 == a1, 1.0 / a0,
                           (np.log(a1) - np.log(a0)) / (a1 - a0))
     radius = np.where((lam0 <= 0.0) & (lam1 >= 0.0), np.inf, radius)

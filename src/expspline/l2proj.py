@@ -2,13 +2,16 @@
 
 The Gram matrix of a hat basis in the inner product <f, g> = int f g exp(pt)
 is tridiagonal, and every entry has a closed form in fundamental functions,
-so assembly needs no quadrature at all.  Row-sum dominance of that matrix is
-controlled by the T function of each interval; together with the S function
-and the Lebesgue sup of the hats it yields a certified upper bound for the
+so assembly needs no quadrature at all.  The hats are >= 0, so the Gram's
+off-diagonals are > 0 and its sign-flipped copy is a Stieltjes matrix whose
+inverse is |G^-1| exactly; one certified tridiagonal solve against the
+hats' weighted masses, times the Lebesgue sup of the hats, bounds the
 projection operator norm in the sup norm, which is the quantity the fourth
-order error certificate consumes.  The sup is not sampled: on interval j the
-hats are >= 0 and sum to 1 + l0*l1*omega_j, omega_j solving L omega = -1
-with zero ends, so it comes from errbound2's interval constants M_j.
+order error certificate consumes.  The sup is not sampled: on interval j
+the hats are >= 0 and sum to 1 + l0*l1*omega_j, omega_j solving
+L omega = -1 with zero ends, so it comes from errbound2's interval
+constants M_j.  The T and S functions of an interval, the row-dominance
+ratios of the paper's lemmas, stay as checks of the Gram's structure.
 """
 
 import math
@@ -22,20 +25,6 @@ from .hatbasis import SplineOrder2, _flank_ends, _flank_ratio
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 _TINY_H = 1e-100
-
-
-class DominanceError(RuntimeError):
-    """Row dominance of the Gram matrix failed, so no norm bound exists.
-
-    Carries the offending interval index and the T value that reached 1.
-    """
-
-    def __init__(self, interval, t_value):
-        self.interval = interval
-        self.t_value = t_value
-        super().__init__(
-            f"no diagonal dominance: interval {interval} has |T| = "
-            f"{t_value:.6g} >= 1")
 
 
 def _finite_p(p):
@@ -109,40 +98,38 @@ def gram_assemble(basis, p):
                       off=-_quotient([w0, f_cross], [phi_h, phi_mh]))
 
 
-def _flank_ratios(name, lam0, lam1, p, h, parts):
-    """T and/or S (parts is a subset of "TS") at the lengths h, elementwise
-    over the broadcast of lam0, lam1 and h, as floats for scalar input.
+def _flank_ratios(name, lam0, lam1, p, h):
+    """T (name "tfunc") or S (name "sfunc") at the lengths h, elementwise
+    over the broadcast of lam0, lam1 and h, a float for scalar input.
 
-    T and S share the denominator Phi_(l0-l1, l1-l0, 0, -p-l0-l1)(h), which
-    is evaluated once.  Every length with |h| >= _TINY_H, of either sign,
-    shares each kernel call: the denominator and T's numerator are one
-    four-frequency call, S's numerator one three-frequency call and one
-    pair evaluation.  Each ratio is one _quotient of their (mant, scale)
-    pairs, finite wherever the ratio is.  The other lengths get the h -> 0
-    limits T = 1/2 and S = 3/2.
+    Both are quotients over Phi_(l0-l1, l1-l0, 0, -p-l0-l1)(h).  Every
+    length with |h| >= _TINY_H, of either sign, shares each kernel call:
+    T's numerator and the denominator are one four-frequency call, S's
+    numerator one three-frequency call and one pair evaluation.  Each ratio
+    is one _quotient of their (mant, scale) pairs, finite wherever the
+    ratio is.  The other lengths get the h -> 0 limits T = 1/2 and S = 3/2.
     """
     lam0, lam1, h = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (lam0, lam1, h)))
     if not (math.isfinite(p) and np.all(np.isfinite(lam0))
             and np.all(np.isfinite(lam1)) and np.all(np.isfinite(h))):
         raise ValueError(f"{name} arguments must be finite")
-    out = {"T": np.full(h.shape, 0.5), "S": np.full(h.shape, 1.5)}
+    ratio_t = name == "tfunc"
+    out = np.full(h.shape, 0.5 if ratio_t else 1.5)
     live = np.abs(h) >= _TINY_H
     if np.any(live):
         l0, l1, hs = lam0[live], lam1[live], h[live]
         den_cols = (l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
-        if "T" in parts:
+        if ratio_t:
             den, num = _phi(hs, den_cols, (l0, l1, -p - l0, -p - l1))
-            out["T"][live] = 0.5 * _quotient([num], [den])
+            out[live] = 0.5 * _quotient([num], [den])
         else:
             (den,) = _phi(hs, den_cols)
-        if "S" in parts:
             num = _phi(hs, (-l0, -l1))[0], _phi(hs, (l0, l1, -p))[0]
             # the polynomial pair with p = 0 has S = 3/2 identically
             poly = (l0 == 0.0) & (l1 == 0.0) & (p == 0.0)
-            out["S"][live] = np.where(poly, 1.5,
-                                      0.5 * _quotient(num, [den]))
-    return tuple(float(out[c]) if h.ndim == 0 else out[c] for c in parts)
+            out[live] = np.where(poly, 1.5, 0.5 * _quotient(num, [den]))
+    return float(out) if h.ndim == 0 else out
 
 
 def tfunc(lam0, lam1, p, h):
@@ -154,7 +141,7 @@ def tfunc(lam0, lam1, p, h):
     row dominance of the Gram matrix.  lam0, lam1 and h may be arrays; they
     broadcast against each other.
     """
-    return _flank_ratios("tfunc", lam0, lam1, float(p), h, "T")[0]
+    return _flank_ratios("tfunc", lam0, lam1, float(p), h)
 
 
 def sfunc(lam0, lam1, p, h):
@@ -162,7 +149,7 @@ def sfunc(lam0, lam1, p, h):
     square.  S -> 3/2 as h -> 0; for the polynomial pair with p = 0 it is 3/2
     identically, which is returned as the exact constant.  lam0, lam1 and h
     may be arrays; they broadcast against each other."""
-    return _flank_ratios("sfunc", lam0, lam1, float(p), h, "S")[0]
+    return _flank_ratios("sfunc", lam0, lam1, float(p), h)
 
 
 def abcd_quadrature(lam0, lam1, p, h):
@@ -284,27 +271,7 @@ def tridiag_solve(sub, diag, sup, rhs):
 
 
 def _lebesgue_sup(basis):
-    """Upper bound of sup sum |H_j| from the basis's interval constants;
-    see operator_norm_bound."""
-    reps, _ = basis.groups
-    # a key with l0*l1 <= 0 adds nothing above the initial 0
-    excess = float(np.max(basis.pairs[reps].prod(axis=1) * basis.constants,
-                          initial=0.0))
-    return (1.0 + excess) * (1.0 + 4.0 * np.finfo(float).eps)
-
-
-def operator_norm_bound(basis, p):
-    """Certified sup-norm bound for the weighted projection onto the hats.
-
-    The Lebesgue sup of the hats times S / (1 - T), with T and S the ratios
-    at +h and -h, evaluated once per distinct (pair, length) key in mesh
-    order; if some |T| reaches 1 the Gram matrix has no dominance margin
-    and DominanceError reports the first such interval before any interval
-    constant is asked for.  Hats past the monotone radius of their pair
-    may get there; the order-4 certificate reads this bound, order 2 not.
-    For p = 0 it is at or below the classical constants, 4 for symmetric
-    pairs and a rational formula for pairs straddling zero, and 3 for
-    polynomial pairs up to the four-ulp pad; the tests check this.
+    """Upper bound of sup sum |H_j| from the basis's interval constants.
 
     On interval j, with pair (l0, l1) and length h, the live flanks sum to
     u = phi(t - t_(j+1))/phi(-h) + phi(t - t_j)/phi(h), both >= 0, monotone
@@ -314,20 +281,119 @@ def operator_norm_bound(basis, p):
     l0*l1*M_j over the keys with l0*l1 > 0, M_j the interval constant, an
     upper bound of max omega_j, rounded up by four ulps.
     """
-    lengths = basis.partition.lengths
     reps, _ = basis.groups
-    lam0, lam1 = np.repeat(basis.pairs[reps], 2, axis=0).T
-    both = np.column_stack([lengths[reps], -lengths[reps]]).ravel()
-    t_val, s_val = _flank_ratios("operator_norm_bound", lam0, lam1,
-                                 float(p), both, "TS")
-    t_key = np.abs(t_val).reshape(-1, 2).max(axis=1)
-    failed = ~(t_key < 1.0)
-    if np.any(failed):
-        k = int(np.argmax(failed))
-        raise DominanceError(int(reps[k]), float(t_key[k]))
-    c_factor = float(np.max(t_key))
-    s_factor = float(np.max(np.abs(s_val)))
-    return _lebesgue_sup(basis) * s_factor / (1.0 - c_factor)
+    # a key with l0*l1 <= 0 adds nothing above the initial 0
+    excess = float(np.max(basis.pairs[reps].prod(axis=1) * basis.constants,
+                          initial=0.0))
+    return (1.0 + excess) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def _hat_masses(basis, p):
+    """b_i = int H_i exp(p t) of every hat in closed form: on interval j, of
+    left end t_j and length h, with w0 = exp(p t_j), the rising flank of
+    H_(j+1) integrates to w0 e^(p h) Phi_(l0,l1,-p)(h) / Phi_(l0,l1)(h) and
+    the falling flank of H_j to w0 Phi_(-l0,-l1,p)(h) / Phi_(-l0,-l1)(h),
+    as Phi_A * Phi_B = Phi_(A,B) under convolution.  The numerators of all
+    keys are one three-frequency kernel call, and each flank one
+    _quotient over gram_assemble's pair values, as a Gram entry is."""
+    reps, inverse = basis.groups
+    l0, l1 = basis.pairs[reps].T
+    h = basis.partition.lengths[reps]
+    rise, fall = _phi(h, (l0, l1, -p), (-l0, -l1, p))
+    rise, fall, phi_h, phi_mh = (
+        (mant[inverse], scale[inverse]) for mant, scale in
+        ((rise[0], rise[1] + p * h), fall, _pair_scaled(l0, l1, h),
+         _pair_scaled(l0, l1, -h)))
+    w0 = (1.0, p * basis.knots[:-1])
+    mass = np.zeros(basis.n)
+    mass[1:] += _quotient([w0, rise], [phi_h])
+    # phi(-h) = -Phi_(-l0,-l1)(h)
+    mass[:-1] -= _quotient([w0, fall], [phi_mh])
+    return mass
+
+
+def _m_matrix_solve(diag, couple, rhs):
+    """x solving the symmetric tridiagonal system of diagonal diag and
+    off-diagonals couple by elimination without pivoting on Python floats:
+    for an M-matrix |L||U| = |A|, so its backward error is componentwise
+    small however the rows are scaled (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 9).  NaN after a zero pivot."""
+    d, c, x = diag.tolist(), couple.tolist(), rhs.tolist()
+    try:
+        for i, ci in enumerate(c):
+            f = ci / d[i]
+            d[i + 1] -= f * ci
+            x[i + 1] -= f * x[i]
+        x[-1] /= d[-1]
+        for i in range(len(c) - 1, -1, -1):
+            x[i] = (x[i] - c[i] * x[i + 1]) / d[i]
+    except ZeroDivisionError:
+        x = [math.nan] * len(x)
+    return np.array(x)
+
+
+def operator_norm_bound(basis, p):
+    """Certified sup-norm bound K of the weighted projection onto the hats.
+
+    The hats are >= 0 (see _lebesgue_sup), so the Gram G has positive
+    off-diagonals, and A = D G D, D = diag((-1)^i), G's diagonal with the
+    off-diagonals -|G_(i,i+1)|, is a Stieltjes matrix: A^-1 >= 0 and
+    |G^-1| = A^-1 (Berman and Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6).  With c_j = <f, H_j>, |c_j| <= ||f|| b_j
+    for the masses b_j = int H_j w, so |Pf(t)| <= ||f|| sum_i H_i(t)
+    (A^-1 b)_i <= ||f|| Lambda max(A^-1 b), Lambda the Lebesgue sup of the
+    hats.  K is Lambda max(x) for an x >= A^-1 b that the solve check
+    certifies; no row dominance is asked for.  For p = 0 K is at or below
+    the classical 4 for symmetric pairs, the straddling formula and 3 for
+    polynomial pairs up to the pads, and wherever G's rows are dominant at
+    or below Lambda S / (1 - T); the tests check both.
+
+    The solve check: x from _m_matrix_solve, then r = A x - b per row in
+    floating point.  r_i sums four terms, three of them products, so with
+    u = 2^-53 its rounding error is at most gamma_4 = 4u / (1 - 4u) times
+    the sum s_i of their magnitudes, whose computed value is within
+    gamma_4 of it; underflow adds at most 2^-1075 per product.  So a
+    computed r_i >= 5u s_i + 2^-1022 makes the exact r_i >= 0.  Until all
+    rows pass, at most three times, x is raised by twice the largest
+    shortfall relative to b: typically once, by about 10u s_i / b_i, which
+    is the pad K carries over Lambda max(A^-1 b).  Then x > 0 and A x >= b
+    > 0 prove the Z-matrix A a nonsingular M-matrix, so A^-1 >= 0, |G^-1|
+    <= A^-1 (Ostrowski) and A^-1 b <= x.  A failed check raises LinAlgError
+    naming the first hat and interval it fails on.  G and b are taken as
+    their closed forms return them.
+    """
+    return _norm_bound(basis, p)
+
+
+def _norm_bound(basis, p, gram=None):
+    """operator_norm_bound on the caller's Gram of basis, when given."""
+    if gram is None:
+        gram = gram_assemble(basis, p)
+    b = _hat_masses(basis, float(p))
+    diag, couple = gram.diag, -np.abs(gram.off)
+    x = _m_matrix_solve(diag, couple, b)
+    # a non-finite x or entry fails the comparisons, so no warning is due
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            # up, lo <= 0 wherever x > 0, which is checked before size counts
+            up, lo, dx = couple * x[1:], couple * x[:-1], diag * x
+            r, size = dx - b, np.abs(dx) + b
+            r[:-1] += up
+            r[1:] += lo
+            size[:-1] -= up
+            size[1:] -= lo
+            short = (2.0 ** -53 * 5.0 * size + 2.0 ** -1022 - r) / b
+            passed = (x > 0.0) & (b > 0.0)
+            if not passed.all():
+                break
+            passed = short <= 0.0
+            if passed.all():
+                return _lebesgue_sup(basis) * float(np.max(x))
+            x = x * (1.0 + 2.0 * np.max(short))
+    i = int(np.argmin(passed))
+    raise np.linalg.LinAlgError(
+        f"no certified projector bound: the Gram solve fails its M-matrix "
+        f"check at hat {i}, interval {min(i, basis.n - 2)}")
 
 
 @dataclass
@@ -394,9 +460,9 @@ def project(basis, g, p):
     g must accept arrays.  The load vector comes from one Gauss-Legendre
     pass over every flank, adaptive only where that fails, and is passed
     with the closed-form Gram matrix to tridiag_solve; nothing given is
-    modified.  The result carries the Gram's dominance factor; the
-    projector's norm bound is operator_norm_bound's, which raises
-    DominanceError where there is none.
+    modified.  The result carries the Gram's dominance factor, which is
+    a diagnostic only: the projector's norm bound is operator_norm_bound's,
+    from the same Gram with or without row dominance.
     """
     gram = gram_assemble(basis, p)
     coeffs = tridiag_solve(gram.off, gram.diag, gram.off,

@@ -20,7 +20,7 @@ from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _corner_scaled, _plain
 from .hatbasis import (Partition, _frequency_rows, as_partition,
                        build_hat_basis, group_intervals)
-from .l2proj import _finite_p, _load_vector, _tridiag, operator_norm_bound
+from .l2proj import _finite_p, _load_vector, _norm_bound, _tridiag
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -629,12 +629,12 @@ class BoundCertificate:
     bound: float
 
 
-def _certificate_parts(part, quads, p, basis=None):
+def _certificate_parts(part, quads, p, basis=None, gram=None):
     """Resolve the pairing and return (norm_bound, m2_max, m0_max): the
     interval constants of both pairings from one M_constants search and the
     norm bound from operator_norm_bound, for every quadruple.  basis is the
-    hat basis of the resolved pairing's first pairs when the caller has
-    built it already."""
+    hat basis of the resolved pairing's first pairs, and gram its Gram in
+    the resolved weight, when the caller has built them already."""
     _, quads = _checked(part, quads)
     if p is not None and quads.p is not None \
             and float(p) != float(quads.p):
@@ -655,7 +655,7 @@ def _certificate_parts(part, quads, p, basis=None):
         part.knots[reps], part.knots[reps + 1]), [hat_reps.size])
     hats.setflags(write=False)
     basis.constants = hats
-    norm = operator_norm_bound(basis, p_res)
+    norm = _norm_bound(basis, p_res, gram)
     return norm, float(np.max(hats)), float(np.max(opers))
 
 
@@ -670,13 +670,13 @@ def error_bound4(partition, quads, p, max_lf):
     return _error_bound4(as_partition(partition), quads, p, max_lf)
 
 
-def _error_bound4(part, quads, p, max_lf, basis=None):
+def _error_bound4(part, quads, p, max_lf, basis=None, gram=None):
     """error_bound4 on a Partition, reusing the caller's hat basis of the
-    resolved pairing when given (see _certificate_parts)."""
+    resolved pairing and its Gram when given (see _certificate_parts)."""
     max_lf = float(max_lf)
     if not max_lf >= 0.0:
         raise ValueError("max_lf must be nonnegative")
-    norm, m2, m0 = _certificate_parts(part, quads, p, basis)
+    norm, m2, m0 = _certificate_parts(part, quads, p, basis, gram)
     constant = (1.0 + norm) * m2 * m0
     return BoundCertificate(delta=part.mesh, constant=constant,
                             norm_bound=norm, m2_max=m2, m0_max=m0,

@@ -276,10 +276,10 @@ def promise_outcome(config):
     <exception type>" for the CLI's typed refusals, or "failed <owner>"
     when the measured error passes the bound.  Any other exception
     propagates."""
-    from expspline import ConfigError, DominanceError, QuadratureError
+    from expspline import ConfigError, QuadratureError
     from expspline.harness import run_verify
 
-    typed = (ConfigError, DominanceError, QuadratureError, OverflowError,
+    typed = (ConfigError, QuadratureError, ArithmeticError,
              np.linalg.LinAlgError, ValueError)
     try:
         (row,) = run_verify(config).rows

@@ -365,14 +365,16 @@ class TestMConstant:
         assert abs(start[0] - _mp_omega_peak(lam0, lam1)[1]) <= 1e-9
 
     def test_critical_point_lies_inside(self):
-        # double pairs, zero, near-confluent pairs and |lambda| up to 700,
-        # against the closed form in 60 digits, so the start's guard for
-        # an overflowing kernel cannot hide a value outside (0, 1)
-        edge = [0.0, 1e-300, 1e-9, 0.5, 1.0, 1.0 + 1e-9, 30.0, 300.0, 700.0]
+        # double pairs, zero, near-confluent pairs and |lambda| up to 1400,
+        # against the closed form in 60 digits: past hi - lo of about 700
+        # the start is taken in log form
+        edge = [0.0, 1e-300, 1e-9, 0.5, 1.0, 1.0 + 1e-9, 30.0, 300.0, 700.0,
+                710.0, 1400.0]
         lams = sorted({sign * x for x in edge for sign in (1.0, -1.0)})
         rng = np.random.default_rng(5)
         keys = [(a, b) for a in lams for b in lams] \
             + [tuple(rng.uniform(-700.0, 700.0, 2)) for _ in range(40)] \
+            + [tuple(rng.uniform(-1400.0, 1400.0, 2)) for _ in range(40)] \
             + [(1.0, 1.0002), (-3.0, -3.0 + 1e-5), (250.0, 250.001)]
         lam0, lam1 = np.array(keys).T
         start = errbound2._critical_point(lam0, lam1)
@@ -381,22 +383,39 @@ class TestMConstant:
         assert_allclose(start, want, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("start", [0.02, 0.98])
-    def test_fallback_from_a_wrong_start(self, start, omega_calls,
-                                         monkeypatch):
-        # a start far from the maximum fails the one-call check, and the
-        # search by quarters still bounds the oracle and terminates
+    def test_wrong_start_is_refused(self, start, omega_calls, monkeypatch):
+        # a start far from the maximum fails the one-call check, which is a
+        # typed refusal naming the key: there is no second search
         monkeypatch.setattr(errbound2, "_critical_point",
                             lambda lam0, lam1: np.full(lam0.shape, start))
-        keys = np.array([key[:2] for key in self.ORACLE_KEYS])
-        values, _ = _bracket_search(keys[:, 0], keys[:, 1])
-        for (lam0, lam1), value in zip(keys, values):
-            best = _mp_omega_max(lam0, lam1)
-            assert best <= value <= best * (1.0 + 1e-13)
-        for lam0, lam1 in self.DEGENERATE_KEYS:
-            omega_calls.clear()
-            value, arg = _bracket_search(np.array([lam0]), np.array([lam1]))
-            assert 1 < len(omega_calls) <= 30
-            assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"critical point {start!r} of the unit-interval pair "
+                f"(-2.0, 2.0)")):
+            _bracket_search(np.array([-2.0, 1.0]), np.array([2.0, 2.0]))
+        assert len(omega_calls) == 1
+
+    def test_every_key_closes_at_its_start(self, omega_calls):
+        # a derandomized sweep of unit-interval pairs up to |lambda| = 1400,
+        # of either sign, same-sign and near-confluent: every key closes in
+        # the one _omega call; a maximum past the double range, as for
+        # large same-sign pairs, reads inf, which M_constants refuses by
+        # OverflowError
+        rng = np.random.default_rng(24)
+        mixed = rng.uniform(-1400.0, 1400.0, (4000, 2))
+        same = rng.uniform(1.0, 1400.0, (2000, 2)) \
+            * rng.choice([-1.0, 1.0], (2000, 1))
+        near = rng.uniform(-1400.0, 1400.0, (1000, 1)) \
+            + [0.0, 1e-7] * rng.uniform(0.0, 1.0, (1000, 1))
+        keys = np.sort(np.concatenate([mixed, same, near]), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, args = _bracket_search(keys[:, 0], keys[:, 1])
+        assert omega_calls == [3 * len(keys)]
+        assert np.all(values > 0.0) and np.all((args > 0.0) & (args < 1.0))
+        past = values == np.inf
+        assert np.all(np.abs(keys[past]).min(axis=1) > 600.0)
+        assert np.all(keys[past].prod(axis=1) > 0.0)
+        with pytest.raises(OverflowError):
+            M_constants(keys[past][:1], [0.0], [1.0])
 
     @pytest.mark.parametrize("lam0, lam1", [(-800.0, 3.0), (-720.0, -1.0)])
     def test_factors_past_the_double_range_give_the_oracle_maximum(

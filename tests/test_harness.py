@@ -509,22 +509,32 @@ class TestRunVerify:
 
     def test_order2_row_without_dominance_is_certified(self):
         # same-sign hats (3, 4) past their monotone radius 0.288: at n = 5
-        # and 9 the Gram is not dominant, so no norm bound, which the
-        # order-2 bound does not read; every level certifies
+        # and 9 the Gram is not dominant, as c_factor shows; the norm bound
+        # reads no dominance, so every level has one, and every level
+        # certifies
         config = {"function": "sin", "n": [5, 9, 33], "order": 2,
                   "frequencies": {"pairs": [[3.0, 4.0]]}}
         report = run_verify(config)
         assert report.passed
-        for row, t in zip(report.rows, ("2.53845", "1.05331")):
-            assert row["norm_bound"] is None
-            assert row["no_norm_bound"] == ("no diagonal dominance: "
-                                             f"interval 0 has |T| = {t} >= 1")
+        assert [row["c_factor"] > 1.0 for row in report.rows] \
+            == [True, True, False]
+        for row in report.rows:
+            assert row["norm_bound"] > 1.0 and "no_norm_bound" not in row
             assert row["empirical_error"] <= row["bound"]
-        assert report.rows[2]["norm_bound"] > 0.0
-        assert "no_norm_bound" not in report.rows[2]
         for got, want in zip(run_bounds(config).rows, report.rows):
             assert got == dict(want, empirical_error=None, ratio=None,
                                passed=True)
+        # stiff same-sign hats (341, 829) on h = 1.4: Gram entries pass the
+        # double range and the projector's solve check refuses them; the
+        # order-2 bound does not read K, so the row certifies and names why
+        config = {"function": "sin", "domain": [0.0, 1.4], "n": 2,
+                  "order": 2, "frequencies": {"pairs": [[341.0, 829.0]]}}
+        (row,) = run_verify(config).rows
+        assert row["passed"] and row["empirical_error"] <= row["bound"]
+        assert row["norm_bound"] is None
+        assert row["no_norm_bound"] == (
+            "no certified projector bound: the Gram solve fails its "
+            "M-matrix check at hat 0, interval 0")
 
     def test_inexact_clamp_gets_no_certificate(self):
         # zero end slopes are not sin's, and the certificate bounds only the
@@ -704,30 +714,27 @@ def _main(args, config, tmp_path, capsys):
 
 class TestCommandsComputeWhatTheyPrint:
 
-    @pytest.mark.parametrize("command, config, refusal", [
+    @pytest.mark.parametrize("command, config", [
         # h = pi/4 is past the monotone radius of the hats (3, 4), whose
-        # Gram is then not dominant: the order-4 bound reads its K
+        # Gram is then not dominant: the order-4 bound reads K from the
+        # Gram's own inverse, so verify certifies it, as it once could not
         ("interp4", dict(SIN4_CONFIG, n=5, frequencies={
-            "quads": [[3.0, 4.0, -3.0, -4.0]]}), (3, "no diagonal dominance")),
+            "quads": [[3.0, 4.0, -3.0, -4.0]]})),
         # stiff hats whose Gram factors pass the double range, though the
-        # entries do not: verify certifies them (refusal None)
+        # entries do not
         ("interp2", {"function": "sin", "domain": [0.0, 1.0], "n": 3,
-                     "frequencies": {"pairs": [[-900.0, 3.0]]}, "order": 2},
-         None),
+                     "frequencies": {"pairs": [[-900.0, 3.0]]}, "order": 2}),
         ("interp2", {"function": "sin", "domain": [0.0, math.pi], "n": 3,
-                     "frequencies": {"xi": 400.0}, "order": 2}, None),
+                     "frequencies": {"xi": 400.0}, "order": 2}),
     ], ids=["quads-past-monotone-radius", "pairs-gram-overflow",
             "xi-gram-overflow"])
     def test_interp_builds_what_verify_cannot_certify(self, command, config,
-                                                      refusal, tmp_path,
-                                                      capsys):
-        code, out, err = _main(["verify", "--format", "json"], config,
-                               tmp_path, capsys)
-        if refusal is None:
-            (row,) = json.loads(out)["rows"]
-            assert code == 0 and row["empirical_error"] <= row["bound"]
-        else:
-            assert code == refusal[0] and refusal[1] in err
+                                                      tmp_path, capsys):
+        # verify certifies each of these, and interp builds it
+        code, out, _ = _main(["verify", "--format", "json"], config,
+                             tmp_path, capsys)
+        (row,) = json.loads(out)["rows"]
+        assert code == 0 and row["empirical_error"] <= row["bound"]
         code, out, _ = _main([command, "--eval-grid", "5"], config, tmp_path,
                              capsys)
         assert code == 0
@@ -739,6 +746,18 @@ class TestCommandsComputeWhatTheyPrint:
         at = np.isclose(table[:, :1], knots, rtol=0.0, atol=1e-11).any(axis=1)
         assert at.sum() == knots.size
         assert_allclose(table[at, 1], np.sin(table[at, 0]), atol=1e-11)
+
+    def test_interval_constant_that_does_not_close_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        # a start whose slopes do not bracket omega's maximum is a typed
+        # refusal of the interval constant, a numerical failure at the CLI
+        monkeypatch.setattr(errbound2, "_critical_point",
+                            lambda lam0, lam1: np.full(lam0.shape, 0.02))
+        config = {"function": "sin", "n": 5, "order": 2,
+                  "frequencies": {"xi": 1.0}}
+        code, _, err = _main(["verify"], config, tmp_path, capsys)
+        assert code == 3
+        assert "numerical failure: omega's slope does not change sign" in err
 
     def test_interp2_stiff_straddling_pair_is_finite(self, tmp_path, capsys):
         # (-2000, 0) on h = 1: |s h| = |d h| = 1000, so the flank's
