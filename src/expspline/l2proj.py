@@ -8,10 +8,10 @@ inverse is |G^-1| exactly; one certified tridiagonal solve against the
 hats' weighted masses, times the Lebesgue sup of the hats, bounds the
 projection operator norm in the sup norm, which is the quantity the fourth
 order error certificate consumes.  The sup is not sampled: on interval j
-the hats are >= 0 and sum to 1 + l0*l1*omega_j, omega_j solving
-L omega = -1 with zero ends, so it comes from errbound2's interval
-constants M_j.  The T and S functions of an interval, the row-dominance
-ratios of the paper's lemmas, stay as checks of the Gram's structure.
+the hats sum to 1 + l0*l1*omega_j, omega_j solving L omega = -1 with zero
+ends, so it comes from errbound2's interval constants M_j.  The T and S
+functions of an interval, the row-dominance ratios of the paper's lemmas,
+stay as checks of the Gram's structure.
 """
 
 import math
@@ -98,9 +98,9 @@ def gram_assemble(basis, p):
                       off=-_quotient([w0, f_cross], [phi_h, phi_mh]))
 
 
-def _flank_ratios(name, lam0, lam1, p, h):
-    """T (name "tfunc") or S (name "sfunc") at the lengths h, elementwise
-    over the broadcast of lam0, lam1 and h, a float for scalar input.
+def _flank_ratios(part, lam0, lam1, p, h):
+    """T (part "T") or S (part "S") at the lengths h, elementwise over the
+    broadcast of lam0, lam1 and h, a float for scalar input.
 
     Both are quotients over Phi_(l0-l1, l1-l0, 0, -p-l0-l1)(h).  Every
     length with |h| >= _TINY_H, of either sign, shares each kernel call:
@@ -113,14 +113,13 @@ def _flank_ratios(name, lam0, lam1, p, h):
         *(np.asarray(x, dtype=float) for x in (lam0, lam1, h)))
     if not (math.isfinite(p) and np.all(np.isfinite(lam0))
             and np.all(np.isfinite(lam1)) and np.all(np.isfinite(h))):
-        raise ValueError(f"{name} arguments must be finite")
-    ratio_t = name == "tfunc"
-    out = np.full(h.shape, 0.5 if ratio_t else 1.5)
+        raise ValueError(f"{part.lower()}func arguments must be finite")
+    out = np.full(h.shape, 0.5 if part == "T" else 1.5)
     live = np.abs(h) >= _TINY_H
     if np.any(live):
         l0, l1, hs = lam0[live], lam1[live], h[live]
         den_cols = (l0 - l1, l1 - l0, 0.0, -p - l0 - l1)
-        if ratio_t:
+        if part == "T":
             den, num = _phi(hs, den_cols, (l0, l1, -p - l0, -p - l1))
             out[live] = 0.5 * _quotient([num], [den])
         else:
@@ -141,7 +140,7 @@ def tfunc(lam0, lam1, p, h):
     row dominance of the Gram matrix.  lam0, lam1 and h may be arrays; they
     broadcast against each other.
     """
-    return _flank_ratios("tfunc", lam0, lam1, float(p), h)
+    return _flank_ratios("T", lam0, lam1, float(p), h)
 
 
 def sfunc(lam0, lam1, p, h):
@@ -149,7 +148,7 @@ def sfunc(lam0, lam1, p, h):
     square.  S -> 3/2 as h -> 0; for the polynomial pair with p = 0 it is 3/2
     identically, which is returned as the exact constant.  lam0, lam1 and h
     may be arrays; they broadcast against each other."""
-    return _flank_ratios("sfunc", lam0, lam1, float(p), h)
+    return _flank_ratios("S", lam0, lam1, float(p), h)
 
 
 def abcd_quadrature(lam0, lam1, p, h):
