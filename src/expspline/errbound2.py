@@ -214,6 +214,7 @@ def _critical_point(lam0, lam1):
             ends = np.stack([lo[far], hi[far]])
             g = np.where(ends > 700.0, ends - np.log(ends),
                          np.log(np.expm1(ends) / ends))
+            # g(0) = 0, the limit that expm1(0)/0 leaves as NaN
             g[ends == 0.0] = 0.0
             t[far] = (g[1] - g[0]) / (hi[far] - lo[far])
     return t
