@@ -206,10 +206,12 @@ def _times_exp(mant, scale):
     """mant * exp(scale), broadcast: the plain product where |scale| <=
     700, elsewhere mant exp(r) 2^n with scale = n log 2 + r, so the result
     overflows or underflows only where the value does, and a zero mant
-    gives a zero whatever the scale."""
+    gives a zero whatever the scale.  A value past the double range reads
+    inf, with no warning."""
     far = np.abs(scale) > 700.0
     if not far.any():
-        return mant * np.exp(scale)
+        with np.errstate(over="ignore"):
+            return mant * np.exp(scale)
     mant, scale, far = np.broadcast_arrays(mant, scale, far)
     with np.errstate(over="ignore", invalid="ignore"):
         out = mant * np.exp(scale)

@@ -138,7 +138,8 @@ def _runge_evaluators():
         lambda ts: -50.0 * ts / d(ts) ** 2,
         lambda ts: 50.0 * (75.0 * ts ** 2 - 1.0) / d(ts) ** 3,
         lambda ts: 15000.0 * ts * (1.0 - 25.0 * ts ** 2) / d(ts) ** 4,
-        lambda ts: 15000.0 * (1.0 - 250.0 * ts ** 2 + 3125.0 * ts ** 4)
+        # t^4 as a square of a product: numpy's pow is slow on a negative base
+        lambda ts: 15000.0 * (1.0 - 250.0 * ts ** 2 + 3125.0 * (ts * ts) ** 2)
         / d(ts) ** 5,
     )
 
@@ -158,8 +159,9 @@ def _gauss_evaluators():
         g,
         lambda ts: -2.0 * ts * g(ts),
         lambda ts: (4.0 * ts ** 2 - 2.0) * g(ts),
-        lambda ts: (12.0 * ts - 8.0 * ts ** 3) * g(ts),
-        lambda ts: (16.0 * ts ** 4 - 48.0 * ts ** 2 + 12.0) * g(ts),
+        # t^3 and t^4 as products: numpy's pow is slow on a negative base
+        lambda ts: (12.0 * ts - 8.0 * (ts * ts * ts)) * g(ts),
+        lambda ts: (16.0 * (ts * ts) ** 2 - 48.0 * ts ** 2 + 12.0) * g(ts),
     )
 
 

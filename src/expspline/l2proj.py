@@ -74,7 +74,7 @@ def gram_assemble(basis, p):
     Each entry is one _quotient of their (mant, scale) pairs and w0's
     exponent p t_j, so it overflows only where its value does, although
     its factors may pass the double range; such an entry reads inf, which
-    tridiag_solve refuses.  A non-finite p raises ValueError.
+    project's residual check refuses.  A non-finite p raises ValueError.
     """
     p = _finite_p(p)
     knots = basis.knots
@@ -183,7 +183,8 @@ def dominance_factor(gram):
     """Largest row ratio (|off_(i-1)| + |off_i|)/diag_i, off 0 past the ends.
 
     A diagonal entry at or below zero, which the closed form gives only by
-    underflow, raises LinAlgError naming the first such row."""
+    underflow, raises LinAlgError naming the first such row.  A row with an
+    entry past the double range has ratio inf, with no warning."""
     diag = np.asarray(gram.diag, dtype=float)
     bad = np.flatnonzero(diag <= 0.0)
     if bad.size:
@@ -193,7 +194,10 @@ def dominance_factor(gram):
     couple, row = np.abs(gram.off), np.zeros(diag.size)
     row[:-1] += couple
     row[1:] += couple
-    return float(np.max(row / diag))
+    with np.errstate(invalid="ignore"):
+        ratio = row / diag
+    return float(np.max(np.where(np.isfinite(row) & np.isfinite(diag),
+                                 ratio, np.inf)))
 
 
 def _tridiag(sub, diag, sup, rhs):
@@ -239,34 +243,6 @@ def _tridiag(sub, diag, sup, rhs):
         x[i], y[i] = x1, y1
     # a NaN anywhere in y reaches y_0, and max keeps the NaN it starts with
     return np.array(x), max(y) * (1.0 + 4 * n * 2.0 ** -52)
-
-
-def tridiag_solve(sub, diag, sup, rhs):
-    """Solve the tridiagonal system with subdiagonal sub, diagonal diag and
-    superdiagonal sup for rhs by _tridiag (Gaussian elimination with partial
-    pivoting) and check the residual.
-
-    Inconsistent shapes and non-finite entries raise ValueError.  A
-    singular system, a non-finite solution or a residual above 1e-12 *
-    ||rhs|| raises LinAlgError.
-    """
-    sub, diag, sup, rhs = (np.asarray(x, dtype=float) for x in
-                           (sub, diag, sup, rhs))
-    n = diag.size
-    if diag.ndim != 1 or rhs.shape != (n,) or sub.shape != (n - 1,) \
-            or sup.shape != (n - 1,):
-        raise ValueError("inconsistent system shapes")
-    if not all(np.isfinite(x).all() for x in (diag, sub, sup, rhs)):
-        raise ValueError("tridiagonal system entries must be finite")
-    x = _tridiag(sub, diag, sup, rhs)[0]
-    r = diag * x - rhs
-    r[:-1] += sup * x[1:]
-    r[1:] += sub * x[:-1]
-    if not np.all(np.isfinite(x)) or np.max(np.abs(r)) \
-            > 1e-12 * max(np.max(np.abs(rhs)), 1e-300):
-        raise np.linalg.LinAlgError(
-            "tridiagonal solve failed the residual check")
-    return x
 
 
 def _lebesgue_sup(basis):
@@ -395,19 +371,6 @@ def _norm_bound(basis, p, gram=None):
         f"check at hat {i}, interval {min(i, basis.n - 2)}")
 
 
-@dataclass
-class ProjectionResult:
-    """Best approximation coefficients with the Gram's dominance factor c;
-    the norm bound of the projector is operator_norm_bound's."""
-    coeffs: np.ndarray = field(repr=False)
-    c: float = 0.0
-    basis: object = None
-
-    @property
-    def spline(self):
-        return SplineOrder2(self.basis, self.coeffs)
-
-
 def _load_vector(basis, g, p):
     """<g, H_i> in the exp(p t) weighted product for every hat: on interval j
     the falling flank of H_j and the rising flank of H_(j+1).
@@ -454,17 +417,25 @@ def _load_vector(basis, g, p):
 
 
 def project(basis, g, p):
-    """Weighted best approximation of g from the hat span.
+    """Weighted best approximation of g from the hat span, as the order-2
+    spline SplineOrder2(basis, coeffs); the projector's norm bound is
+    operator_norm_bound's.
 
-    g must accept arrays.  The load vector comes from one Gauss-Legendre
-    pass over every flank, adaptive only where that fails, and is passed
-    with the closed-form Gram matrix to tridiag_solve; nothing given is
-    modified.  The result carries the Gram's dominance factor, which is
-    a diagnostic only: the projector's norm bound is operator_norm_bound's,
-    from the same Gram with or without row dominance.
+    g must accept arrays.  The load vector f comes from one Gauss-Legendre
+    pass over every flank, adaptive only where that fails, and is solved
+    against the closed-form Gram matrix by _tridiag; nothing given is
+    modified.  A residual above 1e-12 max|f|, which a non-finite Gram entry
+    or coefficient also gives, raises LinAlgError.
     """
     gram = gram_assemble(basis, p)
-    coeffs = tridiag_solve(gram.off, gram.diag, gram.off,
-                           _load_vector(basis, g, p))
-    return ProjectionResult(coeffs=coeffs, c=dominance_factor(gram),
-                            basis=basis)
+    f = _load_vector(basis, g, p)
+    coeffs = _tridiag(gram.off, gram.diag, gram.off, f)[0]
+    # a non-finite entry gives a NaN or inf residual, which fails the check
+    with np.errstate(all="ignore"):
+        r = gram.diag * coeffs - f
+        r[:-1] += gram.off * coeffs[1:]
+        r[1:] += gram.off * coeffs[:-1]
+        if not np.max(np.abs(r)) <= 1e-12 * max(np.max(np.abs(f)), 1e-300):
+            raise np.linalg.LinAlgError(
+                "projection solve failed the residual check")
+    return SplineOrder2(basis, coeffs)

@@ -241,6 +241,12 @@ _PROMISE_KNOWN = {
     # the order-4 rounding floor: t3 is in the kernel of D^4
     "known o4-xi0 t3 n9 uniform": {"function": "t3", "order": 4, "n": 9,
                                    "frequencies": {"xi": 0.0}},
+    # weighted Gram entries past the double range: they read inf, with no
+    # RuntimeWarning, and the dominance factor reads inf
+    **{f"known o2-p{p}-xi1 sin n5 [0, 10]": {
+        "function": "sin", "domain": [0.0, 10.0], "n": 5, "order": 2,
+        "frequencies": {"xi": 1.0}, "p": float(p)}
+       for p in (80, 120)},
 }
 
 # a failed row whose measured error is at most _FLOOR, rounding on the

@@ -86,6 +86,22 @@ class TestCatalog:
             assert_allclose(tf.evaluators[r](ts), fd, rtol=1e-5,
                             atol=1e-5 * scale)
 
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp", "gauss", "runge"])
+    def test_derivatives_match_mpmath(self, name):
+        # orders 0-4 against 30-digit derivatives on 201 points of the
+        # default domain (both signs for gauss and runge), each within
+        # 1e-14 of the declared bound at the point itself
+        tf = get_test_function(name)
+        ts = np.linspace(*tf.default_domain, 201)
+        scale = tf.bounds(ts, ts)
+        got = tf.derivatives(ts, 5)
+        with mp.workdps(30):
+            for i, t in enumerate(ts):
+                exact = mp.diffs(MP_FUNCS[name], mp.mpf(t), 4)
+                for r, want in enumerate(exact):
+                    assert abs(got[r][i] - float(want)) \
+                        <= 1e-14 * scale[r, i], (name, t, r)
+
     def test_monomial_low_orders_vanish(self):
         tf = get_test_function("t2")
         ts = np.linspace(0.0, 1.0, 5)

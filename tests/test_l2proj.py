@@ -1,7 +1,8 @@
 """Tests for the weighted projection module: T/S ratios, Gram assembly,
-tridiagonal solve, projection, and operator norm bounds."""
+tridiagonal elimination, projection, and operator norm bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from expspline.hatbasis import (
     hat_eval,
     interpolate2,
     monotone_radius,
+    SplineOrder2,
     sum_hats,
 )
 from expspline.l2proj import (
@@ -29,7 +31,6 @@ from expspline.l2proj import (
     project,
     tfunc,
     sfunc,
-    tridiag_solve,
 )
 from expspline.quadrature import QuadratureError
 
@@ -364,6 +365,17 @@ class TestDominanceAndSolve:
         with pytest.raises(np.linalg.LinAlgError, match="row 1 is 0.0"):
             dominance_factor(g)
 
+    def test_non_finite_row_reads_inf(self):
+        # entries past the double range: an inf diagonal over an inf
+        # coupling, an inf coupling, a NaN diagonal; no warning is raised
+        for diag, off in (([1.0, math.inf, 1.0], [math.inf, 0.5]),
+                          ([1.0, 2.0, 1.0], [0.5, math.inf]),
+                          ([1.0, math.nan, 1.0], [0.5, 0.5])):
+            g = GramSystem(diag=np.array(diag), off=np.array(off))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert dominance_factor(g) == math.inf
+
     def test_pivoting_elimination_matches_dense(self):
         rng = np.random.default_rng(2718)
         for _ in range(20):
@@ -372,7 +384,7 @@ class TestDominanceAndSolve:
             sup = rng.uniform(-1.0, 1.0, size=n - 1)
             diag = 2.5 + rng.uniform(0.0, 1.0, size=n)
             rhs = rng.standard_normal(n)
-            x = tridiag_solve(sub, diag, sup, rhs)
+            x = l2proj._tridiag(sub, diag, sup, rhs)[0]
             dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
             assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10,
                             atol=1e-12)
@@ -426,20 +438,21 @@ class TestDominanceAndSolve:
                         rtol=1e-12)
 
     def test_single_unknown(self):
-        assert_allclose(tridiag_solve(np.zeros(0), np.array([4.0]),
-                                      np.zeros(0), np.array([2.0])), [0.5])
+        assert_allclose(l2proj._tridiag(np.zeros(0), np.array([4.0]),
+                                        np.zeros(0), np.array([2.0]))[0],
+                        [0.5])
 
     def test_singular_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            tridiag_solve(np.array([1.0]), np.array([1.0, 1.0]),
-                          np.array([1.0]), np.array([1.0, 0.0]))
+            l2proj._tridiag(np.array([1.0]), np.array([1.0, 1.0]),
+                            np.array([1.0]), np.array([1.0, 0.0]))
 
     def test_zero_leading_pivot_takes_a_row_swap(self):
         # the leading pivot is zero, so elimination without pivoting would
         # break down; the pivoting solver succeeds
         rhs = np.array([1.0, 1.0])
-        x = tridiag_solve(np.array([1.0]), np.array([0.0, 1.0]),
-                          np.array([1.0]), rhs)
+        x = l2proj._tridiag(np.array([1.0]), np.array([0.0, 1.0]),
+                            np.array([1.0]), rhs)[0]
         dense = np.array([[0.0, 1.0], [1.0, 1.0]])
         assert_allclose(dense @ x, rhs, atol=1e-14)
 
@@ -460,13 +473,13 @@ class TestProjection:
         assert_allclose(res.coeffs, np.array(basis.knots), atol=1e-12)
         # the classical constant 3, up to the pads of _POLY_K
         assert 3.0 <= operator_norm_bound(basis, 0.0) <= _POLY_K
-        assert_allclose(res.c, 0.5, rtol=1e-12)
+        assert_allclose(dominance_factor(gram_assemble(basis, 0.0)), 0.5,
+                        rtol=1e-12)
 
     def test_orthogonality_residual_sin(self):
         basis = build_hat_basis(np.linspace(0.0, math.pi, 5),
                                 [(-1.0, 1.0)] * 4)
-        res = project(basis, np.sin, 0.0)
-        spline = res.spline
+        spline = project(basis, np.sin, 0.0)
         for i in range(basis.n):
             r = inner_product_p(
                 lambda ts: np.sin(ts) - spline(ts),
@@ -482,7 +495,7 @@ class TestProjection:
             res = project(basis, np.sin, 0.0)
             interp = interpolate2(basis, np.sin(np.array(basis.knots)))
             grid = np.linspace(0.0, math.pi, 2001)
-            lhs = np.max(np.abs(np.sin(grid) - res.spline(grid)))
+            lhs = np.max(np.abs(np.sin(grid) - res(grid)))
             rhs = np.max(np.abs(np.sin(grid) - interp(grid)))
             norm = operator_norm_bound(basis, 0.0)
             assert lhs <= (1.0 + norm) * rhs * (1.0 + 1e-9)
@@ -508,14 +521,44 @@ class TestProjection:
                 project(basis, np.sin, p)
 
     def test_projection_without_dominance_keeps_its_coeffs(self):
-        # the projection is returned with its dominance factor above 1,
-        # and the norm bound, which reads no dominance, exists as well
+        # the projection is returned where the Gram's dominance factor is
+        # above 1, and the norm bound, which reads no dominance, exists too
         basis = build_hat_basis((0.0, 1.2, 2.4), [(1.0, 2.0)] * 2)
         res = project(basis, lambda ts: np.exp(ts), 0.0)
         assert np.all(np.isfinite(res.coeffs))
-        assert res.c > 1.0
+        assert dominance_factor(gram_assemble(basis, 0.0)) > 1.0
         assert not hasattr(res, "norm_bound")
         assert 1.0 < operator_norm_bound(basis, 0.0) < 20.0
+
+    def test_returns_the_order2_spline_of_the_solve(self):
+        # the spline on the basis given, its coefficients the pivoting
+        # elimination's solution to the bit
+        rng = np.random.default_rng(52)
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.4, 9))])
+        basis = build_hat_basis(knots, np.sort(rng.uniform(-3.0, 3.0, (9, 2)),
+                                               axis=1))
+        spline = project(basis, np.cos, -0.4)
+        assert type(spline) is SplineOrder2
+        assert spline.basis is basis
+        gram = gram_assemble(basis, -0.4)
+        want = l2proj._tridiag(gram.off, gram.diag, gram.off,
+                               l2proj._load_vector(basis, np.cos, -0.4))[0]
+        assert spline.coeffs.tobytes() == want.tobytes()
+
+    def test_non_finite_gram_fails_the_residual_check(self, monkeypatch):
+        # an entry past the double range reaches the solve as inf; the
+        # residual check refuses it by LinAlgError, with no warning
+        basis = build_hat_basis(np.linspace(0.0, 1.0, 4), [(-1.0, 1.0)] * 3)
+        real = gram_assemble(basis, 0.0)
+        for bad in (np.array([math.inf, 1.0, 1.0, 1.0]) * real.diag,
+                    np.array([1.0, math.nan, 1.0, 1.0]) * real.diag):
+            fake = GramSystem(diag=bad, off=real.off)
+            monkeypatch.setattr(l2proj, "gram_assemble", lambda b, p: fake)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="residual check"):
+                    project(basis, np.sin, 0.0)
 
 
 class TestLoadVector:
