@@ -68,10 +68,11 @@ def _csv(header, rows):
 
 
 def _json(doc):
-    """doc as indented JSON with sorted keys; numpy arrays and scalars
-    become lists and Python numbers."""
-    return json.dumps(doc, indent=2, sort_keys=True,
-                      default=lambda obj: obj.tolist()) + "\n"
+    """doc as indented strict JSON with sorted keys: numpy arrays and
+    scalars become lists and numbers, a non-finite float null."""
+    plain = json.loads(json.dumps(doc, default=lambda obj: obj.tolist()),
+                       parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _output(args, text, ext):

@@ -8,23 +8,22 @@ so M is found once per rescaled pair lambda*(b-a) on the unit interval,
 where omega is unimodal.  There its critical point t* has a closed form,
 the divided difference g[l0, l1] of g(x) = log(expm1(x)/x), and one
 batched evaluation of omega and omega' at t* and two points 1e-11 beside
-it brackets the maximum; a key whose slopes there do not bracket it is
-refused by ArithmeticError.  A pad from a bound on |omega''| over the
-bracket turns the value found into an upper bound of M.  A bound over a
+it brackets the maximum; a pad from a bound on |omega''| over the bracket
+turns the value found into an upper bound of M.  A key whose slopes there
+do not bracket it reads 1/|l0*l1| on the plateau of a wide straddling
+pair and is refused by ArithmeticError elsewhere.  A bound over a
 partition needs one value per distinct (pair, length) key; a hat basis
 computes them once and keeps them (HatBasis.constants).  The keys of one
-call are searched together, in one batched evaluation of omega and
-omega' over every key.  Both come from
-products of fundamental functions, formed from their mantissas and
-log-scales, or from a closed form on the flat plateau of a pair straddling
-zero, where the products lose ulps.  omega is also minus the integral of
-the Green function of L with Dirichlet conditions, which supplies an
-independent quadrature route and the comparison inequalities used in the
-tests.
+call are searched together, in one batched evaluation of omega and omega'
+over every key.  Both come from products of fundamental functions, formed
+from their mantissas and log-scales, or from a closed form on the flat
+plateau of a pair straddling zero, where the products lose ulps.  omega
+is also minus the integral of the Green function of L with Dirichlet
+conditions, which supplies an independent quadrature route and the
+comparison inequalities used in the tests.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,8 +220,8 @@ def _critical_point(lam0, lam1):
 
 
 def _bracket_search(lam0, lam1):
-    """Upper bound of the maximum of omega on [0, 1], and the abscissa of
-    the largest value found, for each pair (lam0[i], lam1[i]).
+    """Upper bound of the maximum of omega on [0, 1] for each pair
+    (lam0[i], lam1[i]), as one float array.
 
     omega is strictly unimodal on (0, 1).  At a critical point omega' = 0,
     so L omega = -1 reads omega'' = -1 - l0*l1*omega there.  A local minimum
@@ -249,7 +248,11 @@ def _bracket_search(lam0, lam1):
     and omega' <= 0 at the right one closes there, with t_N = t* and the
     bracket [t* - r, t* + r]; every generator, oracle and ledger key the
     tests draw does, and every key of their sweep up to |lambda| = 1400.
-    Any other key raises ArithmeticError naming it.
+    For l0 < 0 < l1, omega = (1 - x)/|l0*l1| with x > 0 (see _omega), a
+    bound that is sharp to rounding on the plateau of a wide pair, where
+    the slopes beside t* are rounding noise: such a key that does not
+    close but has omega(t*)*|l0*l1| >= 1 - 8 eps reads 1/|l0*l1|.  Any
+    other key raises ArithmeticError naming it.
 
     Pad: t_N and t* lie in the bracket, of width w.  Let S bound |omega''|
     there.  Then |omega'| <= |omega'(t_N)| + S*w and |omega - omega(t_N)|
@@ -267,7 +270,10 @@ def _bracket_search(lam0, lam1):
     stiff keys: with |lambda*span| up to 1400, omega at t_N was off by up
     to 50 ulps on 48 sampled keys, though M stayed at or above the
     maximum on all of them.  A computed sign of omega' can only be wrong
-    where omega is flat to rounding.  Every step is elementwise per pair,
+    where omega is flat to rounding.  On a plateau key the factor 1 + 4
+    eps covers seven roundings of half an ulp: the two scaled frequencies,
+    their product, its reciprocal, the factor itself, and span*span and
+    the product with it in M_constants.  Every step is elementwise per pair,
     so a pair gives the same bits alone or in a batch.
     """
     count = lam0.size
@@ -277,66 +283,36 @@ def _bracket_search(lam0, lam1):
     vals, slopes = _omega(np.tile(lam0, 3), np.tile(lam1, 3), 1.0,
                           pts.ravel(), pts.ravel() - 1.0)
     vals, slopes = vals.reshape(3, count), slopes.reshape(3, count)
-    i, cols = np.argmax(vals, axis=0), np.arange(count)
-    best, best_t = vals[i, cols], pts[i, cols]
+    v, d, w = vals[0], slopes[0], pts[2] - pts[1]
+    sigma, prod = lam0 + lam1, lam0 * lam1
+    a_sigma, a_prod = np.abs(sigma), np.abs(prod)
+    eps = np.finfo(float).eps
     shut = (slopes[1] > 0.0) & (slopes[2] <= 0.0)
-    if not shut.all():
-        k = int(np.argmin(shut))
+    flat = ~shut & (prod < 0.0) & (v * a_prod >= 1.0 - 8.0 * eps)
+    if not (shut | flat).all():
+        k = int(np.argmin(shut | flat))
         raise ArithmeticError(
             f"omega's slope does not change sign around the critical point "
             f"{float(start[k])!r} of the unit-interval pair "
             f"{(float(lam0[k]), float(lam1[k]))}")
-    v, d, w = vals[0], slopes[0], pts[2] - pts[1]
-    sigma, prod = lam0 + lam1, lam0 * lam1
-    a_sigma, a_prod = np.abs(sigma), np.abs(prod)
     room = 1.0 - (a_sigma + a_prod * w) * w
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = (np.abs(1.0 + prod * v) + (a_sigma + a_prod * w) * np.abs(d)) \
             / room
     bound[~(room > 0.0)] = np.inf
-    value = best + 0.5 * bound * w * w
-    return value * (1.0 + 4.0 * np.finfo(float).eps), best_t
-
-
-@dataclass(frozen=True)
-class IntervalBoundData:
-    """Interval constant M, an upper bound of max omega within a few ulps,
-    and t_max, where the largest value of omega found lies."""
-    a: float
-    b: float
-    lam0: float
-    lam1: float
-    value: float
-    t_max: float
-
-
-def M_constant(lam0, lam1, a, b):
-    """Interval constant for the pointwise bound |F - I2 F| <= M max|LF|.
-
-    Reduced to the unit interval through omega's scaling law
-    M(lambda; a, b) = (b-a)^2 M(lambda*(b-a); 0, 1) and bounded there by
-    _bracket_search.
-    """
-    a, b = float(a), float(b)
-    (value,), (t_unit,) = _unit_search([(lam0, lam1)], [a], [b])
-    return IntervalBoundData(a=a, b=b, lam0=float(lam0), lam1=float(lam1),
-                             value=float(value),
-                             t_max=a + (b - a) * float(t_unit))
+    value = np.max(vals, axis=0) + 0.5 * bound * w * w
+    value[flat] = 1.0 / a_prod[flat]
+    return value * (1.0 + 4.0 * eps)
 
 
 def M_constants(pairs, lefts, rights):
-    """M_constant(...).value of each interval [lefts[i], rights[i]] with
-    pair pairs[i], sequences or arrays, as a float array; all intervals
-    share one batched search."""
-    return _unit_search(pairs, lefts, rights)[0]
-
-
-def _unit_search(pairs, lefts, rights):
-    """Interval constants and the unit-interval abscissae of their best
-    values, from one _bracket_search over the rescaled pairs
-    (lam0*(b-a), lam1*(b-a)).  A constant past the double range, as for
-    large same-sign pairs, raises OverflowError naming its interval; any
-    other that is not finite and positive raises ArithmeticError."""
+    """Interval constants M, |F - I2 F| <= M max|LF|, of the intervals
+    [lefts[i], rights[i]] with pairs pairs[i] (sequences or arrays), as a
+    float array, from omega's scaling law M(lambda; a, b) =
+    (b-a)^2 M(lambda*(b-a); 0, 1) and one _bracket_search over every
+    rescaled pair.  A constant past the double range, as for large
+    same-sign pairs, raises OverflowError naming its interval; any other
+    that is not finite and positive raises ArithmeticError."""
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     lefts, rights = (np.asarray(x, dtype=float).ravel()
                      for x in (lefts, rights))
@@ -349,8 +325,7 @@ def _unit_search(pairs, lefts, rights):
         key = tuple(scaled[np.argmax(bad)].tolist())
         raise ValueError(f"frequencies must be finite, got {key}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m_unit, t_unit = _bracket_search(*scaled.T)
-        values = spans * spans * m_unit
+        values = spans * spans * _bracket_search(*scaled.T)
     failed = ~((values > 0.0) & np.isfinite(values))
     if failed.any():
         j = int(np.argmax(failed))
@@ -359,7 +334,7 @@ def _unit_search(pairs, lefts, rights):
         raise error(
             f"interval constant {what} for {tuple(pairs[j].tolist())} on "
             f"[{lefts[j]}, {rights[j]}]")
-    return values, t_unit
+    return values
 
 
 def interp2_error_bound(basis, max_lf):

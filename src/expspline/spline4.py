@@ -629,12 +629,26 @@ class BoundCertificate:
     bound: float
 
 
-def _certificate_parts(part, quads, p, basis=None, gram=None):
-    """Resolve the pairing and return (norm_bound, m2_max, m0_max): the
-    interval constants of both pairings from one M_constants search and the
-    norm bound from operator_norm_bound, for every quadruple.  basis is the
-    hat basis of the resolved pairing's first pairs, and gram its Gram in
-    the resolved weight, when the caller has built them already."""
+def error_bound4(partition, quads, p, max_lf):
+    """Certified sup-norm bound for clamped fourth order interpolation.
+
+    max_lf bounds |L F| over the domain, L being the per-interval product
+    operator.  The bound is (1 + K) * M2 * M0 * max_lf, with M2 and M0 the
+    largest interval constants of the hat and operator pairings and K the
+    projection norm bound, the same route for every quadruple.
+    """
+    return _error_bound4(as_partition(partition), quads, p, max_lf)
+
+
+def _error_bound4(part, quads, p, max_lf, basis=None, gram=None):
+    """error_bound4 on a Partition: resolve the pairing, take the interval
+    constants of both pairings from one M_constants search and the norm
+    bound from operator_norm_bound's route, for every quadruple.  basis is
+    the hat basis of the resolved pairing's first pairs, and gram its Gram
+    in the resolved weight, when the caller has built them already."""
+    max_lf = float(max_lf)
+    if not max_lf >= 0.0:
+        raise ValueError("max_lf must be nonnegative")
     _, quads = _checked(part, quads)
     if p is not None and quads.p is not None \
             and float(p) != float(quads.p):
@@ -656,27 +670,7 @@ def _certificate_parts(part, quads, p, basis=None, gram=None):
     hats.setflags(write=False)
     basis.constants = hats
     norm = _norm_bound(basis, p_res, gram)
-    return norm, float(np.max(hats)), float(np.max(opers))
-
-
-def error_bound4(partition, quads, p, max_lf):
-    """Certified sup-norm bound for clamped fourth order interpolation.
-
-    max_lf bounds |L F| over the domain, L being the per-interval product
-    operator.  The bound is (1 + K) * M2 * M0 * max_lf, with M2 and M0 the
-    largest interval constants of the hat and operator pairings and K the
-    projection norm bound, the same route for every quadruple.
-    """
-    return _error_bound4(as_partition(partition), quads, p, max_lf)
-
-
-def _error_bound4(part, quads, p, max_lf, basis=None, gram=None):
-    """error_bound4 on a Partition, reusing the caller's hat basis of the
-    resolved pairing and its Gram when given (see _certificate_parts)."""
-    max_lf = float(max_lf)
-    if not max_lf >= 0.0:
-        raise ValueError("max_lf must be nonnegative")
-    norm, m2, m0 = _certificate_parts(part, quads, p, basis, gram)
+    m2, m0 = float(np.max(hats)), float(np.max(opers))
     constant = (1.0 + norm) * m2 * m0
     return BoundCertificate(delta=part.mesh, constant=constant,
                             norm_bound=norm, m2_max=m2, m0_max=m0,

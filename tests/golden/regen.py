@@ -247,6 +247,24 @@ _PROMISE_KNOWN = {
         "function": "sin", "domain": [0.0, 10.0], "n": 5, "order": 2,
         "frequencies": {"xi": 1.0}, "p": float(p)}
        for p in (80, 120)},
+    # a quadruple with no hat-and-operator pairing under any weight
+    "known o4-0/1/2/4 sin n17 uniform": {
+        "function": "sin", "order": 4, "n": 17,
+        "frequencies": {"quads": [[0.0, 1.0, 2.0, 4.0]]}},
+    # splines clamped at slopes that are not F's own: built, not bounded
+    "known o4-xi1 samples n5 unit clamp [1, -1]": {
+        "function": {"samples": [0.0, 0.5, 1.0, 0.5, 0.0]}, "order": 4,
+        "n": 5, **_UNIT, "frequencies": {"xi": 1.0}, "clamp": [1.0, -1.0]},
+    "known o4-xi1 sin n17 uniform clamp [0.9, -1.1]": {
+        "function": "sin", "order": 4, "n": 17, "frequencies": {"xi": 1.0},
+        "clamp": [0.9, -1.1]},
+    # the plateau of wide straddling pairs, where omega's slopes beside its
+    # critical point are rounding noise (ROADMAP item 3)
+    "known o2-xi10000 sin n5 unit": {"function": "sin", "order": 2, "n": 5,
+                                     **_UNIT, "frequencies": {"xi": 1e4}},
+    "known o2-(-5753.04)/9010.24 sin n5 unit": {
+        "function": "sin", "order": 2, "n": 5, **_UNIT,
+        "frequencies": {"pairs": [[-5753.04, 9010.24]]}},
 }
 
 # a failed row whose measured error is at most _FLOOR, rounding on the

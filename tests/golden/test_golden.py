@@ -55,3 +55,17 @@ def test_every_ledger_case_keeps_its_outcome():
     moved = [f"{name}: {want[name]} -> {got[name]}" for name in sorted(got)
              if got[name] != want[name]]
     assert not moved, f"{len(moved)} ledger cases moved: {moved}"
+
+
+def test_recorded_json_is_strict():
+    # no JSON output of the corpus holds an Infinity or NaN literal, which
+    # strict readers refuse; the CLI writes a non-finite float as null
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    runs = [run for path in sorted((regen.HERE / "expected").glob("*.json"))
+            for run in json.loads(path.read_text())
+            if run["code"] == 0 and "json" in run["argv"]]
+    assert runs
+    for run in runs:
+        json.loads(run["stdout"], parse_constant=refuse)

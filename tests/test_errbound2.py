@@ -10,8 +10,6 @@ from numpy.testing import assert_allclose
 
 from expspline import errbound2
 from expspline.errbound2 import (
-    IntervalBoundData,
-    M_constant,
     M_constants,
     _bracket_search,
     green_eval,
@@ -274,22 +272,18 @@ class TestMConstant:
         for xi_span in (0.01, 0.5, 2.0, 10.0):
             span = 0.7
             xi = xi_span / span
-            data = M_constant(-xi, xi, 0.0, span)
-            assert_allclose(data.value, span * span * mstar(xi_span),
-                            rtol=1e-10)
-            assert abs(data.t_max - 0.5 * span) < 1e-6 * span
+            value = M_constants([(-xi, xi)], [0.0], [span])[0]
+            assert_allclose(value, span * span * mstar(xi_span), rtol=1e-10)
 
     def test_polynomial_value(self):
-        data = M_constant(0.0, 0.0, 0.0, 1.0)
-        assert_allclose(data.value, 0.125, rtol=1e-15)
-        assert data.value >= 0.125
-        assert data.t_max == 0.5
+        value = M_constants([(0.0, 0.0)], [0.0], [1.0])[0]
+        assert_allclose(value, 0.125, rtol=1e-15)
+        assert value >= 0.125
 
     def test_translation_invariance(self):
-        base = M_constant(1.0, 2.0, 0.0, 0.3)
-        moved = M_constant(1.0, 2.0, 5.0, 5.3)
-        assert_allclose(moved.value, base.value, rtol=1e-13)
-        assert_allclose(moved.t_max - 5.0, base.t_max, atol=1e-10)
+        base = M_constants([(1.0, 2.0)], [0.0], [0.3])[0]
+        moved = M_constants([(1.0, 2.0)], [5.0], [5.3])[0]
+        assert_allclose(moved, base, rtol=1e-13)
 
     def test_quarter_square_bound_for_straddling_pairs(self):
         rng = np.random.default_rng(12)
@@ -297,16 +291,15 @@ class TestMConstant:
             lam0 = -rng.uniform(0.0, 4.0)
             lam1 = rng.uniform(0.0, 4.0)
             span = rng.uniform(0.1, 2.0)
-            data = M_constant(lam0, lam1, 0.0, span)
-            assert data.value <= 0.25 * span * span * (1.0 + 1e-10)
-            assert 0.0 < data.t_max < span
+            value = M_constants([(lam0, lam1)], [0.0], [span])[0]
+            assert value <= 0.25 * span * span * (1.0 + 1e-10)
 
     def test_matches_direct_omega_maximum(self):
-        data = M_constant(-1.0, 3.0, 0.0, 1.2)
+        value = M_constants([(-1.0, 3.0)], [0.0], [1.2])[0]
         ts = np.linspace(0.0, 1.2, 20001)[1:-1]
         brute = np.max(omega_eval(-1.0, 3.0, 0.0, 1.2, ts))
-        assert_allclose(data.value, brute, rtol=1e-7)
-        assert data.value >= brute - 1e-12
+        assert_allclose(value, brute, rtol=1e-7)
+        assert value >= brute - 1e-12
 
     # same-sign, straddling, near-confluent, zero-frequency and plateau
     # keys.  Near the middle of (-60, 60) omega varies by less than its
@@ -325,15 +318,16 @@ class TestMConstant:
 
     @pytest.mark.parametrize("lam0, lam1, value_rtol", ORACLE_KEYS)
     def test_matches_oracle_maximum(self, lam0, lam1, value_rtol):
-        data = M_constant(lam0, lam1, 0.0, 1.0)
+        value = M_constants([(lam0, lam1)], [0.0], [1.0])[0]
         best = _mp_omega_max(lam0, lam1)
-        found = float(mp_omega(lam0, lam1, 0.0, 1.0, data.t_max))
+        start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
+        found = float(mp_omega(lam0, lam1, 0.0, 1.0, start[0]))
         assert_allclose(found, best, rtol=1e-13)
-        assert_allclose(data.value, best, rtol=value_rtol)
-        assert data.value >= best
+        assert_allclose(value, best, rtol=value_rtol)
+        assert value >= best
         ts = np.linspace(0.0, 1.0, 20001)[1:-1]
         brute = np.max(omega_eval(lam0, lam1, 0.0, 1.0, ts))
-        assert data.value >= brute * (1.0 - 4.0 * np.finfo(float).eps)
+        assert value >= brute * (1.0 - 4.0 * np.finfo(float).eps)
 
     def test_batched_search_equals_one_key_search(self):
         # keys of every kind, including ones whose brackets need a
@@ -341,10 +335,15 @@ class TestMConstant:
         keys = np.array([(l0, l1) for l0, l1, _ in self.ORACLE_KEYS]
                         + [(-0.3, 7.0), (4.0, 4.0), (-12.0, -0.1),
                            (0.0, 0.0), (2.5, -2.5)])
-        values, args = _bracket_search(keys[:, 0], keys[:, 1])
-        for (l0, l1), value, arg in zip(keys, values, args):
-            one = _bracket_search(np.array([l0]), np.array([l1]))
-            assert (one[0][0], one[1][0]) == (value, arg)
+        values = _bracket_search(keys[:, 0], keys[:, 1])
+        for (l0, l1), value in zip(keys, values):
+            assert _bracket_search(np.array([l0]), np.array([l1]))[0] == value
+
+    def test_search_returns_one_array(self):
+        # the bound of each key and nothing else: no abscissa comes back
+        got = _bracket_search(np.array([-1.0, 0.0]), np.array([3.0, 0.0]))
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (2,) and got.dtype == float
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])
@@ -408,14 +407,54 @@ class TestMConstant:
             + [0.0, 1e-7] * rng.uniform(0.0, 1.0, (1000, 1))
         keys = np.sort(np.concatenate([mixed, same, near]), axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            values, args = _bracket_search(keys[:, 0], keys[:, 1])
+            values = _bracket_search(keys[:, 0], keys[:, 1])
         assert omega_calls == [3 * len(keys)]
-        assert np.all(values > 0.0) and np.all((args > 0.0) & (args < 1.0))
+        assert np.all(values > 0.0)
         past = values == np.inf
         assert np.all(np.abs(keys[past]).min(axis=1) > 600.0)
         assert np.all(keys[past].prod(axis=1) > 0.0)
         with pytest.raises(OverflowError):
             M_constants(keys[past][:1], [0.0], [1.0])
+
+    def test_plateau_keys_read_the_plateau_bound(self):
+        # a derandomized sweep up to |lambda| = 1e5.  On the plateau of a
+        # wide straddling pair (min(|l0|, |l1|) >= 771 on a 20000-key scan)
+        # omega's slopes beside t* are rounding noise and do not bracket
+        # it; such a key reads 1/|l0*l1|, which omega never reaches, and
+        # every other key closes.  A value equal to that plateau value lies
+        # at or above 1/|l0*l1| in exact arithmetic, on the unit span and
+        # on [5.0, 5.3], whose length 5.3 - 5.0 is exact
+        rng = np.random.default_rng(7)
+        keys = np.sort(rng.uniform(-1.0, 1.0, (5000, 2))
+                       * 10.0 ** rng.uniform(0.0, 5.0, (5000, 2)), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _bracket_search(keys[:, 0], keys[:, 1])
+        assert np.all(values > 0.0)
+        flat = values == (1.0 / np.abs(keys[:, 0] * keys[:, 1])) \
+            * (1.0 + 4.0 * np.finfo(float).eps)
+        assert flat.sum() > 500 and np.all(keys[flat].prod(axis=1) < 0.0)
+        span = 5.3 - 5.0
+        moved = keys[flat] / span
+        shifted = M_constants(moved, np.full(len(moved), 5.0),
+                              np.full(len(moved), 5.3))
+        with mp.workdps(40):
+            for (l0, l1), value in zip(keys[flat], values[flat]):
+                assert mp.mpf(value) >= 1 / abs(mp.mpf(l0) * mp.mpf(l1))
+            for (l0, l1), value in zip(moved, shifted):
+                assert mp.mpf(value) >= 1 / abs(mp.mpf(l0) * mp.mpf(l1))
+
+    def test_plateau_key_bounds_the_oracle(self):
+        # ROADMAP item 3's key: its value lies at or above 1/|l0*l1|, which
+        # bounds omega, and at or above the oracle's omega at t*, within
+        # 1e-13 of it (the oracle's maximum costs 3 s on this key)
+        lam0, lam1 = -1438.26, 2252.56
+        value = M_constants([(lam0, lam1)], [0.0], [1.0])[0]
+        start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
+        found = mp_omega(lam0, lam1, 0.0, 1.0, start[0])
+        with mp.workdps(40):
+            assert mp.mpf(value) >= 1 / abs(mp.mpf(lam0) * mp.mpf(lam1))
+        assert mp.mpf(value) >= found
+        assert value <= float(found) * (1.0 + 1e-13)
 
     @pytest.mark.parametrize("lam0, lam1", [(-800.0, 3.0), (-720.0, -1.0)])
     def test_factors_past_the_double_range_give_the_oracle_maximum(
@@ -424,10 +463,10 @@ class TestMConstant:
         # such as Phi_(l0,l1)(-1), pass the double range
         start = errbound2._critical_point(np.array([lam0]), np.array([lam1]))
         assert 0.0 < start[0] < 1.0
-        data = M_constant(lam0, lam1, 0.0, 1.0)
+        value = M_constants([(lam0, lam1)], [0.0], [1.0])[0]
         best = _mp_omega_max(lam0, lam1)
-        assert data.value >= best
-        assert_allclose(data.value, best, rtol=1e-13)
+        assert value >= best
+        assert_allclose(value, best, rtol=1e-13)
 
     @pytest.mark.parametrize("lam0, lam1", [(2000.0, 2001.0),
                                             (-1e4, -9999.0)])
@@ -441,7 +480,7 @@ class TestMConstant:
             with pytest.raises(OverflowError, match=re.escape(
                     f"interval constant overflows for ({lam0}, {lam1}) on "
                     f"[0.0, 1.0]")):
-                M_constant(lam0, lam1, 0.0, 1.0)
+                M_constants([(lam0, lam1)], [0.0], [1.0])
 
     @pytest.mark.parametrize("make", [_verify4_intervals,
                                       _certify2_intervals])
@@ -450,7 +489,7 @@ class TestMConstant:
         keys = sorted({(l0 * (b - a), l1 * (b - a))
                        for (l0, l1), a, b in zip(pairs, lefts, rights)})
         for lam0, lam1 in keys[::max(1, len(keys) // 12)]:
-            value = M_constant(lam0, lam1, 0.0, 1.0).value
+            value = M_constants([(lam0, lam1)], [0.0], [1.0])[0]
             best = _mp_omega_max(lam0, lam1)
             assert best <= value <= best * (1.0 + 1e-13)
 
@@ -462,18 +501,13 @@ class TestMConstant:
     @pytest.mark.parametrize("lam0, lam1", DEGENERATE_KEYS)
     def test_degenerate_keys_terminate(self, lam0, lam1, omega_calls):
         # each closes at its critical point in one call
-        value, arg = _bracket_search(np.array([lam0]), np.array([lam1]))
+        value = _bracket_search(np.array([lam0]), np.array([lam1]))
         assert omega_calls == [3]
-        assert value[0] > 0.0 and 0.0 < arg[0] < 1.0
+        assert value[0] > 0.0
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            M_constant(0.0, 1.0, 2.0, 2.0)
-
-    def test_returns_dataclass(self):
-        data = M_constant(0.0, 0.0, 0.0, 1.0)
-        assert isinstance(data, IntervalBoundData)
-        assert (data.a, data.b) == (0.0, 1.0)
+            M_constants([(0.0, 1.0)], [2.0], [2.0])
 
 
 @pytest.fixture
@@ -507,7 +541,8 @@ class TestBasisConstants:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constants_are_the_intervals_own(self, seed):
-        # per key, bit for bit what M_constant gives for its first interval
+        # per key, bit for bit what M_constants gives for its first
+        # interval alone
         rng = np.random.default_rng(seed)
         m = 12
         h = rng.choice([0.1, 0.25, rng.uniform(0.05, 0.3)], m)
@@ -518,7 +553,7 @@ class TestBasisConstants:
         reps, _ = basis.groups
         assert basis.constants.shape == reps.shape
         for value, j in zip(basis.constants, reps):
-            want = M_constant(*pairs[j], knots[j], knots[j + 1]).value
+            want = M_constants([pairs[j]], [knots[j]], [knots[j + 1]])[0]
             assert value == want
 
 

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import expspline
 from expspline import cli, errbound2, harness, hatbasis, spline4
-from expspline.errbound2 import M_constant, interp2_error_bound
+from expspline.errbound2 import M_constants, interp2_error_bound
 from expspline.expcore import _apply_monic, _monic_coefficients
 from expspline.harness import (
     CATALOG,
@@ -358,8 +358,8 @@ class TestRigorousMaxAbsL:
         want = interp2_error_bound(build_hat_basis(knots, pairs), ml)
         assert_allclose(row["bound"], want, rtol=1e-15)
         assert row["M0_max"] == max(
-            M_constant(l0, l1, knots[j], knots[j + 1]).value
-            for j, (l0, l1) in enumerate(pairs))
+            M_constants([pair], [knots[j]], [knots[j + 1]])[0]
+            for j, pair in enumerate(pairs))
 
     def test_order2_row_searches_its_constants_once(self, monkeypatch):
         # the norm bound, the certificate and M0_max read the basis's
@@ -774,6 +774,34 @@ class TestCommandsComputeWhatTheyPrint:
         code, _, err = _main(["verify"], config, tmp_path, capsys)
         assert code == 3
         assert "numerical failure: omega's slope does not change sign" in err
+
+    @pytest.mark.parametrize("frequencies", [
+        {"xi": 1e4}, {"pairs": [[-5753.04, 9010.24]]}])
+    def test_plateau_interval_constants_certify(self, frequencies):
+        # the unit keys (-2500, 2500) and (-1438.26, 2252.56): omega's
+        # slopes beside t* are rounding noise on its plateau, so M reads
+        # 1/|l0*l1|, where the search once refused them and verify exited 3
+        config = {"function": "sin", "domain": [0.0, 1.0], "n": 5,
+                  "order": 2, "frequencies": frequencies}
+        (row,) = run_verify(config).rows
+        assert row["passed"]
+        assert row["empirical_error"] <= row["bound"] \
+            <= 1.001 * row["empirical_error"]
+
+    def test_json_is_strict(self, tmp_path, capsys):
+        # a weighted Gram entry past the double range makes c_factor inf,
+        # which JSON has no literal for: it is written null
+        config = {"function": "sin", "domain": [0.0, 10.0], "n": 5,
+                  "order": 2, "frequencies": {"xi": 1.0}, "p": 120.0}
+        code, out, _ = _main(["verify", "--format", "json"], config,
+                             tmp_path, capsys)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert code == 0
+        (row,) = json.loads(out, parse_constant=refuse)["rows"]
+        assert row["c_factor"] is None and row["passed"]
 
     def test_interp2_stiff_straddling_pair_is_finite(self, tmp_path, capsys):
         # (-2000, 0) on h = 1: |s h| = |d h| = 1000, so the flank's

@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import mp_interp4, mp_phi
 
 from expspline import errbound2, expcore, hatbasis, spline4
-from expspline.errbound2 import M_constant
+from expspline.errbound2 import M_constants
 from expspline.expcore import (_apply_monic, _monic_coefficients,
                                fundamental_derivative)
 from expspline.harness import get_test_function, max_abs_L, measure_error
@@ -1204,10 +1204,8 @@ class TestErrorBound4:
         basis = build_hat_basis(kn, [(-1.1, 0.3)] * 3)
         assert_allclose(cert.norm_bound, operator_norm_bound(basis, 0.7),
                         rtol=1e-12)
-        m2 = max(M_constant(-1.1, 0.3, kn[j], kn[j + 1]).value
-                 for j in range(3))
-        m0 = max(M_constant(-1.0, 0.4, kn[j], kn[j + 1]).value
-                 for j in range(3))
+        m2 = max(M_constants([(-1.1, 0.3)] * 3, kn[:-1], kn[1:]))
+        m0 = max(M_constants([(-1.0, 0.4)] * 3, kn[:-1], kn[1:]))
         assert_allclose(cert.m2_max, m2, rtol=1e-12)
         assert_allclose(cert.m0_max, m0, rtol=1e-12)
 
