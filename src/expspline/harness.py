@@ -95,6 +95,11 @@ _FACTORIALS = np.array([math.factorial(r) for r in range(7)], float)[:, None]
 # Cramer's constant: |H_r(t)| exp(-t^2/2) <= K 2^(r/2) sqrt(r!) for the
 # Hermite polynomials (Abramowitz and Stegun 22.14.17).
 _CRAMER = 1.086435
+# The bounds' constant factors, each the leading products of its formula
+# taken left to right, so the bits are those of the whole formula.
+_RUNGE_SCALE = _FACTORIALS * 5.0 ** _ORDERS
+_RUNGE_POWERS = -(_ORDERS + 1.0) / 2.0
+_GAUSS_SCALE = _CRAMER * 2.0 ** (_ORDERS / 2.0) * np.sqrt(_FACTORIALS)
 
 
 def _nearest_zero(lefts, rights):
@@ -148,8 +153,7 @@ def _runge_bounds(lefts, rights):
     # 1/(1+u^2) = Re 1/(1-iu) with u = 5t, and |d^r/du^r 1/(1-iu)| =
     # r!/(1+u^2)^((r+1)/2), which falls with |t|
     t = _nearest_zero(lefts, rights)
-    return _FACTORIALS * 5.0 ** _ORDERS \
-        * (1.0 + 25.0 * t * t) ** (-(_ORDERS + 1.0) / 2.0)
+    return _RUNGE_SCALE * (1.0 + 25.0 * t * t) ** _RUNGE_POWERS
 
 
 def _gauss_evaluators():
@@ -169,8 +173,7 @@ def _gauss_bounds(lefts, rights):
     # F^(r) = (-1)^r H_r(t) exp(-t^2), and Cramer's inequality bounds
     # |H_r(t)| exp(-t^2/2); the factor exp(-t^2/2) left over falls with |t|
     t = _nearest_zero(lefts, rights)
-    return _CRAMER * 2.0 ** (_ORDERS / 2.0) * np.sqrt(_FACTORIALS) \
-        * np.exp(-t * t / 2.0)
+    return _GAUSS_SCALE * np.exp(-t * t / 2.0)
 
 
 def _build_catalog():
@@ -215,7 +218,7 @@ _PAD_REL = 2.5e-7
 # nearly vanishes (F in the kernel of L), which keeps the grid finite there.
 _PAD_FLOOR = 1e-12
 # Rounding allowance on each grid value of L F, in units of A_j.
-_ROUNDING = 64.0 * np.finfo(float).eps
+_ROUNDING = 64.0 * math.ulp(1.0)
 # Most segments of one interval's grid; past it the pad exceeds its target.
 _MAX_SEGMENTS = 2 ** 20
 
@@ -245,6 +248,8 @@ def _lf_bounds(tf, part, sets, per_interval):
     per_interval, the interval's own, and at least _PAD_FLOOR * A_j.
     The first pass and the grid each take one derivatives call over all
     intervals, every point combining its own interval's coefficients.
+    This is the reference for _lf_bound_one, which gives one interval's
+    value with the same bits.
     """
     knots = part.knots
     lefts, rights = knots[:-1], knots[1:]
@@ -293,6 +298,67 @@ def _lf_bounds(tf, part, sets, per_interval):
     return grid + spacing ** 2 / 8.0 * curve + _ROUNDING * apriori
 
 
+def _monic_sum(coeffs, derivs):
+    """_apply_monic on Python floats: derivs[k] + sum_(i >= 1) coeffs[i]
+    derivs[k - i], the terms added in that order."""
+    k = len(coeffs) - 1
+    acc = derivs[k]
+    for i in range(1, k + 1):
+        acc = acc + coeffs[i] * derivs[k - i]
+    return acc
+
+
+def _lf_bound_one(tf, knots, freqs):
+    """_lf_bounds(tf, Partition(knots), [freqs], False)[0] for the one
+    interval of knots, with the same bits: the same operations in the same
+    order, on Python floats except the catalog's bounds, its evaluators and
+    the grid, which keep numpy.  None when a value turns non-finite, where
+    _lf_bounds raises or warns; its caller then takes _lf_bounds.
+    """
+    k = len(freqs)
+    if tf.bounds is None or not 1 <= k <= 4:
+        return None
+    a, b = knots.tolist()
+    # _monic_coefficients' recurrence, each step from the last one's values
+    c, e = [1.0], [1.0]
+    for lam in freqs:
+        neg = -abs(lam)
+        c, e = ([1.0] + [x - lam * y for x, y in zip(c[1:] + [0.0], c)],
+                [1.0] + [x - neg * y for x, y in zip(e[1:] + [0.0], e)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dbound = np.asarray(tf.bounds(knots[:-1], knots[1:]),
+                            dtype=float)[:, 0].tolist()
+    curve = _monic_sum([abs(x) for x in c], dbound[2:k + 3])
+    apriori = _monic_sum(e, dbound[:k + 1])
+    if not math.isfinite(curve + apriori):
+        return None
+
+    # first pass: the left end and the midpoint
+    points = np.array(tf.derivatives(np.array((a, 0.5 * (a + b))), k + 1),
+                      dtype=float).T.tolist()
+    v0, v1 = (abs(_monic_sum(c, row)) for row in points)
+    if not (math.isfinite(v0) and math.isfinite(v1)):
+        return None
+    target = max(_PAD_REL * max(v0, v1), _PAD_FLOOR * apriori)
+    length = b - a
+    if curve == 0.0 and target == 0.0:
+        segments = 1    # numpy's 0 / 0 is NaN, which takes one segment
+    elif curve >= 0.0 and target > 0.0:
+        size = length * math.sqrt(curve / (8.0 * target))
+        if math.isinf(size):
+            return None     # an overflow, which numpy warns of
+        segments = min(max(math.ceil(size), 1), _MAX_SEGMENTS)
+    else:
+        return None     # numpy's inf or NaN of x / 0 or of a negative root
+
+    frac = np.arange(segments + 1) / segments
+    ts = (1.0 - frac) * a + frac * b
+    grid = float(np.max(np.abs(_apply_monic(c, tf.derivatives(ts, k + 1)))))
+    spacing = length / segments
+    out = grid + spacing * spacing / 8.0 * curve + _ROUNDING * apriori
+    return out if math.isfinite(out) else None
+
+
 def max_abs_L(tf, partition, freq_sets):
     """Certified upper bound of sup |L F| over the domain, L being the
     per-interval operator prod (D - lambda_i) of freq_sets[j] on interval j.
@@ -307,9 +373,17 @@ def max_abs_L(tf, partition, freq_sets):
     first such interval in mesh order; ragged frequency sets, a function
     without declared bounds, or bounds that give no finite pad, raise
     ValueError too.
+
+    A partition of one interval takes _lf_bound_one, which does the same
+    operations on Python floats and so skips most of numpy's per-call
+    cost; its value, and any error or warning, are _lf_bounds' own.
     """
     part = as_partition(partition)
     sets = _frequency_rows(freq_sets, "frequency set", part.n - 1)
+    if part.n == 2:
+        one = _lf_bound_one(tf, part.knots, sets[0].tolist())
+        if one is not None:
+            return one
     return float(np.max(_lf_bounds(tf, part, sets, False)))
 
 

@@ -265,6 +265,14 @@ _PROMISE_KNOWN = {
     "known o2-(-5753.04)/9010.24 sin n5 unit": {
         "function": "sin", "order": 2, "n": 5, **_UNIT,
         "frequencies": {"pairs": [[-5753.04, 9010.24]]}},
+    # large meshes (ROADMAP item 13): the rounding floor, then the
+    # read-back gate, which holds the clamp slopes to the values' scale
+    **{f"known o4-xi1 cos n{n} uniform": {
+        "function": "cos", "order": 4, "n": n, "frequencies": {"xi": 1.0}}
+       for n in (32769, 65537)},
+    "known o4-1.3/2.1/-1.3/-2.1 cos n32769 uniform": {
+        "function": "cos", "order": 4, "n": 32769,
+        "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}},
 }
 
 # a failed row whose measured error is at most _FLOOR, rounding on the

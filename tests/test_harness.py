@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -184,13 +185,15 @@ QUADS = {"symmetric": (1.7, -1.7, 1.7, -1.7),
 
 def _count_points(tf):
     """tf wrapped so that the derivatives calls and the points passed to
-    them are counted (each call evaluates F itself once)."""
-    seen = [0, 0]
+    them are counted (each call evaluates F itself once), and the last
+    call's points kept."""
+    seen = [0, 0, 0]
     value = tf.evaluators[0]
 
     def counted(ts):
         seen[0] += np.size(ts)
         seen[1] += 1
+        seen[2] = np.size(ts)
         return value(ts)
     return dataclasses.replace(
         tf, evaluators=(counted,) + tf.evaluators[1:]), seen
@@ -217,6 +220,93 @@ def _dense_scan(tf, knots, quad, per=2 ** 16):
     coarse = scan(1024, slice(None))
     keep = np.flatnonzero(coarse >= (1.0 - 1e-4) * coarse.max())
     return max(float(scan(per, [j]).max()) for j in keep)
+
+
+def _outcome(call):
+    """("value", the bytes of the float call returns), or the type and
+    message of what it raises."""
+    try:
+        return "value", struct.pack("<d", call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sin_nan():
+    """sin with a fourth derivative that is NaN on (0.2, 0.5)."""
+    sin = get_test_function("sin")
+
+    def fourth(ts):
+        out = np.array(sin.evaluators[4](ts), dtype=float)
+        out[(ts > 0.2) & (ts < 0.5)] = np.nan
+        return out
+    return dataclasses.replace(sin, name="sin-nan",
+                               evaluators=sin.evaluators[:4] + (fourth,))
+
+
+class TestOneIntervalPath:
+    """max_abs_L on one interval computes on Python floats; its value, its
+    errors and its grid are the partition path's, _lf_bounds, bit for bit."""
+
+    @staticmethod
+    def _pair(tf, knots, sets):
+        """The outcome and the last call's points of max_abs_L, then of
+        _lf_bounds."""
+        sets = np.array(sets, dtype=float)
+        one, seen_one = _count_points(tf)
+        ref, seen_ref = _count_points(tf)
+        got = _outcome(lambda: max_abs_L(one, knots, sets))
+        want = _outcome(lambda: float(np.max(harness._lf_bounds(
+            ref, Partition(knots), sets, False))))
+        return (got, seen_one[2]), (want, seen_ref[2])
+
+    @pytest.mark.parametrize("name", sorted(
+        k for k in CATALOG if "^" not in k))
+    def test_same_bits_as_the_partition_path(self, name):
+        tf = get_test_function(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for k in range(1, 5):
+            for kind in ("zero", "straddling", "same-sign"):
+                for _ in range(4):
+                    a = rng.uniform(-3.0, 3.0)
+                    knots = (a, a + 10.0 ** rng.uniform(-3.0, 0.5))
+                    sets = rng.uniform(-6.0, 6.0, (1, k))
+                    if kind == "zero":
+                        sets[:] = 0.0
+                    elif kind == "same-sign":
+                        sets = np.abs(sets) * rng.choice((-1.0, 1.0))
+                    else:
+                        sets[0, 0] = np.copysign(sets[0, 0], -sets[0, -1])
+                    got, want = self._pair(tf, knots, sets)
+                    assert got == want, (name, knots, sets)
+                    assert got[0][0] == "value"
+
+    @pytest.mark.parametrize("tf, knots, sets, error", [
+        # zero curve over a zero target: one segment
+        ("t1", (0.0, 3.0), [(0.0, 0.0)], None),
+        # a target that underflows to zero under a nonzero curve: the most
+        # segments
+        ("t6", (0.0, 1e-80), [(0.0, 0.0)], None),
+        # F in the kernel of L on a long interval: the most segments, and
+        # the pad decides the value
+        ("exp", (0.0, 10.0), [(1.0,)], None),
+        ("sin-nan", (0.0, 1.0), [(1.0, 2.0, -1.0, -2.0)],
+         ("ValueError", "L F is NaN on interval 0 [0, 1]")),
+        ("exp", (700.0, 800.0), [(1.0, -1.0)],
+         ("ValueError", "derivative bounds of 'exp' give no finite pad on "
+          "interval 0 [700, 800]")),
+        ("sin", (0.0, 1.0), [(1.0,) * 5],
+         ("ValueError", "max|LF| takes one to four frequencies per "
+          "interval, got 5")),
+        # coefficients past the double range: numpy's warning, an error
+        # under this suite's settings, as the partition path gives it
+        ("sin", (0.0, 1.0), [(1e200, 1e200)],
+         ("RuntimeWarning", "overflow encountered in multiply")),
+    ])
+    def test_edge_cases_keep_the_partition_path(self, tf, knots, sets, error):
+        tf = _sin_nan() if tf == "sin-nan" else get_test_function(tf)
+        got, want = self._pair(tf, knots, sets)
+        assert got == want
+        assert got[0][0] == "value" if error is None else got[0] == error
 
 
 class TestDeclaredBounds:
@@ -301,7 +391,12 @@ class TestRigorousMaxAbsL:
         # one first pass and one grid for eight distinct pairs
         assert seen[1] == 2
         per = [max_abs_L(tf, knots[j:j + 2], [pairs[j]]) for j in range(8)]
-        assert_allclose(got, per, rtol=1e-15)
+        assert got.tolist() == per
+
+    def test_one_interval_takes_one_first_pass_and_one_grid(self):
+        counted, seen = _count_points(get_test_function("gauss"))
+        max_abs_L(counted, (-0.3, 0.1), [QUADS["generic"]])
+        assert seen[1] == 2
 
     def test_order4_row_builds_one_hat_basis(self, monkeypatch):
         # c_factor and the certificate share one basis and its grouping;
