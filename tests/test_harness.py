@@ -150,18 +150,24 @@ class TestMaxAbsL:
     def test_nan_interval_is_named(self):
         # the fourth derivative is NaN on intervals 3 and 4; the scan used
         # to drop them and return the maximum over the others
-        sin = get_test_function("sin")
-        knots = np.linspace(0.0, math.pi, 9)
-
-        def fourth(ts):
-            out = np.array(sin.evaluators[4](ts), dtype=float)
-            out[(ts > knots[3]) & (ts < knots[5])] = np.nan
-            return out
-
-        tf = dataclasses.replace(
-            sin, name="sin-nan", evaluators=sin.evaluators[:4] + (fourth,))
         with pytest.raises(ValueError, match="interval 3 "):
-            max_abs_L(tf, knots, [(1.0, 2.0, -1.0, -2.0)] * 8)
+            max_abs_L(_sin_nan(), NAN_KNOTS, [(1.0, 2.0, -1.0, -2.0)] * 8)
+
+
+NAN_KNOTS = np.linspace(0.0, math.pi, 9)
+
+
+def _sin_nan():
+    """sin with a fourth derivative that is NaN between NAN_KNOTS[3] and
+    NAN_KNOTS[5]."""
+    sin = get_test_function("sin")
+
+    def fourth(ts):
+        out = np.array(sin.evaluators[4](ts), dtype=float)
+        out[(ts > NAN_KNOTS[3]) & (ts < NAN_KNOTS[5])] = np.nan
+        return out
+    return dataclasses.replace(sin, name="sin-nan",
+                               evaluators=sin.evaluators[:4] + (fourth,))
 
 
 # mpmath versions of the catalog functions, for the declared bounds
@@ -231,18 +237,6 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def _sin_nan():
-    """sin with a fourth derivative that is NaN on (0.2, 0.5)."""
-    sin = get_test_function("sin")
-
-    def fourth(ts):
-        out = np.array(sin.evaluators[4](ts), dtype=float)
-        out[(ts > 0.2) & (ts < 0.5)] = np.nan
-        return out
-    return dataclasses.replace(sin, name="sin-nan",
-                               evaluators=sin.evaluators[:4] + (fourth,))
-
-
 class TestOneIntervalPath:
     """max_abs_L on one interval computes on Python floats; its value, its
     errors and its grid are the partition path's, _lf_bounds, bit for bit."""
@@ -289,8 +283,11 @@ class TestOneIntervalPath:
         # F in the kernel of L on a long interval: the most segments, and
         # the pad decides the value
         ("exp", (0.0, 10.0), [(1.0,)], None),
-        ("sin-nan", (0.0, 1.0), [(1.0, 2.0, -1.0, -2.0)],
-         ("ValueError", "L F is NaN on interval 0 [0, 1]")),
+        # NaN on the grid only, then at the first pass's midpoint
+        ("sin-nan", (0.5, 1.5), [(1.0, 2.0, -1.0, -2.0)],
+         ("ValueError", "L F is NaN on interval 0 [0.5, 1.5]")),
+        ("sin-nan", (1.0, 2.0), [(1.0, 2.0, -1.0, -2.0)],
+         ("ValueError", "L F is NaN on interval 0 [1, 2]")),
         ("exp", (700.0, 800.0), [(1.0, -1.0)],
          ("ValueError", "derivative bounds of 'exp' give no finite pad on "
           "interval 0 [700, 800]")),
