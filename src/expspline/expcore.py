@@ -323,11 +323,12 @@ def _monic_coefficients(freqs):
 
 def _apply_monic(coeffs, derivs):
     """derivs[k] + sum_(i >= 1) coeffs[i] derivs[k - i], the terms added in
-    that order; coeffs[i] may be a scalar or one value per point."""
+    that order; coeffs[i] may be a scalar or one value per point.  derivs
+    are float arrays or Python floats, which stay Python floats."""
     k = len(coeffs) - 1
-    acc = np.array(derivs[k], dtype=float)
+    acc = derivs[k]
     for i in range(1, k + 1):
-        acc = acc + coeffs[i] * np.asarray(derivs[k - i], dtype=float)
+        acc = acc + coeffs[i] * derivs[k - i]
     return acc
 
 

@@ -55,9 +55,9 @@ from .l2proj import (
 )
 from .spline4 import (
     _EVAL_BLOCK,
-    QuadFrequencySet,
-    _error_bound4,
+    _hat_basis,
     build_interpolant4,
+    error_bound4,
     quad_frequency_set,
     residual_orthogonality,
 )
@@ -102,14 +102,15 @@ _RUNGE_POWERS = -(_ORDERS + 1.0) / 2.0
 _GAUSS_SCALE = _CRAMER * 2.0 ** (_ORDERS / 2.0) * np.sqrt(_FACTORIALS)
 
 
+# The bounds take float arrays and stay off np.clip and np.broadcast_to,
+# whose fixed cost is most of a one-interval call.
 def _nearest_zero(lefts, rights):
-    return np.clip(0.0, np.asarray(lefts, float), np.asarray(rights, float))
+    return np.minimum(np.maximum(0.0, lefts), rights)
 
 
 def _constant_bounds(value):
     def bounds(lefts, rights):
-        return np.broadcast_to(value(np.asarray(rights, float)),
-                               (7, np.size(rights)))
+        return value(rights)[None].repeat(7, 0)
     return bounds
 
 
@@ -298,16 +299,6 @@ def _lf_bounds(tf, part, sets, per_interval):
     return grid + spacing ** 2 / 8.0 * curve + _ROUNDING * apriori
 
 
-def _monic_sum(coeffs, derivs):
-    """_apply_monic on Python floats: derivs[k] + sum_(i >= 1) coeffs[i]
-    derivs[k - i], the terms added in that order."""
-    k = len(coeffs) - 1
-    acc = derivs[k]
-    for i in range(1, k + 1):
-        acc = acc + coeffs[i] * derivs[k - i]
-    return acc
-
-
 def _lf_bound_one(tf, knots, freqs):
     """_lf_bounds(tf, Partition(knots), [freqs], False)[0] for the one
     interval of knots, with the same bits: the same operations in the same
@@ -328,15 +319,15 @@ def _lf_bound_one(tf, knots, freqs):
     with np.errstate(over="ignore", invalid="ignore"):
         dbound = np.asarray(tf.bounds(knots[:-1], knots[1:]),
                             dtype=float)[:, 0].tolist()
-    curve = _monic_sum([abs(x) for x in c], dbound[2:k + 3])
-    apriori = _monic_sum(e, dbound[:k + 1])
+    curve = _apply_monic([abs(x) for x in c], dbound[2:k + 3])
+    apriori = _apply_monic(e, dbound[:k + 1])
     if not math.isfinite(curve + apriori):
         return None
 
     # first pass: the left end and the midpoint
     points = np.array(tf.derivatives(np.array((a, 0.5 * (a + b))), k + 1),
                       dtype=float).T.tolist()
-    v0, v1 = (abs(_monic_sum(c, row)) for row in points)
+    v0, v1 = (abs(_apply_monic(c, row)) for row in points)
     if not (math.isfinite(v0) and math.isfinite(v1)):
         return None
     target = max(_PAD_REL * max(v0, v1), _PAD_FLOOR * apriori)
@@ -593,15 +584,6 @@ def _level(norm, part):
         raise ConfigError(str(exc))
 
 
-def _hats(level):
-    """Hat basis and weight exponent of a level; order 4 takes the hat
-    pair of each resolved quadruple."""
-    part, freqs, p = level
-    if isinstance(freqs, QuadFrequencySet):
-        freqs = build_hat_basis(part, freqs._pairing[1][:, :2])
-    return freqs, p
-
-
 def _end_slopes(tf, knots):
     """F' at the first and the last knot: the clamp "exact" stands for."""
     return [float(tf.evaluators[1](knots[i])) for i in (0, -1)]
@@ -624,18 +606,17 @@ def _spline(norm, level):
 
 def _certificate(norm, level):
     """A level's row with its certificate columns and the measured ones
-    blank; a catalog function adds max|LF| and the bound.  The order-4
-    bound is that of the spline clamped at F's own end slopes, so a level
-    clamped at other slopes gets none, and its row names why in
-    no_bound.  c_factor and the norm bound read one Gram assembly.  The
-    order-2 bound reads no norm bound: where the projector's solve check
-    fails, norm_bound is blank and no_norm_bound names why."""
-    part, freqs, _ = level
-    basis, p = _hats(level)
-    gram = gram_assemble(basis, p)
+    blank; a catalog function adds max|LF| and the bound.  An order-4 row
+    reads c_factor, the norm bound, M2, M0 and the bound from one
+    error_bound4 certificate, which builds its own hats.  That bound is the
+    one of the spline clamped at F's own end slopes, so a level clamped at
+    other slopes gets none, and its row names why in no_bound.  An order-2
+    row reads c_factor and the norm bound from one Gram assembly, and its
+    bound reads no norm bound: where the projector's solve check fails,
+    norm_bound is blank and no_norm_bound names why."""
+    part, freqs, p = level
     tf = norm["tf"]
-    row = {"n": part.n, "delta": part.mesh,
-           "c_factor": dominance_factor(gram),
+    row = {"n": part.n, "delta": part.mesh, "c_factor": None,
            "M2_max": None, "M0_max": None, "bound": None,
            "empirical_error": None, "ratio": None, "passed": True}
     if norm["order"] == 4:
@@ -643,22 +624,25 @@ def _certificate(norm, level):
         exact = None if tf is None else _end_slopes(tf, part.knots)
         certified = clamp in ("exact", exact)
         ml = max_abs_L(tf, part, freqs.quads) if certified else 0.0
-        cert = _error_bound4(part, freqs, None, ml, basis, gram)
-        row.update(norm_bound=cert.norm_bound, M2_max=cert.m2_max,
+        cert = error_bound4(part, freqs, None, ml)
+        row.update(c_factor=cert.c_factor, M2_max=cert.m2_max,
                    M0_max=cert.m0_max,
-                   bound=cert.bound if certified else None)
+                   bound=cert.bound if certified else None,
+                   norm_bound=cert.norm_bound)
         if tf is not None and not certified:
             row["no_bound"] = (f"clamp {clamp} is not the end slopes "
                                f"{exact} of {tf.name}")
         return row
+    gram = gram_assemble(freqs, p)
+    row["c_factor"] = dominance_factor(gram)
     try:
-        row["norm_bound"] = _norm_bound(basis, p, gram)
+        row["norm_bound"] = _norm_bound(freqs, p, gram)
     except np.linalg.LinAlgError as exc:
         row.update(norm_bound=None, no_norm_bound=str(exc))
     if tf is not None:
         row["bound"] = interp2_error_bound(
-            basis, _lf_bounds(tf, part, basis.pairs, True))
-        row["M0_max"] = float(np.max(basis.constants))
+            freqs, _lf_bounds(tf, part, freqs.pairs, True))
+        row["M0_max"] = float(np.max(freqs.constants))
     return row
 
 
@@ -717,7 +701,9 @@ def configured_gram(config):
     (gram, load vector of the catalog function or None, p)."""
     norm, level = _single_level(config,
                                  "the gram dump needs a single grid level")
-    basis, p = _hats(level)
+    part, basis, p = level
+    if norm["order"] == 4:
+        basis, p = _hat_basis(part, basis)
     tf = norm["tf"]
     return gram_assemble(basis, p), \
         None if tf is None else _load_vector(basis, tf, p), p

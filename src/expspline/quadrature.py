@@ -26,6 +26,9 @@ _GL_HALF = np.array([
 _GL_NODES = np.concatenate([-_GL_HALF[:0:-1, 0], _GL_HALF[:, 0]])
 _GL_WEIGHTS = np.concatenate([_GL_HALF[:0:-1, 1], _GL_HALF[:, 1]])
 
+# Most panels integrate refines to before it gives up.
+_MAX_PANELS = 2 ** 14
+
 
 class QuadratureError(RuntimeError):
     """Raised when the panel budget is exhausted before the tolerance is met."""
@@ -49,8 +52,7 @@ def _panel(f, a, b):
     return fine, abs(fine - coarse)
 
 
-def integrate(f, a, b, breakpoints=(), abs_tol=1e-11, rel_tol=1e-10,
-              max_panels=2 ** 14):
+def integrate(f, a, b, breakpoints=(), abs_tol=1e-11, rel_tol=1e-10):
     """Integrate f over [a, b], returning (value, error_estimate).
 
     breakpoints lists interior abscissae where the integrand may lose
@@ -58,7 +60,7 @@ def integrate(f, a, b, breakpoints=(), abs_tol=1e-11, rel_tol=1e-10,
     a smooth integrand in each panel and is no upper bound across a kink:
     a hat flank times |t - 0.53| on [0.4, 0.8] reads 8.5e-12 against an
     actual error of 1.6e-11.  So a caller that knows such points passes
-    them as breakpoints.  Raises QuadratureError if max_panels subdivisions
+    them as breakpoints.  Raises QuadratureError if _MAX_PANELS subdivisions
     do not reach the requested tolerance.
     """
     if not np.isfinite(a) or not np.isfinite(b):
@@ -89,7 +91,7 @@ def integrate(f, a, b, breakpoints=(), abs_tol=1e-11, rel_tol=1e-10,
 
     n_panels = len(heap)
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise QuadratureError(
                 f"no convergence after {n_panels} panels: "
                 f"error estimate {total_err:.3e} for integral {total:.6e}")

@@ -20,7 +20,8 @@ from .errbound2 import M_constants
 from .expcore import _TAYLOR_RADIUS, _TAYLOR_TERMS, _corner_scaled, _plain
 from .hatbasis import (Partition, _frequency_rows, as_partition,
                        build_hat_basis, group_intervals)
-from .l2proj import _finite_p, _load_vector, _norm_bound, _tridiag
+from .l2proj import (_finite_p, _load_vector, _norm_bound, _tridiag,
+                     dominance_factor, gram_assemble)
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -620,13 +621,23 @@ def residual_orthogonality(F_derivs, s, basis, p):
 @dataclass(frozen=True)
 class BoundCertificate:
     """Assembled error certificate: constant = (1 + norm_bound) * m2_max *
-    m0_max and bound = constant * max|LF|."""
+    m0_max and bound = constant * max|LF|; c_factor is the dominance_factor
+    of the Gram that norm_bound reads."""
     delta: float
     constant: float
     norm_bound: float
     m2_max: float
     m0_max: float
     bound: float
+    c_factor: float
+
+
+def _hat_basis(part, quads):
+    """(HatBasis, p) of the certificate: the hats of the first pair of each
+    resolved quadruple of the QuadFrequencySet quads, and its weight
+    exponent; the one reader of the canonical split."""
+    p, canon = quads._pairing
+    return build_hat_basis(part, canon[:, :2]), p
 
 
 def error_bound4(partition, quads, p, max_lf):
@@ -635,30 +646,22 @@ def error_bound4(partition, quads, p, max_lf):
     max_lf bounds |L F| over the domain, L being the per-interval product
     operator.  The bound is (1 + K) * M2 * M0 * max_lf, with M2 and M0 the
     largest interval constants of the hat and operator pairings and K the
-    projection norm bound, the same route for every quadruple.
+    projection norm bound, the same route for every quadruple: the pairing
+    is resolved, the interval constants of both pairings come from one
+    M_constants search, and K from operator_norm_bound's route on the
+    hats' Gram, whose dominance_factor the certificate records too.
     """
-    return _error_bound4(as_partition(partition), quads, p, max_lf)
-
-
-def _error_bound4(part, quads, p, max_lf, basis=None, gram=None):
-    """error_bound4 on a Partition: resolve the pairing, take the interval
-    constants of both pairings from one M_constants search and the norm
-    bound from operator_norm_bound's route, for every quadruple.  basis is
-    the hat basis of the resolved pairing's first pairs, and gram its Gram
-    in the resolved weight, when the caller has built them already."""
     max_lf = float(max_lf)
     if not max_lf >= 0.0:
         raise ValueError("max_lf must be nonnegative")
-    _, quads = _checked(part, quads)
+    part, quads = _checked(partition, quads)
     if p is not None and quads.p is not None \
             and float(p) != float(quads.p):
         raise ValueError("conflicting weight exponents")
     if p is not None and quads.p is None:
         quads = QuadFrequencySet(quads=quads.quads, p=float(p))
-    p_res, canon = quads._pairing
-    if basis is None:
-        basis = build_hat_basis(part, canon[:, :2])
-    ops = canon[:, 2:]
+    basis, p_res = _hat_basis(part, quads)
+    ops = quads._pairing[1][:, 2:]
     # both pairings' interval constants in one search; the hats' half is
     # the basis's own, which the Lebesgue sup reads
     hat_reps = basis.groups[0]
@@ -669,9 +672,11 @@ def _error_bound4(part, quads, p, max_lf, basis=None, gram=None):
         part.knots[reps], part.knots[reps + 1]), [hat_reps.size])
     hats.setflags(write=False)
     basis.constants = hats
+    gram = gram_assemble(basis, p_res)
+    c_factor = dominance_factor(gram)
     norm = _norm_bound(basis, p_res, gram)
     m2, m0 = float(np.max(hats)), float(np.max(opers))
     constant = (1.0 + norm) * m2 * m0
     return BoundCertificate(delta=part.mesh, constant=constant,
                             norm_bound=norm, m2_max=m2, m0_max=m0,
-                            bound=constant * max_lf)
+                            bound=constant * max_lf, c_factor=c_factor)

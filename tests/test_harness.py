@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expspline
-from expspline import cli, errbound2, harness, hatbasis, spline4
+from expspline import cli, errbound2, harness, hatbasis, l2proj, spline4
 from expspline.errbound2 import M_constants, interp2_error_bound
 from expspline.expcore import _apply_monic, _monic_coefficients
 from expspline.harness import (
@@ -32,10 +32,12 @@ from expspline.harness import (
     run_verify,
 )
 from expspline.hatbasis import Partition, build_hat_basis, interpolate2
-from expspline.l2proj import project
+from expspline.l2proj import dominance_factor, gram_assemble, project
 from expspline.spline4 import (
     _EVAL_BLOCK,
+    _hat_basis,
     build_interpolant4,
+    error_bound4,
     quad_frequency_set,
     resolve_weight,
     spline_from_coefficients,
@@ -53,6 +55,31 @@ SAMPLES2_CONFIG = {"function": {"samples": [0.0, 0.7, 0.9, 1.0]},
                    "frequencies": {"pairs": [[-1.0, 1.0]]}, "order": 2}
 SAMPLES4_CONFIG = dict(SAMPLES2_CONFIG, order=4, clamp=[1.0, 0.0],
                        frequencies={"quads": [[0.5, 2.0, -1.5, -3.0]]})
+PER_INTERVAL4_QUADS = [[1.0, -1.0, 1.0, -1.0], [2.0, -2.0, -2.0, 2.0],
+                       [0.5, -0.5, 1.5, -1.5], [-0.25, 0.75, 0.25, -0.75]]
+# single-level order-4 configs with the frequencies of their levels: the
+# xi shorthand, a weighted quadruple, and one quadruple per interval whose
+# as-given split fails on some intervals
+ORDER4_LEVELS = pytest.mark.parametrize("config, freqs", [
+    (SIN4_CONFIG, {"xi": 2.0}),
+    (WEIGHTED_CONFIG, {"quads": (0.5, 2.0, -1.5, -3.0)}),
+    ({"function": "runge", "n": 5, "order": 4,
+      "frequencies": {"quads": PER_INTERVAL4_QUADS}},
+     {"quads": PER_INTERVAL4_QUADS}),
+], ids=["xi", "weighted", "per-interval"])
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _order4_level(config, freqs):
+    """The partition and QuadFrequencySet of a single-level order-4 config,
+    built by the library's own entries."""
+    tf = get_test_function(config["function"])
+    part = Partition(np.linspace(*config.get("domain", tf.default_domain),
+                                 config["n"]))
+    return tf, part, quad_frequency_set(part.n - 1, **freqs)
 
 
 class TestCatalog:
@@ -396,11 +423,12 @@ class TestRigorousMaxAbsL:
         assert seen[1] == 2
 
     def test_order4_row_builds_one_hat_basis(self, monkeypatch):
-        # c_factor and the certificate share one basis and its grouping;
-        # the operator pairs, the build's quadruples and the pairing
-        # search's rows group once each
-        counts = {"basis": 0, "group": 0}
+        # c_factor and the certificate share one basis, its grouping and
+        # its Gram; the operator pairs, the build's quadruples and the
+        # pairing search's rows group once each
+        counts = {"basis": 0, "group": 0, "gram": 0}
         build, group = hatbasis.build_hat_basis, hatbasis.group_intervals
+        assemble = l2proj.gram_assemble
 
         def counting_build(*args, **kwargs):
             counts["basis"] += 1
@@ -410,14 +438,20 @@ class TestRigorousMaxAbsL:
             counts["group"] += 1
             return group(*args)
 
+        def counting_gram(*args):
+            counts["gram"] += 1
+            return assemble(*args)
+
         for module in (harness, spline4):
             monkeypatch.setattr(module, "build_hat_basis", counting_build)
         for module in (hatbasis, spline4):
             monkeypatch.setattr(module, "group_intervals", counting_group)
+        for module in (harness, spline4, l2proj):
+            monkeypatch.setattr(module, "gram_assemble", counting_gram)
         run_verify({"function": "sin", "domain": [0.0, math.pi], "n": 65,
                     "order": 4,
                     "frequencies": {"quads": [[1.3, 2.1, -1.3, -2.1]]}})
-        assert counts == {"basis": 1, "group": 4}
+        assert counts == {"basis": 1, "group": 4, "gram": 1}
 
     @pytest.mark.parametrize("p", [None, 0.0])
     def test_order4_row_resolves_its_pairing_once(self, monkeypatch, p):
@@ -599,6 +633,20 @@ class TestRunVerify:
         # at or below the classical 5 delta^4 / 64 max|LF|
         assert row["bound"] <= 5.0 / 64.0 * row["delta"] ** 4 \
             * (1 + 2.0 ** 2) ** 2
+
+    @ORDER4_LEVELS
+    def test_order4_row_reads_its_certificate(self, config, freqs):
+        # every certificate column is the certificate's own, and c_factor
+        # is that of the Gram of the hats the certificate builds
+        (row,) = run_verify(config).rows
+        tf, part, qset = _order4_level(config, freqs)
+        cert = error_bound4(part, qset, None, max_abs_L(tf, part, qset.quads))
+        assert _bits(row["c_factor"]) == _bits(cert.c_factor) == _bits(
+            dominance_factor(gram_assemble(*_hat_basis(part, qset))))
+        for column, field in (("norm_bound", "norm_bound"),
+                              ("M2_max", "m2_max"), ("M0_max", "m0_max"),
+                              ("bound", "bound")):
+            assert _bits(row[column]) == _bits(getattr(cert, field))
 
     def test_explicit_knots_and_quads(self):
         config = {"function": "exp", "knots": [0.0, 0.4, 0.9, 1.5],
@@ -854,6 +902,20 @@ class TestCommandsComputeWhatTheyPrint:
         at = np.isclose(table[:, :1], knots, rtol=0.0, atol=1e-11).any(axis=1)
         assert at.sum() == knots.size
         assert_allclose(table[at, 1], np.sin(table[at, 0]), atol=1e-11)
+
+    @ORDER4_LEVELS
+    def test_order4_gram_is_the_certificates(self, config, freqs):
+        # the gram dump of an order-4 level is the Gram of the hats and the
+        # weight of its certificate
+        gram, _, p = harness.configured_gram(config)
+        _, part, qset = _order4_level(config, freqs)
+        basis, want_p = _hat_basis(part, qset)
+        want = gram_assemble(basis, want_p)
+        assert _bits(p) == _bits(want_p)
+        assert gram.diag.tobytes() == want.diag.tobytes()
+        assert gram.off.tobytes() == want.off.tobytes()
+        assert _bits(dominance_factor(gram)) == _bits(
+            error_bound4(part, qset, None, 0.0).c_factor)
 
     def test_interval_constant_that_does_not_close_exits_3(
             self, tmp_path, capsys, monkeypatch):
