@@ -701,9 +701,8 @@ def configured_gram(config):
     (gram, load vector of the catalog function or None, p)."""
     norm, level = _single_level(config,
                                  "the gram dump needs a single grid level")
-    part, basis, p = level
-    if norm["order"] == 4:
-        basis, p = _hat_basis(part, basis)
+    part, freqs, p = level
+    basis, p = _hat_basis(part, freqs) if norm["order"] == 4 else (freqs, p)
     tf = norm["tf"]
     return gram_assemble(basis, p), \
         None if tf is None else _load_vector(basis, tf, p), p

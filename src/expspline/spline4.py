@@ -635,7 +635,7 @@ class BoundCertificate:
 def _hat_basis(part, quads):
     """(HatBasis, p) of the certificate: the hats of the first pair of each
     resolved quadruple of the QuadFrequencySet quads, and its weight
-    exponent; the one reader of the canonical split."""
+    exponent; the one reader of the canonical split's hat half."""
     p, canon = quads._pairing
     return build_hat_basis(part, canon[:, :2]), p
 
