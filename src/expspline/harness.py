@@ -543,6 +543,8 @@ def _normalize_config(cfg):
     elif order == 2:
         p = 0.0
 
+    if "clamp" in cfg and order != 4:
+        raise ConfigError("clamp requires order 4")
     clamp = cfg.get("clamp", "exact")
     if order == 4:
         if clamp == "exact":

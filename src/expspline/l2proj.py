@@ -337,13 +337,11 @@ def operator_norm_bound(basis, p):
     naming the first hat and interval it fails on.  G and b are taken as
     their closed forms return them.
     """
-    return _norm_bound(basis, p)
+    return _norm_bound(basis, p, gram_assemble(basis, p))
 
 
-def _norm_bound(basis, p, gram=None):
-    """operator_norm_bound on the caller's Gram of basis, when given."""
-    if gram is None:
-        gram = gram_assemble(basis, p)
+def _norm_bound(basis, p, gram):
+    """operator_norm_bound on the caller's Gram of basis."""
     b = _hat_masses(basis, float(p))
     diag, couple = gram.diag, -np.abs(gram.off)
     x = _m_matrix_solve(diag, couple, b)

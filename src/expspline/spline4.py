@@ -60,7 +60,7 @@ class QuadFrequencySet:
     @cached_property
     def _pairing(self):
         """resolve_weight's search, once over the distinct rows."""
-        p, back, split, hit, _, cands = _splits(self.quads, self.p)
+        p, back, split, hit, cands = _splits(self.quads, self.p)
         if not hit.any(axis=1).all():
             attempted = sorted(set(cands.tolist()))
             raise ValueError(
@@ -111,15 +111,15 @@ _SPLITS = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3],
 
 
 def _splits(quads, p_req):
-    """(p, back, split, hit, tol, cands), the one search of both pairings,
-    over the distinct rows of the quadruples quads (m, 4): back maps each
-    interval to its row, split (k, 6, 4) regroups the rows by _SPLITS, cands
-    lists the p of every split whose two cross sums -(hat + op) agree within 2
-    tol, in interval order, and hit marks those within tol of p, which is
-    p_req or else the first candidate of interval 0.  A non-finite p_req
-    raises ValueError.  tol is 1e-9 of the largest of 1, every |frequency| and
-    |p_req|.  The cross sums of a split add to -(l0 + l1 + l2 + l3), so one
-    row's candidates agree to rounding."""
+    """(p, back, split, hit, cands), the one split search, read by
+    QuadFrequencySet._pairing, over the distinct rows of the quadruples quads
+    (m, 4): back maps each interval to its row, split (k, 6, 4) regroups the
+    rows by _SPLITS, cands lists the p of every split whose two cross sums
+    -(hat + op) agree within 2 tol, in interval order, and hit marks those
+    within tol of p, which is p_req or else the first candidate of interval
+    0.  A non-finite p_req raises ValueError.  tol is 1e-9 of the largest of
+    1, every |frequency| and |p_req|.  The cross sums of a split add to -(l0
+    + l1 + l2 + l3), so one row's candidates agree to rounding."""
     reps, back = group_intervals(quads, np.zeros(len(quads)))
     scale = max(1.0, float(np.abs(quads).max()))
     if p_req is not None:
@@ -134,7 +134,7 @@ def _splits(quads, p_req):
     if p is None:
         # a NaN matches no candidate
         p = float(pc[0, ok[0]][0]) if ok[0].any() else math.nan
-    return p, back, split, ok & (np.abs(pc - p) <= tol), tol, pc[ok]
+    return p, back, split, ok & (np.abs(pc - p) <= tol), pc[ok]
 
 
 def _sorted_pairs(pairs):
@@ -564,32 +564,6 @@ def smoothness_report(s):
     return np.abs(left[:-1] - right[1:])
 
 
-def _match_op_pairs(qset, basis, p):
-    """The (m, 2) array of (lam2, lam3) pairs, one per interval, whose
-    weighted residual is orthogonal to the given hats.
-
-    Per interval it takes the first split of its quadruple under p (the
-    search of resolve_weight, then the same six splits with their hat and
-    operator pairs swapped, which keeps p) whose sorted -p - (lam2, lam3)
-    matches the sorted hat pair within tol.  Raises ValueError naming the
-    first interval, in mesh order, that has none.
-    """
-    quads, pairs = qset.quads, basis.pairs
-    p, back, split, hit, tol, _ = _splits(quads, p)
-    split = np.concatenate([split, split[..., [2, 3, 0, 1]]], axis=1)
-    hit = np.tile(hit, 2)
-    ops = split[back, :, 2:]
-    want = _sorted_pairs(pairs)[:, None]
-    hit = hit[back] & (np.abs(_sorted_pairs(-p - ops) - want) <= tol).all(2)
-    found = hit.any(axis=1)
-    if not found.all():
-        j = int(np.argmin(found))
-        raise ValueError(
-            f"interval {j}: quadruple {tuple(quads[j].tolist())} does not "
-            f"match hat pair {tuple(pairs[j].tolist())} under p = {p}")
-    return ops[np.arange(len(ops)), hit.argmax(axis=1)]
-
-
 def residual_orthogonality(F_derivs, s, basis, p):
     """Largest weighted inner product of the interpolation residual against
     the hats.
@@ -599,10 +573,28 @@ def residual_orthogonality(F_derivs, s, basis, p):
     spline; for a clamped interpolant this is orthogonal to every hat in the
     exp(p t) product, so the returned maximum should sit at quadrature noise
     level.
+
+    The operator pair of each interval is -p - its hat pair, the pairing
+    condition in closed form.  The basis is accepted when every interval's
+    sorted quadruple lies within tol of its sorted hats and operator pair,
+    with _splits' tol, 1e-9 of the largest of 1, every |frequency| and |p|;
+    otherwise ValueError names the first interval that does not match.  A
+    non-finite p raises ValueError.
     """
     if not np.array_equal(basis.knots, s.knots):
         raise ValueError("basis and spline use different partitions")
-    l2, l3 = _match_op_pairs(s.quads, basis, p).T
+    p = _finite_p(p)
+    quads, hats = s.quads.quads, basis.pairs
+    ops = -p - hats
+    tol = 1e-9 * max(1.0, float(np.abs(quads).max()), abs(p))
+    split = np.sort(np.concatenate([hats, ops], axis=1), axis=1)
+    match = (np.abs(np.sort(quads, axis=1) - split) <= tol).all(axis=1)
+    if not match.all():
+        j = int(np.argmin(match))
+        raise ValueError(
+            f"interval {j}: quadruple {tuple(quads[j].tolist())} does not "
+            f"match hat pair {tuple(hats[j].tolist())} under p = {p}")
+    l2, l3 = ops.T
     su, pr = l2 + l3, l2 * l3
     knots = s.knots
 

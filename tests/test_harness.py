@@ -1290,8 +1290,10 @@ class TestCli:
         dict(SIN4_CONFIG, domain=5),
         dict(SIN4_CONFIG, n=[None]),
         dict(SIN4_CONFIG, n=1e400),
+        dict(SIN2_CONFIG, clamp=[5.0, 7.0]),
     ], ids=["pairs-scalar", "quads-scalar", "pairs-ragged", "quads-ragged",
-            "clamp-scalar", "domain-scalar", "n-null", "n-infinite"])
+            "clamp-scalar", "domain-scalar", "n-null", "n-infinite",
+            "clamp-order2"])
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_malformed_config_is_exit_1(self, tmp_path, capsys, command,
                                         config):

@@ -7,7 +7,6 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -849,29 +848,6 @@ def _resolve_weight_per_interval(quads, p_req):
         + (f", requested p = {p_req}" if p_req is not None else ""))
 
 
-def _match_op_pairs_per_interval(quads, pairs, p):
-    """Per interval, the first split of its quadruple under p, as given or
-    else with hats and operators swapped, whose -p - (lam2, lam3) sorted
-    matches its sorted hat pair: the reference for _match_op_pairs."""
-    p = float(p)
-    tol = _pairing_tolerance(quads, p)
-    out = []
-    for j, (quad, pair) in enumerate(zip(quads, pairs)):
-        cands = _quad_candidates(quad, tol)
-        hit = next((o for _, o, pc in cands + [(o, g, pc)
-                                                for g, o, pc in cands]
-                    if abs(pc - p) <= tol
-                    and all(abs(x - w) <= tol for x, w in
-                            zip(sorted((-p - o[0], -p - o[1])),
-                                sorted(pair)))), None)
-        if hit is None:
-            raise ValueError(
-                f"interval {j}: quadruple {quad} does not match hat pair "
-                f"{tuple(pair)} under p = {p}")
-        out.append(hit)
-    return out
-
-
 # exact values make the cancellations that give p = +-0.0
 _FREQS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.3,
                                     -2.1, 3.0]),
@@ -930,61 +906,6 @@ def test_resolve_weight_matches_the_per_interval_search(problem):
         == _weight_outcome(lambda: _resolve_weight_per_interval(quads, p))
 
 
-_SPLIT_HATS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-@st.composite
-def _op_pair_problems(draw):
-    """Quadruples from a pool of one to three, paired ones under p or free
-    ones, the p to test and a hat pair per interval: mostly the first entry
-    of its quadruple with another, as the splits take them, so that
-    intervals of one quadruple take different splits; else any two entries
-    or a noise pair."""
-    p = draw(_FREQS)
-    pool = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.integers(0, 3)):
-            a, b = draw(_FREQS), draw(_FREQS)
-            quad = (a, b, -p - a, -p - b)
-            pool.append(tuple(quad[i] for i in draw(st.permutations(range(4)))))
-        else:
-            pool.append(tuple(draw(_FREQS) for _ in range(4)))
-    quads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    pairs = []
-    for quad in quads:
-        kind = draw(st.integers(0, 7))
-        if kind == 0:
-            hats = (draw(_FREQS), draw(_FREQS))
-        elif kind == 1:
-            hats = tuple(quad[i] for i in draw(st.sampled_from(_SPLIT_HATS)))
-        else:
-            hats = (quad[0], quad[draw(st.integers(1, 3))])
-        pairs.append(tuple(sorted(hats)))
-    return quads, pairs, p
-
-
-def _op_outcome(search):
-    return _outcome(search, lambda out: [tuple(o) for o in out])
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(problem=_op_pair_problems())
-# (1, -1, 1, -1) splits into the hats (1, 1) or (-1, 1) under p = 0
-@example(problem=([(1.0, -1.0, 1.0, -1.0)] * 4,
-                  [(1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)], 0.0))
-# interval 2's noise pair is the first refused, after a mixed interval 1
-@example(problem=([(1.0, -1.0, 1.0, -1.0)] * 3 + [(0.0, -0.0, 2.0, 0.5)],
-                  [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-0.0, 0.0)], 0.0))
-@example(problem=([(-0.0, 0.0, 1.0, -1.0), (0.0, 0.0, -1.0, 1.0)],
-                  [(-1.0, 0.0), (0.0, 1.0)], -0.0))
-def test_match_op_pairs_matches_the_per_interval_search(problem):
-    quads, pairs, p = problem
-    basis = SimpleNamespace(pairs=np.array(pairs, dtype=float).reshape(-1, 2))
-    assert _op_outcome(lambda: spline4._match_op_pairs(
-        QuadFrequencySet(quads=quads), basis, p)) \
-        == _op_outcome(lambda: _match_op_pairs_per_interval(quads, pairs, p))
-
-
 class TestOrthogonality:
     def test_symmetric_sin(self):
         kn = np.linspace(0.0, math.pi, 5)
@@ -1021,10 +942,35 @@ class TestOrthogonality:
         qset = quad_frequency_set(4, quads=(1.0, 2.0, -1.0, -2.0))
         s = build_interpolant4(kn, qset, np.sin(kn), 1.0, math.cos(1.0))
         basis = build_hat_basis(kn, [hats] * 4)
-        assert all(set(o) == ops for o in
-                   spline4._match_op_pairs(qset, basis, 0.0).tolist())
         fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
         assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("quads, hats, p, refusal", [
+        # (1, -1, 1, -1) splits into the hats (1, 1) or (-1, 1) under p = 0
+        ([(1.0, -1.0, 1.0, -1.0)] * 4,
+         [(1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)], 0.0, None),
+        # interval 2's noise pair is the first refused, after a mixed
+        # interval 1
+        ([(1.0, -1.0, 1.0, -1.0)] * 3 + [(0.0, -0.0, 2.0, 0.5)],
+         [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-0.0, 0.0)], 0.0,
+         r"^interval 2: quadruple \(1\.0, -1\.0, 1\.0, -1\.0\) does not "
+         r"match hat pair \(0\.5, 2\.0\) under p = 0\.0$"),
+        # signed zeros in the quadruples, the hats and p
+        ([(-0.0, 0.0, 1.0, -1.0), (0.0, 0.0, -1.0, 1.0)] * 2,
+         [(-1.0, 0.0), (0.0, 1.0)] * 2, -0.0, None),
+    ], ids=["mixed-hats", "noise-pair", "signed-zeros"])
+    def test_hats_per_interval(self, quads, hats, p, refusal):
+        # each interval's operator pair is -p - its own hat pair
+        kn = np.linspace(0.0, math.pi, 5)
+        s = build_interpolant4(kn, quad_frequency_set(4, quads=quads),
+                               np.sin(kn), 1.0, -1.0)
+        basis = build_hat_basis(kn, hats)
+        fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
+        if refusal is None:
+            assert residual_orthogonality(fd, s, basis, p) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                residual_orthogonality(fd, s, basis, p)
 
     def test_kernel_function_gives_zero(self):
         kn = np.linspace(0.0, 1.5, 4)
@@ -1053,7 +999,7 @@ class TestOrthogonality:
             residual_orthogonality(fd, s, basis, 0.0)
 
     def test_non_finite_p_is_refused(self):
-        # p = -inf would match every split and give a residual of 0
+        # refused before the operator pair -p - hats is formed
         kn = np.linspace(0.0, math.pi, 5)
         s = build_interpolant4(kn, quad_frequency_set(4, xi=1.0),
                                np.sin(kn), 1.0, -1.0)
