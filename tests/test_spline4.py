@@ -933,11 +933,10 @@ class TestOrthogonality:
         fd = lambda ts: (np.sin(ts), np.cos(ts), -np.sin(ts))
         assert residual_orthogonality(fd, s, basis, 0.0) <= 1e-12
 
-    @pytest.mark.parametrize("hats, ops", [((-2.0, -1.0), {1.0, 2.0}),
-                                           ((-1.0, 2.0), {1.0, -2.0})])
-    def test_swapped_split_hats(self, hats, ops):
-        # neither hat pair holds the quadruple's first entry: only a split
-        # with the hat and operator pairs swapped reaches them
+    @pytest.mark.parametrize("hats", [(-2.0, -1.0), (-1.0, 2.0)])
+    def test_swapped_split_hats(self, hats):
+        # neither hat pair is the resolved hat half (1, 2) of the quadruple;
+        # each still finds its operator pair -p - hats there
         kn = np.linspace(0.0, 1.0, 5)
         qset = quad_frequency_set(4, quads=(1.0, 2.0, -1.0, -2.0))
         s = build_interpolant4(kn, qset, np.sin(kn), 1.0, math.cos(1.0))
