@@ -12,7 +12,10 @@ OpenBLAS's core that produced them.  ``digest.json`` pins the library
 below the CLI: per item of digest_items(), a replica of the verify4 bench
 generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
 bytes of the spline's coeffs, starts and taylor, of every error_bound4
-field and of max_abs_L.  ``promise.json`` is the promise ledger: the
+field and of max_abs_L; per order-2 item, drawn as the certify2 bench
+draws them, those of the interpolant on the error grid, measure_error,
+max_abs_L, interp2_error_bound and the projection; and those of every
+catalog function's derivatives on one grid.  ``promise.json`` is the promise ledger: the
 outcome of run_verify on every case of promise_cases(), one single-level
 config per catalog function, frequency family, size and mesh plus the
 known cases, each certified, refused by type or failed with the item that
@@ -142,18 +145,65 @@ def _draw_quad(cls, rng):
 
 
 def digest_items():
-    """(name, function, n, quadruple) of every digest item: per size, class
-    and function one quadruple from a generator seeded with _DIGEST_SEED,
-    then runge at n = 32769, which pins the large mesh, and two stiff items
-    of 6 and 5 sub-pieces per interval, which pin the inner sub-pieces."""
+    """(name, params) of every digest item, params the JSON record of its
+    inputs.  Order 4, params (function, n, quad): per size, class and
+    function one quadruple from a generator seeded with _DIGEST_SEED, then
+    runge at n = 32769, which pins the large mesh, and two stiff items of 6
+    and 5 sub-pieces per interval, which pin the inner sub-pieces.  Then
+    the order-2 items of _order2_items and the catalog's derivatives."""
     rng = np.random.default_rng(_DIGEST_SEED)
-    items = [(f"n{n}-{cls}-{func}", func, n, _draw_quad(cls, rng))
+    quads = [(f"n{n}-{cls}-{func}", func, n, _draw_quad(cls, rng))
              for n, classes in _DIGEST_STRATA.items() for cls in classes
              for func in _DIGEST_FUNCS]
-    items.append(("n32769-generic-runge", "runge", 32769,
+    quads.append(("n32769-generic-runge", "runge", 32769,
                   (1.3, 2.1, -1.3, -2.1)))
-    items.append(("n9-stiff-sin", "sin", 9, (6.0, -7.0, -6.0, 7.0)))
-    items.append(("n17-stiff-gauss", "gauss", 17, (9.0, -10.0, -9.0, 10.0)))
+    quads.append(("n9-stiff-sin", "sin", 9, (6.0, -7.0, -6.0, 7.0)))
+    quads.append(("n17-stiff-gauss", "gauss", 17, (9.0, -10.0, -9.0, 10.0)))
+    items = [(name, {"function": func, "n": n, "quad": list(quad)})
+             for name, func, n, quad in quads]
+    return items + _order2_items() + [
+        ("catalog-derivatives", {"grid": list(_CATALOG_GRID)})]
+
+
+# the certify2 bench generator: a non-uniform mesh (length ratio <= 3) of
+# the function's domain, one pair l0 < l1 in [-3, 3] per interval, monotone
+# on it, and a weight p in +-[0.1, 1]
+_ORDER2_ITEMS = (("sin", 9), ("cos", 17), ("gauss", 33), ("runge", 17))
+_ORDER2_SEED = 92
+# a stiff item: |lambda h| passes 700, so the flanks take _times_exp's
+# power-of-two route
+_ORDER2_STIFF = ("n5-stiff-sin", "sin", 5, (-1500.0, 1400.0), 0.5)
+# catalog derivatives: linspace(lo, hi, num) holds 0 and every domain end
+_CATALOG_GRID = (-2.0, 3.5, 1101)
+
+
+def _order2_items():
+    """(name, params) of the order-2 digest items, params (function,
+    knots, pairs, p)."""
+    from expspline import get_test_function, monotone_radius
+
+    rng = np.random.default_rng(_ORDER2_SEED)
+    items = []
+    for func, n in _ORDER2_ITEMS:
+        a, b = get_test_function(func).default_domain
+        w = rng.uniform(1.0, 3.0, n - 1)
+        knots = a + (b - a) * np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+        knots[-1] = b
+        pairs = []
+        for h in np.diff(knots):
+            while True:
+                l0, l1 = np.sort(rng.uniform(-3.0, 3.0, 2)).tolist()
+                if l0 < l1 and h <= monotone_radius(l0, l1):
+                    break
+            pairs.append([l0, l1])
+        p = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0))
+        items.append((f"o2-n{n}-{func}", {"function": func,
+                                          "knots": knots.tolist(),
+                                          "pairs": pairs, "p": p}))
+    name, func, n, pair, p = _ORDER2_STIFF
+    knots = np.linspace(*get_test_function(func).default_domain, n)
+    items.append((f"o2-{name}", {"function": func, "knots": knots.tolist(),
+                                 "pairs": [list(pair)] * (n - 1), "p": p}))
     return items
 
 
@@ -163,10 +213,24 @@ def _sha(value):
         np.ascontiguousarray(value, dtype=float).tobytes()).hexdigest()
 
 
-def digest_item(func, n, quad):
-    """The sha256 of each output of one item, run as the verify4 bench
-    runs it: build_interpolant4 with the function's end slopes, max_abs_L
-    and error_bound4 with the weight resolved from the quadruple."""
+def digest_item(params):
+    """The sha256 of each output of one item, by the kind its params
+    name: an order-4 quadruple, order-2 pairs or the catalog grid."""
+    if "quad" in params:
+        return _digest4(params["function"], params["n"], params["quad"])
+    if "pairs" in params:
+        return _digest2(**params)
+    from expspline.harness import CATALOG
+
+    ts = np.linspace(*params["grid"])
+    return {f"derivatives.{name}": _sha(tf.derivatives(ts, 5))
+            for name, tf in sorted(CATALOG.items()) if "^" not in name}
+
+
+def _digest4(func, n, quad):
+    """An order-4 item run as the verify4 bench runs it:
+    build_interpolant4 with the function's end slopes, max_abs_L and
+    error_bound4 with the weight resolved from the quadruple."""
     from expspline import (build_interpolant4, error_bound4,
                            get_test_function, max_abs_L, quad_frequency_set)
 
@@ -188,11 +252,34 @@ def digest_item(func, n, quad):
     return out
 
 
+def _digest2(function, knots, pairs, p):
+    """An order-2 item run as the certify2 bench runs it: the interpolant's
+    values on the error grid and measure_error, max_abs_L one interval at
+    a time and _lf_bounds per interval, interp2_error_bound and the
+    weighted projection's coefficients."""
+    from expspline import (Partition, build_hat_basis, get_test_function,
+                           interp2_error_bound, interpolate2, max_abs_L,
+                           measure_error, project)
+    from expspline.harness import _lf_bounds, error_grid
+
+    tf = get_test_function(function)
+    part = Partition(knots)
+    basis = build_hat_basis(part, pairs)
+    spline = interpolate2(basis, tf(part.knots))
+    ml = np.array([max_abs_L(tf, Partition(knots[j:j + 2]), [pairs[j]])
+                   for j in range(len(pairs))])
+    return {"values": _sha(spline(error_grid(part))),
+            "measure_error": _sha(measure_error(tf, spline, part)),
+            "max_abs_L": _sha(ml),
+            "lf_bounds": _sha(_lf_bounds(tf, part, np.array(pairs), True)),
+            "bound": _sha(interp2_error_bound(basis, ml)),
+            "project": _sha(project(basis, tf, p).coeffs)}
+
+
 def digest():
-    """Every digest item's hashes, by item name."""
-    return {name: {"function": func, "n": n, "quad": list(quad),
-                   **digest_item(func, n, quad)}
-            for name, func, n, quad in digest_items()}
+    """Every digest item's inputs and hashes, by item name."""
+    return {name: {**params, **digest_item(params)}
+            for name, params in digest_items()}
 
 
 # the promise ledger's strata: each catalog function on its own domain with

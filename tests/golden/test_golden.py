@@ -31,13 +31,12 @@ def test_library_outputs_match_the_digest():
     recorded = json.loads((regen.HERE / "versions.json").read_text())
     want = json.loads((regen.HERE / "digest.json").read_text())
     items = regen.digest_items()
-    assert set(want) == {name for name, *_ in items}
+    assert set(want) == {name for name, _ in items}
     misses = []
-    for name, func, n, quad in items:
+    for name, params in items:
         expected = want[name]
-        assert (expected["function"], expected["n"], expected["quad"]) \
-            == (func, n, list(quad))
-        got = regen.digest_item(func, n, quad)
+        assert {key: expected[key] for key in params} == params
+        got = regen.digest_item(params)
         misses += [f"{name}: {field}" for field in sorted(got)
                    if got[field] != expected[field]]
     assert not misses, (f"recorded with {recorded}, run with "
