@@ -4,32 +4,38 @@ Each case is one configuration run through the CLI commands that print
 what the library computes: ``verify`` (csv and json), ``bounds``,
 ``gram``, the ``interp2``/``interp4`` export of its order (csv on a
 small grid and the json coefficient dump) and ``converge`` (csv and json;
-a config of fewer than three levels records the refusal).  For every case this writes
-``configs/<name>.json`` and ``expected/<name>.json``, the latter holding
-each command's argv, exit code, stdout and stderr; ``versions.json``
-records the interpreter, numpy, the SIMD targets this CPU runs and
-OpenBLAS's core that produced them.  ``digest.json`` pins the library
-below the CLI: per item of digest_items(), a replica of the verify4 bench
-generator for a fixed seed plus one mesh of n = 32769, the sha256 of the
-bytes of the spline's coeffs, starts and taylor, of every error_bound4
-field and of max_abs_L; per order-2 item, drawn as the certify2 bench
-draws them, those of the interpolant on the error grid, measure_error,
-max_abs_L, interp2_error_bound and the projection; and those of every
-catalog function's derivatives on one grid.  ``promise.json`` is the promise ledger: the
-outcome of run_verify on every case of promise_cases(), one single-level
-config per catalog function, frequency family, size and mesh plus the
-known cases, each certified, refused by type or failed with the item that
-owns it.  The
-files are only ever written by this script:
+a config of fewer than three levels records the refusal).  For every case
+this writes ``configs/<name>.json`` and ``expected/<name>.json``, the
+latter holding each command's argv, exit code, stdout and stderr;
+``versions.json`` records the interpreter, numpy, the SIMD targets this
+CPU runs and OpenBLAS's core that produced them.  ``digest.json`` pins the
+library below the CLI, by the sha256 of the bytes of each output:
+- per order-4 item of digest_items(), a replica of the verify4 bench
+  generator for a fixed seed plus one mesh of n = 32769, the spline's
+  coeffs, starts and taylor, every error_bound4 field and max_abs_L;
+- per order-2 item, drawn as the certify2 bench draws them, the
+  interpolant on the error grid, measure_error, max_abs_L, _lf_bounds,
+  interp2_error_bound and the projection's coefficients;
+- every catalog function's derivatives on one grid.
+``promise.json`` is the promise ledger: the outcome of run_verify on every
+case of promise_cases(), one single-level config per catalog function,
+frequency family, size and mesh plus the known cases, each certified,
+refused by type or failed with the item that owns it.  The files are only
+ever written by this script:
 
     PYTHONPATH=src python tests/golden/regen.py
 
 ``tests/golden/test_golden.py`` replays every command, every digest item
 and every ledger case in process and asks for the same bytes and
-outcomes.  After writing, the script prints one line per expected file,
-digest field and ledger case that moved, and nothing when nothing did.
+outcomes.  The script prints one line per config or expected file, digest
+field and ledger case that moved, and nothing when nothing did.  With
+``--check`` it writes nothing and exits 1 when anything moved, so one
+command shows that a change left every output where it was:
+
+    PYTHONPATH=src python tests/golden/regen.py --check
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -37,6 +43,7 @@ import json
 import math
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -451,9 +458,9 @@ def versions():
             "openblas_core": _openblas_core()}
 
 
-def _dump(path, doc):
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _text(doc):
+    """doc as the JSON text of a corpus file."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _read(path):
@@ -461,26 +468,31 @@ def _read(path):
     return json.loads(path.read_text()) if path.exists() else {}
 
 
-def main():
-    """Write every file, then print what moved: one line per expected file
-    whose bytes changed, per digest item and field whose hash changed and
-    per ledger case whose outcome changed; nothing when nothing moved."""
-    (HERE / "configs").mkdir(exist_ok=True)
-    (HERE / "expected").mkdir(exist_ok=True)
-    moved = []
-    for name, config in CASES.items():
-        path = HERE / "configs" / f"{name}.json"
-        _dump(path, config)
-        runs = []
-        for argv in commands(config):
-            code, out, err = run(argv + ["-c", str(path)])
-            runs.append({"argv": argv, "code": code, "stdout": out,
-                         "stderr": err})
-        path = HERE / "expected" / f"{name}.json"
-        before = path.read_bytes() if path.exists() else None
-        _dump(path, runs)
-        if path.read_bytes() != before:
-            moved.append(f"expected/{name}.json")
+def main(argv=None):
+    """Compute every file, print what moved and, without --check, write
+    them: one line per config or expected file whose bytes changed, per
+    digest item and field whose hash changed and per ledger case whose
+    outcome changed; nothing when nothing moved.  The configs run from a
+    temporary directory.  With --check nothing is written, and the exit
+    code is 1 when anything moved."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any output moved")
+    check = parser.parse_args(argv).check
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in CASES.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(_text(config), encoding="utf-8")
+            runs = []
+            for argv in commands(config):
+                code, out, err = run(argv + ["-c", str(path)])
+                runs.append({"argv": argv, "code": code, "stdout": out,
+                             "stderr": err})
+            files[f"configs/{name}.json"] = _text(config)
+            files[f"expected/{name}.json"] = _text(runs)
+    moved = [rel for rel, text in files.items() if not (HERE / rel).exists()
+             or (HERE / rel).read_text(encoding="utf-8") != text]
     old_digest, new_digest = _read(HERE / "digest.json"), digest()
     for name, item in new_digest.items():
         old = old_digest.get(name, {})
@@ -490,11 +502,17 @@ def main():
     moved += [f"promise {name}: {old_promise.get(name)} -> {outcome}"
               for name, outcome in new_promise.items()
               if outcome != old_promise.get(name)]
-    _dump(HERE / "digest.json", new_digest)
-    _dump(HERE / "promise.json", new_promise)
-    _dump(HERE / "versions.json", versions())
     for line in moved:
         print(line)
+    if check:
+        return 1 if moved else 0
+    files.update({"digest.json": _text(new_digest),
+                  "promise.json": _text(new_promise),
+                  "versions.json": _text(versions())})
+    for rel, text in files.items():
+        (HERE / rel).parent.mkdir(exist_ok=True)
+        (HERE / rel).write_text(text, encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
