@@ -195,11 +195,20 @@ def _phi_scaled(rows, ts):
 def _pair_scaled(lam0, lam1, t):
     """(mant, scale) of Phi over the pairs (lam0, lam1) at t, all broadcast
     together; see _phi_scaled."""
-    lam0, lam1 = np.asarray(lam0, dtype=float), np.asarray(lam1, dtype=float)
-    u = np.abs(0.5 * (lam1 - lam0) * t)
+    return (_pair_mant(0.5 * (lam1 - lam0), t),
+            np.maximum(lam0 * t, lam1 * t))
+
+
+def _pair_mant(d, t):
+    """The pair mantissa t (1 - exp(-2u)) / (2u), u = |d t|, exactly t at
+    u = 0, for d = (lam1 - lam0)/2, taken as expm1(-2u) t / (-2u): both
+    signs flip, so the bits are the same, with one negation fewer."""
+    w = -2.0 * np.abs(d * t)
     with np.errstate(invalid="ignore"):
-        mant = np.where(u > 0.0, t * -np.expm1(-2.0 * u) / (2.0 * u), t)
-    return mant, np.maximum(lam0 * t, lam1 * t)
+        mant = np.expm1(w)
+        mant *= t
+        mant /= w
+        return np.where(w < 0.0, mant, t)
 
 
 def _times_exp(mant, scale):
@@ -208,10 +217,10 @@ def _times_exp(mant, scale):
     overflows or underflows only where the value does, and a zero mant
     gives a zero whatever the scale.  A value past the double range reads
     inf, with no warning."""
-    far = np.abs(scale) > 700.0
-    if not far.any():
+    if scale.min() >= -700.0 and scale.max() <= 700.0:
         with np.errstate(over="ignore"):
             return mant * np.exp(scale)
+    far = np.abs(scale) > 700.0
     mant, scale, far = np.broadcast_arrays(mant, scale, far)
     with np.errstate(over="ignore", invalid="ignore"):
         out = mant * np.exp(scale)
@@ -226,8 +235,8 @@ def _quotient(nums, dens):
     each factor a (mant, scale) pair with value mant * exp(scale): the
     mantissas multiply and divide, the scales add and subtract, and one
     _times_exp joins them."""
-    mant, scale = 1.0, 0.0
-    for m, s in nums:
+    (mant, scale), *rest = nums
+    for m, s in rest:
         mant, scale = mant * m, scale + s
     for m, s in dens:
         mant, scale = mant / m, scale - s

@@ -85,8 +85,30 @@ class TestFunction:
         return self.evaluators[0](np.asarray(ts, dtype=float))
 
     def derivatives(self, ts, count=5):
+        """[ev(ts) for ev in evaluators[:count]], each a new array; the
+        evaluators of one kernel (an _Order's or their own) share its value."""
         ts = np.asarray(ts, dtype=float)
-        return [ev(ts) for ev in self.evaluators[:count]]
+        shared, out = {}, []
+        for ev in self.evaluators[:count]:
+            kernel = getattr(ev, "kernel", ev)
+            value = shared.get(kernel)
+            if value is None:
+                value = shared[kernel] = kernel(ts)
+            elif kernel is ev:
+                value = value.copy()
+            out.append(value if kernel is ev else ev.formula(ts, value))
+        return out
+
+
+@dataclass(frozen=True)
+class _Order:
+    """A catalog derivative formula(ts, kernel(ts)), kernel the
+    transcendental that it shares with other orders."""
+    kernel: object
+    formula: object
+
+    def __call__(self, ts):
+        return self.formula(ts, self.kernel(ts))
 
 
 # Orders of the declared derivative bounds, as a column against intervals.
@@ -139,15 +161,14 @@ def _monomial(k):
 def _runge_evaluators():
     def d(ts):
         return 1.0 + 25.0 * ts ** 2
-    return (
-        lambda ts: 1.0 / d(ts),
-        lambda ts: -50.0 * ts / d(ts) ** 2,
-        lambda ts: 50.0 * (75.0 * ts ** 2 - 1.0) / d(ts) ** 3,
-        lambda ts: 15000.0 * ts * (1.0 - 25.0 * ts ** 2) / d(ts) ** 4,
+    return tuple(_Order(d, formula) for formula in (
+        lambda ts, d: 1.0 / d,
+        lambda ts, d: -50.0 * ts / d ** 2,
+        lambda ts, d: 50.0 * (75.0 * ts ** 2 - 1.0) / d ** 3,
+        lambda ts, d: 15000.0 * ts * (1.0 - 25.0 * ts ** 2) / d ** 4,
         # t^4 as a square of a product: numpy's pow is slow on a negative base
-        lambda ts: 15000.0 * (1.0 - 250.0 * ts ** 2 + 3125.0 * (ts * ts) ** 2)
-        / d(ts) ** 5,
-    )
+        lambda ts, d: 15000.0 * (1.0 - 250.0 * ts ** 2
+                                 + 3125.0 * (ts * ts) ** 2) / d ** 5))
 
 
 def _runge_bounds(lefts, rights):
@@ -160,14 +181,12 @@ def _runge_bounds(lefts, rights):
 def _gauss_evaluators():
     def g(ts):
         return np.exp(-ts ** 2)
-    return (
-        g,
-        lambda ts: -2.0 * ts * g(ts),
-        lambda ts: (4.0 * ts ** 2 - 2.0) * g(ts),
+    return (g,) + tuple(_Order(g, formula) for formula in (
+        lambda ts, g: -2.0 * ts * g,
+        lambda ts, g: (4.0 * ts ** 2 - 2.0) * g,
         # t^3 and t^4 as products: numpy's pow is slow on a negative base
-        lambda ts: (12.0 * ts - 8.0 * (ts * ts * ts)) * g(ts),
-        lambda ts: (16.0 * (ts * ts) ** 2 - 48.0 * ts ** 2 + 12.0) * g(ts),
-    )
+        lambda ts, g: (12.0 * ts - 8.0 * (ts * ts * ts)) * g,
+        lambda ts, g: (16.0 * (ts * ts) ** 2 - 48.0 * ts ** 2 + 12.0) * g))
 
 
 def _gauss_bounds(lefts, rights):
@@ -179,14 +198,13 @@ def _gauss_bounds(lefts, rights):
 
 def _build_catalog():
     unit = _constant_bounds(np.ones_like)
+    # sin, cos, -sin, -cos: the derivatives of sin, and from cos on of cos
+    cycle = (np.sin, np.cos, _Order(np.sin, lambda ts, s: -s),
+             _Order(np.cos, lambda ts, c: -c))
     cat = {
-        "sin": TestFunction("sin", (np.sin, np.cos,
-                                    lambda ts: -np.sin(ts),
-                                    lambda ts: -np.cos(ts), np.sin),
-                            (0.0, math.pi), unit),
-        "cos": TestFunction("cos", (np.cos, lambda ts: -np.sin(ts),
-                                    lambda ts: -np.cos(ts), np.sin, np.cos),
-                            (0.0, math.pi), unit),
+        "sin": TestFunction("sin", cycle + cycle[:1], (0.0, math.pi), unit),
+        "cos": TestFunction("cos", cycle[1:] + cycle[:2], (0.0, math.pi),
+                            unit),
         "exp": TestFunction("exp", (np.exp,) * 5, (0.0, 1.0),
                             _constant_bounds(np.exp)),
         "runge": TestFunction("runge", _runge_evaluators(), (-1.0, 1.0),

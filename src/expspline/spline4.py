@@ -218,6 +218,8 @@ class SplineOrder4:
     buckets: np.ndarray = field(repr=False)
     probe: np.ndarray = field(repr=False)
     steps: int
+    # _derivative_table of each order read so far, built on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def knots(self):
@@ -239,7 +241,9 @@ class SplineOrder4:
         a, b = self.knots[0], self.knots[-1]
         ts = np.asarray(t, dtype=float)
         flat, tol = ts.ravel(), 1e-12 * (b - a)
-        table = _derivative_table(self.taylor, order)
+        table = self._tables.get(order)
+        if table is None:
+            table = self._tables[order] = _derivative_table(self.taylor, order)
         out = np.empty(flat.shape)
         for lo in range(0, flat.size, _EVAL_BLOCK):
             block = flat[lo:lo + _EVAL_BLOCK]

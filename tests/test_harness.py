@@ -130,6 +130,30 @@ class TestCatalog:
                     assert abs(got[r][i] - float(want)) \
                         <= 1e-14 * scale[r, i], (name, t, r)
 
+    @pytest.mark.parametrize("name", sorted(
+        k for k in CATALOG if "^" not in k))
+    def test_derivatives_are_the_evaluators(self, name):
+        # every count gives each evaluator's own bytes, signs of zero
+        # included, on a grid holding 0 and both ends of the domain
+        tf = get_test_function(name)
+        a, b = tf.default_domain
+        ts = np.unique(np.concatenate([np.linspace(a - 1.0, b + 1.0, 301),
+                                       [-0.0, a, b]]))
+        assert ts[0] < 0.0 < ts[-1]
+        for count in range(1, 6):
+            got = tf.derivatives(ts, count)
+            want = [ev(ts) for ev in tf.evaluators[:count]]
+            assert len(got) == count
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        # each order its own array, though sin's orders 0 and 4 and all
+        # of exp's read one kernel value
+        orders = tf.derivatives(ts, 5)
+        before = [v.copy() for v in orders]
+        for r in range(5):
+            orders[r][:] = 7.0 + r
+            assert all(orders[q].tobytes() == before[q].tobytes()
+                       for q in range(r + 1, 5))
+
     def test_monomial_low_orders_vanish(self):
         tf = get_test_function("t2")
         ts = np.linspace(0.0, 1.0, 5)

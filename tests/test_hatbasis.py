@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from expspline.hatbasis import (
+    _EVAL_BLOCK,
     Partition,
     _flank_values,
     build_hat_basis,
@@ -228,6 +229,41 @@ class TestInterpolate2:
                              lambda x: sum_hats(basis, x)):
                 with pytest.raises(ValueError, match="finite"):
                     evaluate(ts)
+
+    def test_nan_is_refused_before_an_outside_point(self):
+        basis = uniform_basis(0.0, 1.0, 3, (-1.0, 2.0))
+        spline = interpolate2(basis, [1.0, 2.0, 0.5])
+        for ts in ([2.0, math.nan], [math.nan, -1.0], [1.5, 0.5, math.nan]):
+            with pytest.raises(ValueError, match="must be finite"):
+                spline(np.array(ts))
+        with pytest.raises(ValueError, match="must lie inside"):
+            spline(np.array([0.5, 1.0 + 1e-15]))
+
+    def test_scalar_and_empty_inputs(self):
+        basis = uniform_basis(0.0, 1.0, 3, (-1.0, 2.0))
+        spline = interpolate2(basis, [1.0, 2.0, 0.5])
+        value = spline(0.3)
+        assert type(value) is float
+        assert value == spline(np.array([0.3]))[0]
+        assert type(spline(np.float64(1.0))) is float
+        for empty in (np.array([]), np.empty((0, 3))):
+            got = spline(empty)
+            assert isinstance(got, np.ndarray) and got.shape == empty.shape
+
+    def test_unsorted_blocks_match_single_points(self):
+        # points in no order over several evaluation blocks, knots and
+        # repeats included, give the bytes each point gives alone
+        rng = np.random.default_rng(58)
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 12))])
+        pairs = np.sort(rng.uniform(-3.0, 3.0, (12, 2)), axis=1)
+        spline = interpolate2(build_hat_basis(knots, pairs),
+                              rng.uniform(-2.0, 2.0, 13))
+        ts = np.concatenate([rng.uniform(0.0, knots[-1],
+                                         2 * _EVAL_BLOCK + 17), knots])
+        ts = rng.permutation(np.concatenate([ts, ts[:50]]))
+        one = np.array([spline(t) for t in ts])
+        assert spline(ts).tobytes() == one.tobytes()
+        assert spline(ts.reshape(-1, 4)).tobytes() == one.tobytes()
 
     def test_nonfinite_values_rejected(self):
         basis = uniform_basis(0.0, 1.0, 3, (0.0, 0.0))
