@@ -220,6 +220,7 @@ def _flank_values(basis, ts):
     # the interior knots at or below t count the intervals before t's
     idx = np.searchsorted(knots[1:-1], ts, side="right")
     (lam0, lam1), h = basis.pairs.T, basis.partition.lengths
+    # per interval: t_i, h, d, then edge, mant and scale at y = -h and y = h
     table = np.array([knots[:-1], h, *_flank_ends(lam0, lam1, -h),
                       *_flank_ends(lam0, lam1, h)[1:]])
     fall, rise = np.empty((2, ts.size))

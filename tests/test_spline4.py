@@ -679,24 +679,23 @@ class TestPieceLookup:
         _assert_lookup_exact(s, _probe_points(s, rng, 2 * _EVAL_BLOCK + 5))
 
     def test_derivative_tables_are_built_once_per_order(self, monkeypatch):
-        # each order's table is built on its first call and read after;
-        # an order never asked for is never built
-        s = _random_spline(np.linspace(0.0, np.pi, 33), (1.0, -1.0, 2.0, -2.0))
-        ts = _probe_points(s, np.random.default_rng(8), 300)
-        want = {r: s(ts, r).tobytes() for r in (1, 2)}
+        # each order's table is built on its first call and read after,
+        # with the bits of a table built per call; an order never asked
+        # for is never built
         built = []
 
         def counting(table, order):
             built.append(order)
             return _derivative_table(table, order)
         monkeypatch.setattr(spline4, "_derivative_table", counting)
-        for r in (2, 1, 3, 1, 2, 3):
-            got = s(ts, r).tobytes()
-            assert r == 3 or got == want[r]
-        assert built == [3]
-        fresh = _random_spline(np.linspace(0.0, np.pi, 33),
-                               (1.0, -1.0, 2.0, -2.0))
-        assert fresh(ts, 1).tobytes() == want[1] and built == [3, 1]
+        s = _random_spline(np.linspace(0.0, np.pi, 33), (1.0, -1.0, 2.0, -2.0))
+        ts = _probe_points(s, np.random.default_rng(8), 300)
+        first = {r: s(ts, r).tobytes() for r in (2, 1)}
+        for r in (1, 2, 1):
+            assert s(ts, r).tobytes() == first[r]
+        assert [r for r in built if r] == [2, 1]
+        _assert_lookup_exact(s, ts)
+        assert [r for r in built if r] == [2, 1, 3]
 
     def test_shapes_are_kept(self):
         s = _random_spline(np.linspace(0.0, 1.0, 5), (1.0, -1.0, 2.0, -2.0))
